@@ -10,8 +10,8 @@ from .bands import (BandPartition, DeformationParams, RegionSpec, RegionTag,
                     classify_region, region_distance, psi)
 from .flow import (DeformationField, FlowConfig, Trajectory, vector_field,
                    integrate_flow, eta, verify_deformation)
-from .paths import (MountainPassInstance, DiscretePath, PathEnsemble,
-                    make_path, path_extrema, deform_path)
+from .paths import (MountainPassInstance, DiscretePath, make_path,
+                    path_extrema, deform_path)
 from .minimax import (MinimaxResult, ProofTrace, PSReport, GeometryCheckResult,
                       optimize_c1, optimize_c2, check_conclusions,
                       trace_proof_argument, ps_probe, check_mpt_geometry)

@@ -12,12 +12,15 @@ The cutoff is
 
 with dB = dist(u, B), dC = dist(u, C), dXA = dist(u, complement of A).
 It equals +1 on B, -1 on C and 0 outside the band and on D, exactly.
+
+Region membership is decided in one place, BandPartition.tags, as int8
+codes viewed through the IntEnum RegionTag; psi's plateaus come from them.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field as dc_field
-from enum import Enum
+from enum import IntEnum
 from typing import Optional
 
 import numpy as np
@@ -33,12 +36,18 @@ D_SEPARATION = 0.05
 _UNDERFLOW = 1e-300
 
 
-class RegionTag(Enum):
-    OUTSIDE = "OUTSIDE"
-    D = "D"
-    B = "B"
-    C = "C"
-    A_OTHER = "A_OTHER"
+class RegionTag(IntEnum):
+    """Region codes as returned by BandPartition.tags."""
+
+    A_OTHER = 0
+    B = 1
+    C = 2
+    OUTSIDE = 3
+    D = 4
+
+
+# psi on each region code; A_OTHER rows are interpolated instead
+_PLATEAU = np.array([0.0, 1.0, -1.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -90,6 +99,9 @@ class BandPartition:
         if self.field.dim != self.box.dim:
             raise ValueError("field and box dimensions differ")
         self._validate_d()
+        spec = self.d_spec
+        object.__setattr__(self, "_d_tree", cKDTree(spec.points)
+                           if spec.kind == "point_cloud" else None)
 
     # value ranges -----------------------------------------------------
     @property
@@ -135,51 +147,56 @@ class BandPartition:
             )
 
     # membership -------------------------------------------------------
-    def in_d(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
+    def in_d(self, u, phi) -> np.ndarray:
+        """D membership of points u (..., dim) whose phi-values are known."""
         spec = self.d_spec
         if spec.kind == "empty":
-            return np.zeros(u.shape[:-1], dtype=bool)
+            return np.zeros(np.shape(phi), dtype=bool)
         if spec.kind == "level_set":
-            phi = self.field.evaluate(u)
             return np.abs(phi - spec.value) <= self.d_thickness
-        d, _ = cKDTree(spec.points).query(np.atleast_2d(u))
-        out = d <= 1e-12 * max(1.0, self.box.diagonal)
-        return out.reshape(u.shape[:-1])
+        d, _ = self._d_tree.query(u)
+        return d <= 1e-12 * max(1.0, self.box.diagonal)
 
-    def classify(self, u) -> np.ndarray:
-        """Vectorized region tags; precedence D, OUTSIDE, B, C, A_OTHER."""
-        u = np.asarray(u, dtype=float)
-        phi = np.asarray(self.field.evaluate(u))
-        tags = np.full(phi.shape, RegionTag.A_OTHER, dtype=object)
+    def tags(self, u, phi) -> np.ndarray:
+        """int8 region codes (RegionTag values) of points u with values phi.
+
+        Precedence D, OUTSIDE, B, C, A_OTHER.  This is the only place the
+        band ranges and D membership are tested.
+        """
+        phi = np.asarray(phi)
         a_lo, a_hi = self.a_range
         b_lo, b_hi = self.b_range
         c_lo, c_hi = self.c_range
-        tags[(phi >= b_lo) & (phi <= b_hi)] = RegionTag.B
-        tags[(phi >= c_lo) & (phi <= c_hi)] = RegionTag.C
-        tags[(phi < a_lo) | (phi > a_hi)] = RegionTag.OUTSIDE
-        tags[self.in_d(u)] = RegionTag.D
-        return tags
+        out = np.full(phi.shape, RegionTag.A_OTHER, dtype=np.int8)
+        out[(phi >= c_lo) & (phi <= c_hi)] = RegionTag.C
+        out[(phi >= b_lo) & (phi <= b_hi)] = RegionTag.B
+        out[(phi < a_lo) | (phi > a_hi)] = RegionTag.OUTSIDE
+        out[self.in_d(u, phi)] = RegionTag.D
+        return out
+
+    def classify(self, u) -> np.ndarray:
+        """Vectorized region codes; see tags."""
+        u = np.asarray(u, dtype=float)
+        return self.tags(u, self.field.evaluate(u))
 
     # distance to D ----------------------------------------------------
-    def d_distance(self, u) -> np.ndarray:
-        """First-order distance estimate to D (exact for affine fields)."""
-        u = np.asarray(u, dtype=float)
+    def d_distance(self, u, phi, gnorm) -> np.ndarray:
+        """First-order distance estimate to D (exact for affine fields),
+        from the phi-values and gradient norms at u."""
         spec = self.d_spec
         if spec.kind == "empty":
-            return np.full(u.shape[:-1], np.inf)
+            return np.full(np.shape(phi), np.inf)
         if spec.kind == "level_set":
-            phi = self.field.evaluate(u)
-            gn = np.maximum(self.field.grad_norm(u), self.params.min_grad_floor)
+            gn = np.maximum(gnorm, self.params.min_grad_floor)
             return np.minimum(np.abs(phi - spec.value) / gn, self.box.diagonal)
-        d, _ = cKDTree(spec.points).query(np.atleast_2d(u))
-        return d.reshape(u.shape[:-1])
+        d, _ = self._d_tree.query(u)
+        return d
 
 
 def classify_region(part: BandPartition, u) -> RegionTag:
     """Tag of a single point."""
     u = np.asarray(u, dtype=float)
-    return part.classify(u[None, :])[0]
+    return RegionTag(part.classify(u[None, :])[0])
 
 
 def _slab_distance(phi, lo, hi, anorm):
@@ -201,26 +218,25 @@ class ExactAffineBackend:
         if self.anorm == 0.0:
             raise ValueError("affine field has zero gradient")
 
-    def distances(self, u):
+    def distances(self, u, phi, gnorm):
+        """Set distances (dB, dC, dXA) from points u with values phi and
+        gradient norms gnorm; plateau rows are not masked."""
         part = self.part
-        u = np.asarray(u, dtype=float)
-        phi = part.field.evaluate(u)
         dB = _slab_distance(phi, *part.b_range, self.anorm)
         dC = _slab_distance(phi, *part.c_range, self.anorm)
         a_lo, a_hi = part.a_range
         inside = np.minimum(phi - a_lo, a_hi - phi) / self.anorm
         d_out = np.maximum(inside, 0.0)
-        dXA = np.minimum(d_out, part.d_distance(u))
-        dXA[part.in_d(u)] = 0.0
-        return dB, dC, dXA
+        return dB, dC, np.minimum(d_out, part.d_distance(u, phi, gnorm))
 
 
 class SampledBackend:
     """Rejection-sampled region clouds on a regular grid, with KD-tree lookup.
 
     Reported distances err from true set distances by at most one grid-cell
-    diagonal; membership is decided exactly from phi-values so the cutoff's
-    plateau values stay exact.
+    diagonal.  The clouds are the grid points BandPartition.tags puts in B,
+    C and outside A; the cutoff's plateau values come from the region codes,
+    not from these distances, so they stay exact.
     """
 
     name = "sampled"
@@ -231,17 +247,12 @@ class SampledBackend:
         self.part = part
         self.resolution = resolution
         box = part.box
-        axes = [np.linspace(box.lo[i], box.hi[i], resolution) for i in range(box.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        phi = part.field.evaluate(pts)
-        b_lo, b_hi = part.b_range
-        c_lo, c_hi = part.c_range
-        a_lo, a_hi = part.a_range
+        pts = box.grid(resolution)
+        tags = part.tags(pts, part.field.evaluate(pts))
         self.clouds = {
-            "B": pts[(phi >= b_lo) & (phi <= b_hi)],
-            "C": pts[(phi >= c_lo) & (phi <= c_hi)],
-            "OUT": pts[(phi < a_lo) | (phi > a_hi)],
+            "B": pts[tags == RegionTag.B],
+            "C": pts[tags == RegionTag.C],
+            "OUT": pts[tags == RegionTag.OUTSIDE],
         }
         self.trees = {k: (cKDTree(v) if len(v) else None) for k, v in self.clouds.items()}
         self.cell_diagonal = float(np.linalg.norm(
@@ -251,26 +262,15 @@ class SampledBackend:
         tree = self.trees[key]
         if tree is None:
             raise EmptyRegion(f"region {key} has no sampled points inside the box")
-        d, _ = tree.query(np.atleast_2d(u))
-        return d.reshape(np.asarray(u).shape[:-1])
+        return tree.query(u)[0]
 
-    def distances(self, u):
-        part = self.part
-        u = np.asarray(u, dtype=float)
-        phi = part.field.evaluate(u)
-        b_lo, b_hi = part.b_range
-        c_lo, c_hi = part.c_range
-        a_lo, a_hi = part.a_range
+    def distances(self, u, phi, gnorm):
+        """Set distances (dB, dC, dXA) from points u with values phi and
+        gradient norms gnorm; plateau rows are not masked."""
         dB = self._cloud_distance("B", u)
-        dB = np.where((phi >= b_lo) & (phi <= b_hi), 0.0, dB)
         dC = self._cloud_distance("C", u)
-        dC = np.where((phi >= c_lo) & (phi <= c_hi), 0.0, dC)
         d_out = self._cloud_distance("OUT", u)
-        dXA = np.minimum(d_out, part.d_distance(u))
-        dXA = np.where((phi < a_lo) | (phi > a_hi), 0.0, dXA)
-        dXA = np.asarray(dXA)
-        dXA[part.in_d(u)] = 0.0
-        return dB, dC, dXA
+        return dB, dC, np.minimum(d_out, self.part.d_distance(u, phi, gnorm))
 
 
 def build_backend(part: BandPartition, kind: str = "sampled", resolution: int = 201):
@@ -284,40 +284,43 @@ def build_backend(part: BandPartition, kind: str = "sampled", resolution: int = 
 def region_distance(part: BandPartition, backend, u, region: str):
     """Distance from u to one of B, C, or the complement of A."""
     u = np.asarray(u, dtype=float)
-    single = u.ndim == 1
-    dB, dC, dXA = backend.distances(u[None, :] if single else u)
-    pick = {"B": dB, "C": dC, "complement_of_A": dXA}
+    U = np.atleast_2d(u)
+    phi = np.asarray(part.field.evaluate(U))
+    tags = part.tags(U, phi)
+    dB, dC, dXA = backend.distances(U, phi, part.field.grad_norm(U))
+    zero = (tags == RegionTag.OUTSIDE) | (tags == RegionTag.D)
+    pick = {"B": np.where(tags == RegionTag.B, 0.0, dB),
+            "C": np.where(tags == RegionTag.C, 0.0, dC),
+            "complement_of_A": np.where(zero, 0.0, dXA)}
     try:
         d = pick[region]
     except KeyError:
         raise ValueError(f"region must be one of {sorted(pick)}, got {region!r}")
-    return float(d[0]) if single else d
+    return float(d[0]) if u.ndim == 1 else d
 
 
-def psi(part: BandPartition, backend, u):
-    """The cutoff value(s) at u; in [-1, 1] with exact plateaus.
+def cutoff_stage(part: BandPartition, backend, U):
+    """psi, grad phi and ||grad phi|| of a batch U (..., dim), from one
+    evaluation of phi and one of its gradient.
 
-    Plateau values (+1 on B, -1 on C, 0 outside the band and on D) are
-    resolved from phi-membership alone; set distances are only queried for
-    the interpolation region between the plateaus, so configurations whose
-    B or C band is empty still deform their plateau points.
+    The gradient is evaluated only off the zero plateau; OUTSIDE and D rows
+    get a zero gradient.  Plateau values (+1 on B, -1 on C, 0 outside the
+    band and on D) come from the region codes alone; set distances are only
+    queried for the interpolation rows between the plateaus, so
+    configurations whose B or C band is empty still deform their plateau
+    points.
     """
-    u = np.asarray(u, dtype=float)
-    single = u.ndim == 1
-    U = u[None, :] if single else u
-    phi = np.asarray(part.field.evaluate(U))
-    a_lo, a_hi = part.a_range
-    b_lo, b_hi = part.b_range
-    c_lo, c_hi = part.c_range
-    zero = (phi < a_lo) | (phi > a_hi) | part.in_d(U)
-    in_b = (phi >= b_lo) & (phi <= b_hi) & ~zero
-    in_c = (phi >= c_lo) & (phi <= c_hi) & ~zero
-    out = np.zeros(phi.shape)
-    out[in_b] = 1.0
-    out[in_c] = -1.0
-    rest = ~(zero | in_b | in_c)
+    field = part.field
+    phi = np.asarray(field.evaluate(U))
+    tags = part.tags(U, phi)
+    live = (tags != RegionTag.OUTSIDE) & (tags != RegionTag.D)
+    grad = np.zeros_like(U)
+    grad[live] = field.gradient(U[live])
+    gnorm = np.linalg.norm(grad, axis=-1)
+    out = _PLATEAU[tags]
+    rest = tags == RegionTag.A_OTHER
     if np.any(rest):
-        dB, dC, dXA = backend.distances(U[rest])
+        dB, dC, dXA = backend.distances(U[rest], phi[rest], gnorm[rest])
         num = (dC - dB) * dXA
         den = (dC + dB) * dXA + dB * dC
         tiny = den < _UNDERFLOW
@@ -326,7 +329,14 @@ def psi(part: BandPartition, backend, u):
                 "cutoff denominator underflowed while the numerator did not "
                 "(the fixed set D touches B or C)")
         out[rest] = np.where(tiny, 0.0, num / np.where(tiny, 1.0, den))
-    return float(out[0]) if single else out
+    return out, grad, gnorm
+
+
+def psi(part: BandPartition, backend, u):
+    """The cutoff value(s) at u; in [-1, 1] with exact plateaus."""
+    u = np.asarray(u, dtype=float)
+    out = cutoff_stage(part, backend, np.atleast_2d(u))[0]
+    return float(out[0]) if u.ndim == 1 else out
 
 
 def export_region_clouds(part: BandPartition, backend, path: str):

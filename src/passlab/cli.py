@@ -148,10 +148,7 @@ def _run_deform(cfg, seed, out_dir):
 
 
 def _dump_psi_grid(df, box, resolution, path):
-    axes = [np.linspace(box.lo[i], box.hi[i], resolution)
-            for i in range(box.dim)]
-    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
-                   axis=-1)
+    pts = box.grid(resolution)
     phis = np.asarray(df.field.evaluate(pts))
     psis = np.asarray(df.psi(pts))
     header = ",".join(["x", "y", "z"][:box.dim] + ["phi", "psi"])

@@ -53,6 +53,14 @@ class DomainBox:
         """n uniform points in the box, shape (n, dim)."""
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
+    def grid(self, resolution) -> np.ndarray:
+        """Regular grid points in C order, shape (points, dim); resolution is
+        one point count for every axis or one count per axis."""
+        res = np.broadcast_to(resolution, (self.dim,))
+        axes = [np.linspace(self.lo[i], self.hi[i], res[i]) for i in range(self.dim)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+
 
 @dataclass(frozen=True)
 class ScalarField:

@@ -6,19 +6,20 @@ The vector field is
          = 0                                    where psi(u) = 0
 
 and the deformation is eta(u) = sigma(T, u) with horizon T = 2 eps, where
-sigma solves dsigma/dt = f(sigma), sigma(0) = u.  Points with a zero field
-at the start are returned bit-identically (the unique constant solution),
-so the fixed-point property is machine-exact rather than tolerance-based.
+sigma solves dsigma/dt = f(sigma), sigma(0) = u.  Each evaluation of f reads
+phi and its gradient once (bands.cutoff_stage).  One RK4 integrator serves
+eta, eta_batch, integrate_flow and the audit; rows with a zero field at the
+start are never stepped and come back bit-identically (the unique constant
+solution), so the fixed-point property is machine-exact.
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
 
-from .bands import BandPartition, RegionTag, psi as psi_fn
+from .bands import BandPartition, RegionTag, cutoff_stage, psi as psi_fn
 from .errors import EmptyRegion, VectorFieldSingular
 from .fields import ScalarField
 
@@ -30,8 +31,8 @@ class DeformationField:
     backend: object
 
     def __post_init__(self):
-        if self.field is not self.part.field and self.field.dim != self.part.field.dim:
-            raise ValueError("field and partition dimensions differ")
+        if self.field is not self.part.field:
+            raise ValueError("field must be the partition's field")
 
     def psi(self, u):
         return psi_fn(self.part, self.backend, u)
@@ -73,109 +74,82 @@ class Trajectory:
     def end(self):
         return self.points[-1]
 
-    def to_csv(self, path: str):
-        dim = self.points.shape[1]
-        header = ["t"] + [f"x{i+1}" for i in range(dim)] + ["phi", "psi"]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for t, p, ph, ps in zip(self.times, self.points,
-                                    self.phi_values, self.psi_values):
-                w.writerow([float(t), *map(float, p), float(ph), float(ps)])
-
 
 def vector_field(df: DeformationField, u):
     """f at u; exact zero vector wherever psi vanishes."""
     u = np.asarray(u, dtype=float)
-    single = u.ndim == 1
-    U = u[None, :] if single else u
-    psi_vals = np.asarray(df.psi(U))
+    U = np.atleast_2d(u)
+    psi_vals, g, gn = cutoff_stage(df.part, df.backend, U)
     out = np.zeros_like(U)
     active = psi_vals != 0.0
-    if np.any(active):
-        g = df.field.gradient(U[active])
-        gn = np.linalg.norm(g, axis=-1)
-        floor = df.part.params.min_grad_floor
-        if np.any(gn < floor):
-            bad = U[active][gn < floor][0]
-            raise VectorFieldSingular(
-                f"||grad|| < {floor} at {bad.tolist()} where the cutoff is nonzero")
-        out[active] = (psi_vals[active] / gn ** 2)[:, None] * g
-    return out[0] if single else out
+    gn = gn[active]
+    floor = df.part.params.min_grad_floor
+    if np.any(gn < floor):
+        bad = U[active][gn < floor][0]
+        raise VectorFieldSingular(
+            f"||grad|| < {floor} at {bad.tolist()} where the cutoff is nonzero")
+    out[active] = (psi_vals[active] / gn ** 2)[:, None] * g[active]
+    return out[0] if u.ndim == 1 else out
 
 
-def _integrate_batch(df: DeformationField, cfg: FlowConfig, U0: np.ndarray):
-    """RK4 on a batch of starts; returns (times, records, clamped, frozen).
+def _integrate(df: DeformationField, cfg: FlowConfig, U0: np.ndarray, record: bool):
+    """RK4 on a batch of starts (N, dim); returns (times, states, clamped).
 
-    records has shape (n_rec, N, dim).  Rows whose field is exactly zero at
-    the start are frozen to their initial value (bit-equal constant solution).
-    Rows that leave the box are clamped to it and flagged.
+    Rows with a zero field at the start are never stepped.  Live rows that
+    leave the box are clamped to it and flagged.  states (n_rec, N, dim)
+    holds t = 0, every record_every-th step and t = T when record is set and
+    some row is live, else t = 0 and t = T only.
     """
-    box = df.part.box
     n, h = cfg.grid(df.horizon)
-    rec = sorted(set(range(0, n + 1, cfg.record_every)) | {n})
     f0 = vector_field(df, U0)
-    frozen = np.all(f0 == 0.0, axis=-1)
-    U = U0.copy()
+    live = np.any(f0 != 0.0, axis=-1)
     clamped = np.zeros(len(U0), dtype=bool)
-    records = [U0.copy()]
-    times = [0.0]
-    rec_set = set(rec)
+    if not np.any(live):
+        return np.array([0.0, n * h]), np.stack([U0, U0]), clamped
+    rec = set(range(0, n + 1, cfg.record_every)) if record else set()
+    box = df.part.box
+    U, k1 = U0[live], f0[live]
+    times, states = [0.0], [U0.copy()]
     for k in range(1, n + 1):
-        k1 = vector_field(df, U)
         k2 = vector_field(df, U + (0.5 * h) * k1)
         k3 = vector_field(df, U + (0.5 * h) * k2)
         k4 = vector_field(df, U + h * k3)
         U = U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         Uc = box.clip(U)
-        clamped |= np.any(Uc != U, axis=-1)
+        clamped[live] |= np.any(Uc != U, axis=-1)
         U = Uc
-        U[frozen] = U0[frozen]
-        if k in rec_set:
-            records.append(U.copy())
+        if k in rec or k == n:
+            state = U0.copy()
+            state[live] = U
+            states.append(state)
             times.append(k * h)
-    return np.asarray(times), np.stack(records), clamped, frozen
+        if k < n:
+            k1 = vector_field(df, U)
+    return np.asarray(times), np.stack(states), clamped
 
 
 def integrate_flow(df: DeformationField, cfg: FlowConfig, u) -> Trajectory:
     """Solve the flow from a single start over [0, 2 eps]."""
     u = np.asarray(u, dtype=float)
-    f0 = vector_field(df, u)
-    if np.all(f0 == 0.0):
-        times = np.array([0.0, df.horizon])
-        pts = np.stack([u, u])
-        tags = df.part.classify(pts)
-        conf = tags[0] if tags[0] == tags[1] else None
-        return Trajectory(times, pts,
-                          np.asarray(df.field.evaluate(pts)),
-                          np.asarray(df.psi(pts)),
-                          conf, False)
-    times, rec, clamped, _ = _integrate_batch(df, cfg, u[None, :])
-    pts = rec[:, 0, :]
-    tags = df.part.classify(pts)
-    conf = tags[0] if all(t == tags[0] for t in tags) else None
-    return Trajectory(times, pts,
-                      np.asarray(df.field.evaluate(pts)),
-                      np.asarray(df.psi(pts)),
+    times, states, clamped = _integrate(df, cfg, u[None, :], True)
+    pts = states[:, 0, :]
+    phis = np.asarray(df.field.evaluate(pts))
+    tags = df.part.tags(pts, phis)
+    conf = RegionTag(tags[0]) if np.all(tags == tags[0]) else None
+    return Trajectory(times, pts, phis, np.asarray(df.psi(pts)),
                       conf, bool(clamped[0]))
 
 
 def eta(df: DeformationField, cfg: FlowConfig, u):
-    """Deformation endpoint sigma(2 eps, u)."""
+    """Deformation endpoint sigma(2 eps, u) of a point or a batch."""
     u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        f0 = vector_field(df, u)
-        if np.all(f0 == 0.0):
-            return u.copy()
-        _, rec, _, _ = _integrate_batch(df, cfg, u[None, :])
-        return rec[-1, 0, :]
-    return eta_batch(df, cfg, u)
+    out = eta_batch(df, cfg, np.atleast_2d(u))
+    return out[0] if u.ndim == 1 else out
 
 
 def eta_batch(df: DeformationField, cfg: FlowConfig, U):
-    U = np.asarray(U, dtype=float)
-    _, rec, _, _ = _integrate_batch(df, cfg, U)
-    return rec[-1]
+    _, states, _ = _integrate(df, cfg, np.asarray(U, dtype=float), False)
+    return states[-1]
 
 
 @dataclass
@@ -220,10 +194,9 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
     rng = np.random.default_rng(seed)
     U0 = part.box.sample(rng, samples)
     phi0 = np.asarray(df.field.evaluate(U0))
-    tags0 = part.classify(U0)
+    tags0 = part.tags(U0, phi0)
 
-    a_lo, a_hi = part.a_range
-    band = (phi0 >= a_lo) & (phi0 <= a_hi)
+    band = tags0 != RegionTag.OUTSIDE
     gn0 = df.field.grad_norm(U0)
     hyp_min = float(np.min(gn0[band])) if np.any(band) else float("nan")
 
@@ -234,7 +207,7 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
     if not np.any(in_c):
         raise EmptyRegion("no sampled points fell in C inside the box")
 
-    times, rec, clamped, frozen = _integrate_batch(df, cfg, U0)
+    times, rec, clamped = _integrate(df, cfg, U0, True)
     finals = rec[-1]
 
     # fixed-point property on OUTSIDE and D samples (bit-exact)
@@ -247,7 +220,7 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
     flat = rec.reshape(-1, dim)
     phis = np.asarray(df.field.evaluate(flat)).reshape(n_rec, N)
     psis = np.asarray(df.psi(flat)).reshape(n_rec, N)
-    tags = part.classify(flat).reshape(n_rec, N)
+    tags = part.tags(rec, phis)
 
     ok = ~clamped  # clamped trajectories are excluded from property stats
 

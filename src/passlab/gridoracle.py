@@ -7,7 +7,6 @@ the sampled functional along a discrete route.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -56,13 +55,10 @@ class GridGraph:
     @classmethod
     def from_field(cls, field: ScalarField, box: DomainBox, resolution,
                    connectivity: int = 8) -> "GridGraph":
-        res = ([resolution] * box.dim if np.isscalar(resolution)
-               else list(resolution))
+        res = np.broadcast_to(resolution, (box.dim,))
         axes = tuple(np.linspace(box.lo[i], box.hi[i], res[i])
                      for i in range(box.dim))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        vals = np.asarray(field.evaluate(pts)).reshape(res)
+        vals = np.asarray(field.evaluate(box.grid(res))).reshape(res)
         return cls(vals, connectivity, box, axes)
 
     @property
@@ -249,9 +245,7 @@ def critical_scan(field: ScalarField, box: DomainBox, resolution,
     if grad_tol <= 0:
         raise ValueError("grad_tol must be > 0")
     g = GridGraph.from_field(field, box, resolution)
-    pts = np.stack([m.ravel() for m in
-                    np.meshgrid(*g.coords, indexing="ij")], axis=-1)
-    gn = field.grad_norm(pts).reshape(g.shape)
+    gn = field.grad_norm(box.grid(resolution)).reshape(g.shape)
     phi = g.values
     mask = gn < grad_tol
     structure = np.ones((3,) * box.dim, dtype=int)
@@ -271,14 +265,3 @@ def critical_scan(field: ScalarField, box: DomainBox, resolution,
     clusters.sort(key=lambda c: tuple(c["center"]))
     return clusters
 
-
-def grid_to_csv(g: GridGraph, path: str):
-    dim = g.dim
-    header = ["i", "j", "k"][:dim] + ["x", "y", "z"][:dim] + ["phi"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for idx in range(g.n_nodes):
-            node = g.unflat(idx)
-            pt = g.point(idx)
-            w.writerow([*node, *map(float, pt), float(g.values[node])])

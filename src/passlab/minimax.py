@@ -216,10 +216,7 @@ def _step(name, claimed, observed, verdict):
 
 def _find_band_point(field, box, lo, hi, resolution=201):
     """A grid point whose phi-value lies in [lo, hi], or None."""
-    axes = [np.linspace(box.lo[i], box.hi[i], resolution)
-            for i in range(box.dim)]
-    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
-                   axis=-1)
+    pts = box.grid(resolution)
     phi = np.asarray(field.evaluate(pts))
     hit = np.flatnonzero((phi >= lo) & (phi <= hi))
     if hit.size == 0:
@@ -280,7 +277,7 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
                        {"max_move": float(np.max(np.abs(imge - inst.pin_e)))},
                        "holds" if exacte else "fails"))
 
-    def _band_route(level, other_level, low_side):
+    def _band_route(level, low_side):
         """The eps2 (low_side) or eps3 route: find a near-optimal path in the
         stated band, deform at that level, record the claimed bound."""
         tag = "eps2" if low_side else "eps3"
@@ -339,8 +336,8 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
                            {"observed": observed_v},
                            "holds" if ok else "fails"))
 
-    _band_route(c1, c2, low_side=True)    # the push-up route at the lower level
-    _band_route(c2, c1, low_side=False)   # the push-down route at the upper level
+    _band_route(c1, low_side=True)    # the push-up route at the lower level
+    _band_route(c2, low_side=False)   # the push-down route at the upper level
 
     return ProofTrace(eps=eps, eps1=eps1, case=case,
                       d_choice="level_set at the deformation level",

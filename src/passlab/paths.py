@@ -8,9 +8,7 @@ and t = 1 instead.
 from __future__ import annotations
 
 import csv
-import json
-import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -162,26 +160,3 @@ def deform_path(df: DeformationField, cfg: FlowConfig,
                 f"to {images[idx].tolist()}")
     return DiscretePath(images, path.pinned)
 
-
-@dataclass
-class PathEnsemble:
-    members: list
-    seed: int
-
-    def __post_init__(self):
-        Ms = {m.M for m in self.members}
-        pins = {m.pinned for m in self.members}
-        if len(Ms) > 1 or len(pins) > 1:
-            raise ValueError("ensemble members must share M and pin indices")
-
-    def dump(self, out_dir: str, field: Optional[ScalarField] = None):
-        os.makedirs(out_dir, exist_ok=True)
-        names = []
-        for i, m in enumerate(self.members):
-            fn = f"member_{i:03d}.csv"
-            m.to_csv(os.path.join(out_dir, fn), field)
-            names.append(fn)
-        manifest = {"seed": self.seed, "members": names,
-                    "M": self.members[0].M if self.members else None}
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)

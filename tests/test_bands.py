@@ -148,3 +148,40 @@ def test_export_region_clouds(tmp_path, affine_part):
     header = out.read_text().splitlines()[0]
     assert header.split(",")[:2] == ["x", "y"]
     assert "tag" in header
+
+
+@st.composite
+def _d_specs(draw):
+    """Random D specs inside the admissible window of the wide affine
+    configuration (phi = x, c = 0, eps = 0.5: D values in [-0.25, 0.275])."""
+    kind = draw(st.sampled_from(["empty", "level_set", "point_cloud"]))
+    values = st.floats(-0.24, 0.27)
+    if kind == "empty":
+        return RegionSpec.empty()
+    if kind == "level_set":
+        return RegionSpec.level_set(draw(values))
+    xs = draw(st.lists(values, min_size=1, max_size=4))
+    ys = draw(st.lists(st.floats(-2, 2), min_size=len(xs), max_size=len(xs)))
+    return RegionSpec.point_cloud(np.column_stack([xs, ys]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_d_specs(), st.sampled_from(["exact_affine", "sampled"]),
+       st.integers(0, 2**32 - 1))
+def test_psi_plateaus_match_classify(affine_wide_df, d_spec, kind, seed):
+    wide = affine_wide_df.part
+    part = BandPartition(wide.field, wide.box, wide.params, d_spec)
+    backend = build_backend(part, kind, resolution=41)
+    pts = part.box.sample(np.random.default_rng(seed), 300)
+    if d_spec.kind == "point_cloud":
+        pts = np.concatenate([pts, d_spec.points])
+    elif d_spec.kind == "level_set":
+        pts[:20, 0] = d_spec.value
+    vals = psi(part, backend, pts)
+    tags = part.classify(pts)
+    assert np.all(np.abs(vals) <= 1.0)
+    assert np.all(vals[tags == RegionTag.B] == 1.0)
+    assert np.all(vals[tags == RegionTag.C] == -1.0)
+    zero = (tags == RegionTag.OUTSIDE) | (tags == RegionTag.D)
+    assert np.all(vals[zero] == 0.0)
+    assert d_spec.kind == "empty" or np.any(tags == RegionTag.D)

@@ -3,9 +3,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from passlab import (BandPartition, DeformationParams, FlowConfig,
-                     RegionTag, build_backend, catalog_field, default_box,
-                     DeformationField, eta, integrate_flow, vector_field,
-                     verify_deformation)
+                     RegionSpec, RegionTag, build_backend, catalog_field,
+                     default_box, DeformationField, eta, integrate_flow,
+                     vector_field, verify_deformation)
+from passlab.flow import eta_batch
 from passlab.errors import EmptyRegion
 
 
@@ -135,10 +136,27 @@ def test_verify_deformation_deterministic(affine_df, flow_cfg):
     assert a.to_dict() == b.to_dict()
 
 
-def test_trajectory_csv(tmp_path, affine_df, flow_cfg):
-    traj = integrate_flow(affine_df, flow_cfg, np.array([-0.4, 0.0]))
-    out = tmp_path / "traj.csv"
-    traj.to_csv(str(out))
-    lines = out.read_text().splitlines()
-    assert lines[0].split(",") == ["t", "x1", "x2", "phi", "psi"]
-    assert len(lines) == len(traj.times) + 1
+def test_deformation_field_rejects_foreign_field(affine_part, affine_backend):
+    # psi would run on the partition's landscape and the flow direction on
+    # another one
+    with pytest.raises(ValueError):
+        DeformationField(catalog_field("paraboloid"), affine_part,
+                         affine_backend)
+
+
+def test_eta_batch_mixed_rows_point_cloud_d(affine_wide_df):
+    wide = affine_wide_df.part
+    d_pts = np.array([[0.0, 0.5], [0.1, -0.3]])
+    part = BandPartition(wide.field, wide.box, wide.params,
+                         RegionSpec.point_cloud(d_pts))
+    df = DeformationField(wide.field, part, build_backend(part, "sampled", 41))
+    cfg = FlowConfig(step=df.horizon / 200)
+    live = np.array([[-0.4, 0.2], [0.35, -1.0], [-0.8, 0.0], [0.9, 1.5]])
+    frozen = np.concatenate([d_pts, [[1.5, 0.7], [-1.7, -1.2]]])
+    U = np.concatenate([live, frozen])[[0, 4, 1, 5, 2, 6, 3, 7]]
+    is_frozen = np.array([False, True] * 4)
+    out = eta_batch(df, cfg, U)
+    assert np.array_equal(out[is_frozen], U[is_frozen])
+    for u, v in zip(U[~is_frozen], out[~is_frozen]):
+        assert np.array_equal(v, eta(df, cfg, u))
+        assert not np.array_equal(v, u)

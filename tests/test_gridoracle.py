@@ -5,7 +5,6 @@ from passlab import (GridGraph, bottleneck_value, catalog_field, critical_scan,
                      default_box, enumerate_small, widest_value)
 from passlab.errors import GridTooLarge
 from passlab.fields import DomainBox
-from passlab.gridoracle import grid_to_csv
 
 THREE_BY_THREE = np.array([[0.0, 5.0, 0.0],
                            [1.0, 2.0, 9.0],
@@ -130,11 +129,3 @@ def test_critical_scan_well_to_saddle():
     centers = sorted(c["center"][0] for c in clusters)
     assert len(clusters) == 3
     assert np.allclose(centers, [0.0, 1.0, 2.0], atol=0.02)
-
-
-def test_grid_csv(tmp_path, g33):
-    out = tmp_path / "grid.csv"
-    grid_to_csv(g33, str(out))
-    lines = out.read_text().splitlines()
-    assert lines[0] == "i,j,x,y,phi"
-    assert len(lines) == 10

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,7 @@ from hypothesis import strategies as st
 
 from passlab import (BandPartition, DeformationField, DeformationParams,
                      DiscretePath, DomainBox, ExactAffineBackend, FlowConfig,
-                     MountainPassInstance, PathEnsemble, catalog_field,
+                     MountainPassInstance, catalog_field,
                      deform_path, make_path, path_extrema)
 from passlab.errors import InvalidM, PinMoved
 
@@ -125,16 +123,3 @@ def test_endpoints_mode_radius_constraint(w2s_field, w2s_box):
         MountainPassInstance(w2s_field, w2s_box, np.array([0.0, 0.0]),
                              np.array([0.5, 0.0]), pin_mode="endpoints",
                              radius=1.0)
-
-
-def test_ensemble_dump(tmp_path, w2s_instance):
-    members = [make_path(w2s_instance, 8, init="jitter", scale=0.1, seed=s)
-               for s in range(3)]
-    ens = PathEnsemble(members, seed=0)
-    ens.dump(str(tmp_path), field=w2s_instance.field)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert len(manifest["members"]) == 3 and manifest["M"] == 8
-    csvs = sorted(tmp_path.glob("member_*.csv"))
-    assert len(csvs) == 3
-    header = csvs[0].read_text().splitlines()[0]
-    assert header.split(",")[:2] == ["index", "t"]
