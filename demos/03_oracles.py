@@ -1,7 +1,7 @@
 """The exact grid oracles, validated against brute force.
 
 Bottleneck (minimize the path maximum) and widest (maximize the path
-minimum) values are computed by threshold sweeps with union-find; on tiny
+minimum) values are computed by threshold sweeps over ranked nodes; on tiny
 grids the same questions are answered by exhaustive enumeration over all
 simple paths, and the two must agree exactly.
 """
@@ -44,7 +44,7 @@ print()
 print("Oracle convergence on the double-well landscape (exact saddle = 1):")
 field = catalog_field("well_to_saddle")
 box = default_box("well_to_saddle")
-for res in (65, 129, 257, 513):
+for res in (65, 129, 257, 513, 1025):
     gg = GridGraph.from_field(field, box, res)
     v = bottleneck_value(gg, gg.nearest_node([0.0, 0.0]),
                          gg.nearest_node([1.0, 0.0])).value

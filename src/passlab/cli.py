@@ -106,6 +106,35 @@ def _instance(cfg, field, box) -> MountainPassInstance:
         raise ConfigError(f"bad minimax section: {exc}")
 
 
+def _oracle_grid(o: dict, field, box) -> GridGraph:
+    try:
+        return GridGraph.from_field(field, box, int(o.get("resolution", 257)),
+                                    int(o.get("connectivity", 8)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad oracle.resolution or oracle.connectivity: {exc}")
+
+
+def _oracle_point(o: dict, key: str, dim: int) -> np.ndarray:
+    if key not in o:
+        raise ConfigError(f"oracle.{key} is required")
+    try:
+        point = np.asarray(o[key], float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad oracle.{key}: {exc}")
+    if point.shape != (dim,):
+        raise ConfigError(f"oracle.{key} must be a point with {dim} coordinates")
+    return point
+
+
+def _oracle_nodes(g: GridGraph, a, b, name_a: str, name_b: str):
+    """Snap two points to grid nodes, which must differ."""
+    p, q = g.nearest_node(a), g.nearest_node(b)
+    if p == q:
+        raise ConfigError(f"{name_a} and {name_b} snap to the same oracle grid "
+                          f"node {p}; raise oracle.resolution")
+    return p, q
+
+
 def _to_jsonable(obj):
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items()}
@@ -161,6 +190,11 @@ def _run_minimax(cfg, seed, out_dir):
     box = _build_box(cfg, field)
     inst = _instance(cfg, field, box)
     m = cfg["minimax"]
+    o = cfg.get("oracle")
+    if o:
+        g = _oracle_grid(o, field, box)
+        p, q = _oracle_nodes(g, inst.pin_zero, inst.pin_e,
+                             "minimax.pin_zero", "minimax.pin_e")
     kw = dict(ensemble_size=int(m.get("ensemble_size", 8)),
               M=int(m.get("M", 32)), max_iters=int(m.get("max_iters", 200)),
               tol=float(m.get("tol", 1e-6)), seed=seed)
@@ -182,12 +216,7 @@ def _run_minimax(cfg, seed, out_dir):
          "ok": r2.value >= max(float(field.evaluate(inst.pin_zero)),
                                float(field.evaluate(inst.pin_e))) - 1e-12},
     ]
-    o = cfg.get("oracle")
     if o:
-        g = GridGraph.from_field(field, box, int(o.get("resolution", 257)),
-                                 int(o.get("connectivity", 8)))
-        p = g.nearest_node(np.asarray(m["pin_zero"], float))
-        q = g.nearest_node(np.asarray(m["pin_e"], float))
         ob = bottleneck_value(g, p, q)
         ow = widest_value(g, p, q)
         payload["oracle"] = {"bottleneck": ob.value, "widest": ow.value}
@@ -204,14 +233,21 @@ def _run_oracle(cfg, seed, out_dir):
     field = _build_field(cfg)
     box = _build_box(cfg, field)
     o = _require(cfg, "oracle")
-    g = GridGraph.from_field(field, box, int(o.get("resolution", 257)),
-                             int(o.get("connectivity", 8)))
-    p = g.nearest_node(np.asarray(o["p"], float))
-    q = g.nearest_node(np.asarray(o["q"], float))
+    g = _oracle_grid(o, field, box)
+    p, q = _oracle_nodes(g, _oracle_point(o, "p", box.dim),
+                         _oracle_point(o, "q", box.dim), "oracle.p", "oracle.q")
+    try:
+        scan_res = int(o.get("scan_resolution", 201))
+        grad_tol = float(o.get("grad_tol", 0.05))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad oracle.scan_resolution or oracle.grad_tol: {exc}")
+    if scan_res < 3:
+        raise ConfigError("oracle.scan_resolution must be >= 3")
+    if not grad_tol > 0:
+        raise ConfigError("oracle.grad_tol must be > 0")
     ob = bottleneck_value(g, p, q)
     ow = widest_value(g, p, q)
-    clusters = critical_scan(field, box, int(o.get("scan_resolution", 201)),
-                             float(o.get("grad_tol", 0.05)))
+    clusters = critical_scan(field, box, scan_res, grad_tol)
     payload = {"bottleneck": ob.to_dict(), "widest": ow.to_dict(),
                "critical_clusters": clusters}
     vp, vq = float(g.values.ravel()[p]), float(g.values.ravel()[q])

@@ -1,6 +1,12 @@
 """Exact discrete ground truth: bottleneck / widest path values on grids,
 brute-force enumeration for small grids, and critical-point scans.
 
+Bottleneck and widest values are maximum-capacity route problems (Hu, 1961),
+solved by a threshold sweep: nodes are ranked by value and the first rank
+whose sublevel (superlevel) set joins the endpoints is found by bisection
+with one ``ndimage.label`` pass per probe; a breadth-first search over that
+set gives the witness path.
+
 Paths are node-valued: the bottleneck value of a path is the maximum node
 value along it (the widest value is the minimum), matching the extremum of
 the sampled functional along a discrete route.
@@ -8,7 +14,6 @@ the sampled functional along a discrete route.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +54,9 @@ class GridGraph:
             raise ValueError("grid dimension must be 1, 2 or 3")
         if min(v.shape) < 3:
             raise ValueError("resolution must be >= 3 per axis")
+        if self.connectivity not in (4, 8):
+            raise ValueError(f"connectivity must be 4 or 8, "
+                             f"got {self.connectivity!r}")
         if not np.all(np.isfinite(v)):
             raise ValueError("node values must be finite")
 
@@ -115,77 +123,94 @@ class OracleResult:
                 "method": self.method}
 
 
-class _DSU:
-    def __init__(self, n):
-        self.parent = np.arange(n)
-
-    def find(self, x):
-        root = x
-        p = self.parent
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+def _structure(dim: int, connectivity: int) -> np.ndarray:
+    """``ndimage.label`` structuring element with the neighbours of ``_offsets``."""
+    if dim == 2 and connectivity == 8:
+        return np.ones((3, 3), dtype=bool)
+    return ndimage.generate_binary_structure(dim, 1)
 
 
-def _bfs_witness(g: GridGraph, active: np.ndarray, p: int, q: int):
-    """Shortest hop path from p to q through active nodes (both active)."""
-    prev = {p: None}
-    dq = deque([p])
-    while dq:
-        n = dq.popleft()
-        if n == q:
-            break
-        for nb in g.neighbors(n):
-            if active[nb] and nb not in prev:
-                prev[nb] = n
-                dq.append(nb)
-    path = []
-    n = q
-    while n is not None:
-        path.append(n)
-        n = prev[n]
+def _node_index(g: GridGraph, idx, name: str) -> int:
+    if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer node index, got {idx!r}")
+    if not 0 <= idx < g.n_nodes:
+        raise ValueError(f"{name}={idx} is outside the node range "
+                         f"[0, {g.n_nodes})")
+    return int(idx)
+
+
+def _frontier_witness(g: GridGraph, active: np.ndarray, p: int, q: int):
+    """Shortest hop path from p to q through active nodes (both active).
+
+    Level-synchronous BFS.  Each frontier keeps discovery order and is
+    expanded in ``_offsets`` order; a node reached from several frontier
+    nodes takes the first (lowest frontier position, then lowest offset)
+    as its parent, which is the choice a FIFO queue makes node by node.
+    """
+    shape = np.asarray(g.shape)
+    offs = np.asarray(_offsets(g.dim, g.connectivity))
+    prev = np.full(g.n_nodes, -1, dtype=np.intp)
+    seen = ~active.ravel()
+    seen[p] = True
+    frontier = np.array([p])
+    while not seen[q]:
+        coords = np.stack(np.unravel_index(frontier, g.shape), axis=-1)
+        nbr = coords[:, None, :] + offs[None, :, :]      # (frontier, offset, dim)
+        inside = np.all((nbr >= 0) & (nbr < shape), axis=-1)
+        parent = np.broadcast_to(frontier[:, None], inside.shape)[inside]
+        cand = np.ravel_multi_index(tuple(nbr[inside].T), g.shape)
+        fresh = ~seen[cand]
+        cand, parent = cand[fresh], parent[fresh]
+        _, first = np.unique(cand, return_index=True)
+        first.sort()
+        frontier = cand[first]
+        prev[frontier] = parent[first]
+        seen[frontier] = True
+    path = [q]
+    while path[-1] != p:
+        path.append(int(prev[path[-1]]))
     return path[::-1]
 
 
-def _threshold_sweep(g: GridGraph, p: int, q: int, descending: bool) -> OracleResult:
+def _threshold_sweep(g: GridGraph, p, q, descending: bool) -> OracleResult:
+    """Activate nodes in ascending (descending) value order, ties by index,
+    and stop at the first node whose activation joins p and q.
+
+    Node k of that order has rank k, so the nodes active after k steps are
+    ``rank <= k``; the stopping step is found by bisection, one
+    ``ndimage.label`` pass per probe.  The method strings
+    ``union_find_ascending`` / ``union_find_descending`` name the direction.
+    """
+    p, q = _node_index(g, p, "p"), _node_index(g, q, "q")
+    if p == q:
+        raise ValueError("need p != q")
     vals = g.values.ravel()
-    idx = np.arange(vals.size)
     key = -vals if descending else vals
-    order = np.lexsort((idx, key))  # ties broken by node index
-    dsu = _DSU(vals.size)
-    active = np.zeros(vals.size, dtype=bool)
-    threshold = None
-    for node in order:
-        active[node] = True
-        for nb in g.neighbors(int(node)):
-            if active[nb]:
-                dsu.union(int(node), nb)
-        if active[p] and active[q] and dsu.find(p) == dsu.find(q):
-            threshold = float(vals[node])
-            break
-    witness = _bfs_witness(g, active, p, q)
+    order = np.lexsort((np.arange(vals.size), key))
+    rank = np.empty(vals.size, dtype=np.intp)
+    rank[order] = np.arange(vals.size)
+    rank = rank.reshape(g.shape)
+    structure = _structure(g.dim, g.connectivity)
+    lo, hi = max(rank.flat[p], rank.flat[q]), vals.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        labels, _ = ndimage.label(rank <= mid, structure=structure)
+        if labels.flat[p] == labels.flat[q]:
+            hi = mid
+        else:
+            lo = mid + 1
+    witness = _frontier_witness(g, rank <= lo, p, q)
     method = "union_find_descending" if descending else "union_find_ascending"
-    return OracleResult(threshold, witness, method)
+    return OracleResult(float(vals[order[lo]]), witness, method)
 
 
 def bottleneck_value(g: GridGraph, p: int, q: int) -> OracleResult:
     """Minimal over grid paths p->q of the maximum node value."""
-    if p == q:
-        raise ValueError("need p != q")
     return _threshold_sweep(g, p, q, descending=False)
 
 
 def widest_value(g: GridGraph, p: int, q: int) -> OracleResult:
     """Maximal over grid paths p->q of the minimum node value."""
-    if p == q:
-        raise ValueError("need p != q")
     return _threshold_sweep(g, p, q, descending=True)
 
 
@@ -195,6 +220,7 @@ def enumerate_small(g: GridGraph, p: int, q: int, mode: str) -> OracleResult:
         raise GridTooLarge(f"{g.n_nodes} nodes exceeds the cap {ENUM_NODE_CAP}")
     if mode not in ("bottleneck", "widest"):
         raise ValueError(f"mode must be 'bottleneck' or 'widest', got {mode!r}")
+    p, q = _node_index(g, p, "p"), _node_index(g, q, "q")
     vals = g.values.ravel()
     if p == q:
         return OracleResult(float(vals[p]), [p], f"enumerate_{mode}")

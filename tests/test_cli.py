@@ -169,3 +169,57 @@ def test_reproducible_payload(tmp_path):
             json.loads((out / "report.json").read_text())["payload"],
             sort_keys=True))
     assert runs[0] == runs[1]
+
+
+ORACLE = {
+    "functional": {"catalog": "well_to_saddle"},
+    "oracle": {"resolution": 9, "p": [0.0, 0.0], "q": [1.0, 0.0],
+               "scan_resolution": 21},
+}
+
+
+def _config_error(tmp_path, capsys, sub, cfg):
+    code, report, _ = _run(tmp_path, sub, cfg)
+    assert code == 2 and report is None
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["p", "q"])
+def test_oracle_missing_point_exits_2(tmp_path, capsys, key):
+    oracle = {k: v for k, v in ORACLE["oracle"].items() if k != key}
+    err = _config_error(tmp_path, capsys, "oracle", dict(ORACLE, oracle=oracle))
+    assert f"oracle.{key}" in err
+
+
+def test_oracle_resolution_below_3_exits_2(tmp_path, capsys):
+    cfg = dict(ORACLE, oracle=dict(ORACLE["oracle"], resolution=2))
+    assert "resolution" in _config_error(tmp_path, capsys, "oracle", cfg)
+
+
+@pytest.mark.parametrize("key, value", [("scan_resolution", 2),
+                                        ("grad_tol", 0.0)])
+def test_oracle_scan_settings_exit_2(tmp_path, capsys, key, value):
+    cfg = dict(ORACLE, oracle=dict(ORACLE["oracle"], **{key: value}))
+    assert f"oracle.{key}" in _config_error(tmp_path, capsys, "oracle", cfg)
+
+
+def test_oracle_connectivity_5_exits_2(tmp_path, capsys):
+    cfg = dict(ORACLE, oracle=dict(ORACLE["oracle"], connectivity=5))
+    assert "connectivity" in _config_error(tmp_path, capsys, "oracle", cfg)
+
+
+def test_oracle_points_on_one_node_exit_2(tmp_path, capsys):
+    cfg = dict(ORACLE, oracle=dict(ORACLE["oracle"], q=[0.01, 0.0]))
+    err = _config_error(tmp_path, capsys, "oracle", cfg)
+    assert "oracle.p" in err and "oracle.q" in err
+
+
+def test_minimax_pins_on_one_oracle_node_exit_2(tmp_path, capsys):
+    cfg = {
+        "functional": {"catalog": "well_to_saddle"},
+        "minimax": {"pin_zero": [0.0, 0.0], "pin_e": [0.01, 0.0],
+                    "ensemble_size": 2, "M": 16, "max_iters": 20},
+        "oracle": {"resolution": 5},
+    }
+    err = _config_error(tmp_path, capsys, "minimax", cfg)
+    assert "minimax.pin_zero" in err and "minimax.pin_e" in err

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from passlab import gridoracle
 from passlab import (GridGraph, bottleneck_value, catalog_field, critical_scan,
                      default_box, enumerate_small, widest_value)
 from passlab.errors import GridTooLarge
@@ -55,6 +60,23 @@ def test_same_node_rejected(g33):
         widest_value(g33, 4, 4)
 
 
+@pytest.mark.parametrize("oracle", [bottleneck_value, widest_value])
+@pytest.mark.parametrize("p, q, name", [(-1, 8, "p"), (0, -1, "q"), (0, 9, "q"),
+                                        (0.0, 8, "p"), (True, 8, "p"),
+                                        (0, np.int64(9), "q")])
+def test_node_index_validated(g33, oracle, p, q, name):
+    with pytest.raises(ValueError, match=f"^{name}"):
+        oracle(g33, p, q)
+    with pytest.raises(ValueError, match=f"^{name}"):
+        enumerate_small(g33, p, q, "bottleneck")
+
+
+def test_numpy_integer_indices_accepted(g33):
+    res = bottleneck_value(g33, np.int64(0), np.int32(2))
+    assert res.value == 5.0 and res.witness[0] == 0 and res.witness[-1] == 2
+    assert all(type(n) is int for n in res.witness)
+
+
 def test_grid_too_large():
     g = GridGraph(np.zeros((6, 5)) + np.arange(30).reshape(6, 5))
     with pytest.raises(GridTooLarge):
@@ -90,6 +112,8 @@ def test_grid_validation():
         GridGraph(np.zeros((2, 5)))
     with pytest.raises(ValueError):
         GridGraph(np.array([[0.0, np.nan, 0.0]] * 3))
+    with pytest.raises(ValueError, match="connectivity"):
+        GridGraph(np.zeros((3, 3)), connectivity=5)
 
 
 def test_from_field_and_nearest_node(w2s_field, w2s_box):
@@ -129,3 +153,75 @@ def test_critical_scan_well_to_saddle():
     centers = sorted(c["center"][0] for c in clusters)
     assert len(clusters) == 3
     assert np.allclose(centers, [0.0, 1.0, 2.0], atol=0.02)
+
+
+@st.composite
+def _oracle_grids(draw):
+    """Random 1-3-D grids small enough to enumerate, with endpoints p != q.
+
+    Half draw uniform values and half small integers, so threshold ties
+    occur; 8-connected 2-D grids stop at 16 nodes and 3-D grids are
+    3 x 3 x 3 with values in {0, 1, 2}, where enumeration stays fast.
+    """
+    dim = draw(st.integers(1, 3))
+    conn = draw(st.sampled_from([4, 8]))
+    if dim == 1:
+        shape = (draw(st.integers(3, 25)),)
+    elif dim == 2:
+        a = draw(st.integers(3, 5))
+        shape = (a, draw(st.integers(3, (16 if conn == 8 else 25) // a)))
+    else:
+        shape = (3, 3, 3)
+    n = math.prod(shape)
+    if dim == 3 or draw(st.booleans()):
+        top = 2 if dim == 3 else draw(st.integers(0, 3))
+        values = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    else:
+        values = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    p = draw(st.integers(0, n - 1))
+    q = draw(st.integers(0, n - 2))
+    q += q >= p
+    return GridGraph(np.reshape(values, shape).astype(float), conn), p, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(_oracle_grids())
+def test_sweep_matches_enumeration(case):
+    g, p, q = case
+    flat = g.values.ravel()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridoracle, "ENUM_NODE_CAP", 27)
+        for mode, sweep, extreme in (("bottleneck", bottleneck_value, max),
+                                     ("widest", widest_value, min)):
+            res = sweep(g, p, q)
+            assert res.value == enumerate_small(g, p, q, mode).value
+            assert res.witness[0] == p and res.witness[-1] == q
+            for a, b in zip(res.witness, res.witness[1:]):
+                assert b in g.neighbors(a)
+            assert extreme(flat[res.witness]) == res.value
+
+
+# Witnesses on grids with ties at the threshold.  Nodes activate in value
+# order with ties broken by node index, and the witness is the breadth-first
+# path whose every node takes the first frontier node (then the first
+# offset) that reaches it as its parent; these lists pin both rules.
+TIE_CASES = [
+    (np.zeros((5, 5)), 4, "bottleneck", 0, 24,
+     [0, 5, 10, 15, 20, 21, 22, 23, 24]),
+    (np.zeros((5, 5)), 8, "widest", 4, 20, [4, 8, 12, 16, 20]),
+    ([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0]],
+     4, "bottleneck", 11, 19, [11, 12, 13, 18, 19]),
+    ([[0, 1, 0, 0, 1], [1, 0, 1, 0, 0], [1, 1, 0, 0, 0], [1, 1, 1, 1, 0]],
+     8, "widest", 10, 4, [10, 11, 7, 3, 4]),
+    ([[[0, 0, 1], [0, 0, 0], [1, 0, 0]], [[1, 1, 1], [1, 1, 1], [1, 0, 1]],
+      [[1, 1, 1], [0, 0, 0], [1, 1, 1]]], 4, "widest", 12, 1, [12, 9, 0, 1]),
+    ([[1, 0, 1, 0, 1], [1, 0, 1, 0, 0], [1, 1, 1, 0, 0], [0, 1, 1, 1, 0],
+      [1, 1, 0, 0, 0]], 4, "widest", 13, 22, [13, 18, 17, 22]),
+]
+
+
+@pytest.mark.parametrize("values, conn, mode, p, q, witness", TIE_CASES)
+def test_tie_break_witness(values, conn, mode, p, q, witness):
+    g = GridGraph(np.asarray(values, float), connectivity=conn)
+    sweep = bottleneck_value if mode == "bottleneck" else widest_value
+    assert sweep(g, p, q).witness == witness
