@@ -234,9 +234,10 @@ class SampledBackend:
     """Rejection-sampled region clouds on a regular grid, with KD-tree lookup.
 
     Reported distances err from true set distances by at most one grid-cell
-    diagonal.  The clouds are the grid points BandPartition.tags puts in B,
-    C and outside A; the cutoff's plateau values come from the region codes,
-    not from these distances, so they stay exact.
+    diagonal; the distance to a region without grid points is +inf.  The
+    clouds are the grid points BandPartition.tags puts in B, C and outside
+    A; the cutoff's plateau values come from the region codes, not from
+    these distances, so they stay exact.
     """
 
     name = "sampled"
@@ -259,9 +260,10 @@ class SampledBackend:
             [(box.hi[i] - box.lo[i]) / (resolution - 1) for i in range(box.dim)]))
 
     def _cloud_distance(self, key, u):
+        """Distances from u to a cloud; +inf to a cloud with no points."""
         tree = self.trees[key]
         if tree is None:
-            raise EmptyRegion(f"region {key} has no sampled points inside the box")
+            return np.full(np.shape(u)[:-1], np.inf)
         return tree.query(u)[0]
 
     def distances(self, u, phi, gnorm):
@@ -296,6 +298,8 @@ def region_distance(part: BandPartition, backend, u, region: str):
         d = pick[region]
     except KeyError:
         raise ValueError(f"region must be one of {sorted(pick)}, got {region!r}")
+    if np.any(np.isinf(d)):
+        raise EmptyRegion(f"region {region} has no sampled points inside the box")
     return float(d[0]) if u.ndim == 1 else d
 
 
@@ -306,9 +310,9 @@ def cutoff_stage(part: BandPartition, backend, U):
     The gradient is evaluated only off the zero plateau; OUTSIDE and D rows
     get a zero gradient.  Plateau values (+1 on B, -1 on C, 0 outside the
     band and on D) come from the region codes alone; set distances are only
-    queried for the interpolation rows between the plateaus, so
-    configurations whose B or C band is empty still deform their plateau
-    points.
+    queried for the interpolation rows between the plateaus.  Where B, C or
+    the complement of A has no points (an empty band at a global minimum or
+    maximum), its distance is +inf and psi takes the quotient's limit.
     """
     field = part.field
     phi = np.asarray(field.evaluate(U))
@@ -321,8 +325,18 @@ def cutoff_stage(part: BandPartition, backend, U):
     rest = tags == RegionTag.A_OTHER
     if np.any(rest):
         dB, dC, dXA = backend.distances(U[rest], phi[rest], gnorm[rest])
-        num = (dC - dB) * dXA
         den = (dC + dB) * dXA + dB * dC
+        near = np.isfinite(den)
+        if near.all():
+            num = (dC - dB) * dXA
+        else:
+            # An empty set is at distance +inf.  Dividing through by
+            # dB dC dXA gives psi = (1/dB - 1/dC) / (1/dB + 1/dC + 1/dXA),
+            # the quotient's limit there, e.g. -dXA / (dXA + dC) for empty B.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rB, rC, rX = 1.0 / dB, 1.0 / dC, 1.0 / dXA
+                num = np.where(near, (dC - dB) * dXA, rB - rC)
+                den = np.where(near, den, rB + rC + rX)
         tiny = den < _UNDERFLOW
         if np.any(tiny & (np.abs(num) >= _UNDERFLOW)):
             raise DegeneratePartition(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -33,7 +34,40 @@ from .paths import MountainPassInstance
 def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"config is missing required section {key!r}")
+    if not isinstance(cfg[key], dict):
+        raise ConfigError(f"config section {key!r} must be an object")
     return cfg[key]
+
+
+_REQUIRED = object()
+
+
+def _number(sec: dict, name: str, kind=float, default=_REQUIRED,
+            positive: bool = False):
+    """Field ``name`` ("section.key") of ``sec`` as a finite int or float.
+
+    A missing or null field takes ``default`` and is an error without one.
+    A boolean, a non-number, a fractional value for an int, or with
+    ``positive`` a value <= 0, is a ConfigError naming the field.
+    """
+    value = sec.get(name.rpartition(".")[2])
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{name} is required")
+        return default
+    want = "an integer" if kind is int else "a number"
+    try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be {want}, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if positive and out <= 0:
+        raise ConfigError(f"{name} must be > 0, got {value!r}")
+    return out
 
 
 def _build_field(cfg: dict) -> ScalarField:
@@ -83,15 +117,23 @@ def _build_d_spec(d: dict) -> RegionSpec:
 
 def _deformation_objects(cfg, field, box):
     d = _require(cfg, "deformation")
+    params = DeformationParams(_number(d, "deformation.c"),
+                               _number(d, "deformation.eps", positive=True))
+    resolution = _number(d, "deformation.resolution", int, 201)
+    fcfg = FlowConfig(
+        step=_number(d, "deformation.step", default=None, positive=True),
+        record_every=_number(d, "deformation.record_every", int, 1, positive=True))
     try:
-        params = DeformationParams(float(d["c"]), float(d["eps"]))
         part = BandPartition(field, box, params, _build_d_spec(d.get("d_spec", {})))
-        backend = build_backend(part, d.get("backend", "sampled"),
-                                int(d.get("resolution", 201)))
+        backend = build_backend(part, d.get("backend", "sampled"), resolution)
     except (KeyError, TypeError, ValueError, PasslabError) as exc:
         raise ConfigError(f"bad deformation section: {exc}")
-    fcfg = FlowConfig(step=d.get("step"), record_every=int(d.get("record_every", 1)))
-    return DeformationField(field, part, backend), fcfg, d
+    df = DeformationField(field, part, backend)
+    try:
+        fcfg.grid(df.horizon)
+    except ValueError as exc:
+        raise ConfigError(f"bad deformation.step: {exc}")
+    return df, fcfg, d
 
 
 def _instance(cfg, field, box) -> MountainPassInstance:
@@ -107,10 +149,11 @@ def _instance(cfg, field, box) -> MountainPassInstance:
 
 
 def _oracle_grid(o: dict, field, box) -> GridGraph:
+    resolution = _number(o, "oracle.resolution", int, 257)
+    connectivity = _number(o, "oracle.connectivity", int, 8)
     try:
-        return GridGraph.from_field(field, box, int(o.get("resolution", 257)),
-                                    int(o.get("connectivity", 8)))
-    except (TypeError, ValueError) as exc:
+        return GridGraph.from_field(field, box, resolution, connectivity)
+    except ValueError as exc:
         raise ConfigError(f"bad oracle.resolution or oracle.connectivity: {exc}")
 
 
@@ -157,8 +200,9 @@ def _run_deform(cfg, seed, out_dir):
     field = _build_field(cfg)
     box = _build_box(cfg, field)
     df, fcfg, d = _deformation_objects(cfg, field, box)
-    report = verify_deformation(df, fcfg, int(d.get("samples", 1000)), seed)
-    res = int(d.get("dump_resolution", 101))
+    samples = _number(d, "deformation.samples", int, 1000, positive=True)
+    res = _number(d, "deformation.dump_resolution", int, 101, positive=True)
+    report = verify_deformation(df, fcfg, samples, seed)
     _dump_psi_grid(df, box, res, os.path.join(out_dir, "psi_grid.csv"))
     if isinstance(df.backend, SampledBackend):
         export_region_clouds(df.part, df.backend,
@@ -195,12 +239,13 @@ def _run_minimax(cfg, seed, out_dir):
         g = _oracle_grid(o, field, box)
         p, q = _oracle_nodes(g, inst.pin_zero, inst.pin_e,
                              "minimax.pin_zero", "minimax.pin_e")
-    kw = dict(ensemble_size=int(m.get("ensemble_size", 8)),
-              M=int(m.get("M", 32)), max_iters=int(m.get("max_iters", 200)),
-              tol=float(m.get("tol", 1e-6)), seed=seed)
+    kw = dict(ensemble_size=_number(m, "minimax.ensemble_size", int, 8, positive=True),
+              M=_number(m, "minimax.M", int, 32),
+              max_iters=_number(m, "minimax.max_iters", int, 200, positive=True),
+              tol=_number(m, "minimax.tol", float, 1e-6, positive=True), seed=seed)
+    eps = _number(m, "minimax.conclusions_eps", float, 0.05)
     r1 = optimize_c1(inst, **kw)
     r2 = optimize_c2(inst, **kw)
-    eps = float(m.get("conclusions_eps", 0.05))
     conclusions = check_conclusions(inst, r1, r2, eps)
     payload = {"c1": r1.to_dict(), "c2": r2.to_dict(),
                "conclusions_eps": eps, "conclusions": conclusions}
@@ -236,15 +281,10 @@ def _run_oracle(cfg, seed, out_dir):
     g = _oracle_grid(o, field, box)
     p, q = _oracle_nodes(g, _oracle_point(o, "p", box.dim),
                          _oracle_point(o, "q", box.dim), "oracle.p", "oracle.q")
-    try:
-        scan_res = int(o.get("scan_resolution", 201))
-        grad_tol = float(o.get("grad_tol", 0.05))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad oracle.scan_resolution or oracle.grad_tol: {exc}")
+    scan_res = _number(o, "oracle.scan_resolution", int, 201)
+    grad_tol = _number(o, "oracle.grad_tol", float, 0.05, positive=True)
     if scan_res < 3:
         raise ConfigError("oracle.scan_resolution must be >= 3")
-    if not grad_tol > 0:
-        raise ConfigError("oracle.grad_tol must be > 0")
     ob = bottleneck_value(g, p, q)
     ow = widest_value(g, p, q)
     clusters = critical_scan(field, box, scan_res, grad_tol)
@@ -264,9 +304,10 @@ def _run_pscheck(cfg, seed, out_dir):
     field = _build_field(cfg)
     box = _build_box(cfg, field)
     p = _require(cfg, "ps")
-    rep = ps_probe(field, box, float(p["level"]),
-                   float(p.get("band_halfwidth", 0.1)),
-                   samples=int(p.get("samples", 64)), seed=seed)
+    rep = ps_probe(field, box, _number(p, "ps.level"),
+                   _number(p, "ps.band_halfwidth", float, 0.1, positive=True),
+                   samples=_number(p, "ps.samples", int, 64, positive=True),
+                   seed=seed)
     return rep.to_dict(), []
 
 
@@ -275,14 +316,14 @@ def _run_proof_trace(cfg, seed, out_dir):
     box = _build_box(cfg, field)
     inst = _instance(cfg, field, box)
     t = _require(cfg, "proof_trace")
+    c1, c2 = _number(t, "proof_trace.c1"), _number(t, "proof_trace.c2")
+    eps = _number(t, "proof_trace.eps", positive=True)
     try:
-        trace = trace_proof_argument(inst, float(t["c1"]), float(t["c2"]),
-                                     float(t["eps"]))
+        trace = trace_proof_argument(inst, c1, c2, eps)
     except PasslabError as exc:
         raise ConfigError(str(exc))
     checks = [{"name": "eps1_arithmetic",
-               "ok": trace.eps1 == min(abs(float(t["c2"]) - float(t["c1"])) / 4.0,
-                                       float(t["eps"]))}]
+               "ok": trace.eps1 == min(abs(c2 - c1) / 4.0, eps)}]
     return trace.to_dict(), checks
 
 
@@ -293,7 +334,8 @@ def _run_geometry(cfg, seed, out_dir):
     g = _require(cfg, "geometry")
     if inst.radius is None:
         raise ConfigError("geometry section requires 'r'")
-    res = check_mpt_geometry(inst, int(g.get("sphere_samples", 4096)), seed)
+    res = check_mpt_geometry(
+        inst, _number(g, "geometry.sphere_samples", int, 4096, positive=True), seed)
     return res.to_dict(), []
 
 
@@ -310,11 +352,9 @@ _SUBCOMMANDS = {
 def _validate_common(cfg: dict):
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    d = cfg.get("deformation")
-    if d is not None and float(d.get("eps", 1.0)) <= 0:
-        raise ConfigError("deformation.eps must be > 0")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be an integer")
+    if "seed" in cfg and (isinstance(cfg["seed"], bool)
+                          or not isinstance(cfg["seed"], int)):
+        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
 
 
 def main(argv=None) -> int:

@@ -7,15 +7,19 @@ The vector field is
 
 and the deformation is eta(u) = sigma(T, u) with horizon T = 2 eps, where
 sigma solves dsigma/dt = f(sigma), sigma(0) = u.  Each evaluation of f reads
-phi and its gradient once (bands.cutoff_stage).  One RK4 integrator serves
-eta, eta_batch, integrate_flow and the audit; rows with a zero field at the
-start are never stepped and come back bit-identically (the unique constant
-solution), so the fixed-point property is machine-exact.
+phi and its gradient once (bands.cutoff_stage) and also yields psi.  One RK4
+integrator serves eta, eta_batch, integrate_flow and the audit.  Rows with a
+zero field at the start are frozen: they are never stepped and come back
+bit-identically (the unique constant solution), so the fixed-point property
+is machine-exact.  Only the live rows are recorded, with psi at each
+recorded state taken from the stage that starts the next step; callers
+rebuild full rows from the starts, and the audit evaluates a frozen row once
+at its start and counts it once per recorded state or interval.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -75,12 +79,10 @@ class Trajectory:
         return self.points[-1]
 
 
-def vector_field(df: DeformationField, u):
-    """f at u; exact zero vector wherever psi vanishes."""
-    u = np.asarray(u, dtype=float)
-    U = np.atleast_2d(u)
+def _stage(df: DeformationField, U):
+    """f and psi at a batch U (N, dim), from one bands.cutoff_stage."""
     psi_vals, g, gn = cutoff_stage(df.part, df.backend, U)
-    out = np.zeros_like(U)
+    f = np.zeros_like(U)
     active = psi_vals != 0.0
     gn = gn[active]
     floor = df.part.params.min_grad_floor
@@ -88,56 +90,89 @@ def vector_field(df: DeformationField, u):
         bad = U[active][gn < floor][0]
         raise VectorFieldSingular(
             f"||grad|| < {floor} at {bad.tolist()} where the cutoff is nonzero")
-    out[active] = (psi_vals[active] / gn ** 2)[:, None] * g[active]
-    return out[0] if u.ndim == 1 else out
+    f[active] = (psi_vals[active] / gn ** 2)[:, None] * g[active]
+    return f, psi_vals
 
 
-def _integrate(df: DeformationField, cfg: FlowConfig, U0: np.ndarray, record: bool):
-    """RK4 on a batch of starts (N, dim); returns (times, states, clamped).
+def vector_field(df: DeformationField, u):
+    """f at u; exact zero vector wherever psi vanishes."""
+    u = np.asarray(u, dtype=float)
+    f = _stage(df, np.atleast_2d(u))[0]
+    return f[0] if u.ndim == 1 else f
 
-    Rows with a zero field at the start are never stepped.  Live rows that
-    leave the box are clamped to it and flagged.  states (n_rec, N, dim)
-    holds t = 0, every record_every-th step and t = T when record is set and
-    some row is live, else t = 0 and t = T only.
+
+class _Run(NamedTuple):
+    """What _integrate recorded for a batch of N starts, n_live of them live."""
+
+    times: np.ndarray      # (n_rec,)
+    live: np.ndarray       # (N,) rows with a nonzero field at t = 0
+    path: np.ndarray       # (n_rec, n_live, dim) live rows' recorded states
+    psi: np.ndarray        # (n_rec, n_live) the cutoff at those states
+    psi0: np.ndarray       # (N,) the cutoff at every start
+    clamped: np.ndarray    # (N,)
+
+    def finals(self, U0):
+        """States at t = T of every row; frozen rows are their starts."""
+        out = U0.copy()
+        out[self.live] = self.path[-1]
+        return out
+
+
+def _integrate(df: DeformationField, cfg: FlowConfig, U0: np.ndarray,
+               record: bool) -> _Run:
+    """RK4 on a batch of starts (N, dim).
+
+    Rows with a zero field at the start are frozen: they are never stepped
+    or recorded, being the constant solution.  Live rows that leave the box
+    are clamped to it and flagged.  The live rows are recorded at t = 0,
+    every record_every-th step and t = T when record is set and some row is
+    live, else at t = 0 and t = T only; psi at each recorded state comes
+    from the k1 stage that starts the next step (one extra cutoff_stage at
+    t = T).
     """
     n, h = cfg.grid(df.horizon)
-    f0 = vector_field(df, U0)
+    f0, psi0 = _stage(df, U0)
     live = np.any(f0 != 0.0, axis=-1)
     clamped = np.zeros(len(U0), dtype=bool)
+    U, k1 = U0[live], f0[live]
+    times, path, psis = [0.0], [U], [psi0[live]]
     if not np.any(live):
-        return np.array([0.0, n * h]), np.stack([U0, U0]), clamped
+        return _Run(np.array([0.0, n * h]), live, np.stack([U, U]),
+                    np.stack(psis * 2), psi0, clamped)
     rec = set(range(0, n + 1, cfg.record_every)) if record else set()
     box = df.part.box
-    U, k1 = U0[live], f0[live]
-    times, states = [0.0], [U0.copy()]
     for k in range(1, n + 1):
-        k2 = vector_field(df, U + (0.5 * h) * k1)
-        k3 = vector_field(df, U + (0.5 * h) * k2)
-        k4 = vector_field(df, U + h * k3)
+        k2 = _stage(df, U + (0.5 * h) * k1)[0]
+        k3 = _stage(df, U + (0.5 * h) * k2)[0]
+        k4 = _stage(df, U + h * k3)[0]
         U = U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         Uc = box.clip(U)
         clamped[live] |= np.any(Uc != U, axis=-1)
         U = Uc
-        if k in rec or k == n:
-            state = U0.copy()
-            state[live] = U
-            states.append(state)
-            times.append(k * h)
         if k < n:
-            k1 = vector_field(df, U)
-    return np.asarray(times), np.stack(states), clamped
+            k1, psi = _stage(df, U)
+        else:
+            psi = cutoff_stage(df.part, df.backend, U)[0]
+        if k in rec or k == n:
+            times.append(k * h)
+            path.append(U)
+            psis.append(psi)
+    return _Run(np.asarray(times), live, np.stack(path), np.stack(psis),
+                psi0, clamped)
 
 
 def integrate_flow(df: DeformationField, cfg: FlowConfig, u) -> Trajectory:
     """Solve the flow from a single start over [0, 2 eps]."""
     u = np.asarray(u, dtype=float)
-    times, states, clamped = _integrate(df, cfg, u[None, :], True)
-    pts = states[:, 0, :]
+    run = _integrate(df, cfg, u[None, :], True)
+    if run.live[0]:
+        pts, psis = run.path[:, 0, :], run.psi[:, 0]
+    else:   # the constant solution, recorded at t = 0 and t = T
+        pts, psis = np.stack([u, u]), np.full(2, run.psi0[0])
     phis = np.asarray(df.field.evaluate(pts))
     tags = df.part.tags(pts, phis)
     conf = RegionTag(tags[0]) if np.all(tags == tags[0]) else None
-    return Trajectory(times, pts, phis, np.asarray(df.psi(pts)),
-                      conf, bool(clamped[0]))
+    return Trajectory(run.times, pts, phis, psis, conf, bool(run.clamped[0]))
 
 
 def eta(df: DeformationField, cfg: FlowConfig, u):
@@ -148,8 +183,8 @@ def eta(df: DeformationField, cfg: FlowConfig, u):
 
 
 def eta_batch(df: DeformationField, cfg: FlowConfig, U):
-    _, states, _ = _integrate(df, cfg, np.asarray(U, dtype=float), False)
-    return states[-1]
+    U = np.asarray(U, dtype=float)
+    return _integrate(df, cfg, U, False).finals(U)
 
 
 @dataclass
@@ -186,6 +221,13 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
     region tag; intervals straddling a region boundary are excluded and
     counted, because the midpoint stencil is only second-order accurate
     away from the cutoff's derivative kinks.
+
+    phi, tags, midpoints and gradient norms are evaluated on the live rows'
+    recorded path only, with psi as recorded by the integrator.  A frozen
+    row is evaluated once at its start and weighted by the number of
+    recorded states (speed bound) or record intervals (derivative identity),
+    so the report equals an audit of every row at every recorded time.  The
+    fixed-point check compares the rebuilt final states with the starts.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -207,28 +249,32 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
     if not np.any(in_c):
         raise EmptyRegion("no sampled points fell in C inside the box")
 
-    times, rec, clamped = _integrate(df, cfg, U0, True)
-    finals = rec[-1]
+    run = _integrate(df, cfg, U0, True)
+    live, frozen = run.live, ~run.live
+    finals = run.finals(U0)
 
     # fixed-point property on OUTSIDE and D samples (bit-exact)
     fixed_mask = (tags0 == RegionTag.OUTSIDE) | (tags0 == RegionTag.D)
     a_checked = int(np.sum(fixed_mask))
     a_viol = int(np.sum(np.any(finals[fixed_mask] != U0[fixed_mask], axis=-1)))
 
-    # recorded phi / psi / tags over the whole batch
-    n_rec, N, dim = rec.shape
-    flat = rec.reshape(-1, dim)
-    phis = np.asarray(df.field.evaluate(flat)).reshape(n_rec, N)
-    psis = np.asarray(df.psi(flat)).reshape(n_rec, N)
-    tags = part.tags(rec, phis)
+    # phi and tags along the live rows' recorded path; a frozen row keeps
+    # its start's phi and tag at every recorded time
+    path = run.path
+    n_rec, n_live, dim = path.shape
+    phis = np.asarray(df.field.evaluate(path.reshape(-1, dim))).reshape(n_rec, n_live)
+    tags = part.tags(path, phis)
+    phi_end = phi0.copy()
+    phi_end[live] = phis[-1]
 
-    ok = ~clamped  # clamped trajectories are excluded from property stats
+    ok = ~run.clamped  # clamped trajectories are excluded from property stats
 
     def push_record(mask_region, target_check, confined_tag):
         m = mask_region & ok
         sampled = int(np.sum(mask_region))
-        confined = np.all(tags == confined_tag, axis=0) & m
-        phi_end = phis[-1]
+        confined = tags0 == confined_tag
+        confined[live] = np.all(tags == confined_tag, axis=0)
+        confined &= m
         satisfied = confined & target_check(phi_end)
         reached = m & target_check(phi_end)
         return {
@@ -251,26 +297,38 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
                "unconditional_fraction_reaching_c_minus_eps":
                    c_rec["unconditional_fraction"]}
 
-    # derivative identity residual over uniform-tag record intervals
-    dt = np.diff(times)[:, None]
+    # derivative identity residual over uniform-tag record intervals; each of
+    # a frozen row's n_rec - 1 intervals is used (dphi = 0, the midpoint is
+    # the start) with residual |psi at the start|
+    dt = np.diff(run.times)[:, None]
     dphi = np.diff(phis, axis=0)
-    mids = 0.5 * (rec[:-1] + rec[1:])
-    psi_mid = np.asarray(df.psi(mids.reshape(-1, dim))).reshape(n_rec - 1, N)
-    tag_mid = part.classify(mids.reshape(-1, dim)).reshape(n_rec - 1, N)
-    same = (tags[:-1] == tags[1:]) & (tags[:-1] == tag_mid) & ok[None, :]
-    resid = np.abs(dphi / dt - psi_mid)
-    used = int(np.sum(same))
-    excluded = int(np.sum(~same & ok[None, :]))
-    eq31 = float(np.max(resid[same])) if used else float("nan")
+    mids = (0.5 * (path[:-1] + path[1:])).reshape(-1, dim)
+    psi_mid = np.asarray(df.psi(mids)).reshape(n_rec - 1, n_live)
+    tag_mid = part.classify(mids).reshape(n_rec - 1, n_live)
+    ok_live = ok[live]
+    same = (tags[:-1] == tags[1:]) & (tags[:-1] == tag_mid) & ok_live
+    resid = np.concatenate([np.abs(dphi / dt - psi_mid)[same],
+                            np.abs(run.psi0[frozen])])
+    used = int(np.sum(same)) + (n_rec - 1) * int(np.sum(frozen))
+    excluded = int(np.sum(~same & ok_live))
+    eq31 = float(np.max(resid)) if used else float("nan")
 
-    # speed bound over all recorded states with ||grad|| >= 2 eps
-    gns = df.field.grad_norm(flat).reshape(n_rec, N)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fnorm = np.where(psis != 0.0, np.abs(psis) / gns, 0.0)
-    check = gns >= 2.0 * eps
+    # speed bound over all recorded states with ||grad|| >= 2 eps; a frozen
+    # row's n_rec states are all its start
+    gns = df.field.grad_norm(path.reshape(-1, dim)).reshape(n_rec, n_live)
     bound = 1.0 / (2.0 * eps) + 1e-12
-    speed_viol = int(np.sum(fnorm[check] > bound))
-    speed_max = float(np.max(fnorm[check])) if np.any(check) else 0.0
+
+    def checked_speeds(psis, gn):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fnorm = np.where(psis != 0.0, np.abs(psis) / gn, 0.0)
+        return fnorm[gn >= 2.0 * eps]
+
+    live_f = checked_speeds(run.psi, gns)
+    frozen_f = checked_speeds(run.psi0[frozen], gn0[frozen])
+    speed_checked = live_f.size + n_rec * frozen_f.size
+    speed_viol = int(np.sum(live_f > bound)) + n_rec * int(np.sum(frozen_f > bound))
+    speed_max = (float(np.max(np.concatenate([live_f, frozen_f])))
+                 if speed_checked else 0.0)
 
     return DeformationReport(
         samples=samples, seed=seed,
@@ -279,7 +337,7 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
         b_prime=b_prime, c_prime=c_prime,
         eq31_max_residual=eq31,
         eq31_intervals_used=used, eq31_intervals_excluded=excluded,
-        speed_checked_states=int(np.sum(check)), speed_violations=speed_viol,
+        speed_checked_states=speed_checked, speed_violations=speed_viol,
         speed_max_norm=speed_max,
-        clamped_trajectories=int(np.sum(clamped)),
+        clamped_trajectories=int(np.sum(run.clamped)),
     )

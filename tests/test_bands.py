@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passlab import (BandPartition, DeformationParams, RegionSpec, RegionTag,
-                     SampledBackend, build_backend, catalog_field,
-                     classify_region, default_box, psi, region_distance)
+from passlab import (BandPartition, DeformationParams, DomainBox, RegionSpec,
+                     RegionTag, SampledBackend, build_backend, catalog_field,
+                     classify_region, default_box, polynomial_field, psi,
+                     region_distance)
 from passlab.bands import export_region_clouds
 from passlab.errors import EmptyRegion, InvalidRegionSpec
 
@@ -125,6 +126,35 @@ def test_empty_region_query_raises():
     backend = build_backend(part, "sampled", resolution=51)
     with pytest.raises(EmptyRegion):
         region_distance(part, backend, [0.3, 0.3], "B")
+
+
+@pytest.mark.parametrize("empty", ["B", "C"])
+def test_psi_limit_with_empty_band(w2s_deformation, empty):
+    # dist(u, empty set) = +inf; psi takes the quotient's limit,
+    # -dXA / (dXA + dC) without B and dXA / (dXA + dB) without C
+    if empty == "B":
+        part, backend = w2s_deformation.part, w2s_deformation.backend
+    else:   # -x^2 - y^2 <= 0 at c = 0: C is empty
+        f = polynomial_field(2, [((2, 0), -1.0), ((0, 2), -1.0)])
+        box = DomainBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        part = BandPartition(f, box, DeformationParams(c=0.0, eps=0.1))
+        backend = build_backend(part, "sampled", resolution=101)
+    pts = part.box.sample(np.random.default_rng(5), 4000)
+    pts = pts[part.classify(pts) == RegionTag.A_OTHER]
+    assert len(pts) > 20
+    phi = part.field.evaluate(pts)
+    dB, dC, dXA = backend.distances(pts, phi, part.field.grad_norm(pts))
+    if empty == "B":
+        assert np.all(np.isinf(dB))
+        want = -dXA / (dXA + dC)
+    else:
+        assert np.all(np.isinf(dC))
+        want = dXA / (dXA + dB)
+    got = psi(part, backend, pts)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.all(np.abs(got) <= 1.0)
+    with pytest.raises(EmptyRegion):   # an explicit query still reports it
+        region_distance(part, backend, pts[0], empty)
 
 
 def test_psi_plateau_without_empty_band_query(w2s_deformation):

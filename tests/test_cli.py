@@ -223,3 +223,38 @@ def test_minimax_pins_on_one_oracle_node_exit_2(tmp_path, capsys):
     }
     err = _config_error(tmp_path, capsys, "minimax", cfg)
     assert "minimax.pin_zero" in err and "minimax.pin_e" in err
+
+
+PSCHECK = {
+    "functional": {"catalog": "paraboloid"},
+    "ps": {"level": 1.0, "band_halfwidth": 0.1, "samples": 16},
+}
+MINIMAX = {
+    "functional": {"catalog": "well_to_saddle"},
+    "minimax": {"pin_zero": [0.0, 0.0], "pin_e": [1.0, 0.0],
+                "ensemble_size": 2, "M": 16, "max_iters": 20},
+}
+
+
+_SECTION_RUNS = {"deformation": ("deform", AFFINE_DEFORM),
+                 "minimax": ("minimax", MINIMAX), "ps": ("pscheck", PSCHECK)}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("deformation.eps", "abc"),
+    ("deformation.step", -1),
+    ("deformation.samples", "x"),
+    ("minimax.ensemble_size", "x"),
+    ("ps.level", "x"),
+])
+def test_bad_section_field_exits_2(tmp_path, capsys, name, value):
+    section, key = name.split(".")
+    sub, base = _SECTION_RUNS[section]
+    cfg = dict(base, **{section: dict(base[section], **{key: value})})
+    assert name in _config_error(tmp_path, capsys, sub, cfg)
+
+
+def test_boolean_seed_exits_2(tmp_path, capsys):
+    # int(True) would silently run seed 1
+    err = _config_error(tmp_path, capsys, "pscheck", dict(PSCHECK, seed=True))
+    assert "seed" in err

@@ -160,3 +160,84 @@ def test_eta_batch_mixed_rows_point_cloud_d(affine_wide_df):
     for u, v in zip(U[~is_frozen], out[~is_frozen]):
         assert np.array_equal(v, eta(df, cfg, u))
         assert not np.array_equal(v, u)
+
+
+def test_eta_with_empty_b_band(w2s_deformation):
+    # c = 0 is the valley level: phi >= 0, so B = {phi in [-0.1, -0.06]} is
+    # empty; (0, 0.3) lies in C and flows down through the interpolation zone
+    df = w2s_deformation
+    u = np.array([0.0, 0.3])
+    assert df.psi(u) == -1.0
+    traj = integrate_flow(df, FlowConfig(record_every=50), u)
+    assert np.all(np.diff(traj.phi_values) <= 0.0)
+    assert np.all((traj.psi_values >= -1.0) & (traj.psi_values <= 0.0))
+    assert 0.0 <= traj.phi_values[-1] < 0.06
+    assert np.array_equal(eta(df, FlowConfig(record_every=50), u), traj.end)
+
+
+def test_all_frozen_batch_is_returned_bit_identically(affine_wide_df, flow_cfg):
+    wide = affine_wide_df.part
+    d_pts = np.array([[0.0, 0.5], [0.1, -0.3]])
+    part = BandPartition(wide.field, wide.box, wide.params,
+                         RegionSpec.point_cloud(d_pts))
+    df = DeformationField(wide.field, part, build_backend(part, "sampled", 41))
+    U = np.concatenate([d_pts, [[1.5, 0.7], [-1.7, -1.2], [2.0, -2.0]]])
+    assert np.all(np.isin(part.classify(U), [RegionTag.D, RegionTag.OUTSIDE]))
+    out = eta_batch(df, flow_cfg, U)
+    assert out is not U and np.array_equal(out, U)
+    n, h = flow_cfg.grid(df.horizon)
+    for u in U:
+        traj = integrate_flow(df, flow_cfg, u)
+        assert traj.times.tolist() == [0.0, n * h]
+        assert np.array_equal(traj.points, [u, u])
+        assert traj.psi_values.tolist() == [0.0, 0.0]
+        assert not traj.clamped
+
+
+# verify_deformation(..., samples=200, seed=0).to_dict() of four audits, as
+# recorded before the audit was restricted to live rows: the deform_flow
+# benchmark configuration (well_to_saddle, c = 0.5, eps = 0.1, D = {phi = c},
+# sampled 201^2), the same with record_every = 7, a point-cloud D on the
+# 101^2 backend, and a paraboloid band cut by the box, with clamped rows
+PINNED_AUDITS = {
+    'deform_flow': {'samples': 200, 'seed': 0, 'hypothesis_min_grad': 1.4352596913280982, 'a_prime_checked': 182, 'a_prime_violations': 0, 'b_prime': {'sampled_B': 1, 'confined_in_B': 0, 'confined_satisfying': 0, 'unconditional_fraction_reaching_c_plus_eps': 0.0}, 'c_prime': {'sampled_C': 3, 'confined_in_C': 0, 'confined_satisfying': 0, 'unconditional_fraction_reaching_c_minus_eps': 0.0}, 'eq31_max_residual': 1.7429789351597336e-05, 'eq31_intervals_used': 199982, 'eq31_intervals_excluded': 18, 'speed_checked_states': 200200, 'speed_violations': 0, 'speed_max_norm': 0.688982333154268, 'clamped_trajectories': 0},
+    'record_every_7': {'samples': 200, 'seed': 0, 'hypothesis_min_grad': 1.4352596913280982, 'a_prime_checked': 182, 'a_prime_violations': 0, 'b_prime': {'sampled_B': 1, 'confined_in_B': 0, 'confined_satisfying': 0, 'unconditional_fraction_reaching_c_plus_eps': 0.0}, 'c_prime': {'sampled_C': 3, 'confined_in_C': 0, 'confined_satisfying': 0, 'unconditional_fraction_reaching_c_minus_eps': 0.0}, 'eq31_max_residual': 0.00016825040969892235, 'eq31_intervals_used': 28582, 'eq31_intervals_excluded': 18, 'speed_checked_states': 28800, 'speed_violations': 0, 'speed_max_norm': 0.688982333154268, 'clamped_trajectories': 0},
+    'point_cloud_d': {'samples': 200, 'seed': 0, 'hypothesis_min_grad': 1.4352596913280982, 'a_prime_checked': 182, 'a_prime_violations': 0, 'b_prime': {'sampled_B': 1, 'confined_in_B': 0, 'confined_satisfying': 0, 'unconditional_fraction_reaching_c_plus_eps': 0.0}, 'c_prime': {'sampled_C': 3, 'confined_in_C': 0, 'confined_satisfying': 0, 'unconditional_fraction_reaching_c_minus_eps': 0.0}, 'eq31_max_residual': 5.559555593448451e-06, 'eq31_intervals_used': 66788, 'eq31_intervals_excluded': 12, 'speed_checked_states': 67000, 'speed_violations': 0, 'speed_max_norm': 0.688982333154268, 'clamped_trajectories': 0},
+    'clamped': {'samples': 200, 'seed': 0, 'hypothesis_min_grad': 3.7615883056553625, 'a_prime_checked': 146, 'a_prime_violations': 0, 'b_prime': {'sampled_B': 7, 'confined_in_B': 0, 'confined_satisfying': 0, 'unconditional_fraction_reaching_c_plus_eps': 0.0}, 'c_prime': {'sampled_C': 6, 'confined_in_C': 0, 'confined_satisfying': 0, 'unconditional_fraction_reaching_c_minus_eps': 0.0}, 'eq31_max_residual': 0.021126559163679226, 'eq31_intervals_used': 62748, 'eq31_intervals_excluded': 44, 'speed_checked_states': 63315, 'speed_violations': 0, 'speed_max_norm': 0.24999625128042396, 'clamped_trajectories': 12},
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_audit_fields(w2s_field, w2s_box):
+    def w2s(d_spec, resolution):
+        part = BandPartition(w2s_field, w2s_box,
+                             DeformationParams(c=0.5, eps=0.1), d_spec)
+        return DeformationField(w2s_field, part,
+                                build_backend(part, "sampled", resolution))
+
+    flow_df = w2s(RegionSpec.level_set(0.5), 201)
+    cloud = RegionSpec.point_cloud([[0.0, 0.5 ** 0.5], [0.0, -0.5 ** 0.5],
+                                    [2.0, 0.5 ** 0.5]])
+    par = catalog_field("paraboloid")
+    part = BandPartition(par, default_box("paraboloid"),
+                         DeformationParams(c=4.5, eps=0.5))
+    return {
+        "deform_flow": (flow_df, FlowConfig()),
+        "record_every_7": (flow_df, FlowConfig(record_every=7)),
+        "point_cloud_d": (w2s(cloud, 101), FlowConfig(record_every=3)),
+        "clamped": (DeformationField(par, part, build_backend(part, "sampled", 101)),
+                    FlowConfig(record_every=3)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_AUDITS))
+def test_verify_deformation_pinned(pinned_audit_fields, name):
+    df, cfg = pinned_audit_fields[name]
+    got = verify_deformation(df, cfg, samples=200, seed=0).to_dict()
+    assert got == PINNED_AUDITS[name]
+    # every unclamped trajectory's record intervals are used or excluded
+    n, _ = cfg.grid(df.horizon)
+    n_rec = len(set(range(0, n + 1, cfg.record_every)) | {n})
+    unclamped = got["samples"] - got["clamped_trajectories"]
+    assert (got["eq31_intervals_used"] + got["eq31_intervals_excluded"]
+            == (n_rec - 1) * unclamped)
