@@ -15,6 +15,10 @@ It equals +1 on B, -1 on C and 0 outside the band and on D, exactly.
 
 Region membership is decided in one place, BandPartition.tags, as int8
 codes viewed through the IntEnum RegionTag; psi's plateaus come from them.
+cutoff_stage, the per-stage cutoff of the flow, compares the codes as plain
+ints, passes a batch through whole when all its rows need the gradient or
+the set distances, and tests for a degenerate quotient only where a
+denominator underflows.
 """
 from __future__ import annotations
 
@@ -37,7 +41,10 @@ _UNDERFLOW = 1e-300
 
 
 class RegionTag(IntEnum):
-    """Region codes as returned by BandPartition.tags."""
+    """Region codes as returned by BandPartition.tags.
+
+    The codes below OUTSIDE are the rows where psi can be nonzero.
+    """
 
     A_OTHER = 0
     B = 1
@@ -46,8 +53,20 @@ class RegionTag(IntEnum):
     D = 4
 
 
+# The codes as plain ints: an IntEnum member costs a class-attribute lookup
+# and a slow scalar conversion in every numpy comparison of the per-stage
+# hot path.  On the small batches of that path, np.count_nonzero also stands
+# in for ndarray.any/all, which dispatch through Python.
+_A_OTHER, _B, _C, _OUTSIDE, _D = (int(t) for t in RegionTag)
+
 # psi on each region code; A_OTHER rows are interpolated instead
 _PLATEAU = np.array([0.0, 1.0, -1.0, 0.0, 0.0])
+
+
+def _rows_of(mask):
+    """Index selecting the rows of a boolean mask: slice(None), a view
+    with no gather or scatter, when every row is selected."""
+    return slice(None) if np.count_nonzero(mask) == mask.size else mask
 
 
 @dataclass(frozen=True)
@@ -102,6 +121,7 @@ class BandPartition:
         spec = self.d_spec
         object.__setattr__(self, "_d_tree", cKDTree(spec.points)
                            if spec.kind == "point_cloud" else None)
+        object.__setattr__(self, "_diagonal", self.box.diagonal)
 
     # value ranges -----------------------------------------------------
     @property
@@ -155,23 +175,24 @@ class BandPartition:
         if spec.kind == "level_set":
             return np.abs(phi - spec.value) <= self.d_thickness
         d, _ = self._d_tree.query(u)
-        return d <= 1e-12 * max(1.0, self.box.diagonal)
+        return d <= 1e-12 * max(1.0, self._diagonal)
 
     def tags(self, u, phi) -> np.ndarray:
         """int8 region codes (RegionTag values) of points u with values phi.
 
         Precedence D, OUTSIDE, B, C, A_OTHER.  This is the only place the
-        band ranges and D membership are tested.
+        band ranges and D membership are tested; an empty D is not queried.
         """
         phi = np.asarray(phi)
         a_lo, a_hi = self.a_range
         b_lo, b_hi = self.b_range
         c_lo, c_hi = self.c_range
-        out = np.full(phi.shape, RegionTag.A_OTHER, dtype=np.int8)
-        out[(phi >= c_lo) & (phi <= c_hi)] = RegionTag.C
-        out[(phi >= b_lo) & (phi <= b_hi)] = RegionTag.B
-        out[(phi < a_lo) | (phi > a_hi)] = RegionTag.OUTSIDE
-        out[self.in_d(u, phi)] = RegionTag.D
+        out = np.zeros(phi.shape, dtype=np.int8)   # _A_OTHER everywhere
+        out[(phi >= c_lo) & (phi <= c_hi)] = _C
+        out[(phi >= b_lo) & (phi <= b_hi)] = _B
+        out[(phi < a_lo) | (phi > a_hi)] = _OUTSIDE
+        if self.d_spec.kind != "empty":
+            out[self.in_d(u, phi)] = _D
         return out
 
     def classify(self, u) -> np.ndarray:
@@ -188,7 +209,7 @@ class BandPartition:
             return np.full(np.shape(phi), np.inf)
         if spec.kind == "level_set":
             gn = np.maximum(gnorm, self.params.min_grad_floor)
-            return np.minimum(np.abs(phi - spec.value) / gn, self.box.diagonal)
+            return np.minimum(np.abs(phi - spec.value) / gn, self._diagonal)
         d, _ = self._d_tree.query(u)
         return d
 
@@ -310,24 +331,28 @@ def cutoff_stage(part: BandPartition, backend, U):
     The gradient is evaluated only off the zero plateau; OUTSIDE and D rows
     get a zero gradient.  Plateau values (+1 on B, -1 on C, 0 outside the
     band and on D) come from the region codes alone; set distances are only
-    queried for the interpolation rows between the plateaus.  Where B, C or
-    the complement of A has no points (an empty band at a global minimum or
-    maximum), its distance is +inf and psi takes the quotient's limit.
+    queried for the interpolation rows between the plateaus.  A batch whose
+    rows all need the gradient (or the distances) is passed through whole
+    rather than gathered and scattered back.  Where B, C or the complement
+    of A has no points (an empty band at a global minimum or maximum), its
+    distance is +inf and psi takes the quotient's limit.
     """
     field = part.field
     phi = np.asarray(field.evaluate(U))
     tags = part.tags(U, phi)
-    live = (tags != RegionTag.OUTSIDE) & (tags != RegionTag.D)
-    grad = np.zeros_like(U)
+    live = _rows_of(tags < _OUTSIDE)
+    grad = np.zeros(U.shape)
     grad[live] = field.gradient(U[live])
-    gnorm = np.linalg.norm(grad, axis=-1)
+    # np.linalg.norm(grad, axis=-1) without its dispatch: the same formula
+    gnorm = np.sqrt(np.add.reduce(grad * grad, axis=-1))
     out = _PLATEAU[tags]
-    rest = tags == RegionTag.A_OTHER
-    if np.any(rest):
+    rest = tags == _A_OTHER
+    if np.count_nonzero(rest):
+        rest = _rows_of(rest)
         dB, dC, dXA = backend.distances(U[rest], phi[rest], gnorm[rest])
         den = (dC + dB) * dXA + dB * dC
         near = np.isfinite(den)
-        if near.all():
+        if np.count_nonzero(near) == near.size:
             num = (dC - dB) * dXA
         else:
             # An empty set is at distance +inf.  Dividing through by
@@ -338,11 +363,13 @@ def cutoff_stage(part: BandPartition, backend, U):
                 num = np.where(near, (dC - dB) * dXA, rB - rC)
                 den = np.where(near, den, rB + rC + rX)
         tiny = den < _UNDERFLOW
-        if np.any(tiny & (np.abs(num) >= _UNDERFLOW)):
-            raise DegeneratePartition(
-                "cutoff denominator underflowed while the numerator did not "
-                "(the fixed set D touches B or C)")
-        out[rest] = np.where(tiny, 0.0, num / np.where(tiny, 1.0, den))
+        if np.count_nonzero(tiny):
+            if np.any(tiny & (np.abs(num) >= _UNDERFLOW)):
+                raise DegeneratePartition(
+                    "cutoff denominator underflowed while the numerator did not "
+                    "(the fixed set D touches B or C)")
+            num, den = np.where(tiny, 0.0, num), np.where(tiny, 1.0, den)
+        out[rest] = num / den
     return out, grad, gnorm
 
 

@@ -21,14 +21,14 @@ import numpy as np
 from . import __version__
 from .bands import (BandPartition, DeformationParams, RegionSpec,
                     SampledBackend, build_backend, export_region_clouds, psi)
-from .errors import ConfigError, PasslabError
+from .errors import ConfigError, InvalidM, PasslabError
 from .fields import (DomainBox, ScalarField, catalog_field, default_box,
                      polynomial_field, gradient_check)
 from .flow import DeformationField, FlowConfig, verify_deformation
 from .gridoracle import GridGraph, bottleneck_value, widest_value, critical_scan
 from .minimax import (check_conclusions, check_mpt_geometry, optimize_c1,
                       optimize_c2, ps_probe, trace_proof_argument)
-from .paths import MountainPassInstance
+from .paths import MountainPassInstance, check_m
 
 
 def _require(cfg: dict, key: str):
@@ -234,15 +234,19 @@ def _run_minimax(cfg, seed, out_dir):
     box = _build_box(cfg, field)
     inst = _instance(cfg, field, box)
     m = cfg["minimax"]
+    kw = dict(ensemble_size=_number(m, "minimax.ensemble_size", int, 8, positive=True),
+              M=_number(m, "minimax.M", int, 32),
+              max_iters=_number(m, "minimax.max_iters", int, 200, positive=True),
+              tol=_number(m, "minimax.tol", float, 1e-6, positive=True), seed=seed)
+    try:
+        check_m(kw["M"])
+    except InvalidM as exc:
+        raise ConfigError(f"minimax.M: {exc}") from None
     o = cfg.get("oracle")
     if o:
         g = _oracle_grid(o, field, box)
         p, q = _oracle_nodes(g, inst.pin_zero, inst.pin_e,
                              "minimax.pin_zero", "minimax.pin_e")
-    kw = dict(ensemble_size=_number(m, "minimax.ensemble_size", int, 8, positive=True),
-              M=_number(m, "minimax.M", int, 32),
-              max_iters=_number(m, "minimax.max_iters", int, 200, positive=True),
-              tol=_number(m, "minimax.tol", float, 1e-6, positive=True), seed=seed)
     eps = _number(m, "minimax.conclusions_eps", float, 0.05)
     r1 = optimize_c1(inst, **kw)
     r2 = optimize_c2(inst, **kw)

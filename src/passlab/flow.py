@@ -7,8 +7,10 @@ The vector field is
 
 and the deformation is eta(u) = sigma(T, u) with horizon T = 2 eps, where
 sigma solves dsigma/dt = f(sigma), sigma(0) = u.  Each evaluation of f reads
-phi and its gradient once (bands.cutoff_stage) and also yields psi.  One RK4
-integrator serves eta, eta_batch, integrate_flow and the audit.  Rows with a
+phi and its gradient once (bands.cutoff_stage) and also yields psi; a stage
+whose rows all have psi != 0 is computed on the whole batch, with no gather
+or scatter.  One RK4 integrator serves eta, eta_batch, integrate_flow and the
+audit; a step is clipped to the box only when a row has left it.  Rows with a
 zero field at the start are frozen: they are never stepped and come back
 bit-identically (the unique constant solution), so the fixed-point property
 is machine-exact.  Only the live rows are recorded, with psi at each
@@ -23,7 +25,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .bands import BandPartition, RegionTag, cutoff_stage, psi as psi_fn
+from .bands import (BandPartition, RegionTag, _rows_of, cutoff_stage,
+                    psi as psi_fn)
 from .errors import EmptyRegion, VectorFieldSingular
 from .fields import ScalarField
 
@@ -82,11 +85,11 @@ class Trajectory:
 def _stage(df: DeformationField, U):
     """f and psi at a batch U (N, dim), from one bands.cutoff_stage."""
     psi_vals, g, gn = cutoff_stage(df.part, df.backend, U)
-    f = np.zeros_like(U)
-    active = psi_vals != 0.0
+    f = np.zeros(U.shape)
+    active = _rows_of(psi_vals != 0.0)
     gn = gn[active]
     floor = df.part.params.min_grad_floor
-    if np.any(gn < floor):
+    if np.count_nonzero(gn < floor):
         bad = U[active][gn < floor][0]
         raise VectorFieldSingular(
             f"||grad|| < {floor} at {bad.tolist()} where the cutoff is nonzero")
@@ -124,7 +127,8 @@ def _integrate(df: DeformationField, cfg: FlowConfig, U0: np.ndarray,
 
     Rows with a zero field at the start are frozen: they are never stepped
     or recorded, being the constant solution.  Live rows that leave the box
-    are clamped to it and flagged.  The live rows are recorded at t = 0,
+    are clamped to it and flagged; the box is tested first, so a step that
+    stays inside it is never clipped.  The live rows are recorded at t = 0,
     every record_every-th step and t = T when record is set and some row is
     live, else at t = 0 and t = T only; psi at each recorded state comes
     from the k1 stage that starts the next step (one extra cutoff_stage at
@@ -146,9 +150,11 @@ def _integrate(df: DeformationField, cfg: FlowConfig, U0: np.ndarray,
         k3 = _stage(df, U + (0.5 * h) * k2)[0]
         k4 = _stage(df, U + h * k3)[0]
         U = U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        Uc = box.clip(U)
-        clamped[live] |= np.any(Uc != U, axis=-1)
-        U = Uc
+        inside = (U >= box.lo) & (U <= box.hi)   # False on NaN
+        if np.count_nonzero(inside) != inside.size:
+            Uc = box.clip(U)
+            clamped[live] |= np.any(Uc != U, axis=-1)
+            U = Uc
         if k < n:
             k1, psi = _stage(df, U)
         else:

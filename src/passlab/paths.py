@@ -83,7 +83,8 @@ class DiscretePath:
                 w.writerow(row)
 
 
-def _check_m(M: int):
+def check_m(M: int):
+    """Raise InvalidM unless M (path segments) is a multiple of 4 and >= 8."""
     if M < 8 or M % 4 != 0:
         raise InvalidM(f"M must be a multiple of 4 and >= 8, got {M}")
 
@@ -96,7 +97,7 @@ def make_path(inst: MountainPassInstance, M: int, init: str = "axis",
     prefix collapsed on the zero-pin and free suffix on the e-pin.
     "jitter": axis plus Gaussian noise of the given scale on free nodes.
     """
-    _check_m(M)
+    check_m(M)
     i0, i1 = inst.pinned_indices(M)
     nodes = np.empty((M + 1, inst.field.dim))
     nodes[: i0 + 1] = inst.pin_zero

@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passlab import (BandPartition, DeformationParams, DomainBox, RegionSpec,
-                     RegionTag, SampledBackend, build_backend, catalog_field,
-                     classify_region, default_box, polynomial_field, psi,
-                     region_distance)
+from passlab import (BandPartition, DeformationField, DeformationParams,
+                     DomainBox, RegionSpec, RegionTag, SampledBackend,
+                     build_backend, catalog_field, classify_region, default_box,
+                     polynomial_field, psi, region_distance, vector_field)
 from passlab.bands import export_region_clouds
 from passlab.errors import EmptyRegion, InvalidRegionSpec
 
@@ -128,33 +130,60 @@ def test_empty_region_query_raises():
         region_distance(part, backend, [0.3, 0.3], "B")
 
 
-@pytest.mark.parametrize("empty", ["B", "C"])
+@pytest.mark.parametrize("empty", ["B", "C", "BC"])
 def test_psi_limit_with_empty_band(w2s_deformation, empty):
     # dist(u, empty set) = +inf; psi takes the quotient's limit,
-    # -dXA / (dXA + dC) without B and dXA / (dXA + dB) without C
+    # -dXA / (dXA + dC) without B, dXA / (dXA + dB) without C, and 0
+    # without both
     if empty == "B":
         part, backend = w2s_deformation.part, w2s_deformation.backend
-    else:   # -x^2 - y^2 <= 0 at c = 0: C is empty
+    elif empty == "C":   # -x^2 - y^2 <= 0 at c = 0: C is empty
         f = polynomial_field(2, [((2, 0), -1.0), ((0, 2), -1.0)])
         box = DomainBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         part = BandPartition(f, box, DeformationParams(c=0.0, eps=0.1))
         backend = build_backend(part, "sampled", resolution=101)
+    else:   # the 3 x 3 grid's phi-values 0, 4, 8 all lie outside [0.3, 0.7]
+        part = BandPartition(catalog_field("paraboloid"), default_box("paraboloid"),
+                             DeformationParams(c=0.5, eps=0.1))
+        backend = build_backend(part, "sampled", resolution=3)
+        assert len(backend.clouds["OUT"]) == 9
     pts = part.box.sample(np.random.default_rng(5), 4000)
     pts = pts[part.classify(pts) == RegionTag.A_OTHER]
     assert len(pts) > 20
     phi = part.field.evaluate(pts)
     dB, dC, dXA = backend.distances(pts, phi, part.field.grad_norm(pts))
+    assert np.all(np.isinf(dB) == ("B" in empty))
+    assert np.all(np.isinf(dC) == ("C" in empty))
     if empty == "B":
-        assert np.all(np.isinf(dB))
         want = -dXA / (dXA + dC)
-    else:
-        assert np.all(np.isinf(dC))
+    elif empty == "C":
         want = dXA / (dXA + dB)
-    got = psi(part, backend, pts)
+    else:
+        want = np.zeros_like(dXA)
+    with warnings.catch_warnings():   # inf - inf must stay inside the limit
+        warnings.simplefilter("error", RuntimeWarning)
+        got = psi(part, backend, pts)
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
     assert np.all(np.abs(got) <= 1.0)
-    with pytest.raises(EmptyRegion):   # an explicit query still reports it
-        region_distance(part, backend, pts[0], empty)
+    for region in empty:   # an explicit query still reports it
+        with pytest.raises(EmptyRegion):
+            region_distance(part, backend, pts[0], region)
+
+
+def test_psi_underflowed_quotient_is_zero(affine_part):
+    # a denominator below 1e-300 whose numerator underflows with it is the
+    # 0/0 where dXA and dB dC vanish together: psi is 0 there, and the other
+    # rows keep the plain quotient
+    class Distances:
+        def distances(self, u, phi, gnorm):
+            return (np.array([1e-170, 0.1]), np.array([2e-170, 0.2]),
+                    np.array([0.0, 0.3]))
+
+    pts = np.array([[0.0, 0.0], [0.8, 0.0]])
+    assert np.all(affine_part.classify(pts) == RegionTag.A_OTHER)
+    got = psi(affine_part, Distances(), pts)
+    want = (0.2 - 0.1) * 0.3 / ((0.2 + 0.1) * 0.3 + 0.1 * 0.2)
+    assert got[0] == 0.0 and got[1] == want
 
 
 def test_psi_plateau_without_empty_band_query(w2s_deformation):
@@ -215,3 +244,10 @@ def test_psi_plateaus_match_classify(affine_wide_df, d_spec, kind, seed):
     zero = (tags == RegionTag.OUTSIDE) | (tags == RegionTag.D)
     assert np.all(vals[zero] == 0.0)
     assert d_spec.kind == "empty" or np.any(tags == RegionTag.D)
+    # a mixed batch (masked rows) and each row alone (the whole batch) agree
+    # bit for bit
+    df = DeformationField(part.field, part, backend)
+    f = vector_field(df, pts)
+    for i, u in enumerate(pts):
+        assert psi(part, backend, u) == vals[i]
+        assert np.array_equal(vector_field(df, u), f[i])

@@ -245,6 +245,8 @@ _SECTION_RUNS = {"deformation": ("deform", AFFINE_DEFORM),
     ("deformation.step", -1),
     ("deformation.samples", "x"),
     ("minimax.ensemble_size", "x"),
+    ("minimax.M", 10),
+    ("minimax.M", 4),
     ("ps.level", "x"),
 ])
 def test_bad_section_field_exits_2(tmp_path, capsys, name, value):
