@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .fields import (DomainBox, ScalarField, catalog_field, catalog_names,
                      default_box, polynomial_field, gradient_check)
 from .bands import (BandPartition, DeformationParams, RegionSpec, RegionTag,
-                    ExactAffineBackend, SampledBackend, build_backend,
-                    classify_region, region_distance, psi)
+                    ExactAffineBackend, FirstOrderBackend, SampledBackend,
+                    build_backend, classify_region, region_distance, psi)
 from .flow import (DeformationField, FlowConfig, Trajectory, vector_field,
                    integrate_flow, eta, verify_deformation)
 from .paths import (MountainPassInstance, DiscretePath, make_path,

@@ -19,6 +19,16 @@ cutoff_stage, the per-stage cutoff of the flow, compares the codes as plain
 ints, passes a batch through whole when all its rows need the gradient or
 the set distances, and tests for a degenerate quotient only where a
 denominator underflows.
+
+Three backends give the set distances between the plateaus.
+ExactAffineBackend has them in closed form for an affine field.
+FirstOrderBackend, the default for every other field, divides the slab
+distance in phi by the local ||grad phi||: the distances vanish at the band
+edges, so psi is continuous there, and no point lookup is made.
+SampledBackend measures them to grid point clouds with KD-trees; it is the
+set-distance reference the first-order distances are checked against.  A
+band (or a side of the complement of A) with no grid point is at +inf in
+both of the grid-based backends.
 """
 from __future__ import annotations
 
@@ -222,7 +232,7 @@ def classify_region(part: BandPartition, u) -> RegionTag:
 
 def _slab_distance(phi, lo, hi, anorm):
     """Distance from phi-values to the slab phi in [lo, hi], for ||grad|| = anorm."""
-    return np.maximum.reduce([np.zeros_like(phi), lo - phi, phi - hi]) / anorm
+    return np.maximum(np.maximum(lo - phi, phi - hi), 0.0) / anorm
 
 
 class ExactAffineBackend:
@@ -251,6 +261,55 @@ class ExactAffineBackend:
         return dB, dC, np.minimum(d_out, part.d_distance(u, phi, gnorm))
 
 
+def _grid_tags(part: BandPartition, resolution: int):
+    """The regular grid of the box at ``resolution`` points per axis, its
+    phi-values and its region codes."""
+    if resolution < 3:
+        raise ValueError("resolution must be >= 3 per axis")
+    pts = part.box.grid(resolution)
+    phi = part.field.evaluate(pts)
+    return pts, phi, part.tags(pts, phi)
+
+
+class FirstOrderBackend:
+    """First-order set distances: the slab distance in phi divided by the
+    local ||grad phi|| (floored at min_grad_floor).
+
+    This is ExactAffineBackend's formula with ||grad phi|| in place of |a|,
+    so it is exact for affine fields and vanishes at every band edge.  The
+    distance to the complement of A is the nearer of its lower and upper
+    sides.  A band or side that no point of box.grid(resolution) falls in
+    is at +inf, exactly where SampledBackend at that resolution has an
+    empty cloud; this is decided once, here, and no tree is built.
+    """
+
+    name = "first_order"
+
+    def __init__(self, part: BandPartition, resolution: int = 201):
+        _, phi, tags = _grid_tags(part, resolution)
+        self.part = part
+        out = tags == _OUTSIDE
+        a_lo, a_hi = part.a_range
+        self._has_b = bool(np.any(tags == _B))
+        self._has_c = bool(np.any(tags == _C))
+        self._has_below = bool(np.any(out & (phi < a_lo)))
+        self._has_above = bool(np.any(out & (phi > a_hi)))
+
+    def distances(self, u, phi, gnorm):
+        """Set distances (dB, dC, dXA) from points u with values phi and
+        gradient norms gnorm; plateau rows are not masked."""
+        part = self.part
+        g = np.maximum(gnorm, part.params.min_grad_floor)
+        far = np.full(np.shape(phi), np.inf)
+        dB = _slab_distance(phi, *part.b_range, g) if self._has_b else far
+        dC = _slab_distance(phi, *part.c_range, g) if self._has_c else far
+        a_lo, a_hi = part.a_range
+        below = np.maximum(phi - a_lo, 0.0) / g if self._has_below else far
+        above = np.maximum(a_hi - phi, 0.0) / g if self._has_above else far
+        d_out = np.minimum(below, above)
+        return dB, dC, np.minimum(d_out, part.d_distance(u, phi, gnorm))
+
+
 class SampledBackend:
     """Rejection-sampled region clouds on a regular grid, with KD-tree lookup.
 
@@ -264,13 +323,10 @@ class SampledBackend:
     name = "sampled"
 
     def __init__(self, part: BandPartition, resolution: int = 201):
-        if resolution < 3:
-            raise ValueError("resolution must be >= 3 per axis")
+        pts, _, tags = _grid_tags(part, resolution)
         self.part = part
         self.resolution = resolution
         box = part.box
-        pts = box.grid(resolution)
-        tags = part.tags(pts, part.field.evaluate(pts))
         self.clouds = {
             "B": pts[tags == RegionTag.B],
             "C": pts[tags == RegionTag.C],
@@ -296,9 +352,20 @@ class SampledBackend:
         return dB, dC, np.minimum(d_out, self.part.d_distance(u, phi, gnorm))
 
 
-def build_backend(part: BandPartition, kind: str = "sampled", resolution: int = 201):
+def build_backend(part: BandPartition, kind: Optional[str] = None,
+                  resolution: int = 201):
+    """The set-distance backend ``kind`` ("exact_affine", "first_order" or
+    "sampled"; the grid-based two at ``resolution`` points per axis).
+
+    With kind None the choice follows the field: exact_affine for an affine
+    field, first_order otherwise.
+    """
+    if kind is None:
+        kind = "exact_affine" if part.field.affine is not None else "first_order"
     if kind == "exact_affine":
         return ExactAffineBackend(part)
+    if kind == "first_order":
+        return FirstOrderBackend(part, resolution)
     if kind == "sampled":
         return SampledBackend(part, resolution)
     raise ValueError(f"unknown backend kind {kind!r}")

@@ -23,7 +23,7 @@ from .bands import (BandPartition, DeformationParams, RegionSpec,
                     SampledBackend, build_backend, export_region_clouds, psi)
 from .errors import ConfigError, InvalidM, PasslabError
 from .fields import (DomainBox, ScalarField, catalog_field, default_box,
-                     polynomial_field, gradient_check)
+                     polynomial_field)
 from .flow import DeformationField, FlowConfig, verify_deformation
 from .gridoracle import GridGraph, bottleneck_value, widest_value, critical_scan
 from .minimax import (check_conclusions, check_mpt_geometry, optimize_c1,
@@ -73,8 +73,11 @@ def _number(sec: dict, name: str, kind=float, default=_REQUIRED,
 def _build_field(cfg: dict) -> ScalarField:
     spec = _require(cfg, "functional")
     if "catalog" in spec:
+        name = spec["catalog"]
+        if not isinstance(name, str):
+            raise ConfigError(f"functional.catalog must be a string, got {name!r}")
         try:
-            return catalog_field(spec["catalog"])
+            return catalog_field(name)
         except KeyError as exc:
             raise ConfigError(str(exc))
     if "poly" in spec:
@@ -125,7 +128,7 @@ def _deformation_objects(cfg, field, box):
         record_every=_number(d, "deformation.record_every", int, 1, positive=True))
     try:
         part = BandPartition(field, box, params, _build_d_spec(d.get("d_spec", {})))
-        backend = build_backend(part, d.get("backend", "sampled"), resolution)
+        backend = build_backend(part, d.get("backend"), resolution)
     except (KeyError, TypeError, ValueError, PasslabError) as exc:
         raise ConfigError(f"bad deformation section: {exc}")
     df = DeformationField(field, part, backend)
@@ -138,12 +141,13 @@ def _deformation_objects(cfg, field, box):
 
 def _instance(cfg, field, box) -> MountainPassInstance:
     m = _require(cfg, "minimax")
+    g = _require(cfg, "geometry") if "geometry" in cfg else {}
+    radius = _number(g, "geometry.r", default=None, positive=True)
     try:
         return MountainPassInstance(
             field, box,
             np.asarray(m["pin_zero"], float), np.asarray(m["pin_e"], float),
-            m.get("pin_mode", "interior"),
-            cfg.get("geometry", {}).get("r"))
+            m.get("pin_mode", "interior"), radius)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad minimax section: {exc}")
 

@@ -7,6 +7,11 @@ weight) along the gradient, redistributes free nodes toward uniform
 spacing, and accepts the candidate only if the objective improved, so the
 per-member history is monotone by construction.  The estimates are meant
 to be validated against the grid oracles, not trusted.
+
+The proof tracer deforms at each level with D = {phi = level} on the
+default backend of bands.build_backend: closed-form distances for an affine
+field, first-order distances otherwise, so its RK4 stages make no point
+lookups.
 """
 from __future__ import annotations
 
@@ -228,9 +233,8 @@ def _deformation_at(inst, level, eps_level, backend_resolution):
     params = DeformationParams(c=level, eps=eps_level)
     d_spec = RegionSpec.level_set(level)
     part = BandPartition(inst.field, inst.box, params, d_spec)
-    kind = "exact_affine" if inst.field.affine is not None else "sampled"
-    backend = build_backend(part, kind, backend_resolution)
-    return DeformationField(inst.field, part, backend)
+    return DeformationField(inst.field, part,
+                            build_backend(part, resolution=backend_resolution))
 
 
 def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,

@@ -20,6 +20,8 @@ from .flow import DeformationField, FlowConfig, eta_batch
 
 @dataclass(frozen=True)
 class MountainPassInstance:
+    """A field on a box with two distinct pins, finite points inside it."""
+
     field: ScalarField
     box: DomainBox
     pin_zero: np.ndarray
@@ -34,6 +36,10 @@ class MountainPassInstance:
         object.__setattr__(self, "pin_e", e)
         if z.shape != (self.field.dim,) or e.shape != (self.field.dim,):
             raise ValueError("pin dimensions must match the field")
+        for name, pin in (("pin_zero", z), ("pin_e", e)):
+            if not (np.all(np.isfinite(pin)) and self.box.contains(pin)):
+                raise ValueError(f"{name} {pin.tolist()} must be a finite point "
+                                 f"inside the box")
         if np.array_equal(z, e):
             raise ValueError("the two pins must differ")
         if self.pin_mode not in ("interior", "endpoints"):

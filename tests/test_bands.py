@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from passlab import (BandPartition, DeformationField, DeformationParams,
-                     DomainBox, RegionSpec, RegionTag, SampledBackend,
-                     build_backend, catalog_field, classify_region, default_box,
+                     DomainBox, ExactAffineBackend, FirstOrderBackend,
+                     RegionSpec, RegionTag, SampledBackend, build_backend,
+                     catalog_field, classify_region, default_box,
                      polynomial_field, psi, region_distance, vector_field)
 from passlab.bands import export_region_clouds
 from passlab.errors import EmptyRegion, InvalidRegionSpec
@@ -170,6 +171,126 @@ def test_psi_limit_with_empty_band(w2s_deformation, empty):
             region_distance(part, backend, pts[0], region)
 
 
+def _empty_band_partition(empty):
+    """The partitions of test_psi_limit_with_empty_band and the resolution
+    its sampled backend uses: B empty, C empty, or both."""
+    if empty == "B":   # well_to_saddle, phi >= 0, at the valley level c = 0
+        part = BandPartition(catalog_field("well_to_saddle"),
+                             default_box("well_to_saddle"),
+                             DeformationParams(c=0.0, eps=0.1),
+                             RegionSpec.level_set(0.0))
+        return part, 201
+    if empty == "C":   # -x^2 - y^2 <= 0 at c = 0
+        f = polynomial_field(2, [((2, 0), -1.0), ((0, 2), -1.0)])
+        box = DomainBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        return BandPartition(f, box, DeformationParams(c=0.0, eps=0.1)), 101
+    # the 3 x 3 grid's phi-values 0, 4, 8 all lie outside [0.3, 0.7]
+    return BandPartition(catalog_field("paraboloid"), default_box("paraboloid"),
+                         DeformationParams(c=0.5, eps=0.1)), 3
+
+
+@pytest.mark.parametrize("empty", ["B", "C", "BC"])
+def test_first_order_psi_limit_with_empty_band(empty):
+    # the first-order backend takes a band as empty exactly where the
+    # sampled backend at the same resolution has no cloud, and psi takes
+    # the same limit of the quotient there
+    part, resolution = _empty_band_partition(empty)
+    backend = build_backend(part, "first_order", resolution)
+    sampled = build_backend(part, "sampled", resolution)
+    pts = part.box.sample(np.random.default_rng(5), 4000)
+    pts = pts[part.classify(pts) == RegionTag.A_OTHER]
+    assert len(pts) > 20
+    phi = part.field.evaluate(pts)
+    gnorm = part.field.grad_norm(pts)
+    dB, dC, dXA = backend.distances(pts, phi, gnorm)
+    sB, sC, sXA = sampled.distances(pts, phi, gnorm)
+    for got, ref, region in ((dB, sB, "B"), (dC, sC, "C")):
+        assert np.all(np.isinf(got) == (region in empty))
+        assert np.array_equal(np.isinf(got), np.isinf(ref))
+    assert np.all(np.isfinite(dXA) & (dXA > 0))
+    if empty == "B":
+        want = -dXA / (dXA + dC)
+    elif empty == "C":
+        want = dXA / (dXA + dB)
+    else:
+        want = np.zeros_like(dXA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = psi(part, backend, pts)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.all(np.abs(got) <= 1.0)
+
+
+def test_first_order_complement_sides(affine_part):
+    # on [-1, 1]^2 with phi = x, c = 0, eps = 0.5 the band A = [-1, 1] is
+    # the whole box: no grid point lies outside A on either side, so the
+    # complement of A is at +inf (SampledBackend's OUT cloud is empty);
+    # on [-1.5, 1]^2 only the lower side has grid points
+    backend = build_backend(affine_part, "first_order", 41)
+    pts = np.array([[0.2, 0.0], [-0.1, 0.5]])
+    phi = affine_part.field.evaluate(pts)
+    gnorm = affine_part.field.grad_norm(pts)
+    assert np.all(np.isinf(backend.distances(pts, phi, gnorm)[2]))
+    assert len(build_backend(affine_part, "sampled", 41).clouds["OUT"]) == 0
+    box = DomainBox(np.array([-1.5, -1.0]), np.array([1.0, 1.0]))
+    part = BandPartition(affine_part.field, box, affine_part.params)
+    dXA = build_backend(part, "first_order", 41).distances(pts, phi, gnorm)[2]
+    assert np.array_equal(dXA, phi + 1.0)
+
+
+def test_first_order_matches_exact_affine(affine_wide_df):
+    # with ||grad phi|| = |a| the first-order distances are the closed-form
+    # ones; the norms may differ in the last bit
+    part = affine_wide_df.part
+    first = build_backend(part, "first_order", 41)
+    pts = part.box.sample(np.random.default_rng(3), 2000)
+    phi = part.field.evaluate(pts)
+    gnorm = part.field.grad_norm(pts)
+    for got, want in zip(first.distances(pts, phi, gnorm),
+                         affine_wide_df.backend.distances(pts, phi, gnorm)):
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+    assert np.allclose(psi(part, first, pts),
+                       psi(part, affine_wide_df.backend, pts),
+                       rtol=0.0, atol=1e-14)
+
+
+def test_build_backend_default_follows_the_field(affine_part, w2s_deformation):
+    assert isinstance(build_backend(affine_part), ExactAffineBackend)
+    part = w2s_deformation.part
+    backend = build_backend(part, resolution=41)
+    assert isinstance(backend, FirstOrderBackend)
+    assert backend.name == "first_order"
+    with pytest.raises(ValueError):
+        build_backend(part, "first_order", resolution=2)
+    with pytest.raises(ValueError):
+        build_backend(part, "kd_tree")
+
+
+def test_first_order_agrees_with_sampled_reference():
+    # the deform_flow configuration (well_to_saddle, c = 0.5, eps = 0.1,
+    # D = {phi = c}): away from the band edges the sampled psi converges to
+    # the first-order psi as the grid is refined
+    f = catalog_field("well_to_saddle")
+    part = BandPartition(f, default_box("well_to_saddle"),
+                         DeformationParams(c=0.5, eps=0.1),
+                         RegionSpec.level_set(0.5))
+    pts = part.box.sample(np.random.default_rng(17), 200_000)
+    pts = pts[part.classify(pts) == RegionTag.A_OTHER]
+    assert len(pts) >= 10_000
+    edges = np.array([*part.a_range, *part.b_range, *part.c_range])
+    phi = f.evaluate(pts)
+    pts = pts[np.min(np.abs(phi[:, None] - edges), axis=1) >= 0.02]
+    first = psi(part, build_backend(part, "first_order", 201), pts)
+    gaps, flips = [], []
+    for resolution in (101, 201, 401):
+        ref = psi(part, build_backend(part, "sampled", resolution), pts)
+        gaps.append(float(np.max(np.abs(first - ref))))
+        flips.append(float(np.mean(np.sign(first) != np.sign(ref))))
+    assert gaps[0] > gaps[1] > gaps[2], gaps
+    assert flips[0] > flips[1] > flips[2], flips
+    assert flips[2] < 0.03, flips
+
+
 def test_psi_underflowed_quotient_is_zero(affine_part):
     # a denominator below 1e-300 whose numerator underflows with it is the
     # 0/0 where dXA and dB dC vanish together: psi is 0 there, and the other
@@ -225,7 +346,7 @@ def _d_specs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_d_specs(), st.sampled_from(["exact_affine", "sampled"]),
+@given(_d_specs(), st.sampled_from(["exact_affine", "first_order", "sampled"]),
        st.integers(0, 2**32 - 1))
 def test_psi_plateaus_match_classify(affine_wide_df, d_spec, kind, seed):
     wide = affine_wide_df.part

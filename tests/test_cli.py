@@ -236,8 +236,16 @@ MINIMAX = {
 }
 
 
+GEOMETRY = {
+    "functional": {"catalog": "well_to_saddle"},
+    "minimax": {"pin_zero": [0.0, 0.0], "pin_e": [2.0, 0.0]},
+    "geometry": {"r": 1.0, "sphere_samples": 64},
+}
+
+
 _SECTION_RUNS = {"deformation": ("deform", AFFINE_DEFORM),
-                 "minimax": ("minimax", MINIMAX), "ps": ("pscheck", PSCHECK)}
+                 "minimax": ("minimax", MINIMAX), "ps": ("pscheck", PSCHECK),
+                 "geometry": ("geometry", GEOMETRY)}
 
 
 @pytest.mark.parametrize("name, value", [
@@ -248,6 +256,8 @@ _SECTION_RUNS = {"deformation": ("deform", AFFINE_DEFORM),
     ("minimax.M", 10),
     ("minimax.M", 4),
     ("ps.level", "x"),
+    ("geometry.r", "x"),
+    ("geometry.r", -1.0),
 ])
 def test_bad_section_field_exits_2(tmp_path, capsys, name, value):
     section, key = name.split(".")
@@ -260,3 +270,36 @@ def test_boolean_seed_exits_2(tmp_path, capsys):
     # int(True) would silently run seed 1
     err = _config_error(tmp_path, capsys, "pscheck", dict(PSCHECK, seed=True))
     assert "seed" in err
+
+
+@pytest.mark.parametrize("catalog", [[], 3, None])
+def test_non_string_catalog_exits_2(tmp_path, capsys, catalog):
+    cfg = dict(AFFINE_DEFORM, functional={"catalog": catalog})
+    assert "functional.catalog" in _config_error(tmp_path, capsys, "deform", cfg)
+
+
+@pytest.mark.parametrize("sub, base", [("minimax", MINIMAX),
+                                       ("geometry", GEOMETRY)])
+@pytest.mark.parametrize("pin", [[float("nan"), 0.0], [50.0, 0.0]])
+def test_pin_outside_the_box_exits_2(tmp_path, capsys, sub, base, pin):
+    # a NaN pin gave c1 = c2 = null, a far one c2 = 5.76e6, both with exit 0
+    cfg = dict(base, minimax=dict(base["minimax"], pin_zero=pin))
+    assert "pin_zero" in _config_error(tmp_path, capsys, sub, cfg)
+
+
+def test_deform_at_an_empty_band_is_vacuous(tmp_path):
+    # the two-pin argument's c1 level on well_to_saddle: phi >= 0, so B is
+    # empty; the default backend of a non-affine field is first_order, which
+    # writes no region clouds
+    cfg = {"functional": {"catalog": "well_to_saddle"},
+           "deformation": {"c": 0.0, "eps": 0.1, "samples": 300,
+                           "d_spec": {"kind": "level_set", "value": 0.0}}}
+    code, report, out = _run(tmp_path, "deform", cfg, "--strict")
+    assert code == 0
+    result = report["payload"]["result"]
+    assert result["b_prime"]["sampled_B"] == 0
+    assert result["b_prime"]["vacuous"] is True
+    assert result["c_prime"]["sampled_C"] > 0
+    assert "vacuous" not in result["c_prime"]
+    assert (out / "psi_grid.csv").exists()
+    assert not (out / "region_clouds.csv").exists()

@@ -7,7 +7,6 @@ from passlab import (BandPartition, DeformationParams, FlowConfig,
                      default_box, DeformationField, eta, integrate_flow,
                      vector_field, verify_deformation)
 from passlab.flow import eta_batch
-from passlab.errors import EmptyRegion
 
 
 def test_vector_field_values(affine_df):
@@ -121,13 +120,41 @@ def test_verify_deformation_affine(affine_df, flow_cfg):
     assert d["samples"] == 300 and "eq31_max_residual" in d
 
 
-def test_verify_deformation_empty_band_raises():
+def test_verify_deformation_empty_band_is_vacuous(w2s_deformation):
+    # c = -5 puts the whole band below the paraboloid's range: no sample
+    # starts in B or C, both conclusions hold vacuously, and every sample is
+    # a bit-exact fixed point
     f = catalog_field("paraboloid")
     part = BandPartition(f, default_box("paraboloid"),
                          DeformationParams(c=-5.0, eps=0.1))
     df = DeformationField(f, part, build_backend(part, "sampled", 51))
-    with pytest.raises(EmptyRegion):
-        verify_deformation(df, FlowConfig(), samples=100, seed=0)
+    rep = verify_deformation(df, FlowConfig(), samples=100, seed=0)
+    assert rep.b_prime == {"sampled_B": 0, "confined_in_B": 0,
+                           "confined_satisfying": 0,
+                           "unconditional_fraction_reaching_c_plus_eps": 0.0,
+                           "vacuous": True}
+    assert rep.c_prime["sampled_C"] == 0 and rep.c_prime["vacuous"] is True
+    assert rep.a_prime_checked == 100 and rep.a_prime_violations == 0
+    # the valley level of well_to_saddle: B is empty, C is sampled
+    rep = verify_deformation(w2s_deformation, FlowConfig(step=0.002),
+                             samples=300, seed=0)
+    assert rep.b_prime["sampled_B"] == 0 and rep.b_prime["vacuous"] is True
+    assert rep.c_prime["sampled_C"] > 0 and "vacuous" not in rep.c_prime
+    assert rep.a_prime_violations == 0 and rep.speed_violations == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_first_order_eq31_gate(w2s_field, w2s_box, seed):
+    # the deform_flow configuration on the first-order backend: psi is
+    # continuous at the band edges, so no trajectory chatters across one and
+    # the derivative identity holds to the stencil's accuracy
+    part = BandPartition(w2s_field, w2s_box, DeformationParams(c=0.5, eps=0.1),
+                         RegionSpec.level_set(0.5))
+    df = DeformationField(w2s_field, part, build_backend(part, "first_order"))
+    rep = verify_deformation(df, FlowConfig(), samples=1000, seed=seed)
+    assert rep.eq31_max_residual <= 1e-4
+    assert rep.a_prime_violations == 0
+    assert rep.speed_violations == 0
 
 
 def test_verify_deformation_deterministic(affine_df, flow_cfg):

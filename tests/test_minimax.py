@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from passlab import (MountainPassInstance, catalog_field, check_conclusions,
-                     check_mpt_geometry, default_box, optimize_c1, optimize_c2,
-                     ps_probe, trace_proof_argument)
+from passlab import (MountainPassInstance, catalog_field, catalog_names,
+                     check_conclusions, check_mpt_geometry, default_box,
+                     optimize_c1, optimize_c2, ps_probe, trace_proof_argument)
 from passlab.errors import InvalidInstance
 
 OPT_KW = dict(ensemble_size=4, M=16, max_iters=150, seed=0)
@@ -47,6 +49,37 @@ def test_history_monotone(w2s_results):
     r1, r2 = w2s_results
     assert all(b >= a for a, b in zip(r1.history, r1.history[1:]))
     assert all(b <= a for a, b in zip(r2.history, r2.history[1:]))
+
+
+_UNIT = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(catalog_names()), _UNIT, _UNIT,
+       st.integers(0, 2**32 - 1))
+def test_histories_monotone_random_pins(name, a, b, seed):
+    # a candidate is accepted only if it improves the objective, so the
+    # histories are monotone for any landscape, pins in the box and seed
+    f, box = catalog_field(name), default_box(name)
+    z = box.lo + np.asarray(a) * (box.hi - box.lo)
+    e = box.lo + np.asarray(b) * (box.hi - box.lo)
+    assume(not np.array_equal(z, e))
+    inst = MountainPassInstance(f, box, z, e)
+    kw = dict(ensemble_size=2, M=8, max_iters=30, seed=seed)
+    r1, r2 = optimize_c1(inst, **kw), optimize_c2(inst, **kw)
+    assert all(y >= x for x, y in zip(r1.history, r1.history[1:]))
+    assert all(y <= x for x, y in zip(r2.history, r2.history[1:]))
+    assert r1.history[-1] == r1.value and r2.history[-1] == r2.value
+
+
+def test_pins_outside_the_box_rejected(w2s_field, w2s_box):
+    for bad in ([np.nan, 0.0], [50.0, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="pin_zero"):
+            MountainPassInstance(w2s_field, w2s_box, np.array(bad),
+                                 np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="pin_e"):
+            MountainPassInstance(w2s_field, w2s_box, np.array([1.0, 0.0]),
+                                 np.array(bad))
 
 
 def test_bounds_vs_pins(w2s_instance, w2s_results):

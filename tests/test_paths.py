@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from passlab import (BandPartition, DeformationField, DeformationParams,
                      DiscretePath, DomainBox, ExactAffineBackend, FlowConfig,
-                     MountainPassInstance, catalog_field,
-                     deform_path, make_path, path_extrema)
+                     MountainPassInstance, RegionSpec, build_backend,
+                     catalog_field, default_box, deform_path, make_path,
+                     path_extrema)
 from passlab.errors import InvalidM, PinMoved
 
 
@@ -123,3 +124,32 @@ def test_endpoints_mode_radius_constraint(w2s_field, w2s_box):
         MountainPassInstance(w2s_field, w2s_box, np.array([0.0, 0.0]),
                              np.array([0.5, 0.0]), pin_mode="endpoints",
                              radius=1.0)
+
+
+_UNIT = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["exact_affine", "first_order"]), _UNIT, _UNIT,
+       st.booleans(), st.floats(0.05, 0.5), st.integers(0, 2**32 - 1))
+def test_pins_exact_under_deform_path(kind, a, b, d_on_e, scale, seed):
+    # the two-pin argument's setting: D is the level set through one pin and
+    # eps is small enough that the other pin lies outside the band, so the
+    # deformation must return both pins bit for bit whatever the free nodes
+    # of the path do
+    name = "affine" if kind == "exact_affine" else "well_to_saddle"
+    f, box = catalog_field(name), default_box(name)
+    z = box.lo + np.asarray(a) * (box.hi - box.lo)
+    e = box.lo + np.asarray(b) * (box.hi - box.lo)
+    phi_z, phi_e = float(f.evaluate(z)), float(f.evaluate(e))
+    gap = abs(phi_e - phi_z)
+    assume(gap > 1e-3)
+    c = phi_e if d_on_e else phi_z
+    part = BandPartition(f, box, DeformationParams(c, min(0.5, gap / 4.0)),
+                         RegionSpec.level_set(c))
+    df = DeformationField(f, part, build_backend(part, kind, 41))
+    inst = MountainPassInstance(f, box, z, e)
+    path = make_path(inst, 16, init="jitter", scale=scale, seed=seed)
+    out = deform_path(df, FlowConfig(step=df.horizon / 200), path)
+    for idx in path.pinned:
+        assert np.array_equal(out.nodes[idx], path.nodes[idx])
