@@ -2,21 +2,21 @@
 
 The configuration is the simplest possible: phi(x, y) = x on [-2, 2]^2 with
 center level 0 and eps = 0.5.  The band structure is then a stack of
-vertical slabs, distances are closed-form, and every claim can be checked
-by eye.
+vertical slabs, the default first-order distances are the closed-form slab
+distances, and every claim can be checked by eye.
 """
 import numpy as np
 
 from passlab import (BandPartition, DeformationField, DeformationParams,
-                     DomainBox, ExactAffineBackend, FlowConfig, catalog_field,
+                     DomainBox, FlowConfig, build_backend, catalog_field,
                      classify_region, eta, integrate_flow, psi,
                      verify_deformation)
 
 field = catalog_field("affine")
 box = DomainBox(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
 part = BandPartition(field, box, DeformationParams(0.0, 0.5))
-backend = ExactAffineBackend(part)
-df = DeformationField(field, part, backend)
+backend = build_backend(part)
+df = DeformationField(part, backend)
 cfg = FlowConfig()
 
 print("Band structure for phi = x, c = 0, eps = 0.5")

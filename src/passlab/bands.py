@@ -20,15 +20,14 @@ ints, passes a batch through whole when all its rows need the gradient or
 the set distances, and tests for a degenerate quotient only where a
 denominator underflows.
 
-Three backends give the set distances between the plateaus.
-ExactAffineBackend has them in closed form for an affine field.
-FirstOrderBackend, the default for every other field, divides the slab
-distance in phi by the local ||grad phi||: the distances vanish at the band
-edges, so psi is continuous there, and no point lookup is made.
-SampledBackend measures them to grid point clouds with KD-trees; it is the
-set-distance reference the first-order distances are checked against.  A
-band (or a side of the complement of A) with no grid point is at +inf in
-both of the grid-based backends.
+Two backends give the set distances between the plateaus, both measured
+in the box.  FirstOrderBackend, the default, divides the slab distance in
+phi by the local ||grad phi||: the distances vanish at the band edges, so
+psi is continuous there, no point lookup is made, and they are exact for an
+affine field.  SampledBackend measures them to grid point clouds with
+KD-trees; it is the set-distance reference the first-order distances are
+checked against.  A band (or a side of the complement of A) with no grid
+point is at +inf in both.
 """
 from __future__ import annotations
 
@@ -40,7 +39,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegeneratePartition, EmptyRegion, InvalidRegionSpec
+from .errors import DegeneratePartition, InvalidRegionSpec
 from .fields import DomainBox, ScalarField
 
 # Minimum separation (in units of eps) between D's value range and the
@@ -230,35 +229,9 @@ def classify_region(part: BandPartition, u) -> RegionTag:
     return RegionTag(part.classify(u[None, :])[0])
 
 
-def _slab_distance(phi, lo, hi, anorm):
-    """Distance from phi-values to the slab phi in [lo, hi], for ||grad|| = anorm."""
-    return np.maximum(np.maximum(lo - phi, phi - hi), 0.0) / anorm
-
-
-class ExactAffineBackend:
-    """Closed-form slab distances; valid only for exactly affine fields."""
-
-    name = "exact_affine"
-
-    def __init__(self, part: BandPartition):
-        if part.field.affine is None:
-            raise ValueError("ExactAffineBackend requires an affine field")
-        self.part = part
-        a, _ = part.field.affine
-        self.anorm = float(np.linalg.norm(a))
-        if self.anorm == 0.0:
-            raise ValueError("affine field has zero gradient")
-
-    def distances(self, u, phi, gnorm):
-        """Set distances (dB, dC, dXA) from points u with values phi and
-        gradient norms gnorm; plateau rows are not masked."""
-        part = self.part
-        dB = _slab_distance(phi, *part.b_range, self.anorm)
-        dC = _slab_distance(phi, *part.c_range, self.anorm)
-        a_lo, a_hi = part.a_range
-        inside = np.minimum(phi - a_lo, a_hi - phi) / self.anorm
-        d_out = np.maximum(inside, 0.0)
-        return dB, dC, np.minimum(d_out, part.d_distance(u, phi, gnorm))
+def _slab_distance(phi, lo, hi, gnorm):
+    """Distance from phi-values to the slab phi in [lo, hi], for ||grad|| = gnorm."""
+    return np.maximum(np.maximum(lo - phi, phi - hi), 0.0) / gnorm
 
 
 def _grid_tags(part: BandPartition, resolution: int):
@@ -275,8 +248,8 @@ class FirstOrderBackend:
     """First-order set distances: the slab distance in phi divided by the
     local ||grad phi|| (floored at min_grad_floor).
 
-    This is ExactAffineBackend's formula with ||grad phi|| in place of |a|,
-    so it is exact for affine fields and vanishes at every band edge.  The
+    For an affine field a . u + b this is the closed-form distance to a
+    slab, |a| being ||grad phi||; it vanishes at every band edge.  The
     distance to the complement of A is the nearer of its lower and upper
     sides.  A band or side that no point of box.grid(resolution) falls in
     is at +inf, exactly where SampledBackend at that resolution has an
@@ -354,41 +327,15 @@ class SampledBackend:
 
 def build_backend(part: BandPartition, kind: Optional[str] = None,
                   resolution: int = 201):
-    """The set-distance backend ``kind`` ("exact_affine", "first_order" or
-    "sampled"; the grid-based two at ``resolution`` points per axis).
-
-    With kind None the choice follows the field: exact_affine for an affine
-    field, first_order otherwise.
-    """
-    if kind is None:
-        kind = "exact_affine" if part.field.affine is not None else "first_order"
-    if kind == "exact_affine":
-        return ExactAffineBackend(part)
-    if kind == "first_order":
+    """The set-distance backend ``kind``, "first_order" (the default, also
+    for kind None) or "sampled", on the grid of ``resolution`` points per
+    axis."""
+    if kind is None or kind == "first_order":
         return FirstOrderBackend(part, resolution)
     if kind == "sampled":
         return SampledBackend(part, resolution)
-    raise ValueError(f"unknown backend kind {kind!r}")
-
-
-def region_distance(part: BandPartition, backend, u, region: str):
-    """Distance from u to one of B, C, or the complement of A."""
-    u = np.asarray(u, dtype=float)
-    U = np.atleast_2d(u)
-    phi = np.asarray(part.field.evaluate(U))
-    tags = part.tags(U, phi)
-    dB, dC, dXA = backend.distances(U, phi, part.field.grad_norm(U))
-    zero = (tags == RegionTag.OUTSIDE) | (tags == RegionTag.D)
-    pick = {"B": np.where(tags == RegionTag.B, 0.0, dB),
-            "C": np.where(tags == RegionTag.C, 0.0, dC),
-            "complement_of_A": np.where(zero, 0.0, dXA)}
-    try:
-        d = pick[region]
-    except KeyError:
-        raise ValueError(f"region must be one of {sorted(pick)}, got {region!r}")
-    if np.any(np.isinf(d)):
-        raise EmptyRegion(f"region {region} has no sampled points inside the box")
-    return float(d[0]) if u.ndim == 1 else d
+    raise ValueError(f"unknown backend kind {kind!r}; "
+                     f"have 'first_order' and 'sampled'")
 
 
 def cutoff_stage(part: BandPartition, backend, U):

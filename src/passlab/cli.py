@@ -31,12 +31,17 @@ from .minimax import (check_conclusions, check_mpt_geometry, optimize_c1,
 from .paths import MountainPassInstance, check_m
 
 
+def _object(value, name: str) -> dict:
+    """A config section, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {name!r} must be an object")
+    return value
+
+
 def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"config is missing required section {key!r}")
-    if not isinstance(cfg[key], dict):
-        raise ConfigError(f"config section {key!r} must be an object")
-    return cfg[key]
+    return _object(cfg[key], key)
 
 
 _REQUIRED = object()
@@ -120,6 +125,7 @@ def _build_d_spec(d: dict) -> RegionSpec:
 
 def _deformation_objects(cfg, field, box):
     d = _require(cfg, "deformation")
+    d_spec = _object(d.get("d_spec", {}), "deformation.d_spec")
     params = DeformationParams(_number(d, "deformation.c"),
                                _number(d, "deformation.eps", positive=True))
     resolution = _number(d, "deformation.resolution", int, 201)
@@ -127,11 +133,15 @@ def _deformation_objects(cfg, field, box):
         step=_number(d, "deformation.step", default=None, positive=True),
         record_every=_number(d, "deformation.record_every", int, 1, positive=True))
     try:
-        part = BandPartition(field, box, params, _build_d_spec(d.get("d_spec", {})))
-        backend = build_backend(part, d.get("backend"), resolution)
+        part = BandPartition(field, box, params, _build_d_spec(d_spec))
     except (KeyError, TypeError, ValueError, PasslabError) as exc:
         raise ConfigError(f"bad deformation section: {exc}")
-    df = DeformationField(field, part, backend)
+    try:
+        backend = build_backend(part, d.get("backend"), resolution)
+    except ValueError as exc:
+        raise ConfigError(
+            f"bad deformation.backend or deformation.resolution: {exc}")
+    df = DeformationField(part, backend)
     try:
         fcfg.grid(df.horizon)
     except ValueError as exc:
@@ -246,7 +256,7 @@ def _run_minimax(cfg, seed, out_dir):
         check_m(kw["M"])
     except InvalidM as exc:
         raise ConfigError(f"minimax.M: {exc}") from None
-    o = cfg.get("oracle")
+    o = _require(cfg, "oracle") if "oracle" in cfg else {}
     if o:
         g = _oracle_grid(o, field, box)
         p, q = _oracle_nodes(g, inst.pin_zero, inst.pin_e,

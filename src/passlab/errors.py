@@ -13,10 +13,6 @@ class InvalidRegionSpec(PasslabError):
     """A fixed-region spec is too close in value to the push bands."""
 
 
-class EmptyRegion(PasslabError):
-    """A queried region contains no points inside the domain box."""
-
-
 class DegeneratePartition(PasslabError):
     """The cutoff quotient's denominator underflowed while the numerator did not."""
 

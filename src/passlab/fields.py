@@ -1,12 +1,14 @@
 """Scalar fields on bounded boxes: evaluation, analytic gradients, audit.
 
 All fields are vectorized: points may be a single vector of shape (dim,)
-or a batch of shape (..., dim).
+or a batch of shape (..., dim).  A field is its name, dimension, value and
+gradient and nothing more: no closed form is attached to it, so the cutoff's
+set distances treat an affine field like any other.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -67,15 +69,13 @@ class ScalarField:
     """A scalar functional with analytic gradient.
 
     eval_fn maps (..., dim) -> (...); grad_fn maps (..., dim) -> (..., dim).
-    Both must be deterministic. affine holds (a, b) coefficients when the
-    field is exactly a . u + b, enabling closed-form set distances.
+    Both must be deterministic.
     """
 
     name: str
     dim: int
     eval_fn: Callable[[np.ndarray], np.ndarray] = dc_field(repr=False)
     grad_fn: Callable[[np.ndarray], np.ndarray] = dc_field(repr=False)
-    affine: Optional[tuple] = None
 
     def _check(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -106,7 +106,7 @@ def affine_field(a=(1.0, 0.0), b: float = 0.0, name: str = "affine") -> ScalarFi
     def gr(u):
         return np.broadcast_to(a, u.shape).copy()
 
-    return ScalarField(name, a.size, ev, gr, affine=(a, float(b)))
+    return ScalarField(name, a.size, ev, gr)
 
 
 def paraboloid_field(dim: int = 2) -> ScalarField:
@@ -193,7 +193,7 @@ def polynomial_field(dim: int, terms: Sequence[tuple], name: str = "poly") -> Sc
     """Dense multi-index polynomial: terms is a list of (exps, coef).
 
     exps is a length-dim tuple of nonnegative integer exponents with total
-    degree <= 8. Degree-1 polynomials get closed-form affine coefficients.
+    degree <= 8.
     """
     parsed = []
     for exps, coef in terms:
@@ -228,17 +228,7 @@ def polynomial_field(dim: int, terms: Sequence[tuple], name: str = "poly") -> Sc
                 out[..., ax] += term
         return out
 
-    affine = None
-    if all(sum(exps) <= 1 for exps, _ in parsed):
-        a = np.zeros(dim)
-        b = 0.0
-        for exps, coef in parsed:
-            if sum(exps) == 0:
-                b += coef
-            else:
-                a[exps.index(1)] += coef
-        affine = (a, b)
-    return ScalarField(name, dim, ev, gr, affine=affine)
+    return ScalarField(name, dim, ev, gr)
 
 
 def gradient_check(field: ScalarField, box: DomainBox, samples: int = 1000,

@@ -33,13 +33,12 @@ from .fields import ScalarField
 
 @dataclass(frozen=True)
 class DeformationField:
-    field: ScalarField
     part: BandPartition
     backend: object
 
-    def __post_init__(self):
-        if self.field is not self.part.field:
-            raise ValueError("field must be the partition's field")
+    @property
+    def field(self) -> ScalarField:
+        return self.part.field
 
     def psi(self, u):
         return psi_fn(self.part, self.backend, u)
@@ -121,6 +120,12 @@ class _Run(NamedTuple):
         return out
 
 
+def _record_steps(cfg: FlowConfig, n: int) -> set:
+    """The steps a recording run of n steps records at: 0, every
+    record_every-th step and n."""
+    return set(range(0, n + 1, cfg.record_every)) | {n}
+
+
 def _integrate(df: DeformationField, cfg: FlowConfig, U0: np.ndarray,
                record: bool) -> _Run:
     """RK4 on a batch of starts (N, dim).
@@ -143,7 +148,7 @@ def _integrate(df: DeformationField, cfg: FlowConfig, U0: np.ndarray,
     if not np.any(live):
         return _Run(np.array([0.0, n * h]), live, np.stack([U, U]),
                     np.stack(psis * 2), psi0, clamped)
-    rec = set(range(0, n + 1, cfg.record_every)) if record else set()
+    rec = _record_steps(cfg, n) if record else {n}
     box = df.part.box
     for k in range(1, n + 1):
         k2 = _stage(df, U + (0.5 * h) * k1)[0]
@@ -159,7 +164,7 @@ def _integrate(df: DeformationField, cfg: FlowConfig, U0: np.ndarray,
             k1, psi = _stage(df, U)
         else:
             psi = cutoff_stage(df.part, df.backend, U)[0]
-        if k in rec or k == n:
+        if k in rec:
             times.append(k * h)
             path.append(U)
             psis.append(psi)
@@ -221,21 +226,23 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
     The fixed-point check is bit-exact on points outside the band or in D.
     The push-up/push-down conclusions are reported both conditionally
     (trajectories confined to B resp. C for the whole horizon) and as the
-    unconditional fraction that reached the target level; when no sample
-    starts in B (resp. C), as at a level where that band is empty, the
-    record says it holds vacuously ("vacuous": True).  The derivative
-    identity d/dt phi(sigma) = psi(sigma) is audited by finite differences
-    over record intervals whose endpoints and spatial midpoint share one
-    region tag; intervals straddling a region boundary are excluded and
-    counted, because the midpoint stencil is only second-order accurate
-    away from the cutoff's derivative kinks.
+    unconditional fraction that reached the target level, NaN when no
+    unclamped sample starts in the band; when no sample starts in B (resp.
+    C), as at a level where that band is empty, the record says it holds
+    vacuously ("vacuous": True).  The derivative identity d/dt phi(sigma) =
+    psi(sigma) is audited by finite differences over record intervals whose
+    endpoints and spatial midpoint share one region tag; intervals
+    straddling a region boundary are excluded and counted, because the
+    midpoint stencil is only second-order accurate away from the cutoff's
+    derivative kinks.
 
     phi, tags, midpoints and gradient norms are evaluated on the live rows'
     recorded path only, with psi as recorded by the integrator.  A frozen
-    row is evaluated once at its start and weighted by the number of
-    recorded states (speed bound) or record intervals (derivative identity),
-    so the report equals an audit of every row at every recorded time.  The
-    fixed-point check compares the rebuilt final states with the starts.
+    row is evaluated once at its start and weighted by the number of states
+    (speed bound) or intervals (derivative identity) of the record schedule,
+    whether or not any row is live, so the report equals an audit of every
+    row at every scheduled time.  The fixed-point check compares the rebuilt
+    final states with the starts.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -281,7 +288,8 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
                f"confined_in_{tag.name}": int(np.sum(confined)),
                "confined_satisfying": int(np.sum(confined & reached)),
                f"unconditional_fraction_reaching_{target}":
-                   float(np.sum(reached) / max(1, np.sum(m)))}
+                   float(np.sum(reached) / np.sum(m)) if np.any(m)
+                   else float("nan")}
         if not np.any(in_band):   # no start in the band: holds vacuously
             rec["vacuous"] = True
         return rec
@@ -290,8 +298,11 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
     c_prime = push_record(RegionTag.C, phi_end <= c - eps + tol, "c_minus_eps")
 
     # derivative identity residual over uniform-tag record intervals; each of
-    # a frozen row's n_rec - 1 intervals is used (dphi = 0, the midpoint is
-    # the start) with residual |psi at the start|
+    # a frozen row's n_sched - 1 intervals is used (dphi = 0, the midpoint is
+    # the start) with residual |psi at the start|.  n_sched counts the
+    # schedule, not the run's records: a run with no live row records only
+    # t = 0 and t = T.
+    n_sched = len(_record_steps(cfg, cfg.grid(df.horizon)[0]))
     dt = np.diff(run.times)[:, None]
     dphi = np.diff(phis, axis=0)
     mids = (0.5 * (path[:-1] + path[1:])).reshape(-1, dim)
@@ -301,12 +312,12 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
     same = (tags[:-1] == tags[1:]) & (tags[:-1] == tag_mid) & ok_live
     resid = np.concatenate([np.abs(dphi / dt - psi_mid)[same],
                             np.abs(run.psi0[frozen])])
-    used = int(np.sum(same)) + (n_rec - 1) * int(np.sum(frozen))
+    used = int(np.sum(same)) + (n_sched - 1) * int(np.sum(frozen))
     excluded = int(np.sum(~same & ok_live))
     eq31 = float(np.max(resid)) if used else float("nan")
 
     # speed bound over all recorded states with ||grad|| >= 2 eps; a frozen
-    # row's n_rec states are all its start
+    # row's n_sched states are all its start
     gns = df.field.grad_norm(path.reshape(-1, dim)).reshape(n_rec, n_live)
     bound = 1.0 / (2.0 * eps) + 1e-12
 
@@ -317,8 +328,9 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
 
     live_f = checked_speeds(run.psi, gns)
     frozen_f = checked_speeds(run.psi0[frozen], gn0[frozen])
-    speed_checked = live_f.size + n_rec * frozen_f.size
-    speed_viol = int(np.sum(live_f > bound)) + n_rec * int(np.sum(frozen_f > bound))
+    speed_checked = live_f.size + n_sched * frozen_f.size
+    speed_viol = (int(np.sum(live_f > bound))
+                  + n_sched * int(np.sum(frozen_f > bound)))
     speed_max = (float(np.max(np.concatenate([live_f, frozen_f])))
                  if speed_checked else 0.0)
 

@@ -87,12 +87,6 @@ class GridGraph:
     def unflat(self, idx: int):
         return tuple(int(i) for i in np.unravel_index(idx, self.shape))
 
-    def point(self, idx: int) -> np.ndarray:
-        node = self.unflat(idx)
-        if self.coords is None:
-            return np.asarray(node, dtype=float)
-        return np.array([self.coords[ax][i] for ax, i in enumerate(node)])
-
     def nearest_node(self, point) -> int:
         point = np.asarray(point, dtype=float)
         idx = []

@@ -9,9 +9,8 @@ per-member history is monotone by construction.  The estimates are meant
 to be validated against the grid oracles, not trusted.
 
 The proof tracer deforms at each level with D = {phi = level} on the
-default backend of bands.build_backend: closed-form distances for an affine
-field, first-order distances otherwise, so its RK4 stages make no point
-lookups.
+default backend of bands.build_backend, first-order distances, so its RK4
+stages make no point lookups.
 """
 from __future__ import annotations
 
@@ -233,7 +232,7 @@ def _deformation_at(inst, level, eps_level, backend_resolution):
     params = DeformationParams(c=level, eps=eps_level)
     d_spec = RegionSpec.level_set(level)
     part = BandPartition(inst.field, inst.box, params, d_spec)
-    return DeformationField(inst.field, part,
+    return DeformationField(part,
                             build_backend(part, resolution=backend_resolution))
 
 

@@ -3,9 +3,8 @@ import numpy as np
 import pytest
 
 from passlab import (BandPartition, DeformationField, DeformationParams,
-                     DomainBox, ExactAffineBackend, FlowConfig,
-                     MountainPassInstance, RegionSpec, build_backend,
-                     catalog_field, default_box)
+                     DomainBox, FlowConfig, MountainPassInstance, RegionSpec,
+                     build_backend, catalog_field, default_box)
 
 
 @pytest.fixture(scope="session")
@@ -15,27 +14,31 @@ def affine_field():
 
 @pytest.fixture(scope="session")
 def affine_part(affine_field):
-    """phi = x, c = 0, eps = 0.5, D empty, on the default box [-1,1]^2."""
+    """phi = x, c = 0, eps = 0.5, D empty, on the default box [-1,1]^2.
+
+    The band A = [-1, 1] is the whole box, so the complement of A is empty
+    and at distance +inf."""
     params = DeformationParams(c=0.0, eps=0.5)
     return BandPartition(affine_field, default_box("affine"), params)
 
 
 @pytest.fixture(scope="session")
 def affine_backend(affine_part):
-    return ExactAffineBackend(affine_part)
+    return build_backend(affine_part)
 
 
 @pytest.fixture(scope="session")
-def affine_df(affine_field, affine_part, affine_backend):
-    return DeformationField(affine_field, affine_part, affine_backend)
+def affine_df(affine_part, affine_backend):
+    return DeformationField(affine_part, affine_backend)
 
 
 @pytest.fixture(scope="session")
 def affine_wide_df(affine_field):
-    """Same configuration on [-2,2]^2 so OUTSIDE points exist in the box."""
+    """Same configuration on [-2,2]^2 so OUTSIDE points exist in the box on
+    both sides of A, and the set distances are the closed-form slab ones."""
     box = DomainBox(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
     part = BandPartition(affine_field, box, DeformationParams(c=0.0, eps=0.5))
-    return DeformationField(affine_field, part, ExactAffineBackend(part))
+    return DeformationField(part, build_backend(part))
 
 
 @pytest.fixture(scope="session")
@@ -68,4 +71,4 @@ def w2s_deformation(w2s_field, w2s_box):
     part = BandPartition(w2s_field, w2s_box, params,
                          RegionSpec.level_set(0.0))
     backend = build_backend(part, "sampled", resolution=201)
-    return DeformationField(w2s_field, part, backend)
+    return DeformationField(part, backend)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from passlab import (BandPartition, DeformationField, DeformationParams,
-                     DomainBox, ExactAffineBackend, FlowConfig, GridGraph,
+                     DomainBox, FlowConfig, GridGraph,
                      MountainPassInstance, RegionSpec, RegionTag,
                      bottleneck_value, build_backend, catalog_field,
                      catalog_names, check_conclusions, default_box,
@@ -26,16 +26,12 @@ def _verdict(num, label, ok, detail=""):
     assert ok, f"criterion {num} ({label}): {detail}"
 
 
-def _affine_exact():
-    f = catalog_field("affine")
-    part = BandPartition(f, default_box("affine"), DeformationParams(0.0, 0.5))
-    return DeformationField(f, part, ExactAffineBackend(part))
-
-
 @pytest.fixture(scope="module")
 def affine_verification():
     """Criterion 4's run, shared with criterion 2's speed audit."""
-    df = _affine_exact()
+    part = BandPartition(catalog_field("affine"), default_box("affine"),
+                         DeformationParams(0.0, 0.5))
+    df = DeformationField(part, build_backend(part))
     t0 = time.perf_counter()
     rep = verify_deformation(df, FlowConfig(), samples=100, seed=0)
     return rep, time.perf_counter() - t0
@@ -44,7 +40,7 @@ def affine_verification():
 def test_criterion_01_cutoff_suite():
     t0 = time.perf_counter()
     violations = 0
-    configs = [("affine", "exact")]
+    configs = [("affine", "first_order")]
     for name in ("paraboloid", "well_to_saddle"):
         configs.append((name, "sampled"))
     for name, kind in configs:
@@ -52,8 +48,7 @@ def test_criterion_01_cutoff_suite():
         c = 0.0 if name == "affine" else 1.0
         eps = 0.5 if name == "affine" else 0.1
         part = BandPartition(f, default_box(name), DeformationParams(c, eps))
-        backend = (ExactAffineBackend(part) if kind == "exact"
-                   else build_backend(part, "sampled", 201))
+        backend = build_backend(part, kind, 201)
         pts = part.box.sample(np.random.default_rng(0), 10_000)
         vals = np.asarray(psi(part, backend, pts))
         tags = part.classify(pts)
@@ -81,7 +76,7 @@ def test_criterion_03_identity_exactness():
     box = DomainBox(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
     part = BandPartition(f, box, DeformationParams(0.0, 0.5),
                          RegionSpec.level_set(0.0))
-    df = DeformationField(f, part, ExactAffineBackend(part))
+    df = DeformationField(part, build_backend(part))
     rng = np.random.default_rng(1)
     pts = box.sample(rng, 4000)
     outside = pts[part.classify(pts) == RegionTag.OUTSIDE][:800]

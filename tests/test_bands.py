@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from passlab import (BandPartition, DeformationField, DeformationParams,
-                     DomainBox, ExactAffineBackend, FirstOrderBackend,
-                     RegionSpec, RegionTag, SampledBackend, build_backend,
-                     catalog_field, classify_region, default_box,
-                     polynomial_field, psi, region_distance, vector_field)
+                     DomainBox, FirstOrderBackend, RegionSpec, RegionTag,
+                     SampledBackend, build_backend, catalog_field,
+                     classify_region, default_box, polynomial_field, psi,
+                     vector_field)
 from passlab.bands import export_region_clouds
-from passlab.errors import EmptyRegion, InvalidRegionSpec
+from passlab.errors import InvalidRegionSpec
 
 
 def test_classify_examples(affine_part):
@@ -21,13 +21,16 @@ def test_classify_examples(affine_part):
     assert classify_region(affine_part, [0.4, 0.0]) is RegionTag.C
 
 
-def test_exact_slab_distances(affine_part, affine_backend):
-    assert region_distance(affine_part, affine_backend, [0.0, 0.0], "B") \
-        == pytest.approx(0.3)
-    assert region_distance(affine_part, affine_backend, [0.8, 0.0],
-                           "complement_of_A") == pytest.approx(0.2)
-    assert region_distance(affine_part, affine_backend, [0.1, 0.0], "C") \
-        == pytest.approx(0.2)
+def test_exact_slab_distances(affine_wide_df):
+    # on [-2,2]^2 every band and both sides of the complement of A have
+    # points in the box, so the distances are the closed-form slab ones
+    part, backend = affine_wide_df.part, affine_wide_df.backend
+    pts = np.array([[0.0, 0.0], [0.8, 0.0], [0.1, 0.0]])
+    dB, dC, dXA = backend.distances(pts, part.field.evaluate(pts),
+                                    part.field.grad_norm(pts))
+    assert dB[0] == pytest.approx(0.3)
+    assert dXA[1] == pytest.approx(0.2)
+    assert dC[2] == pytest.approx(0.2)
 
 
 def test_psi_plateaus_exact(affine_part, affine_backend):
@@ -36,10 +39,10 @@ def test_psi_plateaus_exact(affine_part, affine_backend):
     assert float(psi(affine_part, affine_backend, [0.0, 0.0])) == 0.0
 
 
-def test_psi_quotient_value(affine_part, affine_backend):
+def test_psi_quotient_value(affine_wide_df):
     # distC = 0.2, distB = 0.4, dist to X\A = 0.9 at (0.1, 0):
     # (-0.2 * 0.9) / (0.6 * 0.9 + 0.4 * 0.2) = -9/31
-    value = float(psi(affine_part, affine_backend, [0.1, 0.0]))
+    value = float(affine_wide_df.psi([0.1, 0.0]))
     assert value == pytest.approx(-9.0 / 31.0, abs=1e-12)
 
 
@@ -109,8 +112,7 @@ def test_d_spec_too_close_to_bands_rejected(affine_part):
 def test_psi_zero_on_d(affine_part, affine_field):
     part = BandPartition(affine_field, affine_part.box, affine_part.params,
                          RegionSpec.level_set(0.0))
-    from passlab import ExactAffineBackend
-    backend = ExactAffineBackend(part)
+    backend = build_backend(part)
     assert float(psi(part, backend, [0.0, 0.5])) == 0.0
 
 
@@ -119,16 +121,6 @@ def test_point_cloud_d_membership(affine_field, affine_part):
     part = BandPartition(affine_field, affine_part.box, affine_part.params,
                          RegionSpec.point_cloud(cloud))
     assert classify_region(part, [0.0, 0.5]) is RegionTag.D
-
-
-def test_empty_region_query_raises():
-    f = catalog_field("paraboloid")
-    box = default_box("paraboloid")
-    # c = -5 puts the B and C bands below the range of the field
-    part = BandPartition(f, box, DeformationParams(c=-5.0, eps=0.1))
-    backend = build_backend(part, "sampled", resolution=51)
-    with pytest.raises(EmptyRegion):
-        region_distance(part, backend, [0.3, 0.3], "B")
 
 
 @pytest.mark.parametrize("empty", ["B", "C", "BC"])
@@ -166,9 +158,6 @@ def test_psi_limit_with_empty_band(w2s_deformation, empty):
         got = psi(part, backend, pts)
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
     assert np.all(np.abs(got) <= 1.0)
-    for region in empty:   # an explicit query still reports it
-        with pytest.raises(EmptyRegion):
-            region_distance(part, backend, pts[0], region)
 
 
 def _empty_band_partition(empty):
@@ -238,24 +227,8 @@ def test_first_order_complement_sides(affine_part):
     assert np.array_equal(dXA, phi + 1.0)
 
 
-def test_first_order_matches_exact_affine(affine_wide_df):
-    # with ||grad phi|| = |a| the first-order distances are the closed-form
-    # ones; the norms may differ in the last bit
-    part = affine_wide_df.part
-    first = build_backend(part, "first_order", 41)
-    pts = part.box.sample(np.random.default_rng(3), 2000)
-    phi = part.field.evaluate(pts)
-    gnorm = part.field.grad_norm(pts)
-    for got, want in zip(first.distances(pts, phi, gnorm),
-                         affine_wide_df.backend.distances(pts, phi, gnorm)):
-        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
-    assert np.allclose(psi(part, first, pts),
-                       psi(part, affine_wide_df.backend, pts),
-                       rtol=0.0, atol=1e-14)
-
-
 def test_build_backend_default_follows_the_field(affine_part, w2s_deformation):
-    assert isinstance(build_backend(affine_part), ExactAffineBackend)
+    assert isinstance(build_backend(affine_part), FirstOrderBackend)
     part = w2s_deformation.part
     backend = build_backend(part, resolution=41)
     assert isinstance(backend, FirstOrderBackend)
@@ -346,7 +319,7 @@ def _d_specs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_d_specs(), st.sampled_from(["exact_affine", "first_order", "sampled"]),
+@given(_d_specs(), st.sampled_from(["first_order", "sampled"]),
        st.integers(0, 2**32 - 1))
 def test_psi_plateaus_match_classify(affine_wide_df, d_spec, kind, seed):
     wide = affine_wide_df.part
@@ -367,7 +340,7 @@ def test_psi_plateaus_match_classify(affine_wide_df, d_spec, kind, seed):
     assert d_spec.kind == "empty" or np.any(tags == RegionTag.D)
     # a mixed batch (masked rows) and each row alone (the whole batch) agree
     # bit for bit
-    df = DeformationField(part.field, part, backend)
+    df = DeformationField(part, backend)
     f = vector_field(df, pts)
     for i, u in enumerate(pts):
         assert psi(part, backend, u) == vals[i]

@@ -6,8 +6,7 @@ from passlab.cli import main
 
 AFFINE_DEFORM = {
     "functional": {"catalog": "affine"},
-    "deformation": {"c": 0.0, "eps": 0.5, "backend": "exact_affine",
-                    "samples": 200},
+    "deformation": {"c": 0.0, "eps": 0.5, "samples": 200},
     "seed": 0,
 }
 
@@ -252,6 +251,8 @@ _SECTION_RUNS = {"deformation": ("deform", AFFINE_DEFORM),
     ("deformation.eps", "abc"),
     ("deformation.step", -1),
     ("deformation.samples", "x"),
+    ("deformation.d_spec", []),
+    ("deformation.backend", "kd_tree"),
     ("minimax.ensemble_size", "x"),
     ("minimax.M", 10),
     ("minimax.M", 4),
@@ -264,6 +265,12 @@ def test_bad_section_field_exits_2(tmp_path, capsys, name, value):
     sub, base = _SECTION_RUNS[section]
     cfg = dict(base, **{section: dict(base[section], **{key: value})})
     assert name in _config_error(tmp_path, capsys, sub, cfg)
+
+
+@pytest.mark.parametrize("oracle", [[1], 3])
+def test_oracle_section_not_an_object_exits_2(tmp_path, capsys, oracle):
+    err = _config_error(tmp_path, capsys, "minimax", dict(MINIMAX, oracle=oracle))
+    assert "'oracle'" in err
 
 
 def test_boolean_seed_exits_2(tmp_path, capsys):
@@ -289,8 +296,7 @@ def test_pin_outside_the_box_exits_2(tmp_path, capsys, sub, base, pin):
 
 def test_deform_at_an_empty_band_is_vacuous(tmp_path):
     # the two-pin argument's c1 level on well_to_saddle: phi >= 0, so B is
-    # empty; the default backend of a non-affine field is first_order, which
-    # writes no region clouds
+    # empty; the default backend, first_order, writes no region clouds
     cfg = {"functional": {"catalog": "well_to_saddle"},
            "deformation": {"c": 0.0, "eps": 0.1, "samples": 300,
                            "d_spec": {"kind": "level_set", "value": 0.0}}}

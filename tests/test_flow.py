@@ -6,6 +6,7 @@ from passlab import (BandPartition, DeformationParams, FlowConfig,
                      RegionSpec, RegionTag, build_backend, catalog_field,
                      default_box, DeformationField, eta, integrate_flow,
                      vector_field, verify_deformation)
+from passlab.cli import _to_jsonable
 from passlab.flow import eta_batch
 
 
@@ -127,12 +128,12 @@ def test_verify_deformation_empty_band_is_vacuous(w2s_deformation):
     f = catalog_field("paraboloid")
     part = BandPartition(f, default_box("paraboloid"),
                          DeformationParams(c=-5.0, eps=0.1))
-    df = DeformationField(f, part, build_backend(part, "sampled", 51))
+    df = DeformationField(part, build_backend(part, "sampled", 51))
     rep = verify_deformation(df, FlowConfig(), samples=100, seed=0)
-    assert rep.b_prime == {"sampled_B": 0, "confined_in_B": 0,
-                           "confined_satisfying": 0,
-                           "unconditional_fraction_reaching_c_plus_eps": 0.0,
-                           "vacuous": True}
+    # nothing was measured, so the fraction is NaN (null in report.json)
+    assert _to_jsonable(rep.b_prime) == {
+        "sampled_B": 0, "confined_in_B": 0, "confined_satisfying": 0,
+        "unconditional_fraction_reaching_c_plus_eps": None, "vacuous": True}
     assert rep.c_prime["sampled_C"] == 0 and rep.c_prime["vacuous"] is True
     assert rep.a_prime_checked == 100 and rep.a_prime_violations == 0
     # the valley level of well_to_saddle: B is empty, C is sampled
@@ -150,7 +151,7 @@ def test_first_order_eq31_gate(w2s_field, w2s_box, seed):
     # the derivative identity holds to the stencil's accuracy
     part = BandPartition(w2s_field, w2s_box, DeformationParams(c=0.5, eps=0.1),
                          RegionSpec.level_set(0.5))
-    df = DeformationField(w2s_field, part, build_backend(part, "first_order"))
+    df = DeformationField(part, build_backend(part, "first_order"))
     rep = verify_deformation(df, FlowConfig(), samples=1000, seed=seed)
     assert rep.eq31_max_residual <= 1e-4
     assert rep.a_prime_violations == 0
@@ -163,20 +164,12 @@ def test_verify_deformation_deterministic(affine_df, flow_cfg):
     assert a.to_dict() == b.to_dict()
 
 
-def test_deformation_field_rejects_foreign_field(affine_part, affine_backend):
-    # psi would run on the partition's landscape and the flow direction on
-    # another one
-    with pytest.raises(ValueError):
-        DeformationField(catalog_field("paraboloid"), affine_part,
-                         affine_backend)
-
-
 def test_eta_batch_mixed_rows_point_cloud_d(affine_wide_df):
     wide = affine_wide_df.part
     d_pts = np.array([[0.0, 0.5], [0.1, -0.3]])
     part = BandPartition(wide.field, wide.box, wide.params,
                          RegionSpec.point_cloud(d_pts))
-    df = DeformationField(wide.field, part, build_backend(part, "sampled", 41))
+    df = DeformationField(part, build_backend(part, "sampled", 41))
     cfg = FlowConfig(step=df.horizon / 200)
     live = np.array([[-0.4, 0.2], [0.35, -1.0], [-0.8, 0.0], [0.9, 1.5]])
     frozen = np.concatenate([d_pts, [[1.5, 0.7], [-1.7, -1.2]]])
@@ -207,7 +200,7 @@ def test_all_frozen_batch_is_returned_bit_identically(affine_wide_df, flow_cfg):
     d_pts = np.array([[0.0, 0.5], [0.1, -0.3]])
     part = BandPartition(wide.field, wide.box, wide.params,
                          RegionSpec.point_cloud(d_pts))
-    df = DeformationField(wide.field, part, build_backend(part, "sampled", 41))
+    df = DeformationField(part, build_backend(part, "sampled", 41))
     U = np.concatenate([d_pts, [[1.5, 0.7], [-1.7, -1.2], [2.0, -2.0]]])
     assert np.all(np.isin(part.classify(U), [RegionTag.D, RegionTag.OUTSIDE]))
     out = eta_batch(df, flow_cfg, U)
@@ -221,12 +214,17 @@ def test_all_frozen_batch_is_returned_bit_identically(affine_wide_df, flow_cfg):
         assert not traj.clamped
 
 
-# verify_deformation(..., samples=200, seed=0).to_dict() of four audits, as
-# recorded before the audit was restricted to live rows: the deform_flow
-# benchmark configuration (well_to_saddle, c = 0.5, eps = 0.1, D = {phi = c},
-# sampled 201^2), the same with record_every = 7, a point-cloud D on the
-# 101^2 backend, and a paraboloid band cut by the box, with clamped rows
+# verify_deformation(..., samples=200, seed=0).to_dict() of five audits as
+# report.json writes them (NaN as None).  The first four were recorded before
+# the audit was restricted to live rows: the deform_flow benchmark
+# configuration (well_to_saddle, c = 0.5, eps = 0.1, D = {phi = c}, sampled
+# 201^2), the same with record_every = 7, a point-cloud D on the 101^2
+# backend, and a paraboloid band cut by the box, with clamped rows.  The
+# fifth puts the paraboloid's band at c = -5, below its range: every row is
+# frozen and is counted over the full record schedule, as a frozen row of a
+# batch with a live row is
 PINNED_AUDITS = {
+    'all_frozen': {'samples': 200, 'seed': 0, 'hypothesis_min_grad': None, 'a_prime_checked': 200, 'a_prime_violations': 0, 'b_prime': {'sampled_B': 0, 'confined_in_B': 0, 'confined_satisfying': 0, 'unconditional_fraction_reaching_c_plus_eps': None, 'vacuous': True}, 'c_prime': {'sampled_C': 0, 'confined_in_C': 0, 'confined_satisfying': 0, 'unconditional_fraction_reaching_c_minus_eps': None, 'vacuous': True}, 'eq31_max_residual': 0.0, 'eq31_intervals_used': 200000, 'eq31_intervals_excluded': 0, 'speed_checked_states': 200200, 'speed_violations': 0, 'speed_max_norm': 0.0, 'clamped_trajectories': 0},
     'deform_flow': {'samples': 200, 'seed': 0, 'hypothesis_min_grad': 1.4352596913280982, 'a_prime_checked': 182, 'a_prime_violations': 0, 'b_prime': {'sampled_B': 1, 'confined_in_B': 0, 'confined_satisfying': 0, 'unconditional_fraction_reaching_c_plus_eps': 0.0}, 'c_prime': {'sampled_C': 3, 'confined_in_C': 0, 'confined_satisfying': 0, 'unconditional_fraction_reaching_c_minus_eps': 0.0}, 'eq31_max_residual': 1.7429789351597336e-05, 'eq31_intervals_used': 199982, 'eq31_intervals_excluded': 18, 'speed_checked_states': 200200, 'speed_violations': 0, 'speed_max_norm': 0.688982333154268, 'clamped_trajectories': 0},
     'record_every_7': {'samples': 200, 'seed': 0, 'hypothesis_min_grad': 1.4352596913280982, 'a_prime_checked': 182, 'a_prime_violations': 0, 'b_prime': {'sampled_B': 1, 'confined_in_B': 0, 'confined_satisfying': 0, 'unconditional_fraction_reaching_c_plus_eps': 0.0}, 'c_prime': {'sampled_C': 3, 'confined_in_C': 0, 'confined_satisfying': 0, 'unconditional_fraction_reaching_c_minus_eps': 0.0}, 'eq31_max_residual': 0.00016825040969892235, 'eq31_intervals_used': 28582, 'eq31_intervals_excluded': 18, 'speed_checked_states': 28800, 'speed_violations': 0, 'speed_max_norm': 0.688982333154268, 'clamped_trajectories': 0},
     'point_cloud_d': {'samples': 200, 'seed': 0, 'hypothesis_min_grad': 1.4352596913280982, 'a_prime_checked': 182, 'a_prime_violations': 0, 'b_prime': {'sampled_B': 1, 'confined_in_B': 0, 'confined_satisfying': 0, 'unconditional_fraction_reaching_c_plus_eps': 0.0}, 'c_prime': {'sampled_C': 3, 'confined_in_C': 0, 'confined_satisfying': 0, 'unconditional_fraction_reaching_c_minus_eps': 0.0}, 'eq31_max_residual': 5.559555593448451e-06, 'eq31_intervals_used': 66788, 'eq31_intervals_excluded': 12, 'speed_checked_states': 67000, 'speed_violations': 0, 'speed_max_norm': 0.688982333154268, 'clamped_trajectories': 0},
@@ -239,8 +237,7 @@ def pinned_audit_fields(w2s_field, w2s_box):
     def w2s(d_spec, resolution):
         part = BandPartition(w2s_field, w2s_box,
                              DeformationParams(c=0.5, eps=0.1), d_spec)
-        return DeformationField(w2s_field, part,
-                                build_backend(part, "sampled", resolution))
+        return DeformationField(part, build_backend(part, "sampled", resolution))
 
     flow_df = w2s(RegionSpec.level_set(0.5), 201)
     cloud = RegionSpec.point_cloud([[0.0, 0.5 ** 0.5], [0.0, -0.5 ** 0.5],
@@ -248,19 +245,23 @@ def pinned_audit_fields(w2s_field, w2s_box):
     par = catalog_field("paraboloid")
     part = BandPartition(par, default_box("paraboloid"),
                          DeformationParams(c=4.5, eps=0.5))
+    below = BandPartition(par, default_box("paraboloid"),
+                          DeformationParams(c=-5.0, eps=0.1))
     return {
         "deform_flow": (flow_df, FlowConfig()),
         "record_every_7": (flow_df, FlowConfig(record_every=7)),
         "point_cloud_d": (w2s(cloud, 101), FlowConfig(record_every=3)),
-        "clamped": (DeformationField(par, part, build_backend(part, "sampled", 101)),
+        "clamped": (DeformationField(part, build_backend(part, "sampled", 101)),
                     FlowConfig(record_every=3)),
+        "all_frozen": (DeformationField(below, build_backend(below, "sampled", 51)),
+                       FlowConfig()),
     }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_AUDITS))
 def test_verify_deformation_pinned(pinned_audit_fields, name):
     df, cfg = pinned_audit_fields[name]
-    got = verify_deformation(df, cfg, samples=200, seed=0).to_dict()
+    got = _to_jsonable(verify_deformation(df, cfg, samples=200, seed=0).to_dict())
     assert got == PINNED_AUDITS[name]
     # every unclamped trajectory's record intervals are used or excluded
     n, _ = cfg.grid(df.horizon)

@@ -119,7 +119,9 @@ def test_grid_validation():
 def test_from_field_and_nearest_node(w2s_field, w2s_box):
     g = GridGraph.from_field(w2s_field, w2s_box, 33)
     idx = g.nearest_node([1.0, 0.0])
-    assert np.allclose(g.point(idx), [1.0, 0.0], atol=0.07)
+    node = g.unflat(idx)
+    point = [g.coords[ax][i] for ax, i in enumerate(node)]
+    assert np.allclose(point, [1.0, 0.0], atol=0.07)
     assert g.values.shape == (33, 33)
 
 
