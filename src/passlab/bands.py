@@ -27,7 +27,8 @@ psi is continuous there, no point lookup is made, and they are exact for an
 affine field.  SampledBackend measures them to grid point clouds with
 KD-trees; it is the set-distance reference the first-order distances are
 checked against.  A band (or a side of the complement of A) with no grid
-point is at +inf in both.
+point is at +inf in both.  Both floor ||grad phi|| at MIN_GRAD_FLOOR where
+they divide by it, and so does the flow.
 """
 from __future__ import annotations
 
@@ -45,6 +46,10 @@ from .fields import DomainBox, ScalarField
 # Minimum separation (in units of eps) between D's value range and the
 # B/C value ranges; closer specs make the cutoff quotient degenerate.
 D_SEPARATION = 0.05
+
+# The smallest ||grad phi|| a distance or the flow's vector field divides by;
+# the flow raises VectorFieldSingular below it where the cutoff is nonzero.
+MIN_GRAD_FLOOR = 1e-8
 
 _UNDERFLOW = 1e-300
 
@@ -82,13 +87,10 @@ def _rows_of(mask):
 class DeformationParams:
     c: float
     eps: float
-    min_grad_floor: float = 1e-8
 
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be > 0")
-        if self.min_grad_floor <= 0:
-            raise ValueError("min_grad_floor must be > 0")
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,7 @@ class BandPartition:
         if spec.kind == "empty":
             return np.full(np.shape(phi), np.inf)
         if spec.kind == "level_set":
-            gn = np.maximum(gnorm, self.params.min_grad_floor)
+            gn = np.maximum(gnorm, MIN_GRAD_FLOOR)
             return np.minimum(np.abs(phi - spec.value) / gn, self._diagonal)
         d, _ = self._d_tree.query(u)
         return d
@@ -246,7 +248,7 @@ def _grid_tags(part: BandPartition, resolution: int):
 
 class FirstOrderBackend:
     """First-order set distances: the slab distance in phi divided by the
-    local ||grad phi|| (floored at min_grad_floor).
+    local ||grad phi|| (floored at MIN_GRAD_FLOOR).
 
     For an affine field a . u + b this is the closed-form distance to a
     slab, |a| being ||grad phi||; it vanishes at every band edge.  The
@@ -272,7 +274,7 @@ class FirstOrderBackend:
         """Set distances (dB, dC, dXA) from points u with values phi and
         gradient norms gnorm; plateau rows are not masked."""
         part = self.part
-        g = np.maximum(gnorm, part.params.min_grad_floor)
+        g = np.maximum(gnorm, MIN_GRAD_FLOOR)
         far = np.full(np.shape(phi), np.inf)
         dB = _slab_distance(phi, *part.b_range, g) if self._has_b else far
         dC = _slab_distance(phi, *part.c_range, g) if self._has_c else far
@@ -298,16 +300,12 @@ class SampledBackend:
     def __init__(self, part: BandPartition, resolution: int = 201):
         pts, _, tags = _grid_tags(part, resolution)
         self.part = part
-        self.resolution = resolution
-        box = part.box
         self.clouds = {
             "B": pts[tags == RegionTag.B],
             "C": pts[tags == RegionTag.C],
             "OUT": pts[tags == RegionTag.OUTSIDE],
         }
         self.trees = {k: (cKDTree(v) if len(v) else None) for k, v in self.clouds.items()}
-        self.cell_diagonal = float(np.linalg.norm(
-            [(box.hi[i] - box.lo[i]) / (resolution - 1) for i in range(box.dim)]))
 
     def _cloud_distance(self, key, u):
         """Distances from u to a cloud; +inf to a cloud with no points."""
@@ -339,8 +337,8 @@ def build_backend(part: BandPartition, kind: Optional[str] = None,
 
 
 def cutoff_stage(part: BandPartition, backend, U):
-    """psi, grad phi and ||grad phi|| of a batch U (..., dim), from one
-    evaluation of phi and one of its gradient.
+    """psi, grad phi, ||grad phi|| and the region codes of a batch U
+    (..., dim), from one evaluation of phi and one of its gradient.
 
     The gradient is evaluated only off the zero plateau; OUTSIDE and D rows
     get a zero gradient.  Plateau values (+1 on B, -1 on C, 0 outside the
@@ -384,7 +382,7 @@ def cutoff_stage(part: BandPartition, backend, U):
                     "(the fixed set D touches B or C)")
             num, den = np.where(tiny, 0.0, num), np.where(tiny, 1.0, den)
         out[rest] = num / den
-    return out, grad, gnorm
+    return out, grad, gnorm, tags
 
 
 def psi(part: BandPartition, backend, u):

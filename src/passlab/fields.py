@@ -97,26 +97,29 @@ class ScalarField:
         return np.linalg.norm(self.gradient(u), axis=-1)
 
 
-def affine_field(a=(1.0, 0.0), b: float = 0.0, name: str = "affine") -> ScalarField:
-    a = np.asarray(a, dtype=float)
+def affine_field() -> ScalarField:
+    """phi(x, y) = x."""
+    a = np.array([1.0, 0.0])
 
     def ev(u):
-        return u @ a + b
+        return u @ a + 0.0   # the offset maps -0.0 to +0.0
 
     def gr(u):
         return np.broadcast_to(a, u.shape).copy()
 
-    return ScalarField(name, a.size, ev, gr)
+    return ScalarField("affine", 2, ev, gr)
 
 
-def paraboloid_field(dim: int = 2) -> ScalarField:
+def paraboloid_field() -> ScalarField:
+    """phi(x, y) = x^2 + y^2."""
+
     def ev(u):
         return np.sum(u * u, axis=-1)
 
     def gr(u):
         return 2.0 * u
 
-    return ScalarField("paraboloid", dim, ev, gr)
+    return ScalarField("paraboloid", 2, ev, gr)
 
 
 def saddle_field() -> ScalarField:
@@ -189,7 +192,7 @@ def default_box(name: str) -> DomainBox:
     return DomainBox(np.asarray(lo), np.asarray(hi))
 
 
-def polynomial_field(dim: int, terms: Sequence[tuple], name: str = "poly") -> ScalarField:
+def polynomial_field(dim: int, terms: Sequence[tuple]) -> ScalarField:
     """Dense multi-index polynomial: terms is a list of (exps, coef).
 
     exps is a length-dim tuple of nonnegative integer exponents with total
@@ -228,7 +231,7 @@ def polynomial_field(dim: int, terms: Sequence[tuple], name: str = "poly") -> Sc
                 out[..., ax] += term
         return out
 
-    return ScalarField(name, dim, ev, gr)
+    return ScalarField("poly", dim, ev, gr)
 
 
 def gradient_check(field: ScalarField, box: DomainBox, samples: int = 1000,

@@ -25,10 +25,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .bands import (BandPartition, RegionTag, _rows_of, cutoff_stage,
-                    psi as psi_fn)
+from .bands import (MIN_GRAD_FLOOR, BandPartition, RegionTag, _rows_of,
+                    cutoff_stage, psi as psi_fn)
 from .errors import VectorFieldSingular
 from .fields import ScalarField
+
+# How close to c + eps (c - eps) a pushed-up (pushed-down) endpoint's phi must
+# come to count as reaching the target level in the audit.
+PUSH_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -69,12 +73,7 @@ class Trajectory:
     points: np.ndarray           # (n_rec, dim)
     phi_values: np.ndarray
     psi_values: np.ndarray
-    confined_in: Optional[RegionTag]
     clamped: bool
-
-    @property
-    def start(self):
-        return self.points[0]
 
     @property
     def end(self):
@@ -83,15 +82,14 @@ class Trajectory:
 
 def _stage(df: DeformationField, U):
     """f and psi at a batch U (N, dim), from one bands.cutoff_stage."""
-    psi_vals, g, gn = cutoff_stage(df.part, df.backend, U)
+    psi_vals, g, gn, _ = cutoff_stage(df.part, df.backend, U)
     f = np.zeros(U.shape)
     active = _rows_of(psi_vals != 0.0)
     gn = gn[active]
-    floor = df.part.params.min_grad_floor
-    if np.count_nonzero(gn < floor):
-        bad = U[active][gn < floor][0]
-        raise VectorFieldSingular(
-            f"||grad|| < {floor} at {bad.tolist()} where the cutoff is nonzero")
+    if np.count_nonzero(gn < MIN_GRAD_FLOOR):
+        bad = U[active][gn < MIN_GRAD_FLOOR][0]
+        raise VectorFieldSingular(f"||grad|| < {MIN_GRAD_FLOOR} at {bad.tolist()} "
+                                  f"where the cutoff is nonzero")
     f[active] = (psi_vals[active] / gn ** 2)[:, None] * g[active]
     return f, psi_vals
 
@@ -181,9 +179,7 @@ def integrate_flow(df: DeformationField, cfg: FlowConfig, u) -> Trajectory:
     else:   # the constant solution, recorded at t = 0 and t = T
         pts, psis = np.stack([u, u]), np.full(2, run.psi0[0])
     phis = np.asarray(df.field.evaluate(pts))
-    tags = df.part.tags(pts, phis)
-    conf = RegionTag(tags[0]) if np.all(tags == tags[0]) else None
-    return Trajectory(run.times, pts, phis, psis, conf, bool(run.clamped[0]))
+    return Trajectory(run.times, pts, phis, psis, bool(run.clamped[0]))
 
 
 def eta(df: DeformationField, cfg: FlowConfig, u):
@@ -220,7 +216,7 @@ class DeformationReport:
 
 
 def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
-                       seed: int, tol: float = 1e-3) -> DeformationReport:
+                       seed: int) -> DeformationReport:
     """Sample-based audit of the deformation's claimed properties.
 
     The fixed-point check is bit-exact on points outside the band or in D.
@@ -294,8 +290,8 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
             rec["vacuous"] = True
         return rec
 
-    b_prime = push_record(RegionTag.B, phi_end >= c + eps - tol, "c_plus_eps")
-    c_prime = push_record(RegionTag.C, phi_end <= c - eps + tol, "c_minus_eps")
+    b_prime = push_record(RegionTag.B, phi_end >= c + eps - PUSH_TOL, "c_plus_eps")
+    c_prime = push_record(RegionTag.C, phi_end <= c - eps + PUSH_TOL, "c_minus_eps")
 
     # derivative identity residual over uniform-tag record intervals; each of
     # a frozen row's n_sched - 1 intervals is used (dphi = 0, the midpoint is
@@ -306,8 +302,9 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
     dt = np.diff(run.times)[:, None]
     dphi = np.diff(phis, axis=0)
     mids = (0.5 * (path[:-1] + path[1:])).reshape(-1, dim)
-    psi_mid = np.asarray(df.psi(mids)).reshape(n_rec - 1, n_live)
-    tag_mid = part.classify(mids).reshape(n_rec - 1, n_live)
+    psi_mid, _, _, tag_mid = cutoff_stage(part, df.backend, mids)
+    psi_mid = psi_mid.reshape(n_rec - 1, n_live)
+    tag_mid = tag_mid.reshape(n_rec - 1, n_live)
     ok_live = ok[live]
     same = (tags[:-1] == tags[1:]) & (tags[:-1] == tag_mid) & ok_live
     resid = np.concatenate([np.abs(dphi / dt - psi_mid)[same],

@@ -44,7 +44,6 @@ def _offsets(dim: int, connectivity: int):
 class GridGraph:
     values: np.ndarray        # node values, shape = resolution per axis
     connectivity: int = 4
-    box: DomainBox = None
     coords: tuple = None      # per-axis coordinate arrays, or None
 
     def __post_init__(self):
@@ -67,7 +66,7 @@ class GridGraph:
         axes = tuple(np.linspace(box.lo[i], box.hi[i], res[i])
                      for i in range(box.dim))
         vals = np.asarray(field.evaluate(box.grid(res))).reshape(res)
-        return cls(vals, connectivity, box, axes)
+        return cls(vals, connectivity, axes)
 
     @property
     def dim(self) -> int:

@@ -10,12 +10,12 @@ to be validated against the grid oracles, not trusted.
 
 The proof tracer deforms at each level with D = {phi = level} on the
 default backend of bands.build_backend, first-order distances, so its RK4
-stages make no point lookups.
+stages make no point lookups.  Its settings, and the Palais-Smale probe's
+thresholds, are the module constants PROOF_* and PS_*.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
@@ -28,6 +28,14 @@ from .paths import DiscretePath, MountainPassInstance, make_path, path_extrema, 
     deform_path
 
 STALL_ITERS = 20            # consecutive low-improvement iterations => converged
+
+PROOF_FLOW = FlowConfig()   # the proof tracer's integrator settings
+PROOF_M = 32                # segments of the proof tracer's paths
+PROOF_RESOLUTION = 201      # grid points per axis: backend and band search
+PROOF_HALVINGS = 12         # band widths tried per route, halving from eps1
+
+PS_GRAD_TOL = 1e-3          # ||grad|| below which a probe final is near-critical
+PS_CLUSTER_RADIUS = 0.05    # linkage radius of near-critical clusters
 
 
 @dataclass
@@ -218,28 +226,16 @@ def _step(name, claimed, observed, verdict):
             "verdict": verdict}
 
 
-def _find_band_point(field, box, lo, hi, resolution=201):
-    """A grid point whose phi-value lies in [lo, hi], or None."""
-    pts = box.grid(resolution)
-    phi = np.asarray(field.evaluate(pts))
-    hit = np.flatnonzero((phi >= lo) & (phi <= hi))
-    if hit.size == 0:
-        return None
-    return pts[hit[0]]
-
-
-def _deformation_at(inst, level, eps_level, backend_resolution):
+def _deformation_at(inst, level, eps_level):
     params = DeformationParams(c=level, eps=eps_level)
     d_spec = RegionSpec.level_set(level)
     part = BandPartition(inst.field, inst.box, params, d_spec)
     return DeformationField(part,
-                            build_backend(part, resolution=backend_resolution))
+                            build_backend(part, resolution=PROOF_RESOLUTION))
 
 
 def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
-                         eps: float, flow_cfg: Optional[FlowConfig] = None,
-                         M: int = 32, backend_resolution: int = 201,
-                         band_search_halvings: int = 12) -> ProofTrace:
+                         eps: float) -> ProofTrace:
     """Numerically re-run the contradiction machinery step by step.
 
     Every step records the claimed relation, the measured quantities, and a
@@ -247,9 +243,6 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
     """
     if c1 == c2:
         raise InvalidInstance("the argument requires c1 != c2")
-    if flow_cfg is None:
-        flow_cfg = FlowConfig()
-    field = inst.field
     steps = []
 
     eps1 = min(abs(c2 - c1) / 4.0, eps)
@@ -268,9 +261,9 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
                        "holds" if sep_ok else "fails"))
 
     # pin preservation under the fixed-set choice D = {phi = c1}
-    df1 = _deformation_at(inst, c1, eps1, backend_resolution)
-    img0 = eta(df1, flow_cfg, inst.pin_zero)
-    imge = eta(df1, flow_cfg, inst.pin_e)
+    df1 = _deformation_at(inst, c1, eps1)
+    img0 = eta(df1, PROOF_FLOW, inst.pin_zero)
+    imge = eta(df1, PROOF_FLOW, inst.pin_e)
     exact0 = bool(np.all(img0 == inst.pin_zero))
     exacte = bool(np.all(imge == inst.pin_e))
     steps.append(_step("pin_zero_fixed", "eta(0) = 0 exactly",
@@ -280,23 +273,27 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
                        {"max_move": float(np.max(np.abs(imge - inst.pin_e)))},
                        "holds" if exacte else "fails"))
 
+    # the band-point search's grid and the axis path, shared by both routes
+    grid = inst.box.grid(PROOF_RESOLUTION)
+    grid_phi = np.asarray(inst.field.evaluate(grid))
+    base = make_path(inst, PROOF_M, init="axis")
+    free = next(i for i in range(PROOF_M + 1) if i not in base.pinned)
+
     def _band_route(level, low_side):
         """The eps2 (low_side) or eps3 route: find a near-optimal path in the
         stated band, deform at that level, record the claimed bound."""
         tag = "eps2" if low_side else "eps3"
         eps_k = eps1
         found = None
-        for _ in range(band_search_halvings):
+        for _ in range(PROOF_HALVINGS):
             if low_side:
                 lo, hi = level - eps_k, level - 0.6 * eps_k
             else:
                 lo, hi = level + 0.6 * eps_k, level + eps_k
-            w = _find_band_point(field, inst.box, lo, hi, backend_resolution)
-            if w is not None:
-                base = make_path(inst, M, init="axis")
-                free = next(i for i in range(M + 1) if i not in base.pinned)
+            hit = np.flatnonzero((grid_phi >= lo) & (grid_phi <= hi))
+            if hit.size:   # put the first grid point in the band on the path
                 nodes = base.nodes.copy()
-                nodes[free] = w
+                nodes[free] = grid[hit[0]]
                 cand = DiscretePath(nodes, base.pinned)
                 ext = path_extrema(inst, cand)
                 val = ext["min_value"] if low_side else ext["max_value"]
@@ -307,7 +304,7 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
         if found is None:
             steps.append(_step(f"{tag}_band_path",
                                f"a path with its extremum in the {tag} band exists",
-                               {"halvings_tried": band_search_halvings}, "vacuous"))
+                               {"halvings_tried": PROOF_HALVINGS}, "vacuous"))
             steps.append(_step(f"{tag}_deformed_bound", "not evaluated",
                                None, "vacuous"))
             return
@@ -318,9 +315,9 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
                             "extremum": ext["min_value"] if low_side
                             else ext["max_value"]},
                            "holds"))
-        dfk = _deformation_at(inst, level, eps_k, backend_resolution)
+        dfk = _deformation_at(inst, level, eps_k)
         try:
-            beta = deform_path(dfk, flow_cfg, cand)
+            beta = deform_path(dfk, PROOF_FLOW, cand)
         except PinMoved as exc:
             steps.append(_step(f"{tag}_deformed_bound",
                                "pins preserved during deformation",
@@ -392,8 +389,7 @@ def _fd_slope(field: ScalarField, u: np.ndarray, h: float) -> np.ndarray:
     return slope
 
 
-def _escape_probe(field: ScalarField, box: DomainBox, center: np.ndarray,
-                  cluster_radius: float):
+def _escape_probe(field: ScalarField, box: DomainBox, center: np.ndarray):
     """Probe whether a small-gradient point is a genuine critical point.
 
     Polishes the point by minimizing ||grad phi||^2 with Nelder-Mead inside
@@ -418,7 +414,7 @@ def _escape_probe(field: ScalarField, box: DomainBox, center: np.ndarray,
                          options={"maxiter": 400, "xatol": 1e-12,
                                   "fatol": 1e-24})
     drift = float(np.linalg.norm(res.x - center))
-    if drift > cluster_radius:
+    if drift > PS_CLUSTER_RADIUS:
         # keep a subsequence with nonincreasing gradient norms and growing
         # distance from the start
         gns = np.asarray(field.grad_norm(np.asarray(trace)))
@@ -445,8 +441,7 @@ def _escape_probe(field: ScalarField, box: DomainBox, center: np.ndarray,
 
 
 def ps_probe(field: ScalarField, box: DomainBox, c: float,
-             band_halfwidth: float, samples: int = 64, seed: int = 0,
-             grad_tol: float = 1e-3, cluster_radius: float = 0.05) -> PSReport:
+             band_halfwidth: float, samples: int = 64, seed: int = 0) -> PSReport:
     """Search for near-critical points at the given level and classify.
 
     Multistart minimization of ||grad phi||^2 + (phi - c)^2 inside the box.
@@ -465,15 +460,8 @@ def ps_probe(field: ScalarField, box: DomainBox, c: float,
         g = np.asarray(field.gradient(u))
         return float(g @ g + (float(field.evaluate(u)) - c) ** 2)
 
-    finals = []
-    traces = []
-    for u0 in starts:
-        trace = [u0.copy()]
-        res = scipy_minimize(F, u0, method="L-BFGS-B", bounds=bounds,
-                             callback=lambda xk: trace.append(np.array(xk)))
-        finals.append(res.x)
-        traces.append(trace)
-    finals = np.asarray(finals)
+    finals = np.asarray([scipy_minimize(F, u0, method="L-BFGS-B", bounds=bounds).x
+                         for u0 in starts])
     fin_gn = np.asarray(field.grad_norm(finals))
     fin_phi = np.asarray(field.evaluate(finals))
 
@@ -505,7 +493,7 @@ def ps_probe(field: ScalarField, box: DomainBox, c: float,
     else:
         band_min_grad = float("nan")
 
-    near = (fin_gn < grad_tol) & (np.abs(fin_phi - c) <= band_halfwidth + 1e-9)
+    near = (fin_gn < PS_GRAD_TOL) & (np.abs(fin_phi - c) <= band_halfwidth + 1e-9)
     if not np.any(near):
         return PSReport(level=c, verdict="Vacuous", band_min_grad=band_min_grad)
 
@@ -514,12 +502,12 @@ def ps_probe(field: ScalarField, box: DomainBox, c: float,
     # vanishes there; an escaping cluster has a descent direction for the
     # gradient norm along which doubled-step probes keep shrinking it
     near_pts = finals[near]
-    clusters = _cluster(near_pts, cluster_radius)
+    clusters = _cluster(near_pts, PS_CLUSTER_RADIUS)
     stationary, escapes = [], []
     for cl in clusters:
         gns = np.asarray(field.grad_norm(near_pts[cl]))
         center = near_pts[cl[int(np.argmin(gns))]]
-        seq = _escape_probe(field, box, center, cluster_radius)
+        seq = _escape_probe(field, box, center)
         if seq is None:
             stationary.append(center)
         else:

@@ -69,9 +69,6 @@ class DiscretePath:
     def params(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.nodes.shape[0])
 
-    def copy(self) -> "DiscretePath":
-        return DiscretePath(self.nodes.copy(), self.pinned)
-
     def to_csv(self, path: str, field: Optional[ScalarField] = None):
         dim = self.nodes.shape[1]
         header = ["index", "t"] + [f"x{i+1}" for i in range(dim)]
