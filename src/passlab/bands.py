@@ -27,8 +27,8 @@ psi is continuous there, no point lookup is made, and they are exact for an
 affine field.  SampledBackend measures them to grid point clouds with
 KD-trees; it is the set-distance reference the first-order distances are
 checked against.  A band (or a side of the complement of A) with no grid
-point is at +inf in both.  Both floor ||grad phi|| at MIN_GRAD_FLOOR where
-they divide by it, and so does the flow.
+point is at +inf in both.  A distance that divides by ||grad phi|| floors
+it at MIN_GRAD_FLOOR.
 """
 from __future__ import annotations
 
@@ -163,6 +163,13 @@ class BandPartition:
             return
         if spec.kind == "level_set":
             values = np.array([spec.value])
+            # NaN fails every comparison below, and a thickness <= 0 (or
+            # NaN) matches no point: either would leave D silently empty
+            if not np.isfinite(spec.value):
+                raise InvalidRegionSpec(f"D level {spec.value} must be finite")
+            if not self.d_thickness > 0:
+                raise InvalidRegionSpec(
+                    f"D thickness {self.d_thickness} must be > 0")
         else:
             if spec.points.shape[1] != self.field.dim:
                 raise InvalidRegionSpec("point cloud dimension mismatch")

@@ -91,7 +91,7 @@ def _build_field(cfg: dict) -> ScalarField:
             return polynomial_field(int(p["dim"]),
                                     [(t["exps"], t["coef"]) for t in p["terms"]])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad poly spec: {exc}")
+            raise ConfigError(f"bad functional.poly: {exc}")
     raise ConfigError("functional must contain 'catalog' or 'poly'")
 
 
@@ -135,7 +135,7 @@ def _deformation_objects(cfg, field, box):
     try:
         part = BandPartition(field, box, params, _build_d_spec(d_spec))
     except (KeyError, TypeError, ValueError, PasslabError) as exc:
-        raise ConfigError(f"bad deformation section: {exc}")
+        raise ConfigError(f"bad deformation.d_spec: {exc}")
     try:
         backend = build_backend(part, d.get("backend"), resolution)
     except ValueError as exc:
@@ -256,12 +256,12 @@ def _run_minimax(cfg, seed, out_dir):
         check_m(kw["M"])
     except InvalidM as exc:
         raise ConfigError(f"minimax.M: {exc}") from None
-    o = _require(cfg, "oracle") if "oracle" in cfg else {}
-    if o:
+    o = _require(cfg, "oracle") if "oracle" in cfg else None
+    if o is not None:
         g = _oracle_grid(o, field, box)
         p, q = _oracle_nodes(g, inst.pin_zero, inst.pin_e,
                              "minimax.pin_zero", "minimax.pin_e")
-    eps = _number(m, "minimax.conclusions_eps", float, 0.05)
+    eps = _number(m, "minimax.conclusions_eps", float, 0.05, positive=True)
     r1 = optimize_c1(inst, **kw)
     r2 = optimize_c2(inst, **kw)
     conclusions = check_conclusions(inst, r1, r2, eps)
@@ -279,7 +279,7 @@ def _run_minimax(cfg, seed, out_dir):
          "ok": r2.value >= max(float(field.evaluate(inst.pin_zero)),
                                float(field.evaluate(inst.pin_e))) - 1e-12},
     ]
-    if o:
+    if o is not None:
         ob = bottleneck_value(g, p, q)
         ow = widest_value(g, p, q)
         payload["oracle"] = {"bottleneck": ob.value, "widest": ow.value}
@@ -367,12 +367,20 @@ _SUBCOMMANDS = {
 }
 
 
-def _validate_common(cfg: dict):
+def _load_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"--config {path}: {exc.strerror}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     if "seed" in cfg and (isinstance(cfg["seed"], bool)
-                          or not isinstance(cfg["seed"], int)):
-        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
+                          or not isinstance(cfg["seed"], int)
+                          or cfg["seed"] < 0):
+        raise ConfigError(f"seed must be a non-negative integer, "
+                          f"got {cfg['seed']!r}")
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -388,15 +396,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        _validate_common(cfg)
+        cfg = _load_config(args.config)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: cannot make the output "
+                              f"directory ({exc.strerror})") from None
         t0 = time.perf_counter()
         payload, checks = _SUBCOMMANDS[args.subcommand](cfg, seed, args.out)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PasslabError as exc:

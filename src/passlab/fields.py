@@ -33,6 +33,8 @@ class DomainBox:
             raise ValueError("lo and hi must be 1-D arrays of equal length")
         if lo.size not in (1, 2, 3):
             raise ValueError("box dimension must be 1, 2 or 3")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("lo and hi must be finite")
         if not np.all(lo < hi):
             raise ValueError("need lo[i] < hi[i] on every axis")
 
@@ -196,7 +198,7 @@ def polynomial_field(dim: int, terms: Sequence[tuple]) -> ScalarField:
     """Dense multi-index polynomial: terms is a list of (exps, coef).
 
     exps is a length-dim tuple of nonnegative integer exponents with total
-    degree <= 8.
+    degree <= 8, and coef a finite number.
     """
     parsed = []
     for exps, coef in terms:
@@ -205,7 +207,10 @@ def polynomial_field(dim: int, terms: Sequence[tuple]) -> ScalarField:
             raise ValueError(f"bad exponent tuple {exps} for dim {dim}")
         if sum(exps) > MAX_POLY_DEGREE:
             raise ValueError(f"term degree {sum(exps)} exceeds cap {MAX_POLY_DEGREE}")
-        parsed.append((exps, float(coef)))
+        coef = float(coef)
+        if not np.isfinite(coef):
+            raise ValueError(f"coefficient {coef} of term {exps} must be finite")
+        parsed.append((exps, coef))
 
     def ev(u):
         out = np.zeros(u.shape[:-1])

@@ -256,6 +256,8 @@ _SECTION_RUNS = {"deformation": ("deform", AFFINE_DEFORM),
     ("minimax.ensemble_size", "x"),
     ("minimax.M", 10),
     ("minimax.M", 4),
+    ("minimax.conclusions_eps", -1),
+    ("minimax.conclusions_eps", 0),
     ("ps.level", "x"),
     ("geometry.r", "x"),
     ("geometry.r", -1.0),
@@ -277,6 +279,56 @@ def test_boolean_seed_exits_2(tmp_path, capsys):
     # int(True) would silently run seed 1
     err = _config_error(tmp_path, capsys, "pscheck", dict(PSCHECK, seed=True))
     assert "seed" in err
+
+
+@pytest.mark.parametrize("cfg, flags, name", [(dict(PSCHECK, seed=-1), (), "seed"),
+                                              (PSCHECK, ("--seed", "-3"), "--seed")])
+def test_negative_seed_exits_2(tmp_path, capsys, cfg, flags, name):
+    code, report, _ = _run(tmp_path, "pscheck", cfg, *flags)
+    assert code == 2 and report is None
+    assert name in capsys.readouterr().err
+
+
+def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["pscheck", "--config", str(tmp_path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["pscheck", "--config", _write(tmp_path, PSCHECK),
+                 "--out", str(out)]) == 2
+    assert "--out" in capsys.readouterr().err
+
+
+def test_empty_oracle_section_runs_the_default_oracle(tmp_path):
+    code, report, _ = _run(tmp_path, "minimax", dict(MINIMAX, oracle={}),
+                           "--strict")
+    assert code == 0
+    assert set(report["payload"]["result"]["oracle"]) == {"bottleneck", "widest"}
+    names = {c["name"] for c in report["payload"]["checks"]}
+    assert {"c1_within_0.03_of_oracle", "c2_within_0.03_of_oracle"} <= names
+
+
+@pytest.mark.parametrize("d_spec", [
+    {"kind": "level_set", "value": float("nan")},
+    {"kind": "level_set", "value": 0.0, "thickness": 0.0},
+    {"kind": "level_set", "value": 0.0, "thickness": -1.0},
+])
+def test_d_spec_that_leaves_d_empty_exits_2(tmp_path, capsys, d_spec):
+    deformation = dict(AFFINE_DEFORM["deformation"], d_spec=d_spec)
+    cfg = dict(AFFINE_DEFORM, deformation=deformation)
+    assert "deformation.d_spec" in _config_error(tmp_path, capsys, "deform", cfg)
+
+
+def test_nan_poly_coefficient_exits_2(tmp_path, capsys):
+    cfg = dict(AFFINE_DEFORM, box={"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+               functional={"poly": {"dim": 2, "terms": [
+                   {"exps": [1, 0], "coef": 1.0},
+                   {"exps": [0, 2], "coef": float("nan")}]}})
+    assert "functional.poly" in _config_error(tmp_path, capsys, "deform", cfg)
 
 
 @pytest.mark.parametrize("catalog", [[], 3, None])

@@ -13,6 +13,8 @@ def test_domain_box_validation():
         DomainBox(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         DomainBox(np.array([0.0] * 4), np.array([1.0] * 4))
+    with pytest.raises(ValueError, match="finite"):
+        DomainBox(np.array([0.0, 0.0]), np.array([1.0, np.inf]))
 
 
 def test_domain_box_contains_and_clip():

@@ -7,6 +7,7 @@ from passlab import (BandPartition, DeformationParams, FlowConfig,
                      default_box, DeformationField, eta, integrate_flow,
                      vector_field, verify_deformation)
 from passlab.cli import _to_jsonable
+from passlab.errors import VectorFieldSingular
 from passlab.flow import eta_batch
 
 
@@ -193,6 +194,15 @@ def test_eta_with_empty_b_band(w2s_deformation):
     assert np.all((traj.psi_values >= -1.0) & (traj.psi_values <= 0.0))
     assert 0.0 <= traj.phi_values[-1] < 0.06
     assert np.array_equal(eta(df, FlowConfig(record_every=50), u), traj.end)
+
+
+def test_critical_point_where_the_cutoff_is_nonzero_raises(w2s_field, w2s_box):
+    # at c = 1.07, eps = 0.1 the saddle (1, 0), phi = 1, lies in B = [0.97,
+    # 1.01]: psi = +1 there while grad phi = 0, so f is undefined
+    part = BandPartition(w2s_field, w2s_box, DeformationParams(c=1.07, eps=0.1))
+    df = DeformationField(part, build_backend(part))
+    with pytest.raises(VectorFieldSingular, match=r"\[1\.0, 0\.0\]"):
+        eta(df, FlowConfig(), np.array([1.0, 0.0]))
 
 
 def test_all_frozen_batch_is_returned_bit_identically(affine_wide_df, flow_cfg):
