@@ -38,7 +38,6 @@ from enum import IntEnum
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegeneratePartition, InvalidRegionSpec
 from .fields import DomainBox, ScalarField
@@ -130,8 +129,12 @@ class BandPartition:
             raise ValueError("field and box dimensions differ")
         self._validate_d()
         spec = self.d_spec
-        object.__setattr__(self, "_d_tree", cKDTree(spec.points)
-                           if spec.kind == "point_cloud" else None)
+        tree = None
+        if spec.kind == "point_cloud":
+            # deferred: ~0.25 s to import; only a point-cloud D needs scipy.spatial
+            from scipy.spatial import cKDTree
+            tree = cKDTree(spec.points)
+        object.__setattr__(self, "_d_tree", tree)
         object.__setattr__(self, "_diagonal", self.box.diagonal)
 
     # value ranges -----------------------------------------------------
@@ -305,6 +308,9 @@ class SampledBackend:
     name = "sampled"
 
     def __init__(self, part: BandPartition, resolution: int = 201):
+        # deferred: scipy.spatial takes ~0.25 s to import; only this backend and
+        # a point-cloud D need it
+        from scipy.spatial import cKDTree
         pts, _, tags = _grid_tags(part, resolution)
         self.part = part
         self.clouds = {

@@ -86,9 +86,10 @@ def _build_field(cfg: dict) -> ScalarField:
         except KeyError as exc:
             raise ConfigError(str(exc))
     if "poly" in spec:
-        p = spec["poly"]
+        p = _object(spec["poly"], "functional.poly")
+        dim = _number(p, "functional.poly.dim", int)
         try:
-            return polynomial_field(int(p["dim"]),
+            return polynomial_field(dim,
                                     [(t["exps"], t["coef"]) for t in p["terms"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad functional.poly: {exc}")
@@ -369,10 +370,13 @@ _SUBCOMMANDS = {
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"--config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"--config {path}: not UTF-8 text ({exc.reason} "
+                          f"at byte {exc.start})") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     if "seed" in cfg and (isinstance(cfg["seed"], bool)

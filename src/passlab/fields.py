@@ -202,6 +202,9 @@ def polynomial_field(dim: int, terms: Sequence[tuple]) -> ScalarField:
     """
     parsed = []
     for exps, coef in terms:
+        if any(isinstance(e, bool) or (isinstance(e, float) and not e.is_integer())
+               for e in exps):
+            raise ValueError(f"exponents {exps} must be integers")
         exps = tuple(int(e) for e in exps)
         if len(exps) != dim or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent tuple {exps} for dim {dim}")

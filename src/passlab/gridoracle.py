@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GridTooLarge
 from .fields import DomainBox, ScalarField
@@ -120,6 +119,7 @@ def _structure(dim: int, connectivity: int) -> np.ndarray:
     """``ndimage.label`` structuring element with the neighbours of ``_offsets``."""
     if dim == 2 and connectivity == 8:
         return np.ones((3, 3), dtype=bool)
+    from scipy import ndimage  # deferred: ~0.2 s to import; only the oracle needs it
     return ndimage.generate_binary_structure(dim, 1)
 
 
@@ -174,6 +174,7 @@ def _threshold_sweep(g: GridGraph, p, q, descending: bool) -> OracleResult:
     ``ndimage.label`` pass per probe.  The method strings
     ``union_find_ascending`` / ``union_find_descending`` name the direction.
     """
+    from scipy import ndimage  # deferred: ~0.2 s to import; only the oracle needs it
     p, q = _node_index(g, p, "p"), _node_index(g, q, "q")
     if p == q:
         raise ValueError("need p != q")
@@ -261,6 +262,7 @@ def critical_scan(field: ScalarField, box: DomainBox, resolution,
     sorted by center coordinates; the center is the cluster's argmin of the
     gradient norm.
     """
+    from scipy import ndimage  # deferred: ~0.2 s to import; only the oracle needs it
     if grad_tol <= 0:
         raise ValueError("grad_tol must be > 0")
     g = GridGraph.from_field(field, box, resolution)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 
 from .bands import BandPartition, DeformationParams, RegionSpec, build_backend
 from .errors import InvalidInstance, PinMoved
@@ -361,6 +360,15 @@ class PSReport:
                 "band_min_grad": self.band_min_grad,
                 "accumulation_points": self.accumulation_points,
                 "sample_sequence": self.sample_sequence}
+
+
+def scipy_minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``.  ``ps_probe`` and ``_escape_probe`` look
+    it up as this module attribute at each call, so a wrapper set here sees
+    every optimiser call."""
+    # deferred: scipy.optimize takes ~0.35 s to import; only the PS probe needs it
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
 
 
 def _cluster(points: np.ndarray, radius: float):

@@ -295,6 +295,15 @@ def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
     assert "--config" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # was a raw UnicodeDecodeError with exit 1
+    cfg = tmp_path / "bin.json"
+    cfg.write_bytes(b"\xff\xfe\x00garbage")
+    assert main(["deform", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "--config" in capsys.readouterr().err
+
+
 def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("")
@@ -328,6 +337,19 @@ def test_nan_poly_coefficient_exits_2(tmp_path, capsys):
                functional={"poly": {"dim": 2, "terms": [
                    {"exps": [1, 0], "coef": 1.0},
                    {"exps": [0, 2], "coef": float("nan")}]}})
+    assert "functional.poly" in _config_error(tmp_path, capsys, "deform", cfg)
+
+
+@pytest.mark.parametrize("dim, exps, lo", [
+    (2, [2.5, 0], [-1.0, -1.0]),    # ran as x^2: phi(2, 0) = 4, not 2^2.5
+    (2, [True, 0], [-1.0, -1.0]),
+    (2.9, [1, 0], [-1.0, -1.0]),    # ran as dim 2
+    (True, [1], [-1.0]),            # ran as dim 1
+], ids=["fractional_exponent", "bool_exponent", "fractional_dim", "bool_dim"])
+def test_non_integer_poly_dim_or_exponent_exits_2(tmp_path, capsys, dim, exps, lo):
+    cfg = dict(AFFINE_DEFORM, box={"lo": lo, "hi": [-x for x in lo]},
+               functional={"poly": {"dim": dim, "terms": [
+                   {"exps": exps, "coef": 1.0}]}})
     assert "functional.poly" in _config_error(tmp_path, capsys, "deform", cfg)
 
 

@@ -103,6 +103,14 @@ def test_polynomial_degree_cap():
         polynomial_field(2, [((9, 0), 1.0)])
 
 
+def test_polynomial_exponents_must_be_integers():
+    for exps in [(2.5, 0), (True, 0)]:
+        with pytest.raises(ValueError, match="integers"):
+            polynomial_field(2, [(exps, 1.0)])
+    integral = polynomial_field(2, [((2.0, 0), 1.0)])
+    assert integral.evaluate(np.array([2.0, 0.0])) == 4.0
+
+
 def test_unknown_catalog_name():
     with pytest.raises(KeyError):
         catalog_field("nonexistent")
