@@ -24,17 +24,22 @@ Two backends give the set distances between the plateaus, both measured
 in the box.  FirstOrderBackend, the default, divides the slab distance in
 phi by the local ||grad phi||: the distances vanish at the band edges, so
 psi is continuous there, no point lookup is made, and they are exact for an
-affine field.  SampledBackend measures them to grid point clouds with
-KD-trees; it is the set-distance reference the first-order distances are
-checked against.  A band (or a side of the complement of A) with no grid
-point is at +inf in both.  A distance that divides by ||grad phi|| floors
-it at MIN_GRAD_FLOOR.
+affine field.  SampledBackend measures them exactly to grid point clouds;
+it is the set-distance reference the first-order distances are checked
+against.  It lists, the first time a query lands in a grid cell, the cloud
+points that can be nearest to any point of the cell, and answers later
+queries there from those lists with the arithmetic of cKDTree.query, bit
+for bit; rows outside the box, non-finite rows and cells whose lists
+would be too long go to the KD-trees.  A band (or a side of the complement
+of A) with no grid point is at +inf in both.  A distance that divides by
+||grad phi|| floors it at MIN_GRAD_FLOOR.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
+from itertools import chain, product
 from typing import Optional
 
 import numpy as np
@@ -51,6 +56,19 @@ D_SEPARATION = 0.05
 MIN_GRAD_FLOOR = 1e-8
 
 _UNDERFLOW = 1e-300
+
+# SampledBackend: a grid cell whose candidate list for some cloud is longer
+# than CELL_CAP points is answered by the KD-trees, as is one whose ball
+# holds more than _BALL_CAP points before pruning (the centre of a
+# ring-shaped band holds hundreds).  Cells are listed _CELL_CHUNK at a time
+# and looked up _CHUNK rows at a time, which bounds the temporaries.  _SLACK
+# is the relative margin by which a candidate must lose to be pruned.
+CELL_CAP = 32
+_BALL_CAP = 128
+_CELL_CHUNK = 64
+_CHUNK = 2048
+_SLACK = 1e-9
+_UNFILLED, _TO_TREES = -1, -2   # cell-to-slot codes of unlisted and tree cells
 
 
 class RegionTag(IntEnum):
@@ -296,13 +314,28 @@ class FirstOrderBackend:
 
 
 class SampledBackend:
-    """Rejection-sampled region clouds on a regular grid, with KD-tree lookup.
+    """Rejection-sampled region clouds on a regular grid, with exact
+    nearest-point distances to them.
 
     Reported distances err from true set distances by at most one grid-cell
     diagonal; the distance to a region without grid points is +inf.  The
     clouds are the grid points BandPartition.tags puts in B, C and outside
     A; the cutoff's plateau values come from the region codes, not from
     these distances, so they stay exact.
+
+    A query row is looked up in the grid cell that holds it (cell k spans
+    [lo + k h, lo + (k + 1) h]).  The first query landing in a cell lists,
+    for each cloud, the points that can be nearest to a point of the cell:
+    the KD-tree's points within d(x_c) + 2r of the centre x_c, r being the
+    cell's circumradius, less each point that another one is closer than
+    at every corner of the cell (and so everywhere in it).  Both tests
+    keep a float margin.  The three lists sit side by side, padded with
+    +inf, in one coordinate table, so a lookup is one gather and one
+    minimum per cloud, with the squared distance summed in axis order as
+    cKDTree sums it: the distances equal cKDTree.query's bit for bit.
+    Rows outside the box, non-finite rows and rows in a cell with a list
+    longer than CELL_CAP points are queried on the KD-trees (which reject
+    a non-finite row with ValueError).
     """
 
     name = "sampled"
@@ -319,6 +352,30 @@ class SampledBackend:
             "OUT": pts[tags == RegionTag.OUTSIDE],
         }
         self.trees = {k: (cKDTree(v) if len(v) else None) for k, v in self.clouds.items()}
+        box = part.box
+        self._res = resolution
+        self._lo = box.lo
+        self._h = (box.hi - box.lo) / (resolution - 1)
+        self._stride = resolution ** np.arange(box.dim - 1, -1, -1, dtype=np.int32)
+        # Float margins, far above the rounding of a cell index, a distance
+        # or a difference of squared distances at this coordinate scale:
+        # cells are widened by _pad per side, the ball's radius 2r by a
+        # margin above that, and a point is pruned only when another one
+        # is closer by _SLACK * (d^2 + scale^2) at every corner.
+        scale = float(np.abs([box.lo, box.hi]).max())
+        r = 0.5 * float(np.linalg.norm(self._h))
+        self._pad = 1e-12 * (r + scale)
+        self._span = self._h + 2.0 * self._pad
+        self._reach = 2.0 * r + 1e-9 * (r + scale)
+        self._scale2 = scale * scale
+        self._corners = np.array(list(product((False, True), repeat=box.dim)))
+        self._points = np.concatenate(list(self.clouds.values()))
+        self._base = np.cumsum([0] + [len(c) for c in self.clouds.values()])[:3]
+        self._slot = np.full(resolution ** box.dim, _UNFILLED, dtype=np.int32)
+        self._filled = 0
+        self._width = np.ones(3, dtype=np.intp)   # B, C, OUT segment widths
+        self._start = np.arange(3)
+        self._table = np.empty((0, box.dim, 3))   # slot, axis, candidate
 
     def _cloud_distance(self, key, u):
         """Distances from u to a cloud; +inf to a cloud with no points."""
@@ -327,12 +384,123 @@ class SampledBackend:
             return np.full(np.shape(u)[:-1], np.inf)
         return tree.query(u)[0]
 
+    def _undominated(self, pts, n, lo, hi):
+        """(cells, K) mask of the first n[i] of the +inf-padded candidates
+        pts (cells, K, dim) of the cells [lo, hi], less each one that the
+        candidate nearest to some corner is closer than at every corner."""
+        v = np.where(self._corners, hi[:, None], lo[:, None])     # (m, C, dim)
+        diff = v[:, :, None, :] - pts[:, None, :, :]
+        diff *= diff
+        d2 = np.add.reduce(diff, axis=-1)                          # (m, C, K)
+        # d2 at every corner of the candidate nearest to each corner
+        best = np.take_along_axis(d2, np.argmin(d2, axis=2)[:, None, :], axis=2)
+        # p is dominated where one of them is closer by the slack at every
+        # corner; the closer point then wins everywhere in the cell, by more
+        # than the rounding of a squared distance
+        bar = (1.0 - _SLACK) * d2 - _SLACK * self._scale2
+        dominated = np.all(best[:, :, :, None] < bar[:, :, None, :], axis=1)
+        return ~np.any(dominated, axis=1) & (np.arange(pts.shape[1]) < n[:, None])
+
+    def _fill(self, cells):
+        """List the candidates of the given unique, unlisted flat cell ids."""
+        m, dim = len(cells), len(self._h)
+        k = cells[:, None] // self._stride % self._res          # (m, dim) cell index
+        lo = self._lo - self._pad + k * self._h
+        hi = lo + self._span
+        centres = lo + 0.5 * self._span
+        balls = list(chain.from_iterable(
+            [[]] * m if tree is None else tree.query_ball_point(
+                centres, tree.query(centres)[0] + self._reach)
+            for tree in self.trees.values()))                    # cloud-major
+        n = np.fromiter(map(len, balls), dtype=np.intp, count=3 * m)
+        over = n > _BALL_CAP
+        n[over] = 0
+        total = int(n.sum())
+        ids = np.fromiter(chain.from_iterable(
+            b for b, o in zip(balls, over) if not o), dtype=np.intp, count=total)
+        # the balls as one +inf-padded (3 m, K, dim) coordinate array
+        row = np.repeat(np.arange(3 * m), n)
+        col = np.arange(total) - np.repeat(np.cumsum(n) - n, n)
+        pts = np.full((3 * m, int(n.max(initial=1)), dim), np.inf)   # K >= 1
+        pts[row, col] = self._points[ids + self._base[row // m]]
+        keep = self._undominated(pts, n, np.tile(lo, (3, 1)), np.tile(hi, (3, 1)))
+        n = np.count_nonzero(keep, axis=1)
+        n[over] = CELL_CAP + 1      # an unpruned ball goes to the trees too
+        n = n.reshape(3, m)
+        ok = np.all(n <= CELL_CAP, axis=0)
+        self._slot[cells[~ok]] = _TO_TREES
+        filled = self._filled + np.count_nonzero(ok)
+        width = np.maximum(self._width, n[:, ok].max(axis=1, initial=0))
+        if filled > len(self._table) or np.any(width > self._width):
+            # grow: double the slots, widen the segments that need it
+            start = np.cumsum(width) - width
+            table = np.full((max(filled, 2 * len(self._table)), dim, int(width.sum())),
+                            np.inf)
+            for s_old, s_new, w in zip(self._start, start, self._width):
+                table[:self._filled, :, s_new:s_new + w] = \
+                    self._table[:self._filled, :, s_old:s_old + w]
+            self._table, self._width, self._start = table, width, start
+        # the kept candidates of each cloud j go to the front of segment j
+        keep = keep.reshape(3, m, -1)[:, ok]
+        j, i, c = np.nonzero(keep)
+        rank = np.cumsum(keep, axis=2)[j, i, c] - 1
+        self._table[self._filled + i, :, self._start[j] + rank] = \
+            pts.reshape(3, m, -1, dim)[:, ok][j, i, c]
+        self._slot[cells[ok]] = np.arange(self._filled, filled)
+        self._filled = filled
+
+    def _lookup(self, slot, u):
+        """(rows, 3) distances from points u to the B, C and OUT candidates
+        of their table slots."""
+        g = self._table.take(slot, axis=0)
+        g -= u[:, :, None]
+        g *= g
+        d2 = np.add.reduce(g, axis=1)     # dx*dx + dy*dy (+ dz*dz), in order
+        return np.sqrt(np.minimum.reduceat(d2, self._start, axis=1))
+
+    def _all_rows(self, pts):
+        """(rows, 3) distances from every row of pts: lists the cells not
+        yet listed, sends the rows outside the box or in a cell over the cap
+        to the KD-trees and looks the rest up in chunks."""
+        t = (pts - self._lo) / self._h
+        inside = np.all((t >= 0.0) & (t <= self._res - 1), axis=-1)   # False on NaN
+        cell = t[inside].astype(np.int32) @ self._stride
+        del t
+        new = np.unique(cell[self._slot[cell] == _UNFILLED])
+        for i in range(0, new.size, _CELL_CHUNK):
+            self._fill(new[i:i + _CELL_CHUNK])
+        slot = np.full(len(pts), _TO_TREES, dtype=np.int32)
+        slot[inside] = self._slot[cell]
+        d = np.empty((len(pts), 3))
+        miss = np.flatnonzero(slot < 0)
+        if miss.size:
+            for j, key in enumerate(self.clouds):
+                d[miss, j] = self._cloud_distance(key, pts[miss])
+        for i in range(0, len(pts), _CHUNK):
+            s = slot[i:i + _CHUNK]
+            hit = _rows_of(s >= 0)
+            d[i:i + _CHUNK][hit] = self._lookup(s[hit], pts[i:i + _CHUNK][hit])
+        return d
+
+    def _nearest(self, pts):
+        """(rows, 3) distances from the rows of pts (rows, dim) to the B, C
+        and OUT clouds."""
+        if len(pts) <= _CHUNK:
+            # a batch of rows all in the box (min and max are NaN on a NaN
+            # row) and in listed cells is one lookup
+            t = (pts - self._lo) / self._h
+            if t.min(initial=0.0) >= 0.0 and t.max(initial=0.0) <= self._res - 1:
+                slot = self._slot[t.astype(np.int32) @ self._stride]
+                if np.count_nonzero(slot < 0) == 0:
+                    return self._lookup(slot, pts)
+        return self._all_rows(pts)
+
     def distances(self, u, phi, gnorm):
         """Set distances (dB, dC, dXA) from points u with values phi and
         gradient norms gnorm; plateau rows are not masked."""
-        dB = self._cloud_distance("B", u)
-        dC = self._cloud_distance("C", u)
-        d_out = self._cloud_distance("OUT", u)
+        u = np.asarray(u, dtype=float)
+        d = self._nearest(u.reshape(-1, u.shape[-1]))
+        dB, dC, d_out = d.T.reshape((3,) + u.shape[:-1])
         return dB, dC, np.minimum(d_out, self.part.d_distance(u, phi, gnorm))
 
 

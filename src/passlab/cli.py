@@ -52,8 +52,9 @@ def _number(sec: dict, name: str, kind=float, default=_REQUIRED,
     """Field ``name`` ("section.key") of ``sec`` as a finite int or float.
 
     A missing or null field takes ``default`` and is an error without one.
-    A boolean, a non-number, a fractional value for an int, or with
-    ``positive`` a value <= 0, is a ConfigError naming the field.
+    A boolean, a string (even one that spells a number), another non-number,
+    a fractional value for an int, or with ``positive`` a value <= 0, is a
+    ConfigError naming the field.
     """
     value = sec.get(name.rpartition(".")[2])
     if value is None:
@@ -62,7 +63,7 @@ def _number(sec: dict, name: str, kind=float, default=_REQUIRED,
         return default
     want = "an integer" if kind is int else "a number"
     try:
-        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+        if isinstance(value, (bool, str)) or (kind is int and isinstance(value, float)
                                        and not value.is_integer()):
             raise ValueError
         out = kind(value)

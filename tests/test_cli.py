@@ -269,6 +269,22 @@ def test_bad_section_field_exits_2(tmp_path, capsys, name, value):
     assert name in _config_error(tmp_path, capsys, sub, cfg)
 
 
+def test_numbers_spelled_as_strings_exit_2(tmp_path, capsys):
+    # float("0.0") and int("20") used to accept these and run with exit 0
+    cfg = {"functional": {"catalog": "affine"},
+           "deformation": {"c": "0.0", "eps": "0.5", "samples": "20"}}
+    assert "deformation.c" in _config_error(tmp_path, capsys, "deform", cfg)
+
+
+@pytest.mark.parametrize("name, value", [("deformation.eps", "0.5"),
+                                         ("deformation.samples", "20")])
+def test_string_number_field_names_the_field(tmp_path, capsys, name, value):
+    key = name.split(".")[1]
+    cfg = dict(AFFINE_DEFORM, deformation=dict(AFFINE_DEFORM["deformation"],
+                                               **{key: value}))
+    assert name in _config_error(tmp_path, capsys, "deform", cfg)
+
+
 @pytest.mark.parametrize("oracle", [[1], 3])
 def test_oracle_section_not_an_object_exits_2(tmp_path, capsys, oracle):
     err = _config_error(tmp_path, capsys, "minimax", dict(MINIMAX, oracle=oracle))
