@@ -15,13 +15,14 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__
 from .bands import (BandPartition, DeformationParams, RegionSpec,
-                    SampledBackend, build_backend, export_region_clouds, psi)
-from .errors import ConfigError, InvalidM, PasslabError
+                    SampledBackend, build_backend, export_region_clouds)
+from .errors import ConfigError, PasslabError
 from .fields import (DomainBox, ScalarField, catalog_field, default_box,
                      polynomial_field)
 from .flow import DeformationField, FlowConfig, verify_deformation
@@ -30,168 +31,183 @@ from .minimax import (check_conclusions, check_mpt_geometry, optimize_c1,
                       optimize_c2, ps_probe, trace_proof_argument)
 from .paths import MountainPassInstance, check_m
 
+_REQUIRED = "required"
 
-def _object(value, name: str) -> dict:
-    """A config section, which must be a JSON object."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    return value
+# Every key a config may hold: section -> key -> (kind, default[, bound]).
+# A section is the dotted path of a JSON object, "" the root.  Kinds: int
+# and float (a finite JSON number, not a boolean or string; an int may be
+# 2.0, not 2.5; an int bound is inclusive, a float bound strict), str,
+# point (an array of finite numbers), points (a point or an array of them),
+# object (the section named by the dotted key) and objects (an array of
+# them).  A missing key, or a null one unless it is an object, takes the
+# default; _REQUIRED has none, and None means "not given".
+_SCHEMA = {
+    "": {"seed": ("int", 0, 0), "functional": ("object", _REQUIRED),
+         "box": ("object", None), "deformation": ("object", None),
+         "minimax": ("object", None), "geometry": ("object", None),
+         "oracle": ("object", None), "ps": ("object", None),
+         "proof_trace": ("object", None)},
+    "functional": {"catalog": ("str", None), "poly": ("object", None)},
+    "functional.poly": {"dim": ("int", _REQUIRED),
+                        "terms": ("objects", _REQUIRED)},
+    "functional.poly.terms": {"exps": ("point", _REQUIRED),
+                              "coef": ("float", _REQUIRED)},
+    "box": {"lo": ("point", _REQUIRED), "hi": ("point", _REQUIRED)},
+    "deformation": {"c": ("float", _REQUIRED), "eps": ("float", _REQUIRED, 0),
+                    "backend": ("str", None), "resolution": ("int", 201),
+                    "step": ("float", None, 0), "record_every": ("int", 1, 1),
+                    "d_spec": ("object", None), "samples": ("int", 1000, 1),
+                    "dump_resolution": ("int", 101, 1)},
+    "deformation.d_spec": {"kind": ("str", "empty"), "value": ("float", None),
+                           "thickness": ("float", None),
+                           "points": ("points", None)},
+    "minimax": {"pin_zero": ("point", _REQUIRED), "pin_e": ("point", _REQUIRED),
+                "pin_mode": ("str", "interior"), "ensemble_size": ("int", 8, 1),
+                "M": ("int", 32), "max_iters": ("int", 200, 1),
+                "tol": ("float", 1e-6, 0), "conclusions_eps": ("float", 0.05, 0)},
+    "geometry": {"r": ("float", None, 0), "sphere_samples": ("int", 4096, 1)},
+    "oracle": {"resolution": ("int", 257), "connectivity": ("int", 8),
+               "p": ("point", None), "q": ("point", None),
+               "scan_resolution": ("int", 201, 3),
+               "grad_tol": ("float", 0.05, 0)},
+    "ps": {"level": ("float", _REQUIRED), "band_halfwidth": ("float", 0.1, 0),
+           "samples": ("int", 64, 1)},
+    "proof_trace": {"c1": ("float", _REQUIRED), "c2": ("float", _REQUIRED),
+                    "eps": ("float", _REQUIRED, 0)},
+}
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required section {key!r}")
-    return _object(cfg[key], key)
+def _parse(raw, section: str = "", name: str = "") -> dict:
+    """``raw`` checked against ``_SCHEMA[section]``, with every default filled
+    in; ``name`` is its dotted path in messages.  Any fault is a ConfigError
+    that names the key."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config section {name!r} must be an object"
+                          if name else "config root must be a JSON object")
+    keys = _SCHEMA[section]
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"unknown key {_dotted(name, key)!r}; "
+                              f"{name or 'the config root'} takes "
+                              f"{', '.join(keys)}")
+    parsed = {}
+    for key, (kind, default, *bound) in keys.items():
+        value, full = raw.get(key), _dotted(name, key)
+        if value is None and (key not in raw or not kind.startswith("object")):
+            if default is _REQUIRED:
+                raise ConfigError(f"{full} is required")
+            parsed[key] = default
+        elif kind == "object":
+            parsed[key] = _parse(value, _dotted(section, key), full)
+        elif kind == "objects":
+            if not isinstance(value, list):
+                raise ConfigError(f"{full} must be an array, got {value!r}")
+            parsed[key] = [_parse(v, _dotted(section, key), f"{full}[{i}]")
+                           for i, v in enumerate(value)]
+        else:
+            parsed[key] = _check(value, kind, full, *bound)
+    return parsed
 
 
-_REQUIRED = object()
+def _dotted(prefix: str, key: str) -> str:
+    return f"{prefix}.{key}" if prefix else key
 
 
-def _number(sec: dict, name: str, kind=float, default=_REQUIRED,
-            positive: bool = False):
-    """Field ``name`` ("section.key") of ``sec`` as a finite int or float.
-
-    A missing or null field takes ``default`` and is an error without one.
-    A boolean, a string (even one that spells a number), another non-number,
-    a fractional value for an int, or with ``positive`` a value <= 0, is a
-    ConfigError naming the field.
-    """
-    value = sec.get(name.rpartition(".")[2])
-    if value is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"{name} is required")
-        return default
-    want = "an integer" if kind is int else "a number"
+def _check(value, kind: str, name: str, bound=None):
+    """A non-null str, point, points, int or float ``value`` of field
+    ``name``, converted to the kind, or a ConfigError naming the field."""
+    if kind == "str":
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
+        return value
+    if kind in ("point", "points"):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be an array, got {value!r}")
+        return [_check(v, "point" if kind == "points" and isinstance(v, list)
+                       else "float", f"{name}[{i}]")
+                for i, v in enumerate(value)]
+    want = "an integer" if kind == "int" else "a number"
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (kind == "int" and isinstance(value, float)
+                and not value.is_integer())):
+        raise ConfigError(f"{name} must be {want}, got {value!r}")
     try:
-        if isinstance(value, (bool, str)) or (kind is int and isinstance(value, float)
-                                       and not value.is_integer()):
-            raise ValueError
-        out = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be {want}, got {value!r}") from None
-    if not math.isfinite(out):
+        out = int(value) if kind == "int" else float(value)
+    except OverflowError:  # float() of an int beyond the float range
+        out = math.inf
+    if kind == "float" and not math.isfinite(out):  # an int is finite
         raise ConfigError(f"{name} must be finite, got {value!r}")
-    if positive and out <= 0:
-        raise ConfigError(f"{name} must be > 0, got {value!r}")
+    if bound is not None and (out < bound if kind == "int" else out <= bound):
+        raise ConfigError(f"{name} must be {'>=' if kind == 'int' else '>'} "
+                          f"{bound}, got {value!r}")
     return out
 
 
-def _build_field(cfg: dict) -> ScalarField:
-    spec = _require(cfg, "functional")
-    if "catalog" in spec:
-        name = spec["catalog"]
-        if not isinstance(name, str):
-            raise ConfigError(f"functional.catalog must be a string, got {name!r}")
-        try:
-            return catalog_field(name)
-        except KeyError as exc:
-            raise ConfigError(str(exc))
-    if "poly" in spec:
-        p = _object(spec["poly"], "functional.poly")
-        dim = _number(p, "functional.poly.dim", int)
-        try:
-            return polynomial_field(dim,
-                                    [(t["exps"], t["coef"]) for t in p["terms"]])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad functional.poly: {exc}")
-    raise ConfigError("functional must contain 'catalog' or 'poly'")
+@contextmanager
+def _naming(name: str):
+    """Re-raise a library error from the block as a ConfigError naming the
+    config field (or section) ``name`` that caused it."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, ValueError, PasslabError) as exc:
+        raise ConfigError(f"bad {name}: {exc}") from None
+
+
+def _build_field(f: dict) -> ScalarField:
+    if f["catalog"] is not None:
+        with _naming("functional.catalog"):
+            return catalog_field(f["catalog"])
+    if f["poly"] is not None:
+        with _naming("functional.poly"):
+            return polynomial_field(f["poly"]["dim"], [
+                (t["exps"], t["coef"]) for t in f["poly"]["terms"]])
+    raise ConfigError("functional needs a functional.catalog name or a "
+                      "functional.poly object")
 
 
 def _build_box(cfg: dict, field: ScalarField) -> DomainBox:
-    if "box" in cfg:
-        b = cfg["box"]
-        try:
-            box = DomainBox(np.asarray(b["lo"], float), np.asarray(b["hi"], float))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad box: {exc}")
+    if cfg["box"] is not None:
+        with _naming("box"):
+            box = DomainBox(cfg["box"]["lo"], cfg["box"]["hi"])
+    elif cfg["functional"]["catalog"] is None:
+        raise ConfigError("poly functionals require an explicit box")
     else:
-        name = cfg.get("functional", {}).get("catalog")
-        if name is None:
-            raise ConfigError("poly functionals require an explicit box")
-        box = default_box(name)
+        box = default_box(cfg["functional"]["catalog"])
     if box.dim != field.dim:
         raise ConfigError("box dimension does not match the functional")
     return box
 
 
-def _build_d_spec(d: dict) -> RegionSpec:
-    kind = d.get("kind", "empty")
-    if kind == "empty":
+def _d_spec(d: dict) -> RegionSpec:
+    if d is None or d["kind"] == "empty":
         return RegionSpec.empty()
-    if kind == "level_set":
-        return RegionSpec.level_set(d["value"], d.get("thickness"))
-    if kind == "point_cloud":
+    if d["kind"] == "level_set" and d["value"] is not None:
+        return RegionSpec.level_set(d["value"], d["thickness"])
+    if d["kind"] == "point_cloud" and d["points"] is not None:
         return RegionSpec.point_cloud(d["points"])
-    raise ConfigError(f"unknown d_spec kind {kind!r}")
-
-
-def _deformation_objects(cfg, field, box):
-    d = _require(cfg, "deformation")
-    d_spec = _object(d.get("d_spec", {}), "deformation.d_spec")
-    params = DeformationParams(_number(d, "deformation.c"),
-                               _number(d, "deformation.eps", positive=True))
-    resolution = _number(d, "deformation.resolution", int, 201)
-    fcfg = FlowConfig(
-        step=_number(d, "deformation.step", default=None, positive=True),
-        record_every=_number(d, "deformation.record_every", int, 1, positive=True))
-    try:
-        part = BandPartition(field, box, params, _build_d_spec(d_spec))
-    except (KeyError, TypeError, ValueError, PasslabError) as exc:
-        raise ConfigError(f"bad deformation.d_spec: {exc}")
-    try:
-        backend = build_backend(part, d.get("backend"), resolution)
-    except ValueError as exc:
-        raise ConfigError(
-            f"bad deformation.backend or deformation.resolution: {exc}")
-    df = DeformationField(part, backend)
-    try:
-        fcfg.grid(df.horizon)
-    except ValueError as exc:
-        raise ConfigError(f"bad deformation.step: {exc}")
-    return df, fcfg, d
+    raise ConfigError("deformation.d_spec needs kind 'empty', 'level_set' "
+                      f"with a value or 'point_cloud' with points, got {d!r}")
 
 
 def _instance(cfg, field, box) -> MountainPassInstance:
-    m = _require(cfg, "minimax")
-    g = _require(cfg, "geometry") if "geometry" in cfg else {}
-    radius = _number(g, "geometry.r", default=None, positive=True)
-    try:
-        return MountainPassInstance(
-            field, box,
-            np.asarray(m["pin_zero"], float), np.asarray(m["pin_e"], float),
-            m.get("pin_mode", "interior"), radius)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad minimax section: {exc}")
+    m, g = cfg["minimax"], cfg["geometry"]
+    with _naming("minimax"):
+        return MountainPassInstance(field, box, m["pin_zero"], m["pin_e"],
+                                    m["pin_mode"], g["r"] if g else None)
 
 
-def _oracle_grid(o: dict, field, box) -> GridGraph:
-    resolution = _number(o, "oracle.resolution", int, 257)
-    connectivity = _number(o, "oracle.connectivity", int, 8)
-    try:
-        return GridGraph.from_field(field, box, resolution, connectivity)
-    except ValueError as exc:
-        raise ConfigError(f"bad oracle.resolution or oracle.connectivity: {exc}")
-
-
-def _oracle_point(o: dict, key: str, dim: int) -> np.ndarray:
-    if key not in o:
-        raise ConfigError(f"oracle.{key} is required")
-    try:
-        point = np.asarray(o[key], float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad oracle.{key}: {exc}")
-    if point.shape != (dim,):
-        raise ConfigError(f"oracle.{key} must be a point with {dim} coordinates")
-    return point
-
-
-def _oracle_nodes(g: GridGraph, a, b, name_a: str, name_b: str):
-    """Snap two points to grid nodes, which must differ."""
+def _oracle(o: dict, field, box, a, b, name_a: str, name_b: str):
+    """The oracle grid and the nodes that points a and b snap to, which
+    must differ."""
+    with _naming("oracle"):
+        g = GridGraph.from_field(field, box, o["resolution"], o["connectivity"])
     p, q = g.nearest_node(a), g.nearest_node(b)
     if p == q:
         raise ConfigError(f"{name_a} and {name_b} snap to the same oracle grid "
                           f"node {p}; raise oracle.resolution")
-    return p, q
+    return g, p, q
 
 
 def _to_jsonable(obj):
@@ -209,17 +225,24 @@ def _to_jsonable(obj):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (payload, checks)
+# subcommands: each takes the parsed config, the field and its box, and
+# returns (payload, checks)
 
 
-def _run_deform(cfg, seed, out_dir):
-    field = _build_field(cfg)
-    box = _build_box(cfg, field)
-    df, fcfg, d = _deformation_objects(cfg, field, box)
-    samples = _number(d, "deformation.samples", int, 1000, positive=True)
-    res = _number(d, "deformation.dump_resolution", int, 101, positive=True)
-    report = verify_deformation(df, fcfg, samples, seed)
-    _dump_psi_grid(df, box, res, os.path.join(out_dir, "psi_grid.csv"))
+def _run_deform(cfg, field, box, seed, out_dir):
+    d = cfg["deformation"]
+    with _naming("deformation.d_spec"):
+        part = BandPartition(field, box, DeformationParams(d["c"], d["eps"]),
+                             _d_spec(d["d_spec"]))
+    with _naming("deformation.backend or deformation.resolution"):
+        backend = build_backend(part, d["backend"], d["resolution"])
+    df = DeformationField(part, backend)
+    fcfg = FlowConfig(step=d["step"], record_every=d["record_every"])
+    with _naming("deformation.step"):
+        fcfg.grid(df.horizon)
+    report = verify_deformation(df, fcfg, d["samples"], seed)
+    _dump_psi_grid(df, box, d["dump_resolution"],
+                   os.path.join(out_dir, "psi_grid.csv"))
     if isinstance(df.backend, SampledBackend):
         export_region_clouds(df.part, df.backend,
                              os.path.join(out_dir, "region_clouds.csv"))
@@ -245,25 +268,17 @@ def _dump_psi_grid(df, box, resolution, path):
     np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
-def _run_minimax(cfg, seed, out_dir):
-    field = _build_field(cfg)
-    box = _build_box(cfg, field)
+def _run_minimax(cfg, field, box, seed, out_dir):
+    m, o = cfg["minimax"], cfg["oracle"]
     inst = _instance(cfg, field, box)
-    m = cfg["minimax"]
-    kw = dict(ensemble_size=_number(m, "minimax.ensemble_size", int, 8, positive=True),
-              M=_number(m, "minimax.M", int, 32),
-              max_iters=_number(m, "minimax.max_iters", int, 200, positive=True),
-              tol=_number(m, "minimax.tol", float, 1e-6, positive=True), seed=seed)
-    try:
-        check_m(kw["M"])
-    except InvalidM as exc:
-        raise ConfigError(f"minimax.M: {exc}") from None
-    o = _require(cfg, "oracle") if "oracle" in cfg else None
+    with _naming("minimax.M"):
+        check_m(m["M"])
     if o is not None:
-        g = _oracle_grid(o, field, box)
-        p, q = _oracle_nodes(g, inst.pin_zero, inst.pin_e,
-                             "minimax.pin_zero", "minimax.pin_e")
-    eps = _number(m, "minimax.conclusions_eps", float, 0.05, positive=True)
+        g, p, q = _oracle(o, field, box, inst.pin_zero, inst.pin_e,
+                          "minimax.pin_zero", "minimax.pin_e")
+    kw = dict(ensemble_size=m["ensemble_size"], M=m["M"],
+              max_iters=m["max_iters"], tol=m["tol"], seed=seed)
+    eps = m["conclusions_eps"]
     r1 = optimize_c1(inst, **kw)
     r2 = optimize_c2(inst, **kw)
     conclusions = check_conclusions(inst, r1, r2, eps)
@@ -294,20 +309,16 @@ def _run_minimax(cfg, seed, out_dir):
     return payload, checks
 
 
-def _run_oracle(cfg, seed, out_dir):
-    field = _build_field(cfg)
-    box = _build_box(cfg, field)
-    o = _require(cfg, "oracle")
-    g = _oracle_grid(o, field, box)
-    p, q = _oracle_nodes(g, _oracle_point(o, "p", box.dim),
-                         _oracle_point(o, "q", box.dim), "oracle.p", "oracle.q")
-    scan_res = _number(o, "oracle.scan_resolution", int, 201)
-    grad_tol = _number(o, "oracle.grad_tol", float, 0.05, positive=True)
-    if scan_res < 3:
-        raise ConfigError("oracle.scan_resolution must be >= 3")
+def _run_oracle(cfg, field, box, seed, out_dir):
+    o = cfg["oracle"]
+    for key in ("p", "q"):
+        if o[key] is None or len(o[key]) != box.dim:
+            raise ConfigError(f"oracle.{key} must be a point with {box.dim} "
+                              f"coordinates, got {o[key]!r}")
+    g, p, q = _oracle(o, field, box, o["p"], o["q"], "oracle.p", "oracle.q")
     ob = bottleneck_value(g, p, q)
     ow = widest_value(g, p, q)
-    clusters = critical_scan(field, box, scan_res, grad_tol)
+    clusters = critical_scan(field, box, o["scan_resolution"], o["grad_tol"])
     payload = {"bottleneck": ob.to_dict(), "widest": ow.to_dict(),
                "critical_clusters": clusters}
     vp, vq = float(g.values.ravel()[p]), float(g.values.ravel()[q])
@@ -320,72 +331,51 @@ def _run_oracle(cfg, seed, out_dir):
     return payload, checks
 
 
-def _run_pscheck(cfg, seed, out_dir):
-    field = _build_field(cfg)
-    box = _build_box(cfg, field)
-    p = _require(cfg, "ps")
-    rep = ps_probe(field, box, _number(p, "ps.level"),
-                   _number(p, "ps.band_halfwidth", float, 0.1, positive=True),
-                   samples=_number(p, "ps.samples", int, 64, positive=True),
-                   seed=seed)
+def _run_pscheck(cfg, field, box, seed, out_dir):
+    p = cfg["ps"]
+    rep = ps_probe(field, box, p["level"], p["band_halfwidth"],
+                   samples=p["samples"], seed=seed)
     return rep.to_dict(), []
 
 
-def _run_proof_trace(cfg, seed, out_dir):
-    field = _build_field(cfg)
-    box = _build_box(cfg, field)
+def _run_proof_trace(cfg, field, box, seed, out_dir):
     inst = _instance(cfg, field, box)
-    t = _require(cfg, "proof_trace")
-    c1, c2 = _number(t, "proof_trace.c1"), _number(t, "proof_trace.c2")
-    eps = _number(t, "proof_trace.eps", positive=True)
-    try:
-        trace = trace_proof_argument(inst, c1, c2, eps)
-    except PasslabError as exc:
-        raise ConfigError(str(exc))
+    t = cfg["proof_trace"]
+    with _naming("proof_trace"):
+        trace = trace_proof_argument(inst, t["c1"], t["c2"], t["eps"])
     checks = [{"name": "eps1_arithmetic",
-               "ok": trace.eps1 == min(abs(c2 - c1) / 4.0, eps)}]
+               "ok": trace.eps1 == min(abs(t["c2"] - t["c1"]) / 4.0, t["eps"])}]
     return trace.to_dict(), checks
 
 
-def _run_geometry(cfg, seed, out_dir):
-    field = _build_field(cfg)
-    box = _build_box(cfg, field)
+def _run_geometry(cfg, field, box, seed, out_dir):
     inst = _instance(cfg, field, box)
-    g = _require(cfg, "geometry")
     if inst.radius is None:
-        raise ConfigError("geometry section requires 'r'")
-    res = check_mpt_geometry(
-        inst, _number(g, "geometry.sphere_samples", int, 4096, positive=True), seed)
+        raise ConfigError("geometry.r is required")
+    res = check_mpt_geometry(inst, cfg["geometry"]["sphere_samples"], seed)
     return res.to_dict(), []
 
 
+# subcommand -> (runner, the config sections it requires)
 _SUBCOMMANDS = {
-    "deform": _run_deform,
-    "minimax": _run_minimax,
-    "oracle": _run_oracle,
-    "pscheck": _run_pscheck,
-    "proof-trace": _run_proof_trace,
-    "geometry": _run_geometry,
+    "deform": (_run_deform, ("deformation",)),
+    "minimax": (_run_minimax, ("minimax",)),
+    "oracle": (_run_oracle, ("oracle",)),
+    "pscheck": (_run_pscheck, ("ps",)),
+    "proof-trace": (_run_proof_trace, ("minimax", "proof_trace")),
+    "geometry": (_run_geometry, ("minimax", "geometry")),
 }
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"--config {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"--config {path}: not UTF-8 text ({exc.reason} "
                           f"at byte {exc.start})") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    if "seed" in cfg and (isinstance(cfg["seed"], bool)
-                          or not isinstance(cfg["seed"], int)
-                          or cfg["seed"] < 0):
-        raise ConfigError(f"seed must be a non-negative integer, "
-                          f"got {cfg['seed']!r}")
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -399,19 +389,26 @@ def main(argv=None) -> int:
     parser.add_argument("--strict", action="store_true",
                         help="exit nonzero when an invariant check fails")
     args = parser.parse_args(argv)
+    run, sections = _SUBCOMMANDS[args.subcommand]
 
     try:
-        cfg = _load_config(args.config)
+        raw = _load_config(args.config)
+        cfg = _parse(raw)
+        for name in sections:
+            if cfg[name] is None:
+                raise ConfigError(f"config is missing required section {name!r}")
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = cfg["seed"] if args.seed is None else args.seed
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"--out {args.out}: cannot make the output "
                               f"directory ({exc.strerror})") from None
         t0 = time.perf_counter()
-        payload, checks = _SUBCOMMANDS[args.subcommand](cfg, seed, args.out)
+        field = _build_field(cfg["functional"])
+        box = _build_box(cfg, field)
+        payload, checks = run(cfg, field, box, seed, args.out)
         wall_ms = (time.perf_counter() - t0) * 1000.0
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -421,7 +418,7 @@ def main(argv=None) -> int:
         return 1
 
     report = {
-        "config": cfg,
+        "config": raw,
         "version": __version__,
         "payload": _to_jsonable({"result": payload, "checks": checks,
                                  "seed": seed}),

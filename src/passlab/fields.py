@@ -198,7 +198,7 @@ def polynomial_field(dim: int, terms: Sequence[tuple]) -> ScalarField:
     """Dense multi-index polynomial: terms is a list of (exps, coef).
 
     exps is a length-dim tuple of nonnegative integer exponents with total
-    degree <= 8, and coef a finite number.
+    degree <= 8, and coef a finite number (not a boolean or a string).
     """
     parsed = []
     for exps, coef in terms:
@@ -210,6 +210,8 @@ def polynomial_field(dim: int, terms: Sequence[tuple]) -> ScalarField:
             raise ValueError(f"bad exponent tuple {exps} for dim {dim}")
         if sum(exps) > MAX_POLY_DEGREE:
             raise ValueError(f"term degree {sum(exps)} exceeds cap {MAX_POLY_DEGREE}")
+        if isinstance(coef, (bool, str)):
+            raise ValueError(f"coefficient {coef!r} of term {exps} must be a number")
         coef = float(coef)
         if not np.isfinite(coef):
             raise ValueError(f"coefficient {coef} of term {exps} must be finite")

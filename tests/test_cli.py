@@ -1,8 +1,14 @@
+import copy
 import json
+import pathlib
+import re
 
 import pytest
 
-from passlab.cli import main
+from passlab.cli import _REQUIRED, _SCHEMA, _parse, main
+from passlab.errors import ConfigError
+
+ROOT = pathlib.Path(__file__).parent.parent
 
 AFFINE_DEFORM = {
     "functional": {"catalog": "affine"},
@@ -244,7 +250,10 @@ GEOMETRY = {
 
 _SECTION_RUNS = {"deformation": ("deform", AFFINE_DEFORM),
                  "minimax": ("minimax", MINIMAX), "ps": ("pscheck", PSCHECK),
-                 "geometry": ("geometry", GEOMETRY)}
+                 "geometry": ("geometry", GEOMETRY),
+                 "box": ("deform", dict(AFFINE_DEFORM, box={"lo": [-1.0, -1.0],
+                                                            "hi": [1.0, 1.0]})),
+                 "oracle": ("oracle", ORACLE)}
 
 
 @pytest.mark.parametrize("name, value", [
@@ -261,12 +270,103 @@ _SECTION_RUNS = {"deformation": ("deform", AFFINE_DEFORM),
     ("ps.level", "x"),
     ("geometry.r", "x"),
     ("geometry.r", -1.0),
+    # each of these ran with exit 0 before the config had a schema
+    ("box.lo[0]", ["-1", "-1"]),
+    ("box.hi[0]", [True, "1"]),
+    ("minimax.pin_zero[1]", [0.0, "0"]),
+    ("minimax.pin_e[0]", [False, 0.0]),
+    ("oracle.p[0]", ["0", 0.0]),
+    ("oracle.q[1]", [1.0, True]),
+    ("deformation.d_spec.points[0][0]", [["0.45", 0.0]]),
+    ("deformation.d_spec.value", "0.1"),
+    ("deformation.d_spec.thickness", True),
+    ("deformation.d_spec.thicknes", 0.01),
 ])
 def test_bad_section_field_exits_2(tmp_path, capsys, name, value):
-    section, key = name.split(".")
-    sub, base = _SECTION_RUNS[section]
-    cfg = dict(base, **{section: dict(base[section], **{key: value})})
+    # name is what the message must name; its element indices ("box.lo[0]")
+    # are dropped to find the key to set
+    *path, key = re.sub(r"\[\d+\]", "", name).split(".")
+    sub, base = _SECTION_RUNS[path[0]]
+    cfg = copy.deepcopy(base)
+    section = cfg
+    for part in path:
+        section = section.setdefault(part, {})
+    section[key] = value
     assert name in _config_error(tmp_path, capsys, sub, cfg)
+
+
+@pytest.mark.parametrize("cfg, named", [
+    # ran --strict with no oracle check and exit 0
+    (dict(MINIMAX, oracles={}), ["'oracles'", "oracle"]),
+    # ran the defaults, 8 members and 200 iterations
+    (dict(MINIMAX, minimax=dict(MINIMAX["minimax"], ensemble=2, max_iter=5)),
+     ["'minimax.ensemble'", "ensemble_size"]),
+], ids=["oracles", "minimax.ensemble"])
+def test_misspelt_key_exits_2(tmp_path, capsys, cfg, named):
+    code, report, _ = _run(tmp_path, "minimax", cfg, "--strict")
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert all(n in err for n in named), err
+
+
+# Every section of the schema, for sweeping it through _parse alone.
+FULL = {
+    "seed": 0,
+    "functional": {"catalog": "affine", "poly": {
+        "dim": 2, "terms": [{"exps": [1, 0], "coef": 1.0}]}},
+    "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+    "deformation": {"c": 0.0, "eps": 0.5, "d_spec": {}},
+    "minimax": {"pin_zero": [0.0, 0.0], "pin_e": [1.0, 0.0]},
+    "geometry": {}, "oracle": {}, "ps": {"level": 1.0},
+    "proof_trace": {"c1": 0.0, "c2": 1.0, "eps": 0.3},
+}
+WRONG_TYPE = {"int": "1", "float": "1.0", "str": 1, "point": ["1"],
+              "points": ["1"], "object": [], "objects": {}}
+SCHEMA_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+               for key in keys]
+
+
+def _section(cfg, section):
+    """The object of dotted ``section`` in cfg and its name in messages."""
+    obj, name = cfg, section
+    for part in filter(None, section.split(".")):
+        obj = obj[part]
+        if isinstance(obj, list):
+            obj, name = obj[0], name + "[0]"
+    return obj, name
+
+
+@pytest.mark.parametrize("section, key", SCHEMA_KEYS,
+                         ids=[f"{s or 'root'}.{k}" for s, k in SCHEMA_KEYS])
+def test_schema_names_misspelt_keys_and_wrong_types(section, key):
+    assert set(_parse(FULL)) == set(_SCHEMA[""])
+    kind = _SCHEMA[section][key][0]
+    for bad_key, value, suffix in [(key + "x", 1, ""),
+                                   (key, WRONG_TYPE[kind],
+                                    "[0]" if kind.startswith("point") else "")]:
+        cfg = copy.deepcopy(FULL)
+        obj, prefix = _section(cfg, section)
+        obj[bad_key] = value
+        name = f"{prefix}.{bad_key}" if prefix else bad_key
+        with pytest.raises(ConfigError, match=re.escape(name + suffix)):
+            _parse(cfg)
+
+
+def _schema_row(section, key, kind, default, *bound):
+    shown = ("required" if default is _REQUIRED else "none" if default is None
+             else f"`{json.dumps(default)}`")
+    limit = f"`{'>=' if kind == 'int' else '>'} {bound[0]}`" if bound else ""
+    return (f"| {f'`{section}`' if section else '(root)'} | `{key}` | {kind} "
+            f"| {shown} | {limit} |")
+
+
+def test_readme_config_table_matches_the_schema():
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| section | key | kind | default | bound |") + 2
+    table = lines[start:lines.index("", start)]
+    assert table == [_schema_row(section, key, *spec)
+                     for section, keys in _SCHEMA.items()
+                     for key, spec in keys.items()]
 
 
 def test_numbers_spelled_as_strings_exit_2(tmp_path, capsys):
@@ -356,16 +456,20 @@ def test_nan_poly_coefficient_exits_2(tmp_path, capsys):
     assert "functional.poly" in _config_error(tmp_path, capsys, "deform", cfg)
 
 
-@pytest.mark.parametrize("dim, exps, lo", [
-    (2, [2.5, 0], [-1.0, -1.0]),    # ran as x^2: phi(2, 0) = 4, not 2^2.5
-    (2, [True, 0], [-1.0, -1.0]),
-    (2.9, [1, 0], [-1.0, -1.0]),    # ran as dim 2
-    (True, [1], [-1.0]),            # ran as dim 1
-], ids=["fractional_exponent", "bool_exponent", "fractional_dim", "bool_dim"])
-def test_non_integer_poly_dim_or_exponent_exits_2(tmp_path, capsys, dim, exps, lo):
+@pytest.mark.parametrize("dim, exps, coef, lo", [
+    (2, [2.5, 0], 1.0, [-1.0, -1.0]),    # ran as x^2: phi(2, 0) = 4, not 2^2.5
+    (2, [True, 0], 1.0, [-1.0, -1.0]),
+    (2.9, [1, 0], 1.0, [-1.0, -1.0]),    # ran as dim 2
+    (True, [1], 1.0, [-1.0]),            # ran as dim 1
+    (2, [1, 0], "2.5", [-1.0, -1.0]),    # ran as 2.5 x
+    (2, [1, 0], True, [-1.0, -1.0]),     # ran as x
+], ids=["fractional_exponent", "bool_exponent", "fractional_dim", "bool_dim",
+        "string_coef", "bool_coef"])
+def test_non_integer_poly_dim_or_exponent_exits_2(tmp_path, capsys, dim, exps,
+                                                  coef, lo):
     cfg = dict(AFFINE_DEFORM, box={"lo": lo, "hi": [-x for x in lo]},
                functional={"poly": {"dim": dim, "terms": [
-                   {"exps": exps, "coef": 1.0}]}})
+                   {"exps": exps, "coef": coef}]}})
     assert "functional.poly" in _config_error(tmp_path, capsys, "deform", cfg)
 
 

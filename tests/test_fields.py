@@ -107,6 +107,9 @@ def test_polynomial_exponents_must_be_integers():
     for exps in [(2.5, 0), (True, 0)]:
         with pytest.raises(ValueError, match="integers"):
             polynomial_field(2, [(exps, 1.0)])
+    for coef in ["2.5", True]:
+        with pytest.raises(ValueError, match="must be a number"):
+            polynomial_field(2, [((1, 0), coef)])
     integral = polynomial_field(2, [((2.0, 0), 1.0)])
     assert integral.evaluate(np.array([2.0, 0.0])) == 4.0
 
