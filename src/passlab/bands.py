@@ -15,10 +15,14 @@ It equals +1 on B, -1 on C and 0 outside the band and on D, exactly.
 
 Region membership is decided in one place, BandPartition.tags, as int8
 codes viewed through the IntEnum RegionTag; psi's plateaus come from them.
-cutoff_stage, the per-stage cutoff of the flow, compares the codes as plain
-ints, passes a batch through whole when all its rows need the gradient or
-the set distances, and tests for a degenerate quotient only where a
-denominator underflows.
+A partition binds its band edges as floats once, and tags looks a value's
+code up by its rank among the sorted edges, in a table built at
+construction from the mask cascade that states the rule.  cutoff_stage,
+the per-stage cutoff of the flow, takes a batch its callers have checked
+once and calls the field's eval_fn and grad_fn on it directly; it compares
+the codes as plain ints, passes a batch through whole when all its rows
+need the gradient or the set distances, and tests for a degenerate
+quotient only where a denominator underflows.
 
 Two backends give the set distances between the plateaus, both measured
 in the box.  FirstOrderBackend, the default, divides the slab distance in
@@ -28,15 +32,15 @@ affine field.  SampledBackend measures them exactly to grid point clouds;
 it is the set-distance reference the first-order distances are checked
 against.  It lists, the first time a query lands in a grid cell, the cloud
 points that can be nearest to any point of the cell, and answers later
-queries there from those lists with the arithmetic of cKDTree.query, bit
-for bit; rows outside the box, non-finite rows and cells whose lists
-would be too long go to the KD-trees.  A band (or a side of the complement
-of A) with no grid point is at +inf in both.  A distance that divides by
-||grad phi|| floors it at MIN_GRAD_FLOOR.
+queries there from those lists, kept in one dimension-major table, with
+the arithmetic of cKDTree.query, bit for bit; rows outside the box,
+non-finite rows and cells whose lists would be too long go to the
+KD-trees.  A band (or a side of the complement of A) with no grid point
+is at +inf in both.  A distance that divides by ||grad phi|| floors it at
+MIN_GRAD_FLOOR.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
 from itertools import chain, product
@@ -70,6 +74,10 @@ _CHUNK = 2048
 _SLACK = 1e-9
 _UNFILLED, _TO_TREES = -1, -2   # cell-to-slot codes of unlisted and tree cells
 
+# export_region_clouds stacks and writes this many rows at a time, which
+# bounds the rows and text held in memory
+_EXPORT_ROWS = 1024
+
 
 class RegionTag(IntEnum):
     """Region codes as returned by BandPartition.tags.
@@ -98,6 +106,14 @@ def _rows_of(mask):
     """Index selecting the rows of a boolean mask: slice(None), a view
     with no gather or scatter, when every row is selected."""
     return slice(None) if np.count_nonzero(mask) == mask.size else mask
+
+
+def _rank_code(edges, values):
+    """The number of sorted edges below each value plus the number at or
+    below it, NaN sorting above every number."""
+    code = edges.searchsorted(values, "left")
+    code += edges.searchsorted(values, "right")   # in place: one intp temporary
+    return code
 
 
 @dataclass(frozen=True)
@@ -154,22 +170,28 @@ class BandPartition:
             tree = cKDTree(spec.points)
         object.__setattr__(self, "_d_tree", tree)
         object.__setattr__(self, "_diagonal", self.box.diagonal)
+        # the band edges, bound once as floats, and the region code of every
+        # rank of a value among them (see tags)
+        c, e = self.params.c, self.params.eps
+        ranges = ((c - 2.0 * e, c + 2.0 * e), (c - e, c - 0.6 * e),
+                  (c + 0.6 * e, c + e))
+        object.__setattr__(self, "_ranges", ranges)
+        edges = np.append(np.sort(np.ravel(ranges)), np.nan)
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_code_tags", self._rank_table(edges))
 
     # value ranges -----------------------------------------------------
     @property
     def a_range(self):
-        c, e = self.params.c, self.params.eps
-        return (c - 2.0 * e, c + 2.0 * e)
+        return self._ranges[0]
 
     @property
     def b_range(self):
-        c, e = self.params.c, self.params.eps
-        return (c - e, c - 0.6 * e)
+        return self._ranges[1]
 
     @property
     def c_range(self):
-        c, e = self.params.c, self.params.eps
-        return (c + 0.6 * e, c + e)
+        return self._ranges[2]
 
     @property
     def d_thickness(self) -> float:
@@ -216,22 +238,46 @@ class BandPartition:
         d, _ = self._d_tree.query(u)
         return d <= 1e-12 * max(1.0, self._diagonal)
 
-    def tags(self, u, phi) -> np.ndarray:
-        """int8 region codes (RegionTag values) of points u with values phi.
-
-        Precedence D, OUTSIDE, B, C, A_OTHER.  This is the only place the
-        band ranges and D membership are tested; an empty D is not queried.
-        """
-        phi = np.asarray(phi)
-        a_lo, a_hi = self.a_range
-        b_lo, b_hi = self.b_range
-        c_lo, c_hi = self.c_range
+    def _band_tags(self, phi) -> np.ndarray:
+        """int8 codes of values phi by the band ranges alone, precedence
+        OUTSIDE, B, C, A_OTHER: the rule tags applies through its table."""
+        (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi) = self._ranges
         out = np.zeros(phi.shape, dtype=np.int8)   # _A_OTHER everywhere
         out[(phi >= c_lo) & (phi <= c_hi)] = _C
         out[(phi >= b_lo) & (phi <= b_hi)] = _B
         out[(phi < a_lo) | (phi > a_hi)] = _OUTSIDE
+        return out
+
+    def _rank_table(self, edges) -> np.ndarray:
+        """_band_tags of each rank code of the sorted edges.
+
+        The edges end in a NaN, which sorts above every number.  The code
+        of a value is the number of edges below it plus the number at or
+        below it: one code per distinct edge value and one per open gap
+        between them, +-inf sharing the outer gaps' codes and NaN getting
+        its own.  _band_tags compares values with edges only, so it is
+        constant on each code; it is taken at every edge, both float
+        neighbours of every edge and +-inf, which reach every code a value
+        can have.
+        """
+        reps = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                               np.nextafter(edges, np.inf), [-np.inf, np.inf]])
+        table = np.zeros(2 * edges.size + 1, dtype=np.int8)
+        table[_rank_code(edges, reps)] = self._band_tags(reps)
+        return table
+
+    def tags(self, u, phi) -> np.ndarray:
+        """int8 region codes (RegionTag values) of points u with values phi.
+
+        Precedence D, OUTSIDE, B, C, A_OTHER.  Region membership is decided
+        here only: the band codes are looked up by the rank of phi among the
+        sorted band edges, in the table built once from _band_tags, and an
+        empty D is not queried.
+        """
+        phi = np.asarray(phi)
+        out = self._code_tags.take(_rank_code(self._edges, phi))
         if self.d_spec.kind != "empty":
-            out[self.in_d(u, phi)] = _D
+            out = np.where(self.in_d(u, phi), np.int8(_D), out)
         return out
 
     def classify(self, u) -> np.ndarray:
@@ -293,24 +339,26 @@ class FirstOrderBackend:
         self.part = part
         out = tags == _OUTSIDE
         a_lo, a_hi = part.a_range
-        self._has_b = bool(np.any(tags == _B))
-        self._has_c = bool(np.any(tags == _C))
-        self._has_below = bool(np.any(out & (phi < a_lo)))
-        self._has_above = bool(np.any(out & (phi > a_hi)))
+        # each band's range and each outer side's edge, None where no grid
+        # point falls in it
+        self._b = part.b_range if np.any(tags == _B) else None
+        self._c = part.c_range if np.any(tags == _C) else None
+        self._below = a_lo if np.any(out & (phi < a_lo)) else None
+        self._above = a_hi if np.any(out & (phi > a_hi)) else None
+        self._any_empty = any(s is None for s in
+                              (self._b, self._c, self._below, self._above))
 
     def distances(self, u, phi, gnorm):
         """Set distances (dB, dC, dXA) from points u with values phi and
         gradient norms gnorm; plateau rows are not masked."""
-        part = self.part
         g = np.maximum(gnorm, MIN_GRAD_FLOOR)
-        far = np.full(np.shape(phi), np.inf)
-        dB = _slab_distance(phi, *part.b_range, g) if self._has_b else far
-        dC = _slab_distance(phi, *part.c_range, g) if self._has_c else far
-        a_lo, a_hi = part.a_range
-        below = np.maximum(phi - a_lo, 0.0) / g if self._has_below else far
-        above = np.maximum(a_hi - phi, 0.0) / g if self._has_above else far
+        far = np.full(np.shape(phi), np.inf) if self._any_empty else None
+        dB = far if self._b is None else _slab_distance(phi, *self._b, g)
+        dC = far if self._c is None else _slab_distance(phi, *self._c, g)
+        below = far if self._below is None else np.maximum(phi - self._below, 0.0) / g
+        above = far if self._above is None else np.maximum(self._above - phi, 0.0) / g
         d_out = np.minimum(below, above)
-        return dB, dC, np.minimum(d_out, part.d_distance(u, phi, gnorm))
+        return dB, dC, np.minimum(d_out, self.part.d_distance(u, phi, gnorm))
 
 
 class SampledBackend:
@@ -330,9 +378,11 @@ class SampledBackend:
     cell's circumradius, less each point that another one is closer than
     at every corner of the cell (and so everywhere in it).  Both tests
     keep a float margin.  The three lists sit side by side, padded with
-    +inf, in one coordinate table, so a lookup is one gather and one
-    minimum per cloud, with the squared distance summed in axis order as
-    cKDTree sums it: the distances equal cKDTree.query's bit for bit.
+    +inf, in one dimension-major coordinate table (dim, candidates,
+    slots), so a lookup is one gather of slots, a sum of the squared
+    coordinate differences over the axes in order, as cKDTree sums them,
+    and one minimum per cloud over contiguous rows: the distances equal
+    cKDTree.query's bit for bit.
     Rows outside the box, non-finite rows and rows in a cell with a list
     longer than CELL_CAP points are queried on the KD-trees (which reject
     a non-finite row with ValueError).
@@ -375,7 +425,7 @@ class SampledBackend:
         self._filled = 0
         self._width = np.ones(3, dtype=np.intp)   # B, C, OUT segment widths
         self._start = np.arange(3)
-        self._table = np.empty((0, box.dim, 3))   # slot, axis, candidate
+        self._table = np.empty((box.dim, 3, 0))   # axis, candidate, slot
 
     def _cloud_distance(self, key, u):
         """Distances from u to a cloud; +inf to a cloud with no points."""
@@ -431,35 +481,35 @@ class SampledBackend:
         self._slot[cells[~ok]] = _TO_TREES
         filled = self._filled + np.count_nonzero(ok)
         width = np.maximum(self._width, n[:, ok].max(axis=1, initial=0))
-        if filled > len(self._table) or np.any(width > self._width):
+        slots = self._table.shape[2]
+        if filled > slots or np.any(width > self._width):
             # grow: double the slots, widen the segments that need it
             start = np.cumsum(width) - width
-            table = np.full((max(filled, 2 * len(self._table)), dim, int(width.sum())),
-                            np.inf)
+            table = np.full((dim, int(width.sum()), max(filled, 2 * slots)), np.inf)
             for s_old, s_new, w in zip(self._start, start, self._width):
-                table[:self._filled, :, s_new:s_new + w] = \
-                    self._table[:self._filled, :, s_old:s_old + w]
+                table[:, s_new:s_new + w, :self._filled] = \
+                    self._table[:, s_old:s_old + w, :self._filled]
             self._table, self._width, self._start = table, width, start
         # the kept candidates of each cloud j go to the front of segment j
         keep = keep.reshape(3, m, -1)[:, ok]
         j, i, c = np.nonzero(keep)
         rank = np.cumsum(keep, axis=2)[j, i, c] - 1
-        self._table[self._filled + i, :, self._start[j] + rank] = \
-            pts.reshape(3, m, -1, dim)[:, ok][j, i, c]
+        self._table[:, self._start[j] + rank, self._filled + i] = \
+            pts.reshape(3, m, -1, dim)[:, ok][j, i, c].T
         self._slot[cells[ok]] = np.arange(self._filled, filled)
         self._filled = filled
 
     def _lookup(self, slot, u):
-        """(rows, 3) distances from points u to the B, C and OUT candidates
-        of their table slots."""
-        g = self._table.take(slot, axis=0)
-        g -= u[:, :, None]
+        """(3, rows) distances from points u (rows, dim) to the B, C and OUT
+        candidates of their table slots."""
+        g = self._table.take(slot, axis=2)   # (dim, candidates, rows)
+        g -= u.T[:, None, :]
         g *= g
-        d2 = np.add.reduce(g, axis=1)     # dx*dx + dy*dy (+ dz*dz), in order
-        return np.sqrt(np.minimum.reduceat(d2, self._start, axis=1))
+        d2 = np.add.reduce(g, axis=0)     # dx*dx + dy*dy (+ dz*dz), in order
+        return np.sqrt(np.minimum.reduceat(d2, self._start, axis=0))
 
     def _all_rows(self, pts):
-        """(rows, 3) distances from every row of pts: lists the cells not
+        """(3, rows) distances from every row of pts: lists the cells not
         yet listed, sends the rows outside the box or in a cell over the cap
         to the KD-trees and looks the rest up in chunks."""
         t = (pts - self._lo) / self._h
@@ -471,27 +521,28 @@ class SampledBackend:
             self._fill(new[i:i + _CELL_CHUNK])
         slot = np.full(len(pts), _TO_TREES, dtype=np.int32)
         slot[inside] = self._slot[cell]
-        d = np.empty((len(pts), 3))
+        d = np.empty((3, len(pts)))
         miss = np.flatnonzero(slot < 0)
         if miss.size:
             for j, key in enumerate(self.clouds):
-                d[miss, j] = self._cloud_distance(key, pts[miss])
+                d[j, miss] = self._cloud_distance(key, pts[miss])
         for i in range(0, len(pts), _CHUNK):
             s = slot[i:i + _CHUNK]
             hit = _rows_of(s >= 0)
-            d[i:i + _CHUNK][hit] = self._lookup(s[hit], pts[i:i + _CHUNK][hit])
+            d[:, i:i + _CHUNK][:, hit] = self._lookup(s[hit], pts[i:i + _CHUNK][hit])
         return d
 
     def _nearest(self, pts):
-        """(rows, 3) distances from the rows of pts (rows, dim) to the B, C
+        """(3, rows) distances from the rows of pts (rows, dim) to the B, C
         and OUT clouds."""
         if len(pts) <= _CHUNK:
             # a batch of rows all in the box (min and max are NaN on a NaN
             # row) and in listed cells is one lookup
             t = (pts - self._lo) / self._h
-            if t.min(initial=0.0) >= 0.0 and t.max(initial=0.0) <= self._res - 1:
+            if (np.minimum.reduce(t, axis=None, initial=0.0) >= 0.0
+                    and np.maximum.reduce(t, axis=None, initial=0.0) <= self._res - 1):
                 slot = self._slot[t.astype(np.int32) @ self._stride]
-                if np.count_nonzero(slot < 0) == 0:
+                if np.minimum.reduce(slot, initial=0) >= 0:
                     return self._lookup(slot, pts)
         return self._all_rows(pts)
 
@@ -500,7 +551,7 @@ class SampledBackend:
         gradient norms gnorm; plateau rows are not masked."""
         u = np.asarray(u, dtype=float)
         d = self._nearest(u.reshape(-1, u.shape[-1]))
-        dB, dC, d_out = d.T.reshape((3,) + u.shape[:-1])
+        dB, dC, d_out = d.reshape((3,) + u.shape[:-1])
         return dB, dC, np.minimum(d_out, self.part.d_distance(u, phi, gnorm))
 
 
@@ -517,74 +568,95 @@ def build_backend(part: BandPartition, kind: Optional[str] = None,
                      f"have 'first_order' and 'sampled'")
 
 
+def _quotient(dB, dC, dXA):
+    """psi at interpolation rows from their set distances: the distance
+    quotient, or its limit where a set is empty."""
+    den = (dC + dB) * dXA + dB * dC
+    near = np.isfinite(den)
+    if np.count_nonzero(near) == near.size:
+        num = (dC - dB) * dXA
+    else:
+        # An empty set is at distance +inf.  Dividing through by dB dC dXA
+        # gives psi = (1/dB - 1/dC) / (1/dB + 1/dC + 1/dXA), the quotient's
+        # limit there, e.g. -dXA / (dXA + dC) for empty B.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rB, rC, rX = 1.0 / dB, 1.0 / dC, 1.0 / dXA
+            num = np.where(near, (dC - dB) * dXA, rB - rC)
+            den = np.where(near, den, rB + rC + rX)
+    tiny = den < _UNDERFLOW
+    if np.count_nonzero(tiny):
+        if np.any(tiny & (np.abs(num) >= _UNDERFLOW)):
+            raise DegeneratePartition(
+                "cutoff denominator underflowed while the numerator did not "
+                "(the fixed set D touches B or C)")
+        num, den = np.where(tiny, 0.0, num), np.where(tiny, 1.0, den)
+    return num / den
+
+
 def cutoff_stage(part: BandPartition, backend, U):
     """psi, grad phi, ||grad phi|| and the region codes of a batch U
-    (..., dim), from one evaluation of phi and one of its gradient.
+    (..., dim) of floats, from one evaluation of phi and one of its gradient.
 
-    The gradient is evaluated only off the zero plateau; OUTSIDE and D rows
-    get a zero gradient.  Plateau values (+1 on B, -1 on C, 0 outside the
-    band and on D) come from the region codes alone; set distances are only
-    queried for the interpolation rows between the plateaus.  A batch whose
-    rows all need the gradient (or the distances) is passed through whole
-    rather than gathered and scattered back.  Where B, C or the complement
-    of A has no points (an empty band at a global minimum or maximum), its
-    distance is +inf and psi takes the quotient's limit.
+    U is not checked: psi and the flow check a batch once, with
+    ScalarField.check, and the stage calls the field's eval_fn and grad_fn
+    on it directly.  The gradient is evaluated only off the zero plateau;
+    OUTSIDE and D rows get a zero gradient.  Plateau values (+1 on B, -1 on
+    C, 0 outside the band and on D) come from the region codes alone; set
+    distances are only queried for the interpolation rows between the
+    plateaus.  A batch whose rows all need the gradient (or the distances)
+    is passed through whole rather than gathered and scattered back.  Where
+    B, C or the complement of A has no points (an empty band at a global
+    minimum or maximum), its distance is +inf and psi takes the quotient's
+    limit.
     """
     field = part.field
-    phi = np.asarray(field.evaluate(U))
+    phi = np.asarray(field.eval_fn(U))
     tags = part.tags(U, phi)
-    live = _rows_of(tags < _OUTSIDE)
-    grad = np.zeros(U.shape)
-    grad[live] = field.gradient(U[live])
+    rest = tags == _A_OTHER
+    n_rest = np.count_nonzero(rest)
+    all_rest = n_rest == rest.size      # then every row is live too
+    live = None if all_rest else tags < _OUTSIDE
+    if all_rest or np.count_nonzero(live) == live.size:
+        grad = field.grad_fn(U)
+    else:
+        grad = np.zeros(U.shape)
+        grad[live] = field.grad_fn(U[live])
     # np.linalg.norm(grad, axis=-1) without its dispatch: the same formula
     gnorm = np.sqrt(np.add.reduce(grad * grad, axis=-1))
-    out = _PLATEAU[tags]
-    rest = tags == _A_OTHER
-    if np.count_nonzero(rest):
-        rest = _rows_of(rest)
-        dB, dC, dXA = backend.distances(U[rest], phi[rest], gnorm[rest])
-        den = (dC + dB) * dXA + dB * dC
-        near = np.isfinite(den)
-        if np.count_nonzero(near) == near.size:
-            num = (dC - dB) * dXA
-        else:
-            # An empty set is at distance +inf.  Dividing through by
-            # dB dC dXA gives psi = (1/dB - 1/dC) / (1/dB + 1/dC + 1/dXA),
-            # the quotient's limit there, e.g. -dXA / (dXA + dC) for empty B.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rB, rC, rX = 1.0 / dB, 1.0 / dC, 1.0 / dXA
-                num = np.where(near, (dC - dB) * dXA, rB - rC)
-                den = np.where(near, den, rB + rC + rX)
-        tiny = den < _UNDERFLOW
-        if np.count_nonzero(tiny):
-            if np.any(tiny & (np.abs(num) >= _UNDERFLOW)):
-                raise DegeneratePartition(
-                    "cutoff denominator underflowed while the numerator did not "
-                    "(the fixed set D touches B or C)")
-            num, den = np.where(tiny, 0.0, num), np.where(tiny, 1.0, den)
-        out[rest] = num / den
+    if all_rest:
+        out = _quotient(*backend.distances(U, phi, gnorm))
+    else:
+        out = _PLATEAU.take(tags)
+        if n_rest:
+            out[rest] = _quotient(*backend.distances(U[rest], phi[rest], gnorm[rest]))
     return out, grad, gnorm, tags
 
 
 def psi(part: BandPartition, backend, u):
     """The cutoff value(s) at u; in [-1, 1] with exact plateaus."""
     u = np.asarray(u, dtype=float)
-    out = cutoff_stage(part, backend, np.atleast_2d(u))[0]
+    out = cutoff_stage(part, backend, part.field.check(np.atleast_2d(u)))[0]
     return float(out[0]) if u.ndim == 1 else out
 
 
 def export_region_clouds(part: BandPartition, backend, path: str):
-    """CSV dump (coords, phi, tag) of the backend's cached region clouds."""
+    """CSV dump (coords, phi, tag) of the backend's cached region clouds.
+
+    The lines are those csv.writer writes for these rows (floats as repr,
+    CRLF line ends), written _EXPORT_ROWS rows at a time.
+    """
     if not isinstance(backend, SampledBackend):
         raise ValueError("only the sampled backend caches region clouds")
     dim = part.field.dim
     header = ["x", "y", "z"][:dim] + ["phi", "tag"]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for tag, pts in backend.clouds.items():
             if len(pts) == 0:
                 continue
             phis = part.field.evaluate(pts)
-            for p, v in zip(pts, phis):
-                w.writerow([*map(float, p), float(v), tag])
+            end = f",{tag}\r\n"
+            for i in range(0, len(pts), _EXPORT_ROWS):
+                rows = np.column_stack([pts[i:i + _EXPORT_ROWS],
+                                        phis[i:i + _EXPORT_ROWS]]).tolist()
+                fh.write("".join(",".join(map(repr, row)) + end for row in rows))

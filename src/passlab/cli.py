@@ -33,14 +33,17 @@ from .paths import MountainPassInstance, check_m
 
 _REQUIRED = "required"
 
-# Every key a config may hold: section -> key -> (kind, default[, bound]).
-# A section is the dotted path of a JSON object, "" the root.  Kinds: int
-# and float (a finite JSON number, not a boolean or string; an int may be
-# 2.0, not 2.5; an int bound is inclusive, a float bound strict), str,
-# point (an array of finite numbers), points (a point or an array of them),
-# object (the section named by the dotted key) and objects (an array of
-# them).  A missing key, or a null one unless it is an object, takes the
-# default; _REQUIRED has none, and None means "not given".
+# Every key a config may hold: section -> key -> (kind, default[, lower[,
+# upper]]).  A section is the dotted path of a JSON object, "" the root.
+# Kinds: int and float (a finite JSON number, not a boolean or string; an
+# int may be 2.0, not 2.5; int bounds are inclusive, a float lower bound
+# strict), str, point (an array of finite numbers), points (a point or an
+# array of them), object (the section named by the dotted key) and objects
+# (an array of them).  A missing key, or a null one unless it is an object,
+# takes the default; _REQUIRED has none, and None means "not given" (or no
+# lower bound).  Counts have an upper bound, so that an absurd count is a
+# config error rather than a failed allocation; the resolutions are bounded
+# by MAX_GRID_POINTS instead.
 _SCHEMA = {
     "": {"seed": ("int", 0, 0), "functional": ("object", _REQUIRED),
          "box": ("object", None), "deformation": ("object", None),
@@ -48,33 +51,43 @@ _SCHEMA = {
          "oracle": ("object", None), "ps": ("object", None),
          "proof_trace": ("object", None)},
     "functional": {"catalog": ("str", None), "poly": ("object", None)},
-    "functional.poly": {"dim": ("int", _REQUIRED),
+    "functional.poly": {"dim": ("int", _REQUIRED, 1, 3),
                         "terms": ("objects", _REQUIRED)},
     "functional.poly.terms": {"exps": ("point", _REQUIRED),
                               "coef": ("float", _REQUIRED)},
     "box": {"lo": ("point", _REQUIRED), "hi": ("point", _REQUIRED)},
     "deformation": {"c": ("float", _REQUIRED), "eps": ("float", _REQUIRED, 0),
-                    "backend": ("str", None), "resolution": ("int", 201),
+                    "backend": ("str", None), "resolution": ("int", 201, 3),
                     "step": ("float", None, 0), "record_every": ("int", 1, 1),
-                    "d_spec": ("object", None), "samples": ("int", 1000, 1),
+                    "d_spec": ("object", None),
+                    "samples": ("int", 1000, 1, 10_000),
                     "dump_resolution": ("int", 101, 1)},
     "deformation.d_spec": {"kind": ("str", "empty"), "value": ("float", None),
                            "thickness": ("float", None),
                            "points": ("points", None)},
     "minimax": {"pin_zero": ("point", _REQUIRED), "pin_e": ("point", _REQUIRED),
-                "pin_mode": ("str", "interior"), "ensemble_size": ("int", 8, 1),
-                "M": ("int", 32), "max_iters": ("int", 200, 1),
+                "pin_mode": ("str", "interior"),
+                "ensemble_size": ("int", 8, 1, 1000),
+                "M": ("int", 32, 8, 4096),
+                "max_iters": ("int", 200, 1, 100_000),
                 "tol": ("float", 1e-6, 0), "conclusions_eps": ("float", 0.05, 0)},
-    "geometry": {"r": ("float", None, 0), "sphere_samples": ("int", 4096, 1)},
-    "oracle": {"resolution": ("int", 257), "connectivity": ("int", 8),
+    "geometry": {"r": ("float", None, 0),
+                 "sphere_samples": ("int", 4096, 1, 1_000_000)},
+    "oracle": {"resolution": ("int", 257, 3), "connectivity": ("int", 8),
                "p": ("point", None), "q": ("point", None),
                "scan_resolution": ("int", 201, 3),
                "grad_tol": ("float", 0.05, 0)},
     "ps": {"level": ("float", _REQUIRED), "band_halfwidth": ("float", 0.1, 0),
-           "samples": ("int", 64, 1)},
+           "samples": ("int", 64, 1, 10_000)},
     "proof_trace": {"c1": ("float", _REQUIRED), "c2": ("float", _REQUIRED),
                     "eps": ("float", _REQUIRED, 0)},
 }
+
+# The fields that give grid points per axis; a grid of resolution**dim
+# points for the functional's dim may hold at most MAX_GRID_POINTS.
+_GRID_FIELDS = (("deformation", "resolution"), ("deformation", "dump_resolution"),
+                ("oracle", "resolution"), ("oracle", "scan_resolution"))
+MAX_GRID_POINTS = 10_000_000
 
 
 def _parse(raw, section: str = "", name: str = "") -> dict:
@@ -113,9 +126,10 @@ def _dotted(prefix: str, key: str) -> str:
     return f"{prefix}.{key}" if prefix else key
 
 
-def _check(value, kind: str, name: str, bound=None):
+def _check(value, kind: str, name: str, lower=None, upper=None):
     """A non-null str, point, points, int or float ``value`` of field
-    ``name``, converted to the kind, or a ConfigError naming the field."""
+    ``name``, converted to the kind and within its bounds, or a ConfigError
+    naming the field."""
     if kind == "str":
         if not isinstance(value, str):
             raise ConfigError(f"{name} must be a string, got {value!r}")
@@ -137,10 +151,25 @@ def _check(value, kind: str, name: str, bound=None):
         out = math.inf
     if kind == "float" and not math.isfinite(out):  # an int is finite
         raise ConfigError(f"{name} must be finite, got {value!r}")
-    if bound is not None and (out < bound if kind == "int" else out <= bound):
+    if lower is not None and (out < lower if kind == "int" else out <= lower):
         raise ConfigError(f"{name} must be {'>=' if kind == 'int' else '>'} "
-                          f"{bound}, got {value!r}")
+                          f"{lower}, got {value!r}")
+    if upper is not None and out > upper:
+        raise ConfigError(f"{name} must be <= {upper}, got {value!r}")
     return out
+
+
+def _check_grids(cfg: dict, dim: int):
+    """A ConfigError naming the first grid field whose grid has more than
+    MAX_GRID_POINTS points in ``dim`` dimensions."""
+    top = round(MAX_GRID_POINTS ** (1.0 / dim))   # the largest resolution
+    if top ** dim > MAX_GRID_POINTS:                # allowed, once the float
+        top -= 1                                    # root is rounded down
+    for section, key in _GRID_FIELDS:
+        if cfg[section] is not None and cfg[section][key] > top:
+            raise ConfigError(f"{section}.{key} must be <= {top} for a {dim}-D "
+                              f"functional (at most {MAX_GRID_POINTS} grid "
+                              f"points), got {cfg[section][key]!r}")
 
 
 @contextmanager
@@ -376,6 +405,8 @@ def _load_config(path: str):
     except UnicodeDecodeError as exc:
         raise ConfigError(f"--config {path}: not UTF-8 text ({exc.reason} "
                           f"at byte {exc.start})") from None
+    except ValueError as exc:   # not JSON, or an integer past 4300 digits
+        raise ConfigError(f"--config {path}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -408,9 +439,10 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         field = _build_field(cfg["functional"])
         box = _build_box(cfg, field)
+        _check_grids(cfg, box.dim)
         payload, checks = run(cfg, field, box, seed, args.out)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PasslabError as exc:

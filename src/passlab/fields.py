@@ -71,7 +71,9 @@ class ScalarField:
     """A scalar functional with analytic gradient.
 
     eval_fn maps (..., dim) -> (...); grad_fn maps (..., dim) -> (..., dim).
-    Both must be deterministic.
+    Both must be deterministic.  evaluate and gradient check the points
+    first; a caller that has checked a batch once (the cutoff and the flow)
+    calls eval_fn and grad_fn on it directly.
     """
 
     name: str
@@ -79,7 +81,8 @@ class ScalarField:
     eval_fn: Callable[[np.ndarray], np.ndarray] = dc_field(repr=False)
     grad_fn: Callable[[np.ndarray], np.ndarray] = dc_field(repr=False)
 
-    def _check(self, u) -> np.ndarray:
+    def check(self, u) -> np.ndarray:
+        """u as a float array, or InvalidPoint unless its last axis is dim."""
         u = np.asarray(u, dtype=float)
         if u.ndim == 0 or u.shape[-1] != self.dim:
             raise InvalidPoint(
@@ -88,11 +91,11 @@ class ScalarField:
         return u
 
     def evaluate(self, u) -> np.ndarray:
-        u = self._check(u)
+        u = self.check(u)
         return self.eval_fn(u)
 
     def gradient(self, u) -> np.ndarray:
-        u = self._check(u)
+        u = self.check(u)
         return self.grad_fn(u)
 
     def grad_norm(self, u) -> np.ndarray:
@@ -129,7 +132,10 @@ def saddle_field() -> ScalarField:
         return u[..., 0] ** 2 - u[..., 1] ** 2
 
     def gr(u):
-        return np.stack([2.0 * u[..., 0], -2.0 * u[..., 1]], axis=-1)
+        out = np.empty(u.shape)
+        out[..., 0] = 2.0 * u[..., 0]
+        out[..., 1] = -2.0 * u[..., 1]
+        return out
 
     return ScalarField("saddle", 2, ev, gr)
 
@@ -143,8 +149,10 @@ def well_to_saddle_field() -> ScalarField:
 
     def gr(u):
         x, y = u[..., 0], u[..., 1]
-        gx = 2.0 * x * (x - 2.0) * (2.0 * x - 2.0)
-        return np.stack([gx, 2.0 * y], axis=-1)
+        out = np.empty(u.shape)
+        out[..., 0] = 2.0 * x * (x - 2.0) * (2.0 * x - 2.0)
+        out[..., 1] = 2.0 * y
+        return out
 
     return ScalarField("well_to_saddle", 2, ev, gr)
 
@@ -156,7 +164,10 @@ def exp_decay_field() -> ScalarField:
         return np.exp(-u[..., 0]) + u[..., 1] ** 2
 
     def gr(u):
-        return np.stack([-np.exp(-u[..., 0]), 2.0 * u[..., 1]], axis=-1)
+        out = np.empty(u.shape)
+        out[..., 0] = -np.exp(-u[..., 0])
+        out[..., 1] = 2.0 * u[..., 1]
+        return out
 
     return ScalarField("exp_decay", 2, ev, gr)
 

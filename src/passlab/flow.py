@@ -9,14 +9,17 @@ and the deformation is eta(u) = sigma(T, u) with horizon T = 2 eps, where
 sigma solves dsigma/dt = f(sigma), sigma(0) = u.  Each evaluation of f reads
 phi and its gradient once (bands.cutoff_stage) and also yields psi; a stage
 whose rows all have psi != 0 is computed on the whole batch, with no gather
-or scatter.  One RK4 integrator serves eta, eta_batch, integrate_flow and the
-audit; a step is clipped to the box only when a row has left it.  Rows with a
-zero field at the start are frozen: they are never stepped and come back
-bit-identically (the unique constant solution), so the fixed-point property
-is machine-exact.  Only the live rows are recorded, with psi at each
-recorded state taken from the stage that starts the next step; callers
-rebuild full rows from the starts, and the audit evaluates a frozen row once
-at its start and counts it once per recorded state or interval.
+or scatter.  The points' dimension is checked once per public call
+(vector_field, and the integrator behind eta, eta_batch, integrate_flow and
+the audit), never per stage.  One RK4 integrator serves eta, eta_batch,
+integrate_flow and the audit; a step is clipped to the box only when a row
+has left it.  Rows with a zero field at the start are frozen: they are
+never stepped and come back bit-identically (the unique constant
+solution), so the fixed-point property is machine-exact.  Only the live
+rows are recorded, with psi at each recorded state taken from the stage
+that starts the next step; callers rebuild full rows from the starts, and
+the audit evaluates a frozen row once at its start and counts it once per
+recorded state or interval.
 """
 from __future__ import annotations
 
@@ -25,8 +28,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .bands import (MIN_GRAD_FLOOR, BandPartition, RegionTag, _rows_of,
-                    cutoff_stage, psi as psi_fn)
+from .bands import (MIN_GRAD_FLOOR, BandPartition, RegionTag, cutoff_stage,
+                    psi as psi_fn)
 from .errors import VectorFieldSingular
 from .fields import ScalarField
 
@@ -81,23 +84,28 @@ class Trajectory:
 
 
 def _stage(df: DeformationField, U):
-    """f and psi at a batch U (N, dim), from one bands.cutoff_stage."""
+    """f and psi at a checked batch U (N, dim), from one bands.cutoff_stage;
+    a batch whose rows all have psi != 0 is not gathered or scattered."""
     psi_vals, g, gn, _ = cutoff_stage(df.part, df.backend, U)
-    f = np.zeros(U.shape)
-    active = _rows_of(psi_vals != 0.0)
-    gn = gn[active]
+    active = psi_vals != 0.0
+    whole = np.count_nonzero(active) == active.size
+    if not whole:
+        g, gn = g[active], gn[active]
     if np.count_nonzero(gn < MIN_GRAD_FLOOR):
-        bad = U[active][gn < MIN_GRAD_FLOOR][0]
+        bad = (U if whole else U[active])[gn < MIN_GRAD_FLOOR][0]
         raise VectorFieldSingular(f"||grad|| < {MIN_GRAD_FLOOR} at {bad.tolist()} "
                                   f"where the cutoff is nonzero")
-    f[active] = (psi_vals[active] / gn ** 2)[:, None] * g[active]
+    if whole:
+        return (psi_vals / gn ** 2)[..., None] * g, psi_vals
+    f = np.zeros(U.shape)
+    f[active] = (psi_vals[active] / gn ** 2)[..., None] * g
     return f, psi_vals
 
 
 def vector_field(df: DeformationField, u):
     """f at u; exact zero vector wherever psi vanishes."""
     u = np.asarray(u, dtype=float)
-    f = _stage(df, np.atleast_2d(u))[0]
+    f = _stage(df, df.field.check(np.atleast_2d(u)))[0]
     return f[0] if u.ndim == 1 else f
 
 
@@ -138,6 +146,7 @@ def _integrate(df: DeformationField, cfg: FlowConfig, U0: np.ndarray,
     t = T).
     """
     n, h = cfg.grid(df.horizon)
+    U0 = df.field.check(U0)
     f0, psi0 = _stage(df, U0)
     live = np.any(f0 != 0.0, axis=-1)
     clamped = np.zeros(len(U0), dtype=bool)

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -345,3 +346,80 @@ def test_psi_plateaus_match_classify(affine_wide_df, d_spec, kind, seed):
     for i, u in enumerate(pts):
         assert psi(part, backend, u) == vals[i]
         assert np.array_equal(vector_field(df, u), f[i])
+
+
+def _cascade_tags(part, u, phi):
+    """The region codes by the mask cascade tags applied before it looked
+    codes up by rank, kept here as the reference: precedence D, OUTSIDE,
+    B, C, A_OTHER."""
+    c, e = part.params.c, part.params.eps
+    out = np.zeros(np.shape(phi), dtype=np.int8)
+    out[(phi >= c + 0.6 * e) & (phi <= c + e)] = RegionTag.C
+    out[(phi >= c - e) & (phi <= c - 0.6 * e)] = RegionTag.B
+    out[(phi < c - 2.0 * e) | (phi > c + 2.0 * e)] = RegionTag.OUTSIDE
+    if part.d_spec.kind != "empty":
+        out[part.in_d(u, phi)] = RegionTag.D
+    return out
+
+
+@pytest.mark.parametrize("c, eps, d_spec", [
+    (0.0, 0.5, RegionSpec.empty()),
+    (0.3, 0.1, RegionSpec.level_set(0.3)),
+    (-2.5, 1e-3, RegionSpec.level_set(-2.5, thickness=1e-4)),
+    (1e16, 1.0, RegionSpec.empty()),      # every edge rounds to one of two floats
+    (-7.0, 1e-300, RegionSpec.empty()),   # every edge rounds to c
+])
+def test_tags_equal_the_mask_cascade(affine_field, c, eps, d_spec):
+    part = BandPartition(affine_field, DomainBox(np.array([-1.0, -1.0]),
+                                                 np.array([1.0, 1.0])),
+                         DeformationParams(c=c, eps=eps), d_spec)
+    edges = np.ravel([part.a_range, part.b_range, part.c_range])
+    phi = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [np.nan, np.inf, -np.inf, 0.0, -0.0, c],
+        np.random.default_rng(0).normal(c, 3.0 * eps, 2000)])
+    u = np.zeros(phi.shape + (2,))
+    got = part.tags(u, phi)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, _cascade_tags(part, u, phi))
+    # a (rows, cols) batch gets the same codes
+    assert np.array_equal(part.tags(u[:12].reshape(3, 4, 2), phi[:12].reshape(3, 4)),
+                          got[:12].reshape(3, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-1e6, 1e6), st.floats(1e-9, 1e3),
+       st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1,
+                max_size=20))
+def test_tags_equal_the_mask_cascade_anywhere(affine_field, c, eps, values):
+    part = BandPartition(affine_field, default_box("affine"),
+                         DeformationParams(c=c, eps=eps))
+    phi = np.array(values + [c - 2.0 * eps, c + eps])
+    u = np.zeros(phi.shape + (2,))
+    assert np.array_equal(part.tags(u, phi), _cascade_tags(part, u, phi))
+
+
+# sha256 of region_clouds.csv as csv.writer wrote it, one writerow per point
+_CLOUD_SHA256 = {
+    # the deform_flow benchmark config: 37,565 rows over several write chunks
+    "deform_flow": "c19c1a8cc5fe35ec115e3bf180a634df345afddd34fd59623817bef972ab113a",
+    "bowl_3d": "d58c8e02013271c1178361b1f7f047a249004112e8cae18f2ea5d64937879395",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOUD_SHA256))
+def test_export_region_clouds_bytes_pinned(tmp_path, w2s_field, w2s_box, name):
+    if name == "deform_flow":
+        part = BandPartition(w2s_field, w2s_box, DeformationParams(c=0.5, eps=0.1),
+                             RegionSpec.level_set(0.5))
+        resolution = 201
+    else:
+        terms = [((2, 0, 0), 1.0), ((1, 0, 0), 0.3), ((0, 2, 0), 0.5),
+                 ((0, 0, 2), 0.5)]
+        part = BandPartition(polynomial_field(3, terms),
+                             DomainBox(-np.ones(3), np.ones(3)),
+                             DeformationParams(c=0.6, eps=0.25))
+        resolution = 17
+    out = tmp_path / "region_clouds.csv"
+    export_region_clouds(part, build_backend(part, "sampled", resolution), str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _CLOUD_SHA256[name]

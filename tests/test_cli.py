@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from passlab.cli import _REQUIRED, _SCHEMA, _parse, main
+from passlab.cli import _REQUIRED, _SCHEMA, _check_grids, _parse, main
 from passlab.errors import ConfigError
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -352,12 +352,13 @@ def test_schema_names_misspelt_keys_and_wrong_types(section, key):
             _parse(cfg)
 
 
-def _schema_row(section, key, kind, default, *bound):
+def _schema_row(section, key, kind, default, lower=None, upper=None):
     shown = ("required" if default is _REQUIRED else "none" if default is None
              else f"`{json.dumps(default)}`")
-    limit = f"`{'>=' if kind == 'int' else '>'} {bound[0]}`" if bound else ""
+    limits = ([] if lower is None else [f"`{'>=' if kind == 'int' else '>'} {lower}`"]
+              ) + ([] if upper is None else [f"`<= {upper}`"])
     return (f"| {f'`{section}`' if section else '(root)'} | `{key}` | {kind} "
-            f"| {shown} | {limit} |")
+            f"| {shown} | {', '.join(limits)} |")
 
 
 def test_readme_config_table_matches_the_schema():
@@ -486,6 +487,61 @@ def test_pin_outside_the_box_exits_2(tmp_path, capsys, sub, base, pin):
     # a NaN pin gave c1 = c2 = null, a far one c2 = 5.76e6, both with exit 0
     cfg = dict(base, minimax=dict(base["minimax"], pin_zero=pin))
     assert "pin_zero" in _config_error(tmp_path, capsys, sub, cfg)
+
+
+@pytest.mark.parametrize("sub, base, name, value", [
+    # a raw "Maximum allowed dimension exceeded" ValueError with exit 1
+    ("pscheck", PSCHECK, "ps.samples", int("9" * 401)),
+    # a raw _ArrayMemoryError with exit 1
+    ("deform", AFFINE_DEFORM, "deformation.samples", 10 ** 12),
+    ("minimax", MINIMAX, "minimax.ensemble_size", 1001),
+    ("geometry", GEOMETRY, "geometry.sphere_samples", 10 ** 6 + 1),
+], ids=["ps.samples", "deformation.samples", "ensemble_size", "sphere_samples"])
+def test_count_past_its_maximum_exits_2(tmp_path, capsys, sub, base, name,
+                                        value):
+    section, key = name.split(".")
+    cfg = dict(base, **{section: dict(base[section], **{key: value})})
+    err = _config_error(tmp_path, capsys, sub, cfg)
+    assert name in err and "must be <=" in err
+
+
+@pytest.mark.parametrize("sub, cfg, name", [
+    ("oracle", dict(ORACLE, oracle=dict(ORACLE["oracle"], resolution=3163)),
+     "oracle.resolution"),
+    ("deform", dict(AFFINE_DEFORM, deformation=dict(
+        AFFINE_DEFORM["deformation"], dump_resolution=int("9" * 401))),
+     "deformation.dump_resolution"),
+    # 216 ** 3 > 10 ** 7 >= 3162 ** 2: the bound depends on the dimension
+    ("deform", dict(AFFINE_DEFORM, box={"lo": [-1.0] * 3, "hi": [1.0] * 3},
+                    functional={"poly": {"dim": 3, "terms": [
+                        {"exps": [1, 0, 0], "coef": 1.0}]}},
+                    deformation=dict(AFFINE_DEFORM["deformation"],
+                                     resolution=216)),
+     "deformation.resolution"),
+])
+def test_grid_past_its_maximum_exits_2(tmp_path, capsys, sub, cfg, name):
+    err = _config_error(tmp_path, capsys, sub, cfg)
+    assert name in err and "grid points" in err
+
+
+def test_grid_at_its_maximum_passes_the_check():
+    cfg = _parse(dict(AFFINE_DEFORM, deformation=dict(
+        AFFINE_DEFORM["deformation"], resolution=3162)))
+    _check_grids(cfg, 2)
+    with pytest.raises(ConfigError, match="deformation.resolution"):
+        _check_grids(cfg, 3)
+
+
+def test_integer_past_the_json_digit_limit_exits_2(tmp_path, capsys):
+    # json.load raised ValueError: a raw traceback with exit 1
+    p = tmp_path / "long.json"
+    p.write_text('{"functional": {"catalog": "paraboloid"}, '
+                 '"ps": {"level": 1.0, "samples": ' + "9" * 5000 + "}}")
+    assert main(["pscheck", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    # a Python without the digit limit (before 3.10.7) parses it, and the
+    # schema's bound names the field
+    err = capsys.readouterr().err
+    assert "--config" in err or "ps.samples" in err
 
 
 def test_deform_at_an_empty_band_is_vacuous(tmp_path):

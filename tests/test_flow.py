@@ -7,7 +7,8 @@ from passlab import (BandPartition, DeformationParams, FlowConfig,
                      default_box, DeformationField, eta, integrate_flow,
                      vector_field, verify_deformation)
 from passlab.cli import _to_jsonable
-from passlab.errors import VectorFieldSingular
+from passlab.bands import psi
+from passlab.errors import InvalidPoint, VectorFieldSingular
 from passlab.flow import eta_batch
 
 
@@ -279,3 +280,28 @@ def test_verify_deformation_pinned(pinned_audit_fields, name):
     unclamped = got["samples"] - got["clamped_trajectories"]
     assert (got["eq31_intervals_used"] + got["eq31_intervals_excluded"]
             == (n_rec - 1) * unclamped)
+
+
+def test_wrong_dimension_point_raises_invalid_point(affine_df, flow_cfg):
+    # the stage calls the field's eval_fn and grad_fn unchecked; every
+    # public entry point checks the points once
+    part, backend = affine_df.part, affine_df.backend
+    for u in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 1))):
+        for call in (lambda: psi(part, backend, u), lambda: affine_df.psi(u),
+                     lambda: vector_field(affine_df, u),
+                     lambda: eta(affine_df, flow_cfg, u),
+                     lambda: eta_batch(affine_df, flow_cfg, np.atleast_2d(u))):
+            with pytest.raises(InvalidPoint):
+                call()
+    with pytest.raises(InvalidPoint):
+        integrate_flow(affine_df, flow_cfg, np.zeros(3))
+
+
+def test_vector_field_of_a_batch_of_batches(affine_df):
+    # every row has psi != 0, so the stage takes the whole batch; a
+    # (2, 2, dim) batch gave rows mixed across the inner axis
+    U = np.array([[[-0.4, 0.1], [-0.2, -0.3]], [[0.2, 0.5], [0.45, 0.0]]])
+    f = vector_field(affine_df, U)
+    assert f.shape == U.shape
+    for idx in np.ndindex(U.shape[:-1]):
+        assert np.array_equal(f[idx], vector_field(affine_df, U[idx]))
