@@ -344,6 +344,9 @@ def _run_oracle(cfg, field, box, seed, out_dir):
         if o[key] is None or len(o[key]) != box.dim:
             raise ConfigError(f"oracle.{key} must be a point with {box.dim} "
                               f"coordinates, got {o[key]!r}")
+        if not box.contains(o[key]):
+            raise ConfigError(f"oracle.{key} {o[key]!r} must lie in the box "
+                              f"[{box.lo.tolist()}, {box.hi.tolist()}]")
     g, p, q = _oracle(o, field, box, o["p"], o["q"], "oracle.p", "oracle.q")
     ob = bottleneck_value(g, p, q)
     ow = widest_value(g, p, q)

@@ -43,6 +43,12 @@ class DeformationField:
     part: BandPartition
     backend: object
 
+    def __post_init__(self):
+        # the backend's distances are to this partition's regions; another
+        # partition's backend gives a psi that is wrong with no error
+        if self.backend.part is not self.part:
+            raise ValueError("backend was built for another partition")
+
     @property
     def field(self) -> ScalarField:
         return self.part.field

@@ -14,7 +14,7 @@ the sampled functional along a discrete route.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,9 +25,9 @@ ENUM_NODE_CAP = 25
 
 
 def _offsets(dim: int, connectivity: int):
-    """Neighbor offsets.  2-D: 4 = axis, 8 = axis + diagonals.
-    1-D and 3-D use axis neighbors only (face diagonals are disabled in 3-D
-    for cost; the connectivity argument is accepted for config uniformity)."""
+    """Neighbor offsets, the oracle's one adjacency table.  2-D: 4 = axis,
+    8 = axis + diagonals.  1-D and 3-D: the 2 or 6 axis neighbors whatever
+    the connectivity (3-D diagonals are left out for cost)."""
     if dim == 2 and connectivity == 8:
         return [d for d in itertools.product((-1, 0, 1), repeat=2) if any(d)]
     offs = []
@@ -111,16 +111,16 @@ class OracleResult:
     method: str
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "witness": self.witness,
-                "method": self.method}
+        return asdict(self)
 
 
 def _structure(dim: int, connectivity: int) -> np.ndarray:
-    """``ndimage.label`` structuring element with the neighbours of ``_offsets``."""
-    if dim == 2 and connectivity == 8:
-        return np.ones((3, 3), dtype=bool)
-    from scipy import ndimage  # deferred: ~0.2 s to import; only the oracle needs it
-    return ndimage.generate_binary_structure(dim, 1)
+    """``ndimage.label`` structuring element: the centre and the neighbours
+    of ``_offsets``."""
+    out = np.zeros((3,) * dim, dtype=bool)
+    out[(1,) * dim] = True
+    out[tuple(np.transpose(_offsets(dim, connectivity)) + 1)] = True
+    return out
 
 
 def _node_index(g: GridGraph, idx, name: str) -> int:

@@ -1,21 +1,23 @@
 """Minimax estimation over the pinned path space, and its diagnostics.
 
 c1 is the sup over paths of the path minimum of phi; c2 the inf over paths
-of the path maximum.  Both are estimated by ensemble elastic-path descent:
-each iteration moves the extremal node (and its two free neighbors at half
-weight) along the gradient, redistributes free nodes toward uniform
-spacing, and accepts the candidate only if the objective improved, so the
-per-member history is monotone by construction.  The estimates are meant
-to be validated against the grid oracles, not trusted.
+of the path maximum, and c1(phi) = -c2(-phi).  c2 is estimated by ensemble
+elastic-path descent: each iteration moves the maximal node (and its two
+free neighbors at half weight) down the gradient, redistributes free nodes
+toward uniform spacing, and accepts the candidate only if the path maximum
+fell, so the per-member history is monotone by construction.  c1 is the
+same descent on -phi, its value and history negated back.  The estimates
+are meant to be validated against the grid oracles, not trusted.
 
 The proof tracer deforms at each level with D = {phi = level} on the
 default backend of bands.build_backend, first-order distances, so its RK4
-stages make no point lookups.  Its settings, and the Palais-Smale probe's
-thresholds, are the module constants PROOF_* and PS_*.
+stages make no point lookups; its band ranges and deformed-bound targets
+are those of the BandPartition it deforms with.  Its settings, and the
+Palais-Smale probe's thresholds, are the module constants PROOF_* and PS_*.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -87,8 +89,13 @@ def _redistribute(nodes: np.ndarray, pinned) -> np.ndarray:
 
 
 def _descend_member(inst: MountainPassInstance, path: DiscretePath,
-                    minimize_max: bool, max_iters: int, tol: float):
-    """Local search on one member; returns (path, best, history, iters, conv)."""
+                    sign: float, max_iters: int, tol: float):
+    """Local search on one member for the inf-max of sign * phi.
+
+    Returns (path, its node values of sign * phi, best, history, iters,
+    conv); each accepted path's node values are kept, so an iteration
+    evaluates phi once, on the candidate.
+    """
     field = inst.field
     nodes = path.nodes.copy()
     M = path.M
@@ -97,35 +104,30 @@ def _descend_member(inst: MountainPassInstance, path: DiscretePath,
     s0 = 0.2 * max(span, 1e-6)
     s = s0
 
-    def objective(ns):
-        vals = field.evaluate(ns)
-        return float(vals.max()) if minimize_max else float(vals.min())
-
-    best = objective(nodes)
+    vals = sign * np.asarray(field.evaluate(nodes))
+    best = float(vals.max())
     history = [best]
     stall = 0
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
-        vals = np.asarray(field.evaluate(nodes))
-        j = int(np.argmax(vals)) if minimize_max else int(np.argmin(vals))
+        j = int(np.argmax(vals))
         cand = nodes.copy()
-        sign = -1.0 if minimize_max else 1.0
         for k, w in ((j - 1, 0.5), (j, 1.0), (j + 1, 0.5)):
             if 0 <= k <= M and k not in pinned:
-                g = np.asarray(field.gradient(nodes[k]))
+                g = sign * np.asarray(field.gradient(nodes[k]))
                 gn = np.linalg.norm(g)
                 if gn > 0:
-                    cand[k] = cand[k] + sign * (s * w) * g / gn
+                    cand[k] = cand[k] - (s * w) * g / gn
         cand = _redistribute(cand, path.pinned)
         cand = inst.box.clip(cand)
         for idx in path.pinned:
             cand[idx] = nodes[idx]
-        new = objective(cand)
-        improved = new < best - 1e-15 if minimize_max else new > best + 1e-15
-        if improved:
+        cand_vals = sign * np.asarray(field.evaluate(cand))
+        new = float(cand_vals.max())
+        if new < best - 1e-15:
             rel = abs(new - best) / max(1.0, abs(best))
-            nodes = cand
+            nodes, vals = cand, cand_vals
             best = new
             s = min(s * 1.2, s0)
             stall = stall + 1 if rel < tol else 0
@@ -136,11 +138,13 @@ def _descend_member(inst: MountainPassInstance, path: DiscretePath,
         if stall >= STALL_ITERS:
             converged = True
             break
-    return DiscretePath(nodes, path.pinned), best, history, iters, converged
+    return DiscretePath(nodes, path.pinned), vals, best, history, iters, converged
 
 
-def _optimize(inst: MountainPassInstance, minimize_max: bool, ensemble_size: int,
+def _optimize(inst: MountainPassInstance, sign: float, ensemble_size: int,
               M: int, max_iters: int, tol: float, seed: int) -> MinimaxResult:
+    """The ensemble descent for the inf-max level of sign * phi, reported
+    for phi: value and history are multiplied back by sign."""
     if ensemble_size < 1 or max_iters < 1 or tol <= 0:
         raise ValueError("ensemble_size and max_iters must be >= 1, tol > 0")
     span = float(np.linalg.norm(inst.pin_e - inst.pin_zero))
@@ -152,31 +156,30 @@ def _optimize(inst: MountainPassInstance, minimize_max: bool, ensemble_size: int
         else:
             p0 = make_path(inst, M, init="jitter", scale=0.1 * span,
                            seed=int(child_seeds[m]))
-        outcomes.append(_descend_member(inst, p0, minimize_max, max_iters, tol))
-    finals = [o[1] for o in outcomes]
-    best_m = (int(np.argmin(finals)) if minimize_max else int(np.argmax(finals)))
-    path, value, history, iters, conv = outcomes[best_m]
-    vals = np.asarray(inst.field.evaluate(path.nodes))
-    w_idx = int(np.argmax(vals)) if minimize_max else int(np.argmin(vals))
+        outcomes.append(_descend_member(inst, p0, sign, max_iters, tol))
+    best_m = int(np.argmin([o[2] for o in outcomes]))
+    path, vals, best, history, iters, conv = outcomes[best_m]
+    w_idx = int(np.argmax(vals))
     return MinimaxResult(
-        value=float(value), witness_path=path,
+        value=sign * best, witness_path=path,
         witness_point=path.nodes[w_idx].copy(), witness_index=w_idx,
-        iterations=iters, converged=conv, history=history,
-        member_index=best_m)
+        iterations=iters, converged=conv,
+        history=[sign * h for h in history], member_index=best_m)
 
 
 def optimize_c2(inst: MountainPassInstance, ensemble_size: int = 8, M: int = 32,
                 max_iters: int = 200, tol: float = 1e-6,
                 seed: int = 0) -> MinimaxResult:
     """Estimate the inf-max level; history is nonincreasing."""
-    return _optimize(inst, True, ensemble_size, M, max_iters, tol, seed)
+    return _optimize(inst, 1.0, ensemble_size, M, max_iters, tol, seed)
 
 
 def optimize_c1(inst: MountainPassInstance, ensemble_size: int = 8, M: int = 32,
                 max_iters: int = 200, tol: float = 1e-6,
                 seed: int = 0) -> MinimaxResult:
-    """Estimate the sup-min level; history is nondecreasing."""
-    return _optimize(inst, False, ensemble_size, M, max_iters, tol, seed)
+    """Estimate the sup-min level, as the c2 descent on -phi; history is
+    nondecreasing."""
+    return _optimize(inst, -1.0, ensemble_size, M, max_iters, tol, seed)
 
 
 def check_conclusions(inst: MountainPassInstance, c1_result: MinimaxResult,
@@ -216,8 +219,7 @@ class ProofTrace:
     steps: list                # {name, claimed, observed, verdict}
 
     def to_dict(self) -> dict:
-        return {"eps": self.eps, "eps1": self.eps1, "case": self.case,
-                "d_choice": self.d_choice, "steps": self.steps}
+        return asdict(self)
 
 
 def _step(name, claimed, observed, verdict):
@@ -225,10 +227,13 @@ def _step(name, claimed, observed, verdict):
             "verdict": verdict}
 
 
-def _deformation_at(inst, level, eps_level):
-    params = DeformationParams(c=level, eps=eps_level)
-    d_spec = RegionSpec.level_set(level)
-    part = BandPartition(inst.field, inst.box, params, d_spec)
+def _partition_at(inst, level, eps_level):
+    return BandPartition(inst.field, inst.box,
+                         DeformationParams(c=level, eps=eps_level),
+                         RegionSpec.level_set(level))
+
+
+def _deformation_at(part):
     return DeformationField(part,
                             build_backend(part, resolution=PROOF_RESOLUTION))
 
@@ -260,7 +265,7 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
                        "holds" if sep_ok else "fails"))
 
     # pin preservation under the fixed-set choice D = {phi = c1}
-    df1 = _deformation_at(inst, c1, eps1)
+    df1 = _deformation_at(_partition_at(inst, c1, eps1))
     img0 = eta(df1, PROOF_FLOW, inst.pin_zero)
     imge = eta(df1, PROOF_FLOW, inst.pin_e)
     exact0 = bool(np.all(img0 == inst.pin_zero))
@@ -279,64 +284,57 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
     free = next(i for i in range(PROOF_M + 1) if i not in base.pinned)
 
     def _band_route(level, low_side):
-        """The eps2 (low_side) or eps3 route: find a near-optimal path in the
-        stated band, deform at that level, record the claimed bound."""
+        """The eps2 (low_side) or eps3 route: find a near-optimal path with
+        its extremum in the B (C) band of the partition at this level, deform
+        with that partition, and record the claimed bound: the minimum pushed
+        up to C's top, c + eps (the maximum down to B's bottom, c - eps)."""
         tag = "eps2" if low_side else "eps3"
+        key = "min_value" if low_side else "max_value"
         eps_k = eps1
-        found = None
         for _ in range(PROOF_HALVINGS):
-            if low_side:
-                lo, hi = level - eps_k, level - 0.6 * eps_k
-            else:
-                lo, hi = level + 0.6 * eps_k, level + eps_k
+            part = _partition_at(inst, level, eps_k)
+            lo, hi = part.b_range if low_side else part.c_range
             hit = np.flatnonzero((grid_phi >= lo) & (grid_phi <= hi))
             if hit.size:   # put the first grid point in the band on the path
                 nodes = base.nodes.copy()
                 nodes[free] = grid[hit[0]]
                 cand = DiscretePath(nodes, base.pinned)
                 ext = path_extrema(inst, cand)
-                val = ext["min_value"] if low_side else ext["max_value"]
-                if lo <= val <= hi:
-                    found = (eps_k, cand, ext)
+                if lo <= ext[key] <= hi:
                     break
             eps_k *= 0.5
-        if found is None:
+        else:
             steps.append(_step(f"{tag}_band_path",
                                f"a path with its extremum in the {tag} band exists",
                                {"halvings_tried": PROOF_HALVINGS}, "vacuous"))
             steps.append(_step(f"{tag}_deformed_bound", "not evaluated",
                                None, "vacuous"))
             return
-        eps_k, cand, ext = found
         steps.append(_step(f"{tag}_band_path",
                            f"extremum within [{lo}, {hi}]",
-                           {tag: eps_k,
-                            "extremum": ext["min_value"] if low_side
-                            else ext["max_value"]},
-                           "holds"))
-        dfk = _deformation_at(inst, level, eps_k)
+                           {tag: part.params.eps, "extremum": ext[key]}, "holds"))
         try:
-            beta = deform_path(dfk, PROOF_FLOW, cand)
+            beta = deform_path(_deformation_at(part), PROOF_FLOW, cand)
         except PinMoved as exc:
             steps.append(_step(f"{tag}_deformed_bound",
                                "pins preserved during deformation",
                                {"error": str(exc)}, "fails"))
             return
-        bext = path_extrema(inst, beta)
+        observed_v = path_extrema(inst, beta)[key]
         if low_side:
-            claimed_txt = f"min phi(beta) >= {level + eps_k}"
-            observed_v = bext["min_value"]
-            ok = observed_v >= level + eps_k
+            target = part.c_range[1]
+            claimed_txt = f"min phi(beta) >= {target}"
+            ok = observed_v >= target
         else:
-            claimed_txt = f"max phi(beta) <= {level - eps_k}"
-            observed_v = bext["max_value"]
-            ok = observed_v <= level - eps_k
+            target = part.b_range[0]
+            claimed_txt = f"max phi(beta) <= {target}"
+            ok = observed_v <= target
         steps.append(_step(f"{tag}_deformed_bound", claimed_txt,
                            {"observed": observed_v},
                            "holds" if ok else "fails"))
 
-    _band_route(c1, low_side=True)    # the push-up route at the lower level
-    _band_route(c2, low_side=False)   # the push-down route at the upper level
+    _band_route(c1, low_side=True)    # the push-up route at c1
+    _band_route(c2, low_side=False)   # the push-down route at c2
 
     return ProofTrace(eps=eps, eps1=eps1, case=case,
                       d_choice="level_set at the deformation level",
@@ -356,10 +354,7 @@ class PSReport:
     sample_sequence: list = dc_field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"level": self.level, "verdict": self.verdict,
-                "band_min_grad": self.band_min_grad,
-                "accumulation_points": self.accumulation_points,
-                "sample_sequence": self.sample_sequence}
+        return asdict(self)
 
 
 def scipy_minimize(*args, **kwargs):
@@ -490,16 +485,11 @@ def ps_probe(field: ScalarField, box: DomainBox, c: float,
     for u0 in g_starts:
         res = scipy_minimize(G, np.asarray(u0), method="L-BFGS-B", bounds=bounds)
         band_candidates.append(res.x)
-    cand = np.concatenate([np.asarray(band_candidates).reshape(-1, box.dim),
-                           in_band_pool.reshape(-1, box.dim)]) \
-        if (band_candidates or len(in_band_pool)) else np.empty((0, box.dim))
-    if len(cand):
-        cphi = np.asarray(field.evaluate(cand))
-        cin = np.abs(cphi - c) <= band_halfwidth + 1e-4
-        band_min_grad = (float(np.min(field.grad_norm(cand[cin])))
-                         if np.any(cin) else float("nan"))
-    else:
-        band_min_grad = float("nan")
+    cand = np.concatenate([np.reshape(band_candidates, (-1, box.dim)),
+                           in_band_pool])
+    cin = np.abs(np.asarray(field.evaluate(cand)) - c) <= band_halfwidth + 1e-4
+    band_min_grad = (float(np.min(field.grad_norm(cand[cin])))
+                     if np.any(cin) else float("nan"))
 
     near = (fin_gn < PS_GRAD_TOL) & (np.abs(fin_phi - c) <= band_halfwidth + 1e-9)
     if not np.any(near):
@@ -543,8 +533,7 @@ class GeometryCheckResult:
     verdict: bool
 
     def to_dict(self) -> dict:
-        return {"b": self.b, "r": self.r, "phi_at_zero": self.phi_at_zero,
-                "phi_at_e": self.phi_at_e, "verdict": self.verdict}
+        return asdict(self)
 
 
 def check_mpt_geometry(inst: MountainPassInstance, sphere_samples: int = 4096,

@@ -219,6 +219,24 @@ def test_oracle_points_on_one_node_exit_2(tmp_path, capsys):
     assert "oracle.p" in err and "oracle.q" in err
 
 
+@pytest.mark.parametrize("key, point", [("p", [10.0, 10.0]), ("q", [-1.5, 0.0]),
+                                        ("q", [0.0, 2.0 + 1e-9])])
+def test_oracle_point_outside_the_box_exits_2(tmp_path, capsys, key, point):
+    # a point outside the box snapped to a boundary node with exit 0: at
+    # resolution 33, p = (10, 10) read the corner (3, 2), bottleneck 13.0
+    cfg = dict(ORACLE, oracle=dict(ORACLE["oracle"], **{key: point}))
+    assert f"oracle.{key}" in _config_error(tmp_path, capsys, "oracle", cfg)
+
+
+def test_oracle_points_on_the_box_faces_run(tmp_path):
+    # well_to_saddle's box is [-1, 3] x [-2, 2]
+    cfg = dict(ORACLE, oracle=dict(ORACLE["oracle"], p=[-1.0, -2.0],
+                                   q=[3.0, 0.0]))
+    code, report, _ = _run(tmp_path, "oracle", cfg)
+    assert code == 0
+    assert report["payload"]["result"]["bottleneck"]["witness"][0] == 0
+
+
 def test_minimax_pins_on_one_oracle_node_exit_2(tmp_path, capsys):
     cfg = {
         "functional": {"catalog": "well_to_saddle"},

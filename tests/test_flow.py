@@ -305,3 +305,16 @@ def test_vector_field_of_a_batch_of_batches(affine_df):
     assert f.shape == U.shape
     for idx in np.ndindex(U.shape[:-1]):
         assert np.array_equal(f[idx], vector_field(affine_df, U[idx]))
+
+
+@pytest.mark.parametrize("kind", ["first_order", "sampled"])
+def test_backend_of_another_partition_rejected(w2s_field, w2s_box, kind):
+    # with part B's first_order backend, psi at (0.5, 0.3) on part A read
+    # +0.166 where A's own gives -0.320, with no error (sampled at 51 points
+    # per axis: +0.255 against -0.287)
+    part_a = BandPartition(w2s_field, w2s_box, DeformationParams(c=0.5, eps=0.1))
+    part_b = BandPartition(w2s_field, w2s_box, DeformationParams(c=1.0, eps=0.2))
+    with pytest.raises(ValueError, match="another partition"):
+        DeformationField(part_a, build_backend(part_b, kind, 51))
+    df = DeformationField(part_a, build_backend(part_a, kind, 51))
+    assert float(df.psi(np.array([0.5, 0.3]))) < 0.0

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from passlab import (MountainPassInstance, catalog_field, catalog_names,
+from passlab import (MountainPassInstance, ScalarField, catalog_field,
+                     catalog_names,
                      check_conclusions, check_mpt_geometry, default_box,
                      optimize_c1, optimize_c2, ps_probe, trace_proof_argument)
 from passlab.errors import InvalidInstance
@@ -70,6 +73,123 @@ def test_histories_monotone_random_pins(name, a, b, seed):
     assert all(y >= x for x, y in zip(r1.history, r1.history[1:]))
     assert all(y <= x for x, y in zip(r2.history, r2.history[1:]))
     assert r1.history[-1] == r1.value and r2.history[-1] == r2.value
+
+
+def _negated(f):
+    return ScalarField(f"-{f.name}", f.dim, lambda u: -f.eval_fn(u),
+                       lambda u: -f.grad_fn(u))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(catalog_names()), _UNIT, _UNIT,
+       st.sampled_from([8, 16, 32]), st.integers(0, 2**32 - 1))
+def test_c1_is_c2_of_the_negated_field(name, a, b, M, seed):
+    # c1(phi) = -c2(-phi), run for run: the sign fold optimize_c1 rests on
+    f, box = catalog_field(name), default_box(name)
+    z = box.lo + np.asarray(a) * (box.hi - box.lo)
+    e = box.lo + np.asarray(b) * (box.hi - box.lo)
+    assume(not np.array_equal(z, e))
+    kw = dict(ensemble_size=2, M=M, max_iters=40, seed=seed)
+    r1 = optimize_c1(MountainPassInstance(f, box, z, e), **kw)
+    r2 = optimize_c2(MountainPassInstance(_negated(f), box, z, e), **kw)
+    assert r1.value == -r2.value
+    assert r1.history == [-h for h in r2.history]
+    assert r1.witness_index == r2.witness_index
+    assert np.array_equal(r1.witness_path.nodes, r2.witness_path.nodes)
+    assert r1.witness_path.pinned == r2.witness_path.pinned
+    assert (r1.member_index, r1.iterations, r1.converged) \
+        == (r2.member_index, r2.iterations, r2.converged)
+
+
+# optimize_c1 / optimize_c2 at their defaults on well_to_saddle with pins
+# (0, 0) and e, recorded before c1 became the c2 descent on -phi; the
+# witness path's nodes by the sha256 of their float64 bytes
+PINNED_OPTIMA = {
+    ((1.0, 0.0), "c1"): {
+        "value": 0.0, "witness_point": [0.0, 0.0], "witness_index": 0,
+        "iterations": 20, "converged": True, "history": [0.0] * 21,
+        "member_index": 0, "nodes_sha256":
+        "da97432c71f4008e22423aaa84033689cd089ec5dc64568d90f2074ca431f7cd"},
+    ((1.0, 0.0), "c2"): {
+        "value": 1.0, "witness_point": [1.0, 0.0], "witness_index": 16,
+        "iterations": 20, "converged": True, "history": [1.0] * 21,
+        "member_index": 0, "nodes_sha256":
+        "da97432c71f4008e22423aaa84033689cd089ec5dc64568d90f2074ca431f7cd"},
+    ((2.0, 0.0), "c1"): {
+        "value": 0.0, "witness_point": [0.0, 0.0], "witness_index": 0,
+        "iterations": 20, "converged": True, "history": [0.0] * 21,
+        "member_index": 0, "nodes_sha256":
+        "b4b8114eb124e5ce417d57269312e109f6d8128b703911c0787a8dadfad15d39"},
+    ((2.0, 0.0), "c2"): {
+        "value": 0.8958693082610129,
+        "witness_point": [0.7077047898918662, 0.24380913470801532],
+        "witness_index": 11, "iterations": 20, "converged": True,
+        "history": [0.8958693082610129] * 21, "member_index": 2,
+        "nodes_sha256":
+        "4152b936c1b70838df04602d6fab0f7a29e26dfb092713706f1bccb06a186b8c"},
+}
+
+
+@pytest.mark.parametrize("e, level", sorted(PINNED_OPTIMA))
+def test_optimizers_pinned(w2s_field, w2s_box, e, level):
+    inst = MountainPassInstance(w2s_field, w2s_box, np.array([0.0, 0.0]),
+                                np.array(e))
+    r = {"c1": optimize_c1, "c2": optimize_c2}[level](inst)
+    got = r.to_dict()
+    got["nodes_sha256"] = hashlib.sha256(r.witness_path.nodes.tobytes()).hexdigest()
+    assert got == PINNED_OPTIMA[e, level]
+
+
+def _trace_steps(*rows):
+    return [{"name": n, "claimed": c, "observed": o, "verdict": v}
+            for n, c, o, v in rows]
+
+
+_PINS_FIXED = (
+    ("pin_zero_fixed", "eta(0) = 0 exactly", {"max_move": 0.0}, "holds"),
+    ("pin_e_fixed", "eta(e) = e exactly", {"max_move": 0.0}, "holds"),
+)
+
+
+def _vacuous(tag):
+    return ((f"{tag}_band_path",
+             f"a path with its extremum in the {tag} band exists",
+             {"halvings_tried": 12}, "vacuous"),
+            (f"{tag}_deformed_bound", "not evaluated", None, "vacuous"))
+
+
+# trace_proof_argument on well_to_saddle with pins (0, 0) and (1, 0),
+# recorded before the band ranges came from the tracer's BandPartition
+PINNED_TRACES = {
+    (0.0, 1.0, 0.3): {   # the criterion-8 config
+        "eps": 0.3, "eps1": 0.25, "case": "C1LessC2",
+        "d_choice": "level_set at the deformation level",
+        "steps": _trace_steps(
+            ("eps1_formula", "eps1 = min(|c2 - c1|/4, eps)", {"eps1": 0.25},
+             "holds"),
+            ("level_separation", "c2 > c1 + 2*eps1",
+             {"c2": 1.0, "c1_plus_2eps1": 0.5}, "holds"),
+            *_PINS_FIXED, *_vacuous("eps2"),
+            ("eps3_band_path", "extremum within [1.15, 1.25]",
+             {"eps3": 0.25, "extremum": 1.2426169599999999}, "holds"),
+            ("eps3_deformed_bound", "max phi(beta) <= 0.75",
+             {"observed": 1.0349875634129342}, "fails"))},
+    (1.0, 0.2, 0.3): {
+        "eps": 0.3, "eps1": 0.2, "case": "C1GreaterC2",
+        "d_choice": "level_set at the deformation level",
+        "steps": _trace_steps(
+            ("eps1_formula", "eps1 = min(|c2 - c1|/4, eps)", {"eps1": 0.2},
+             "holds"),
+            ("level_separation", "c2 < c1 - 2*eps1",
+             {"c2": 0.2, "c1_minus_2eps1": 0.6}, "holds"),
+            *_PINS_FIXED, *_vacuous("eps2"), *_vacuous("eps3"))},
+}
+
+
+@pytest.mark.parametrize("levels", sorted(PINNED_TRACES))
+def test_proof_trace_pinned(w2s_instance, levels):
+    got = trace_proof_argument(w2s_instance, *levels).to_dict()
+    assert got == PINNED_TRACES[levels]
 
 
 def test_pins_outside_the_box_rejected(w2s_field, w2s_box):
