@@ -5,7 +5,7 @@ Bottleneck and widest values are maximum-capacity route problems (Hu, 1961),
 solved by a threshold sweep: nodes are ranked by value and the first rank
 whose sublevel (superlevel) set joins the endpoints is found by bisection
 with one ``ndimage.label`` pass per probe; a breadth-first search over that
-set gives the witness path.
+set gives the witness path, the first time the witness is read.
 
 Paths are node-valued: the bottleneck value of a path is the maximum node
 value along it (the widest value is the minimum), matching the extremum of
@@ -14,7 +14,7 @@ the sampled functional along a discrete route.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,14 +104,25 @@ class GridGraph:
         return out
 
 
-@dataclass
 class OracleResult:
-    value: float
-    witness: list           # flat node indices, p .. q
-    method: str
+    """An oracle's value, its method and its witness, the flat node indices
+    of a route from p to q.  The witness may be given as a function that
+    builds it; the function then runs once, when the witness is first read."""
+
+    def __init__(self, value: float, witness, method: str):
+        self.value = value
+        self._witness = witness
+        self.method = method
+
+    @property
+    def witness(self) -> list:
+        if callable(self._witness):
+            self._witness = self._witness()
+        return self._witness
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"value": self.value, "witness": self.witness,
+                "method": self.method}
 
 
 def _structure(dim: int, connectivity: int) -> np.ndarray:
@@ -171,7 +182,9 @@ def _threshold_sweep(g: GridGraph, p, q, descending: bool) -> OracleResult:
 
     Node k of that order has rank k, so the nodes active after k steps are
     ``rank <= k``; the stopping step is found by bisection, one
-    ``ndimage.label`` pass per probe.  The method strings
+    ``ndimage.label`` pass per probe.  The result keeps the nodes active at
+    that step, and its witness, a breadth-first search through them, is
+    built when it is first read.  The method strings
     ``union_find_ascending`` / ``union_find_descending`` name the direction.
     """
     from scipy import ndimage  # deferred: ~0.2 s to import; only the oracle needs it
@@ -193,9 +206,10 @@ def _threshold_sweep(g: GridGraph, p, q, descending: bool) -> OracleResult:
             hi = mid
         else:
             lo = mid + 1
-    witness = _frontier_witness(g, rank <= lo, p, q)
+    active = rank <= lo
     method = "union_find_descending" if descending else "union_find_ascending"
-    return OracleResult(float(vals[order[lo]]), witness, method)
+    return OracleResult(float(vals[order[lo]]),
+                        lambda: _frontier_witness(g, active, p, q), method)
 
 
 def bottleneck_value(g: GridGraph, p: int, q: int) -> OracleResult:

@@ -5,9 +5,14 @@ of the path maximum, and c1(phi) = -c2(-phi).  c2 is estimated by ensemble
 elastic-path descent: each iteration moves the maximal node (and its two
 free neighbors at half weight) down the gradient, redistributes free nodes
 toward uniform spacing, and accepts the candidate only if the path maximum
-fell, so the per-member history is monotone by construction.  c1 is the
-same descent on -phi, its value and history negated back.  The estimates
-are meant to be validated against the grid oracles, not trusted.
+fell, so the per-member history is monotone by construction.  The members
+advance in lockstep, as one (members, M+1, dim) array per block of at most
+BLOCK_NODES path nodes, so an iteration makes one gradient and one
+evaluation call for the whole block; a member that stalls leaves the block's
+live set, and each member's path is the one a member-by-member descent would
+give, bit for bit.  c1 is the same descent on -phi, its value and history
+negated back.  The estimates are meant to be validated against the grid
+oracles, not trusted.
 
 The proof tracer deforms at each level with D = {phi = level} on the
 default backend of bands.build_backend, first-order distances, so its RK4
@@ -29,6 +34,10 @@ from .paths import DiscretePath, MountainPassInstance, make_path, path_extrema, 
     deform_path
 
 STALL_ITERS = 20            # consecutive low-improvement iterations => converged
+BLOCK_NODES = 1 << 14       # path nodes of the ensemble members descending together
+
+_NEIGHBOURS = np.array([-1, 0, 1])   # the maximal node and its two neighbours
+_WEIGHTS = np.array([0.5, 1.0, 0.5])  # their step weights
 
 PROOF_FLOW = FlowConfig()   # the proof tracer's integrator settings
 PROOF_M = 32                # segments of the proof tracer's paths
@@ -62,109 +71,161 @@ class MinimaxResult:
         }
 
 
-def _redistribute(nodes: np.ndarray, pinned) -> np.ndarray:
-    """Arclength-uniform resampling of each segment between anchors.
+def _resample(seg: np.ndarray) -> np.ndarray:
+    """Arclength-uniform resampling of one anchor segment of a batch of
+    paths, shape (members, n, dim), keeping each row's end nodes.
 
-    Anchors are the pinned indices plus both path endpoints; collapsed
-    segments (zero length) are left alone.
+    Row by row this is ``np.interp`` at ``np.linspace(0, total, n)`` on the
+    cumulative arclength, bit for bit; a collapsed row (length < 1e-12) is
+    left alone.
     """
-    M = nodes.shape[0] - 1
-    anchors = sorted(set(pinned) | {0, M})
-    out = nodes.copy()
-    for a, b in zip(anchors[:-1], anchors[1:]):
-        if b - a < 2:
-            continue
-        seg = nodes[a:b + 1]
-        steps = np.linalg.norm(np.diff(seg, axis=0), axis=-1)
-        total = steps.sum()
-        if total < 1e-12:
-            continue
-        cum = np.concatenate([[0.0], np.cumsum(steps)])
-        targets = np.linspace(0.0, total, b - a + 1)
-        for ax in range(nodes.shape[1]):
-            out[a:b + 1, ax] = np.interp(targets, cum, seg[:, ax])
-        out[a] = nodes[a]
-        out[b] = nodes[b]
+    rows, n, dim = seg.shape
+    d = seg[:, 1:] - seg[:, :-1]
+    steps = np.sqrt(np.add.reduce(d * d, axis=-1))      # np.linalg.norm(d, axis=-1)
+    total = np.add.reduce(steps, axis=1)
+    cum = np.zeros((rows, n))
+    np.cumsum(steps, axis=1, out=cum[:, 1:])
+    # np.linspace(0, total, n) up to its last target, whose node is kept
+    x = np.arange(n) * (total / (n - 1))[:, None] + 0.0
+    # j, the last index of its row with cum[j] <= x
+    j = np.empty((rows, n), dtype=np.intp)
+    for r in range(rows):
+        j[r] = cum[r].searchsorted(x[r], side="right")
+    j = (j + np.arange(-1, rows * n - 1, n)[:, None]).ravel()
+    last = np.arange(n - 1, rows * n, n).repeat(n)      # each row's last index
+    left = np.minimum(j, last - 1)
+    cum, x = cum.ravel(), x.ravel()
+    xl, xr = cum[left], cum[left + 1]
+    f = seg.transpose(2, 0, 1).reshape(dim, rows * n)   # coordinate-major
+    fl, fr = np.take(f, left, axis=1), np.take(f, left + 1, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where a node is read
+        slope = (fr - fl) / (xr - xl)
+        out = slope * (x - xl) + fl
+    at_node = (x == xl) | (j == last)
+    out[:, at_node] = np.take(f, j[at_node], axis=1)
+    bad = np.isnan(out)
+    if bad.any():                                        # np.interp's NaN fallback
+        retry = slope * (x - xr) + fr
+        same = np.isnan(retry) & (fl == fr)
+        retry[same] = fl[same]
+        out[bad] = retry[bad]
+    out = out.reshape(dim, rows, n).transpose(1, 2, 0)
+    collapsed = total < 1e-12
+    out[collapsed] = seg[collapsed]
+    out[:, 0] = seg[:, 0]
+    out[:, -1] = seg[:, -1]
     return out
 
 
-def _descend_member(inst: MountainPassInstance, path: DiscretePath,
-                    sign: float, max_iters: int, tol: float):
-    """Local search on one member for the inf-max of sign * phi.
+def _descend(inst: MountainPassInstance, nodes: np.ndarray, pinned: tuple,
+             sign: float, max_iters: int, tol: float):
+    """Lockstep local search for the inf-max of sign * phi on a block of
+    members, nodes (members, M+1, dim), all pinned at the same indices.
 
-    Returns (path, its node values of sign * phi, best, history, iters,
-    conv); each accepted path's node values are kept, so an iteration
-    evaluates phi once, on the candidate.
+    Every live member takes one step per iteration; a member that stalls
+    leaves the live set.  Returns (nodes, their values of sign * phi, best,
+    histories, iterations, converged), one row or list per member.
     """
     field = inst.field
-    nodes = path.nodes.copy()
-    M = path.M
-    pinned = set(path.pinned)
+    size, n_nodes, _ = nodes.shape
+    M = n_nodes - 1
+    pins = np.asarray(pinned)
+    anchors = sorted(set(pinned) | {0, M})
+    segments = [(a, b) for a, b in zip(anchors[:-1], anchors[1:]) if b - a >= 2]
+    free = np.ones(n_nodes, dtype=bool)
+    free[pins] = False
     span = float(np.linalg.norm(inst.pin_e - inst.pin_zero))
     s0 = 0.2 * max(span, 1e-6)
-    s = s0
 
     vals = sign * np.asarray(field.evaluate(nodes))
-    best = float(vals.max())
-    history = [best]
-    stall = 0
-    converged = False
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        j = int(np.argmax(vals))
-        cand = nodes.copy()
-        for k, w in ((j - 1, 0.5), (j, 1.0), (j + 1, 0.5)):
-            if 0 <= k <= M and k not in pinned:
-                g = sign * np.asarray(field.gradient(nodes[k]))
-                gn = np.linalg.norm(g)
-                if gn > 0:
-                    cand[k] = cand[k] - (s * w) * g / gn
-        cand = _redistribute(cand, path.pinned)
+    best = vals.max(axis=1)
+    history = [[b] for b in best.tolist()]
+    s = np.full(size, s0)
+    stall = np.zeros(size, dtype=np.intp)
+    iters = np.full(size, max_iters)
+    converged = np.zeros(size, dtype=bool)
+    live = np.arange(size)
+    for it in range(1, max_iters + 1):
+        # the maximal node and its free neighbours (at half weight) step
+        # down the signed gradient
+        cand = nodes[live]
+        k = np.argmax(vals[live], axis=1)[:, None] + _NEIGHBOURS
+        move = (k >= 0) & (k <= M)
+        move[move] = free[k[move]]
+        row, col = np.nonzero(move)
+        k = k[row, col]
+        g = sign * np.asarray(field.gradient(cand[row, k]))
+        gn = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])  # np.linalg.norm's dot
+        step = gn > 0
+        row, col, k, g, gn = row[step], col[step], k[step], g[step], gn[step]
+        cand[row, k] = cand[row, k] - (s[live[row]] * _WEIGHTS[col])[:, None] * g \
+            / gn[:, None]
+        for a, b in segments:
+            cand[:, a:b + 1] = _resample(cand[:, a:b + 1])
         cand = inst.box.clip(cand)
-        for idx in path.pinned:
-            cand[idx] = nodes[idx]
+        cand[:, pins] = nodes[live[:, None], pins]
         cand_vals = sign * np.asarray(field.evaluate(cand))
-        new = float(cand_vals.max())
-        if new < best - 1e-15:
-            rel = abs(new - best) / max(1.0, abs(best))
-            nodes, vals = cand, cand_vals
-            best = new
-            s = min(s * 1.2, s0)
-            stall = stall + 1 if rel < tol else 0
-        else:
-            s *= 0.5
-            stall += 1
-        history.append(best)
-        if stall >= STALL_ITERS:
-            converged = True
-            break
-    return DiscretePath(nodes, path.pinned), vals, best, history, iters, converged
+        new = cand_vals.max(axis=1)
+
+        old = best[live]
+        accept = new < old - 1e-15
+        with np.errstate(invalid="ignore"):   # inf - inf on a rejected member
+            rel = np.abs(new - old) / np.maximum(1.0, np.abs(old))
+        stall[live] = np.where(accept & ~(rel < tol), 0, stall[live] + 1)
+        s[live] = np.where(accept, np.minimum(s[live] * 1.2, s0), s[live] * 0.5)
+        kept = live[accept]
+        nodes[kept] = cand[accept]
+        vals[kept] = cand_vals[accept]
+        best[kept] = new[accept]
+        for m, b in zip(live.tolist(), best[live].tolist()):
+            history[m].append(b)
+        done = stall[live] >= STALL_ITERS
+        if done.any():
+            iters[live[done]] = it
+            converged[live[done]] = True
+            live = live[~done]
+            if not live.size:
+                break
+    return nodes, vals, best, history, iters, converged
 
 
 def _optimize(inst: MountainPassInstance, sign: float, ensemble_size: int,
               M: int, max_iters: int, tol: float, seed: int) -> MinimaxResult:
     """The ensemble descent for the inf-max level of sign * phi, reported
-    for phi: value and history are multiplied back by sign."""
-    if ensemble_size < 1 or max_iters < 1 or tol <= 0:
-        raise ValueError("ensemble_size and max_iters must be >= 1, tol > 0")
+    for phi: value and history are multiplied back by sign.
+
+    Members descend in lockstep, in blocks of at most BLOCK_NODES path nodes;
+    only the best member so far is kept, the first on ties.
+    """
+    for name, count in (("ensemble_size", ensemble_size), ("max_iters", max_iters)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) \
+                or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
     span = float(np.linalg.norm(inst.pin_e - inst.pin_zero))
     child_seeds = np.random.SeedSequence(seed).generate_state(ensemble_size)
-    outcomes = []
-    for m in range(ensemble_size):
-        if m == 0:
-            p0 = make_path(inst, M, init="axis")
-        else:
-            p0 = make_path(inst, M, init="jitter", scale=0.1 * span,
+    block = max(1, BLOCK_NODES // (M + 1))
+    kept = None   # the best member so far: (best, index, nodes, vals, history, iters, conv)
+    for first in range(0, ensemble_size, block):
+        paths = [make_path(inst, M, init="axis") if m == 0 else
+                 make_path(inst, M, init="jitter", scale=0.1 * span,
                            seed=int(child_seeds[m]))
-        outcomes.append(_descend_member(inst, p0, sign, max_iters, tol))
-    best_m = int(np.argmin([o[2] for o in outcomes]))
-    path, vals, best, history, iters, conv = outcomes[best_m]
+                 for m in range(first, min(first + block, ensemble_size))]
+        pinned = paths[0].pinned
+        nodes, vals, best, history, iters, conv = _descend(
+            inst, np.stack([p.nodes for p in paths]), pinned, sign, max_iters, tol)
+        b = int(np.argmin(best))
+        # np.argmin's choice over the whole ensemble: first NaN, else first minimum
+        if kept is None or np.argmin([kept[0], best[b]]) == 1:
+            kept = (best[b], first + b, nodes[b], vals[b], history[b], iters[b], conv[b])
+    best, member, nodes, vals, history, iters, conv = kept
     w_idx = int(np.argmax(vals))
     return MinimaxResult(
-        value=sign * best, witness_path=path,
-        witness_point=path.nodes[w_idx].copy(), witness_index=w_idx,
-        iterations=iters, converged=conv,
-        history=[sign * h for h in history], member_index=best_m)
+        value=sign * float(best), witness_path=DiscretePath(nodes.copy(), pinned),
+        witness_point=nodes[w_idx].copy(), witness_index=w_idx,
+        iterations=int(iters), converged=bool(conv),
+        history=[sign * h for h in history], member_index=member)
 
 
 def optimize_c2(inst: MountainPassInstance, ensemble_size: int = 8, M: int = 32,

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import pathlib
 import re
@@ -76,6 +77,69 @@ def test_oracle_subcommand(tmp_path):
     result = report["payload"]["result"]
     assert result["bottleneck"]["value"] == pytest.approx(1.0, abs=0.1)
     assert all(c["ok"] for c in report["payload"]["checks"])
+
+
+def test_minimax_builds_no_oracle_witness(tmp_path, monkeypatch):
+    # the minimax payload reads only the oracle values, so the breadth-first
+    # witness searches never run; an oracle run reads both witnesses
+    from passlab import gridoracle
+    search, calls = gridoracle._frontier_witness, []
+    monkeypatch.setattr(gridoracle, "_frontier_witness",
+                        lambda *args: calls.append(args) or search(*args))
+    cfg = {"functional": {"catalog": "well_to_saddle"},
+           "minimax": {"pin_zero": [0.0, 0.0], "pin_e": [1.0, 0.0],
+                       "ensemble_size": 2, "M": 16, "max_iters": 20},
+           "oracle": {"resolution": 65}}
+    code, report, _ = _run(tmp_path, "minimax", cfg)
+    assert code == 0 and "oracle" in report["payload"]["result"]
+    assert len(calls) == 0
+    code, _, _ = _run(tmp_path, "oracle", ORACLE)
+    assert code == 0
+    assert len(calls) == 2
+
+
+POLY3 = {"poly": {"dim": 3, "terms": [
+    {"exps": [2, 0, 0], "coef": 1.0}, {"exps": [0, 2, 0], "coef": -1.0},
+    {"exps": [0, 0, 2], "coef": 1.0}, {"exps": [1, 1, 1], "coef": 0.5}]}}
+
+# the oracle payload's sweeps, recorded before the witness was built on first
+# read: value, method, witness length and the sha256 of the witness as JSON
+# (the 3-D witnesses in full)
+PINNED_WITNESSES = {
+    "well_to_saddle": (
+        {"functional": {"catalog": "well_to_saddle"},
+         "oracle": {"p": [0.0, 0.0], "q": [2.0, 0.0], "resolution": 257}},
+        {"bottleneck": (1.0, "union_find_ascending", 129,
+                        "479a70bbc16abd4161b98dc25e72eccdcf755ae502d4fde45fd7eb9e1053efb9"),
+         "widest": (0.0, "union_find_descending", 129,
+                    "9faa01f2f692b7d83bada2ea33a053724b41fa8a98c71924f4bae1bfccb21f02")}),
+    "poly3": (
+        {"functional": POLY3, "box": {"lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]},
+         "oracle": {"p": [0.0, -0.5, 0.0], "q": [0.0, 0.5, 0.2], "resolution": 21,
+                    "scan_resolution": 21}},
+        {"bottleneck": (0.0, "union_find_ascending", 13, [
+            4525, 4546, 4567, 4588, 4609, 4630, 4651, 4672, 4693, 4714, 4735,
+            4736, 4737]),
+         "widest": (-0.25, "union_find_descending", 13, [
+             4525, 4546, 4567, 4588, 4609, 4630, 4651, 4672, 4693, 4714, 4715,
+             4736, 4737])}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WITNESSES))
+def test_oracle_witnesses_pinned(tmp_path, name):
+    cfg, want = PINNED_WITNESSES[name]
+    code, report, _ = _run(tmp_path, "oracle", cfg)
+    assert code == 0
+    for sweep, (value, method, length, witness) in want.items():
+        got = report["payload"]["result"][sweep]
+        assert (got["value"], got["method"], len(got["witness"])) \
+            == (value, method, length)
+        if isinstance(witness, str):
+            got_hash = hashlib.sha256(json.dumps(got["witness"]).encode()).hexdigest()
+            assert got_hash == witness
+        else:
+            assert got["witness"] == witness
 
 
 def test_pscheck_and_geometry(tmp_path):

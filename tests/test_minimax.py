@@ -1,15 +1,19 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from passlab import (MountainPassInstance, ScalarField, catalog_field,
-                     catalog_names,
-                     check_conclusions, check_mpt_geometry, default_box,
-                     optimize_c1, optimize_c2, ps_probe, trace_proof_argument)
+from passlab import (DiscretePath, DomainBox, MinimaxResult,
+                     MountainPassInstance, ScalarField, catalog_field,
+                     catalog_names, check_conclusions, check_mpt_geometry,
+                     default_box, make_path, optimize_c1, optimize_c2,
+                     polynomial_field, ps_probe, trace_proof_argument)
+from passlab import minimax
 from passlab.errors import InvalidInstance
+from passlab.minimax import STALL_ITERS
 
 OPT_KW = dict(ensemble_size=4, M=16, max_iters=150, seed=0)
 
@@ -99,6 +103,182 @@ def test_c1_is_c2_of_the_negated_field(name, a, b, M, seed):
     assert r1.witness_path.pinned == r2.witness_path.pinned
     assert (r1.member_index, r1.iterations, r1.converged) \
         == (r2.member_index, r2.iterations, r2.converged)
+
+
+# The member-by-member descent that the lockstep descent replaced, kept
+# verbatim as the reference: _redistribute, _descend_member and the member
+# loop of _optimize.
+
+def _redistribute(nodes: np.ndarray, pinned) -> np.ndarray:
+    """Arclength-uniform resampling of each segment between anchors.
+
+    Anchors are the pinned indices plus both path endpoints; collapsed
+    segments (zero length) are left alone.
+    """
+    M = nodes.shape[0] - 1
+    anchors = sorted(set(pinned) | {0, M})
+    out = nodes.copy()
+    for a, b in zip(anchors[:-1], anchors[1:]):
+        if b - a < 2:
+            continue
+        seg = nodes[a:b + 1]
+        steps = np.linalg.norm(np.diff(seg, axis=0), axis=-1)
+        total = steps.sum()
+        if total < 1e-12:
+            continue
+        cum = np.concatenate([[0.0], np.cumsum(steps)])
+        targets = np.linspace(0.0, total, b - a + 1)
+        for ax in range(nodes.shape[1]):
+            out[a:b + 1, ax] = np.interp(targets, cum, seg[:, ax])
+        out[a] = nodes[a]
+        out[b] = nodes[b]
+    return out
+
+
+def _descend_member(inst: MountainPassInstance, path: DiscretePath,
+                    sign: float, max_iters: int, tol: float):
+    """Local search on one member for the inf-max of sign * phi.
+
+    Returns (path, its node values of sign * phi, best, history, iters,
+    conv); each accepted path's node values are kept, so an iteration
+    evaluates phi once, on the candidate.
+    """
+    field = inst.field
+    nodes = path.nodes.copy()
+    M = path.M
+    pinned = set(path.pinned)
+    span = float(np.linalg.norm(inst.pin_e - inst.pin_zero))
+    s0 = 0.2 * max(span, 1e-6)
+    s = s0
+
+    vals = sign * np.asarray(field.evaluate(nodes))
+    best = float(vals.max())
+    history = [best]
+    stall = 0
+    converged = False
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        j = int(np.argmax(vals))
+        cand = nodes.copy()
+        for k, w in ((j - 1, 0.5), (j, 1.0), (j + 1, 0.5)):
+            if 0 <= k <= M and k not in pinned:
+                g = sign * np.asarray(field.gradient(nodes[k]))
+                gn = np.linalg.norm(g)
+                if gn > 0:
+                    cand[k] = cand[k] - (s * w) * g / gn
+        cand = _redistribute(cand, path.pinned)
+        cand = inst.box.clip(cand)
+        for idx in path.pinned:
+            cand[idx] = nodes[idx]
+        cand_vals = sign * np.asarray(field.evaluate(cand))
+        new = float(cand_vals.max())
+        if new < best - 1e-15:
+            rel = abs(new - best) / max(1.0, abs(best))
+            nodes, vals = cand, cand_vals
+            best = new
+            s = min(s * 1.2, s0)
+            stall = stall + 1 if rel < tol else 0
+        else:
+            s *= 0.5
+            stall += 1
+        history.append(best)
+        if stall >= STALL_ITERS:
+            converged = True
+            break
+    return DiscretePath(nodes, path.pinned), vals, best, history, iters, converged
+
+
+def _optimize_by_member(inst: MountainPassInstance, sign: float, ensemble_size: int,
+                        M: int, max_iters: int, tol: float, seed: int) -> MinimaxResult:
+    """The ensemble descent for the inf-max level of sign * phi, reported
+    for phi: value and history are multiplied back by sign."""
+    if ensemble_size < 1 or max_iters < 1 or tol <= 0:
+        raise ValueError("ensemble_size and max_iters must be >= 1, tol > 0")
+    span = float(np.linalg.norm(inst.pin_e - inst.pin_zero))
+    child_seeds = np.random.SeedSequence(seed).generate_state(ensemble_size)
+    outcomes = []
+    for m in range(ensemble_size):
+        if m == 0:
+            p0 = make_path(inst, M, init="axis")
+        else:
+            p0 = make_path(inst, M, init="jitter", scale=0.1 * span,
+                           seed=int(child_seeds[m]))
+        outcomes.append(_descend_member(inst, p0, sign, max_iters, tol))
+    best_m = int(np.argmin([o[2] for o in outcomes]))
+    path, vals, best, history, iters, conv = outcomes[best_m]
+    w_idx = int(np.argmax(vals))
+    return MinimaxResult(
+        value=sign * best, witness_path=path,
+        witness_point=path.nodes[w_idx].copy(), witness_index=w_idx,
+        iterations=iters, converged=conv,
+        history=[sign * h for h in history], member_index=best_m)
+
+
+def _same_result(a: MinimaxResult, b: MinimaxResult) -> bool:
+    return (a.value == b.value and a.history == b.history
+            and np.array_equal(a.witness_path.nodes, b.witness_path.nodes)
+            and a.witness_path.pinned == b.witness_path.pinned
+            and np.array_equal(a.witness_point, b.witness_point)
+            and (a.witness_index, a.iterations, a.converged, a.member_index)
+            == (b.witness_index, b.iterations, b.converged, b.member_index))
+
+
+@st.composite
+def _fields(draw):
+    """A catalog field on its default box, or a 1-D or 3-D polynomial on a
+    box around the origin."""
+    kind = draw(st.sampled_from(catalog_names() + ["poly1", "poly3"]))
+    if not kind.startswith("poly"):
+        return catalog_field(kind), default_box(kind)
+    dim = int(kind[-1])
+    exps = st.tuples(*[st.integers(0, 4 if dim == 1 else 2)] * dim)
+    terms = draw(st.lists(st.tuples(exps, st.floats(-2.0, 2.0)), min_size=1,
+                          max_size=4))
+    half = draw(st.floats(0.5, 2.0))
+    return polynomial_field(dim, terms), DomainBox(-half * np.ones(dim),
+                                                   half * np.ones(dim))
+
+
+def _pin(draw, box):
+    """A point of the box whose coordinates are often on its faces."""
+    return np.array([draw(st.sampled_from([lo, hi]) | st.floats(lo, hi))
+                     for lo, hi in zip(box.lo, box.hi)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lockstep_descent_equals_the_member_descent(data):
+    # the lockstep descent gives every field of the member-by-member result,
+    # whatever the block size: blocks of 1 and 3 members, and one block
+    field, box = data.draw(_fields())
+    z, e = _pin(data.draw, box), _pin(data.draw, box)
+    assume(not np.array_equal(z, e))
+    inst = MountainPassInstance(field, box, z, e,
+                                pin_mode=data.draw(st.sampled_from(["interior",
+                                                                    "endpoints"])))
+    M = data.draw(st.sampled_from([8, 12, 16, 32]))
+    args = (data.draw(st.sampled_from([1.0, -1.0])), data.draw(st.integers(1, 5)),
+            M, data.draw(st.sampled_from([1, 3, 40])), 1e-6,
+            data.draw(st.integers(0, 2**32 - 1)))
+    want = _optimize_by_member(inst, *args)
+    assert _same_result(minimax._optimize(inst, *args), want)
+    for members in (1, 3):
+        with mock.patch.object(minimax, "BLOCK_NODES", members * (M + 1)):
+            assert _same_result(minimax._optimize(inst, *args), want)
+
+
+@pytest.mark.parametrize("optimize", [optimize_c1, optimize_c2])
+@pytest.mark.parametrize("kw, name", [
+    ({"tol": float("nan")}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": -1e-6}, "tol"),
+    ({"max_iters": 2.5}, "max_iters"), ({"max_iters": 0}, "max_iters"),
+    ({"max_iters": True}, "max_iters"), ({"ensemble_size": 2.0}, "ensemble_size"),
+    ({"ensemble_size": 0}, "ensemble_size"), ({"ensemble_size": False}, "ensemble_size"),
+])
+def test_optimizer_arguments_checked(w2s_instance, optimize, kw, name):
+    # a NaN tol switched the small-gain stop off, and a float count died in
+    # range() or generate_state with a raw TypeError
+    with pytest.raises(ValueError, match=name):
+        optimize(w2s_instance, **kw)
 
 
 # optimize_c1 / optimize_c2 at their defaults on well_to_saddle with pins
