@@ -394,13 +394,12 @@ class SampledBackend:
         # deferred: scipy.spatial takes ~0.25 s to import; only this backend and
         # a point-cloud D need it
         from scipy.spatial import cKDTree
-        pts, _, tags = _grid_tags(part, resolution)
+        pts, phi, tags = _grid_tags(part, resolution)
         self.part = part
-        self.clouds = {
-            "B": pts[tags == RegionTag.B],
-            "C": pts[tags == RegionTag.C],
-            "OUT": pts[tags == RegionTag.OUTSIDE],
-        }
+        masks = {"B": tags == RegionTag.B, "C": tags == RegionTag.C,
+                 "OUT": tags == RegionTag.OUTSIDE}
+        self.clouds = {k: pts[m] for k, m in masks.items()}
+        self.cloud_phi = {k: phi[m] for k, m in masks.items()}
         self.trees = {k: (cKDTree(v) if len(v) else None) for k, v in self.clouds.items()}
         box = part.box
         self._res = resolution
@@ -654,7 +653,7 @@ def export_region_clouds(part: BandPartition, backend, path: str):
         for tag, pts in backend.clouds.items():
             if len(pts) == 0:
                 continue
-            phis = part.field.evaluate(pts)
+            phis = backend.cloud_phi[tag]
             end = f",{tag}\r\n"
             for i in range(0, len(pts), _EXPORT_ROWS):
                 rows = np.column_stack([pts[i:i + _EXPORT_ROWS],

@@ -172,28 +172,25 @@ def exp_decay_field() -> ScalarField:
     return ScalarField("exp_decay", 2, ev, gr)
 
 
+# name -> (factory, default box lo, default box hi)
 _CATALOG = {
-    "affine": affine_field,
-    "paraboloid": paraboloid_field,
-    "saddle": saddle_field,
-    "well_to_saddle": well_to_saddle_field,
-    "exp_decay": exp_decay_field,
+    "affine": (affine_field, [-1.0, -1.0], [1.0, 1.0]),
+    "paraboloid": (paraboloid_field, [-2.0, -2.0], [2.0, 2.0]),
+    "saddle": (saddle_field, [-2.0, -2.0], [2.0, 2.0]),
+    "well_to_saddle": (well_to_saddle_field, [-1.0, -2.0], [3.0, 2.0]),
+    "exp_decay": (exp_decay_field, [-1.0, -2.0], [12.0, 2.0]),
 }
 
-_DEFAULT_BOXES = {
-    "affine": ([-1.0, -1.0], [1.0, 1.0]),
-    "paraboloid": ([-2.0, -2.0], [2.0, 2.0]),
-    "saddle": ([-2.0, -2.0], [2.0, 2.0]),
-    "well_to_saddle": ([-1.0, -2.0], [3.0, 2.0]),
-    "exp_decay": ([-1.0, -2.0], [12.0, 2.0]),
-}
+
+def _catalog_entry(name: str) -> tuple:
+    try:
+        return _CATALOG[name]
+    except KeyError:
+        raise KeyError(f"unknown catalog field {name!r}; have {sorted(_CATALOG)}")
 
 
 def catalog_field(name: str) -> ScalarField:
-    try:
-        return _CATALOG[name]()
-    except KeyError:
-        raise KeyError(f"unknown catalog field {name!r}; have {sorted(_CATALOG)}")
+    return _catalog_entry(name)[0]()
 
 
 def catalog_names():
@@ -201,7 +198,7 @@ def catalog_names():
 
 
 def default_box(name: str) -> DomainBox:
-    lo, hi = _DEFAULT_BOXES[name]
+    _, lo, hi = _catalog_entry(name)
     return DomainBox(np.asarray(lo), np.asarray(hi))
 
 
@@ -228,31 +225,26 @@ def polynomial_field(dim: int, terms: Sequence[tuple]) -> ScalarField:
             raise ValueError(f"coefficient {coef} of term {exps} must be finite")
         parsed.append((exps, coef))
 
-    def ev(u):
-        out = np.zeros(u.shape[:-1])
-        for exps, coef in parsed:
-            term = np.full(u.shape[:-1], coef)
-            for ax, e in enumerate(exps):
-                if e:
-                    term = term * u[..., ax] ** e
-            out = out + term
-        return out
+    # the partial derivative along each axis, as monomial terms
+    partials = [[(exps[:ax] + (exps[ax] - 1,) + exps[ax + 1:], coef * exps[ax])
+                 for exps, coef in parsed if exps[ax]]
+                for ax in range(dim)]
+    return ScalarField(
+        "poly", dim, lambda u: _monomials(parsed, u),
+        lambda u: np.stack([_monomials(terms, u) for terms in partials], axis=-1))
 
-    def gr(u):
-        out = np.zeros(u.shape)
-        for exps, coef in parsed:
-            for ax, e in enumerate(exps):
-                if e == 0:
-                    continue
-                term = np.full(u.shape[:-1], coef * e)
-                for ax2, e2 in enumerate(exps):
-                    p = e2 - 1 if ax2 == ax else e2
-                    if p:
-                        term = term * u[..., ax2] ** p
-                out[..., ax] += term
-        return out
 
-    return ScalarField("poly", dim, ev, gr)
+def _monomials(terms, u) -> np.ndarray:
+    """The sum of coef * prod(u[..., ax] ** e) over terms (exps, coef), in
+    order."""
+    out = np.zeros(u.shape[:-1])
+    for exps, coef in terms:
+        term = np.full(u.shape[:-1], coef)
+        for ax, e in enumerate(exps):
+            if e:
+                term = term * u[..., ax] ** e
+        out = out + term
+    return out
 
 
 def gradient_check(field: ScalarField, box: DomainBox, samples: int = 1000,

@@ -223,49 +223,41 @@ def widest_value(g: GridGraph, p: int, q: int) -> OracleResult:
 
 
 def enumerate_small(g: GridGraph, p: int, q: int, mode: str) -> OracleResult:
-    """Exhaustive DFS over simple paths; exact but capped at 25 nodes."""
+    """Exhaustive DFS over simple paths; exact but capped at 25 nodes.
+
+    The widest value is the bottleneck value of -values, negated back.
+    """
     if g.n_nodes > ENUM_NODE_CAP:
         raise GridTooLarge(f"{g.n_nodes} nodes exceeds the cap {ENUM_NODE_CAP}")
     if mode not in ("bottleneck", "widest"):
         raise ValueError(f"mode must be 'bottleneck' or 'widest', got {mode!r}")
     p, q = _node_index(g, p, "p"), _node_index(g, q, "q")
-    vals = g.values.ravel()
+    sign = -1.0 if mode == "widest" else 1.0
+    vals = sign * g.values.ravel()
     if p == q:
-        return OracleResult(float(vals[p]), [p], f"enumerate_{mode}")
+        return OracleResult(sign * float(vals[p]), [p], f"enumerate_{mode}")
     adj = {n: g.neighbors(n) for n in range(g.n_nodes)}
-    best = {"value": None, "path": None}
+    best, best_path = float("inf"), None
     visited = np.zeros(g.n_nodes, dtype=bool)
-    maximize_min = mode == "widest"
 
     def dfs(node, extreme, path):
-        v = float(vals[node])
-        extreme = min(extreme, v) if maximize_min else max(extreme, v)
-        if best["value"] is not None:
-            # no completion can beat the incumbent from here
-            if maximize_min and extreme <= best["value"]:
-                return
-            if not maximize_min and extreme >= best["value"]:
-                return
+        nonlocal best, best_path
+        extreme = max(extreme, float(vals[node]))
+        if extreme >= best:   # no completion can beat the incumbent from here
+            return
         path.append(node)
         if node == q:
-            better = (best["value"] is None
-                      or (maximize_min and extreme > best["value"])
-                      or (not maximize_min and extreme < best["value"]))
-            if better:
-                best["value"] = extreme
-                best["path"] = list(path)
-            path.pop()
-            return
-        visited[node] = True
-        for nb in adj[node]:
-            if not visited[nb]:
-                dfs(nb, extreme, path)
-        visited[node] = False
+            best, best_path = extreme, list(path)
+        else:
+            visited[node] = True
+            for nb in adj[node]:
+                if not visited[nb]:
+                    dfs(nb, extreme, path)
+            visited[node] = False
         path.pop()
 
-    start_extreme = float("inf") if maximize_min else float("-inf")
-    dfs(p, start_extreme, [])
-    return OracleResult(best["value"], best["path"], f"enumerate_{mode}")
+    dfs(p, float("-inf"), [])
+    return OracleResult(sign * best, best_path, f"enumerate_{mode}")
 
 
 def critical_scan(field: ScalarField, box: DomainBox, resolution,
@@ -279,21 +271,19 @@ def critical_scan(field: ScalarField, box: DomainBox, resolution,
     from scipy import ndimage  # deferred: ~0.2 s to import; only the oracle needs it
     if grad_tol <= 0:
         raise ValueError("grad_tol must be > 0")
-    g = GridGraph.from_field(field, box, resolution)
-    gn = field.grad_norm(box.grid(resolution)).reshape(g.shape)
-    phi = g.values
-    mask = gn < grad_tol
+    pts = box.grid(resolution)
+    phi = np.asarray(field.evaluate(pts))
+    gn = np.asarray(field.grad_norm(pts))
+    mask = (gn < grad_tol).reshape(np.broadcast_to(resolution, (box.dim,)))
     structure = np.ones((3,) * box.dim, dtype=int)
     labels, nlab = ndimage.label(mask, structure=structure)
+    labels = labels.ravel()
     clusters = []
     for lab in range(1, nlab + 1):
-        where = np.argwhere(labels == lab)
-        sub = [gn[tuple(n)] for n in where]
-        k = int(np.argmin(sub))
-        node = tuple(where[k])
-        center = np.array([g.coords[ax][i] for ax, i in enumerate(node)])
+        where = np.flatnonzero(labels == lab)
+        node = where[np.argmin(gn[where])]
         clusters.append({
-            "center": center.tolist(),
+            "center": pts[node].tolist(),
             "min_grad": float(gn[node]),
             "phi": float(phi[node]),
         })

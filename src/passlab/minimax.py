@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 
 from .bands import BandPartition, DeformationParams, RegionSpec, build_backend
-from .errors import InvalidInstance, PinMoved
+from .errors import InvalidInstance, PinMoved, VectorFieldSingular
 from .fields import DomainBox, ScalarField
 from .flow import DeformationField, FlowConfig, eta
 from .paths import DiscretePath, MountainPassInstance, make_path, path_extrema, \
@@ -77,7 +77,7 @@ def _resample(seg: np.ndarray) -> np.ndarray:
 
     Row by row this is ``np.interp`` at ``np.linspace(0, total, n)`` on the
     cumulative arclength, bit for bit; a collapsed row (length < 1e-12) is
-    left alone.
+    left alone, and a row with a NaN step goes through ``np.interp`` itself.
     """
     rows, n, dim = seg.shape
     d = seg[:, 1:] - seg[:, :-1]
@@ -103,13 +103,13 @@ def _resample(seg: np.ndarray) -> np.ndarray:
         out = slope * (x - xl) + fl
     at_node = (x == xl) | (j == last)
     out[:, at_node] = np.take(f, j[at_node], axis=1)
-    bad = np.isnan(out)
-    if bad.any():                                        # np.interp's NaN fallback
-        retry = slope * (x - xr) + fr
-        same = np.isnan(retry) & (fl == fr)
-        retry[same] = fl[same]
-        out[bad] = retry[bad]
     out = out.reshape(dim, rows, n).transpose(1, 2, 0)
+    # searchsorted sends a NaN target to the row's end, where np.interp
+    # gives NaN
+    for r in np.flatnonzero(np.isnan(total)):
+        for ax in range(dim):
+            out[r, :, ax] = np.interp(x[r * n:(r + 1) * n], cum[r * n:(r + 1) * n],
+                                      seg[r, :, ax])
     collapsed = total < 1e-12
     out[collapsed] = seg[collapsed]
     out[:, 0] = seg[:, 0]
@@ -118,9 +118,10 @@ def _resample(seg: np.ndarray) -> np.ndarray:
 
 
 def _descend(inst: MountainPassInstance, nodes: np.ndarray, pinned: tuple,
-             sign: float, max_iters: int, tol: float):
+             sign: float, max_iters: int, tol: float, s0: float):
     """Lockstep local search for the inf-max of sign * phi on a block of
-    members, nodes (members, M+1, dim), all pinned at the same indices.
+    members, nodes (members, M+1, dim), all pinned at the same indices,
+    from step length s0.
 
     Every live member takes one step per iteration; a member that stalls
     leaves the live set.  Returns (nodes, their values of sign * phi, best,
@@ -134,8 +135,6 @@ def _descend(inst: MountainPassInstance, nodes: np.ndarray, pinned: tuple,
     segments = [(a, b) for a, b in zip(anchors[:-1], anchors[1:]) if b - a >= 2]
     free = np.ones(n_nodes, dtype=bool)
     free[pins] = False
-    span = float(np.linalg.norm(inst.pin_e - inst.pin_zero))
-    s0 = 0.2 * max(span, 1e-6)
 
     vals = sign * np.asarray(field.evaluate(nodes))
     best = vals.max(axis=1)
@@ -204,6 +203,7 @@ def _optimize(inst: MountainPassInstance, sign: float, ensemble_size: int,
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     span = float(np.linalg.norm(inst.pin_e - inst.pin_zero))
+    s0 = 0.2 * max(span, 1e-6)
     child_seeds = np.random.SeedSequence(seed).generate_state(ensemble_size)
     block = max(1, BLOCK_NODES // (M + 1))
     kept = None   # the best member so far: (best, index, nodes, vals, history, iters, conv)
@@ -214,7 +214,8 @@ def _optimize(inst: MountainPassInstance, sign: float, ensemble_size: int,
                  for m in range(first, min(first + block, ensemble_size))]
         pinned = paths[0].pinned
         nodes, vals, best, history, iters, conv = _descend(
-            inst, np.stack([p.nodes for p in paths]), pinned, sign, max_iters, tol)
+            inst, np.stack([p.nodes for p in paths]), pinned, sign, max_iters, tol,
+            s0)
         b = int(np.argmin(best))
         # np.argmin's choice over the whole ensemble: first NaN, else first minimum
         if kept is None or np.argmin([kept[0], best[b]]) == 1:
@@ -327,16 +328,16 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
 
     # pin preservation under the fixed-set choice D = {phi = c1}
     df1 = _deformation_at(_partition_at(inst, c1, eps1))
-    img0 = eta(df1, PROOF_FLOW, inst.pin_zero)
-    imge = eta(df1, PROOF_FLOW, inst.pin_e)
-    exact0 = bool(np.all(img0 == inst.pin_zero))
-    exacte = bool(np.all(imge == inst.pin_e))
-    steps.append(_step("pin_zero_fixed", "eta(0) = 0 exactly",
-                       {"max_move": float(np.max(np.abs(img0 - inst.pin_zero)))},
-                       "holds" if exact0 else "fails"))
-    steps.append(_step("pin_e_fixed", "eta(e) = e exactly",
-                       {"max_move": float(np.max(np.abs(imge - inst.pin_e)))},
-                       "holds" if exacte else "fails"))
+    for name, claimed, pin in (("pin_zero_fixed", "eta(0) = 0 exactly", inst.pin_zero),
+                               ("pin_e_fixed", "eta(e) = e exactly", inst.pin_e)):
+        try:
+            img = eta(df1, PROOF_FLOW, pin)
+        except VectorFieldSingular as exc:   # the flow meets a critical point
+            steps.append(_step(name, claimed, {"error": str(exc)}, "fails"))
+            continue
+        steps.append(_step(name, claimed,
+                           {"max_move": float(np.max(np.abs(img - pin)))},
+                           "holds" if np.all(img == pin) else "fails"))
 
     # the band-point search's grid and the axis path, shared by both routes
     grid = inst.box.grid(PROOF_RESOLUTION)
@@ -379,6 +380,11 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
         except PinMoved as exc:
             steps.append(_step(f"{tag}_deformed_bound",
                                "pins preserved during deformation",
+                               {"error": str(exc)}, "fails"))
+            return
+        except VectorFieldSingular as exc:   # the flow meets a critical point
+            steps.append(_step(f"{tag}_deformed_bound",
+                               "no critical point where the cutoff is nonzero",
                                {"error": str(exc)}, "fails"))
             return
         observed_v = path_extrema(inst, beta)[key]
@@ -444,13 +450,9 @@ def _cluster(points: np.ndarray, radius: float):
 
 def _fd_slope(field: ScalarField, u: np.ndarray, h: float) -> np.ndarray:
     """Central finite-difference gradient of ||grad phi|| at u."""
-    slope = np.zeros(len(u))
-    for ax in range(len(u)):
-        e = np.zeros(len(u))
-        e[ax] = h
-        slope[ax] = (float(field.grad_norm(u + e))
-                     - float(field.grad_norm(u - e))) / (2.0 * h)
-    return slope
+    step = h * np.eye(len(u))
+    gn = np.asarray(field.grad_norm(np.concatenate([u + step, u - step])))
+    return (gn[:len(u)] - gn[len(u):]) / (2.0 * h)
 
 
 def _escape_probe(field: ScalarField, box: DomainBox, center: np.ndarray):
@@ -482,13 +484,13 @@ def _escape_probe(field: ScalarField, box: DomainBox, center: np.ndarray):
         # keep a subsequence with nonincreasing gradient norms and growing
         # distance from the start
         gns = np.asarray(field.grad_norm(np.asarray(trace)))
-        seq = [trace[0]]
+        kept = [0]
         for i in range(1, len(trace)):
-            if gns[i] <= float(field.grad_norm(seq[-1])) and \
+            if gns[i] <= gns[kept[-1]] and \
                     np.linalg.norm(trace[i] - trace[0]) >= \
-                    np.linalg.norm(seq[-1] - trace[0]):
-                seq.append(trace[i])
-        return seq
+                    np.linalg.norm(trace[kept[-1]] - trace[0]):
+                kept.append(i)
+        return [trace[i] for i in kept]
     if float(field.grad_norm(res.x)) < 1e-8:
         return None
     # polish stalled above zero without drifting: escaping only if it is
@@ -589,8 +591,10 @@ def ps_probe(field: ScalarField, box: DomainBox, c: float,
 class GeometryCheckResult:
     b: float
     r: float
-    phi_at_zero: float
+    phi_at_zero: float         # phi(pin_zero)
     phi_at_e: float
+    sphere_in_box: bool
+    e_outside_ring: bool
     verdict: bool
 
     def to_dict(self) -> dict:
@@ -599,11 +603,13 @@ class GeometryCheckResult:
 
 def check_mpt_geometry(inst: MountainPassInstance, sphere_samples: int = 4096,
                        seed: int = 0) -> GeometryCheckResult:
-    """Check the ring inequality: min phi on the radius-r sphere exceeds
-    phi(0), which is at least phi(e)."""
+    """Check the ring inequality: min phi on the radius-r sphere around
+    pin_zero exceeds phi(pin_zero), which is at least phi(e).  The verdict
+    also needs the sphere inside the box and e outside it."""
     if inst.radius is None:
         raise ValueError("instance has no radius set")
     r = inst.radius
+    z = inst.pin_zero
     dim = inst.field.dim
     if dim == 1:
         pts = np.array([[-r], [r]])
@@ -614,9 +620,12 @@ def check_mpt_geometry(inst: MountainPassInstance, sphere_samples: int = 4096,
         rng = np.random.default_rng(seed)
         v = rng.normal(size=(sphere_samples, dim))
         pts = r * v / np.linalg.norm(v, axis=-1, keepdims=True)
-    b = float(np.min(inst.field.evaluate(pts)))
-    phi0 = float(inst.field.evaluate(np.zeros(dim)))
+    b = float(np.min(inst.field.evaluate(z + pts)))
+    phi0 = float(inst.field.evaluate(z))
     phie = float(inst.field.evaluate(inst.pin_e))
+    in_box = bool(np.all(inst.box.lo <= z - r) and np.all(z + r <= inst.box.hi))
+    outside = bool(np.linalg.norm(inst.pin_e - z) > r)
     return GeometryCheckResult(b=b, r=float(r), phi_at_zero=phi0,
-                               phi_at_e=phie,
-                               verdict=bool(b > phi0 >= phie))
+                               phi_at_e=phie, sphere_in_box=in_box,
+                               e_outside_ring=outside,
+                               verdict=bool(b > phi0 >= phie and in_box and outside))

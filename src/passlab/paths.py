@@ -47,8 +47,8 @@ class MountainPassInstance:
         if self.radius is not None:
             if self.radius <= 0:
                 raise ValueError("radius must be > 0")
-            if self.pin_mode == "endpoints" and np.linalg.norm(e) <= self.radius:
-                raise ValueError("endpoints mode requires ||e|| > radius")
+            if self.pin_mode == "endpoints" and np.linalg.norm(e - z) <= self.radius:
+                raise ValueError("endpoints mode requires ||e - pin_zero|| > radius")
 
     def pinned_indices(self, M: int):
         if self.pin_mode == "interior":
@@ -69,21 +69,15 @@ class DiscretePath:
     def params(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.nodes.shape[0])
 
-    def to_csv(self, path: str, field: Optional[ScalarField] = None):
+    def to_csv(self, path: str, field: ScalarField):
         dim = self.nodes.shape[1]
-        header = ["index", "t"] + [f"x{i+1}" for i in range(dim)]
-        phis = None
-        if field is not None:
-            header.append("phi")
-            phis = field.evaluate(self.nodes)
+        header = ["index", "t"] + [f"x{i+1}" for i in range(dim)] + ["phi"]
+        phis = field.evaluate(self.nodes)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
             for i, (t, p) in enumerate(zip(self.params, self.nodes)):
-                row = [i, float(t), *map(float, p)]
-                if phis is not None:
-                    row.append(float(phis[i]))
-                w.writerow(row)
+                w.writerow([i, float(t), *map(float, p), float(phis[i])])
 
 
 def check_m(M: int):
@@ -120,34 +114,16 @@ def make_path(inst: MountainPassInstance, M: int, init: str = "axis",
     return DiscretePath(nodes, (i0, i1))
 
 
-def path_extrema(inst: MountainPassInstance, path: DiscretePath,
-                 samples_per_segment: int = 0) -> dict:
-    """Node-level extrema, optionally refined by linear segment subsamples.
-
-    Arg indices refer to nodes; a subsample inside segment [i, i+1] is
-    attributed to node i.  Ties break toward the lowest index.
-    """
+def path_extrema(inst: MountainPassInstance, path: DiscretePath) -> dict:
+    """Node-level extrema; ties break toward the lowest node index."""
     vals = np.asarray(inst.field.evaluate(path.nodes))
-    cand_vals = [vals]
-    cand_idx = [np.arange(path.M + 1, dtype=float)]
-    if samples_per_segment > 0:
-        s = samples_per_segment
-        frac = (np.arange(1, s + 1) / (s + 1))[None, :, None]
-        seg = (1.0 - frac) * path.nodes[:-1, None, :] + frac * path.nodes[1:, None, :]
-        sv = np.asarray(inst.field.evaluate(seg.reshape(-1, path.nodes.shape[1])))
-        cand_vals.append(sv)
-        cand_idx.append(np.repeat(np.arange(path.M, dtype=float), s) + 0.5)
-    allv = np.concatenate(cand_vals)
-    alli = np.concatenate(cand_idx)
-    order = np.lexsort((alli,))  # stable sort by candidate index
-    allv, alli = allv[order], alli[order]
-    imin = int(np.argmin(allv))   # first occurrence = lowest index on ties
-    imax = int(np.argmax(allv))
+    imin = int(np.argmin(vals))
+    imax = int(np.argmax(vals))
     return {
-        "min_value": float(allv[imin]),
-        "min_arg_index": int(alli[imin]),
-        "max_value": float(allv[imax]),
-        "max_arg_index": int(alli[imax]),
+        "min_value": float(vals[imin]),
+        "min_arg_index": imin,
+        "max_value": float(vals[imax]),
+        "max_arg_index": imax,
     }
 
 

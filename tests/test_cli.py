@@ -173,6 +173,33 @@ def test_proof_trace_subcommand(tmp_path):
     assert report["payload"]["checks"][0]["ok"]
 
 
+def test_proof_trace_at_a_critical_point_exits_0(tmp_path):
+    # the deformation at the optimiser's own c2 meets the saddle (1, 0): a
+    # failed step, not a config error
+    cfg = {
+        "functional": {"catalog": "well_to_saddle"},
+        "minimax": {"pin_zero": [0.0, 0.0], "pin_e": [2.0, 0.0]},
+        "proof_trace": {"c1": 0.0, "c2": 0.8958693082610129, "eps": 0.3},
+    }
+    code, report, _ = _run(tmp_path, "proof-trace", cfg, "--strict")
+    assert code == 0
+    step = report["payload"]["result"]["steps"][-1]
+    assert step["name"] == "eps3_deformed_bound" and step["verdict"] == "fails"
+    assert "[1.0, 0.0]" in step["observed"]["error"]
+
+
+def test_library_error_exits_1(tmp_path, capsys):
+    # phi = 1e-9 x: |grad phi| is below MIN_GRAD_FLOOR everywhere, and the
+    # band around c = 1e-9 holds points where the cutoff is nonzero
+    cfg = {"functional": {"poly": {"dim": 2, "terms": [{"exps": [1, 0],
+                                                        "coef": 1e-9}]}},
+           "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+           "deformation": {"c": 1e-9, "eps": 1e-9, "samples": 20}}
+    code, report, _ = _run(tmp_path, "deform", cfg)
+    assert code == 1 and report is None
+    assert capsys.readouterr().err.startswith("error: ||grad|| < 1e-08 at ")
+
+
 def test_invalid_eps_exits_2(tmp_path):
     cfg = dict(AFFINE_DEFORM, deformation={"c": 0.0, "eps": -1.0})
     code, _, _ = _run(tmp_path, "deform", cfg)

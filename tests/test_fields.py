@@ -115,8 +115,9 @@ def test_polynomial_exponents_must_be_integers():
 
 
 def test_unknown_catalog_name():
-    with pytest.raises(KeyError):
-        catalog_field("nonexistent")
+    for lookup in (catalog_field, default_box):
+        with pytest.raises(KeyError, match="unknown catalog field 'nonexistent'"):
+            lookup("nonexistent")
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 from unittest import mock
 
@@ -225,18 +226,26 @@ def _same_result(a: MinimaxResult, b: MinimaxResult) -> bool:
 
 @st.composite
 def _fields(draw):
-    """A catalog field on its default box, or a 1-D or 3-D polynomial on a
-    box around the origin."""
-    kind = draw(st.sampled_from(catalog_names() + ["poly1", "poly3"]))
+    """A catalog field on its default box, a 1-D or 3-D polynomial on a box
+    around the origin, or a 2-D polynomial whose values and gradients
+    overflow to inf (so that descent steps put NaN nodes on a path); the
+    flag says which overflows."""
+    kind = draw(st.sampled_from(catalog_names() + ["poly1", "poly3", "overflow"]))
+    if kind == "overflow":
+        exps = st.tuples(st.integers(0, 6), st.integers(0, 2))
+        terms = draw(st.lists(st.tuples(exps, st.floats(-1e305, 1e305)),
+                              min_size=1, max_size=3))
+        half = draw(st.floats(1.0, 10.0))
+        return polynomial_field(2, terms), DomainBox([-half, -half], [half, half]), True
     if not kind.startswith("poly"):
-        return catalog_field(kind), default_box(kind)
+        return catalog_field(kind), default_box(kind), False
     dim = int(kind[-1])
     exps = st.tuples(*[st.integers(0, 4 if dim == 1 else 2)] * dim)
     terms = draw(st.lists(st.tuples(exps, st.floats(-2.0, 2.0)), min_size=1,
                           max_size=4))
     half = draw(st.floats(0.5, 2.0))
     return polynomial_field(dim, terms), DomainBox(-half * np.ones(dim),
-                                                   half * np.ones(dim))
+                                                   half * np.ones(dim)), False
 
 
 def _pin(draw, box):
@@ -245,12 +254,21 @@ def _pin(draw, box):
                      for lo, hi in zip(box.lo, box.hi)])
 
 
+def _assert_lockstep_equals_member(inst, args):
+    # the lockstep descent gives every field of the member-by-member result,
+    # whatever the block size: blocks of 1 and 3 members, and one block
+    M = args[2]
+    want = _optimize_by_member(inst, *args)
+    assert _same_result(minimax._optimize(inst, *args), want)
+    for members in (1, 3):
+        with mock.patch.object(minimax, "BLOCK_NODES", members * (M + 1)):
+            assert _same_result(minimax._optimize(inst, *args), want)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_lockstep_descent_equals_the_member_descent(data):
-    # the lockstep descent gives every field of the member-by-member result,
-    # whatever the block size: blocks of 1 and 3 members, and one block
-    field, box = data.draw(_fields())
+    field, box, overflows = data.draw(_fields())
     z, e = _pin(data.draw, box), _pin(data.draw, box)
     assume(not np.array_equal(z, e))
     inst = MountainPassInstance(field, box, z, e,
@@ -260,11 +278,21 @@ def test_lockstep_descent_equals_the_member_descent(data):
     args = (data.draw(st.sampled_from([1.0, -1.0])), data.draw(st.integers(1, 5)),
             M, data.draw(st.sampled_from([1, 3, 40])), 1e-6,
             data.draw(st.integers(0, 2**32 - 1)))
-    want = _optimize_by_member(inst, *args)
-    assert _same_result(minimax._optimize(inst, *args), want)
-    for members in (1, 3):
-        with mock.patch.object(minimax, "BLOCK_NODES", members * (M + 1)):
-            assert _same_result(minimax._optimize(inst, *args), want)
+    with (np.errstate(over="ignore", invalid="ignore") if overflows
+          else contextlib.nullcontext()):
+        _assert_lockstep_equals_member(inst, args)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lockstep_descent_keeps_nan_nodes(seed):
+    # 1e305 x^6 overflows the c1 descent's gradient, and a step puts a NaN
+    # node on a path; np.interp spreads it over the segment, so the member
+    # descent rejects that step, and so must the lockstep descent
+    field = polynomial_field(2, [((6, 0), 1e305), ((2, 0), -1.0), ((0, 2), 1.0)])
+    inst = MountainPassInstance(field, DomainBox([-10.0, -10.0], [10.0, 10.0]),
+                                np.array([-9.0, 0.3]), np.array([9.0, -0.2]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_lockstep_equals_member(inst, (-1.0, 3, 16, 40, 1e-6, seed))
 
 
 @pytest.mark.parametrize("optimize", [optimize_c1, optimize_c2])
@@ -370,6 +398,51 @@ PINNED_TRACES = {
 def test_proof_trace_pinned(w2s_instance, levels):
     got = trace_proof_argument(w2s_instance, *levels).to_dict()
     assert got == PINNED_TRACES[levels]
+
+
+def test_proof_trace_push_up_bound_pinned():
+    # on saddle with pins (-1, 0) and (1, 0) the eps2 route finds a path
+    # with its minimum in B, so the push-up bound is evaluated (and fails)
+    inst = MountainPassInstance(catalog_field("saddle"), default_box("saddle"),
+                                np.array([-1.0, 0.0]), np.array([1.0, 0.0]))
+    assert trace_proof_argument(inst, 0.0, 1.0, 0.3).to_dict() == {
+        "eps": 0.3, "eps1": 0.25, "case": "C1LessC2",
+        "d_choice": "level_set at the deformation level",
+        "steps": _trace_steps(
+            ("eps1_formula", "eps1 = min(|c2 - c1|/4, eps)", {"eps1": 0.25},
+             "holds"),
+            ("level_separation", "c2 > c1 + 2*eps1",
+             {"c2": 1.0, "c1_plus_2eps1": 0.5}, "holds"),
+            *_PINS_FIXED,
+            ("eps2_band_path", "extremum within [-0.25, -0.15]",
+             {"eps2": 0.25, "extremum": -0.15840000000000032}, "holds"),
+            ("eps2_deformed_bound", "min phi(beta) >= 0.25",
+             {"observed": -0.029411310739480445}, "fails"),
+            ("eps3_band_path", "extremum within [1.15, 1.25]",
+             {"eps3": 0.25, "extremum": 1.1776000000000004}, "holds"),
+            ("eps3_deformed_bound", "max phi(beta) <= 0.75",
+             {"observed": 1.0305387310477183}, "fails"))}
+
+
+_SINGULAR = {"error": "||grad|| < 1e-08 at [1.0, 0.0] where the cutoff is nonzero"}
+
+
+def test_proof_trace_records_a_critical_point_on_the_path(w2s_field, w2s_box):
+    # at the optimiser's c2 for pins (0, 0) and (2, 0) the eps3 deformation
+    # meets the saddle (1, 0), where the band's hypothesis fails
+    inst = MountainPassInstance(w2s_field, w2s_box, np.array([0.0, 0.0]),
+                                np.array([2.0, 0.0]))
+    steps = trace_proof_argument(inst, 0.0, 0.8958693082610129, 0.3).steps
+    assert steps[-1] == _trace_steps(
+        ("eps3_deformed_bound", "no critical point where the cutoff is nonzero",
+         _SINGULAR, "fails"))[0]
+
+
+def test_proof_trace_records_a_critical_pin(w2s_instance):
+    # e = (1, 0) is the saddle, and at c1 = 0.9 it lies in the band
+    steps = trace_proof_argument(w2s_instance, 0.9, 2.0, 0.3).steps
+    assert steps[3] == _trace_steps(
+        ("pin_e_fixed", "eta(e) = e exactly", _SINGULAR, "fails"))[0]
 
 
 def test_pins_outside_the_box_rejected(w2s_field, w2s_box):
@@ -501,3 +574,56 @@ def test_geometry_affine_fails():
     res = check_mpt_geometry(inst, sphere_samples=512, seed=0)
     assert not res.verdict
     assert res.b == pytest.approx(-0.5, abs=0.01)
+
+
+def test_geometry_centres_the_sphere_on_pin_zero(w2s_field, w2s_box):
+    # phi(pin_zero) = 0.25 * 2.25 + 0.25, not phi(0) = 0
+    inst = MountainPassInstance(w2s_field, w2s_box, np.array([0.5, 0.5]),
+                                np.array([2.0, 0.0]), radius=1.0)
+    res = check_mpt_geometry(inst, sphere_samples=512)
+    assert res.phi_at_zero == 0.8125
+    assert res.sphere_in_box and res.e_outside_ring
+    assert res.verdict == (res.b > 0.8125 >= res.phi_at_e)
+
+
+def test_geometry_needs_the_sphere_in_the_box_and_e_outside_it(w2s_field, w2s_box):
+    # the r = 5 sphere around (0.5, 0.5) leaves the box [-1, 3] x [-2, 2],
+    # where phi only grows, and holds e
+    inst = MountainPassInstance(w2s_field, w2s_box, np.array([0.5, 0.5]),
+                                np.array([2.0, 0.0]), radius=5.0)
+    res = check_mpt_geometry(inst, sphere_samples=512)
+    assert res.b > res.phi_at_zero >= res.phi_at_e
+    assert not res.sphere_in_box and not res.e_outside_ring
+    assert not res.verdict
+
+
+def test_endpoints_mode_measures_e_from_pin_zero(w2s_field, w2s_box):
+    # ||e|| = 2.5 > r, but e lies 0.5 from pin_zero
+    with pytest.raises(ValueError, match="pin_zero"):
+        MountainPassInstance(w2s_field, w2s_box, np.array([1.5, 1.5]),
+                             np.array([2.0, 1.5]), pin_mode="endpoints",
+                             radius=1.0)
+
+
+@pytest.mark.parametrize("terms, z, e", [
+    # x^2 - x^4 / 4: the 1-D sphere is exactly the two points -+1
+    ([((2,), 1.0), ((4,), -0.25)], [0.0], [2.8]),
+    # x^2 + (y^2 + z^2 - z) - x^4 / 4 around pin_zero (0, 0, 0.5)
+    ([((2, 0, 0), 1.0), ((0, 2, 0), 1.0), ((0, 0, 2), 1.0), ((0, 0, 1), -1.0),
+      ((4, 0, 0), -0.25)], [0.0, 0.0, 0.5], [2.8, 0.0, 0.5]),
+])
+def test_geometry_in_1d_and_3d(terms, z, e):
+    dim = len(z)
+    field = polynomial_field(dim, terms)
+    z = np.array(z)
+    inst = MountainPassInstance(field, DomainBox([-1.0] * dim, [3.0] * dim), z,
+                                np.array(e), radius=1.0)
+    res = check_mpt_geometry(inst, sphere_samples=4096, seed=0)
+    # the sphere's lowest points are pin_zero -+ (1, 0, 0)
+    want = float(field.evaluate(z + np.eye(dim)[0]))
+    if dim == 1:
+        assert res.b == want
+    else:
+        assert want <= res.b <= want + 0.01
+    assert res.phi_at_zero == float(field.evaluate(z))
+    assert res.sphere_in_box and res.e_outside_ring and res.verdict

@@ -51,14 +51,6 @@ def test_path_extrema_frozen_example(w2s_instance):
     assert ext["min_value"] == 0.0 and ext["min_arg_index"] == 2
 
 
-def test_path_extrema_subsampling(w2s_instance):
-    p = make_path(w2s_instance, 8, init="axis")
-    coarse = path_extrema(w2s_instance, p)
-    fine = path_extrema(w2s_instance, p, samples_per_segment=8)
-    assert fine["max_value"] >= coarse["max_value"]
-    assert fine["min_value"] <= coarse["min_value"]
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_pin_sandwich(w2s_instance, seed):
