@@ -13,7 +13,8 @@ from .flow import (DeformationField, FlowConfig, Trajectory, vector_field,
 from .paths import (MountainPassInstance, DiscretePath, make_path,
                     path_extrema, deform_path)
 from .minimax import (MinimaxResult, ProofTrace, PSReport, GeometryCheckResult,
-                      optimize_c1, optimize_c2, check_conclusions,
-                      trace_proof_argument, ps_probe, check_mpt_geometry)
+                      optimize_c1, optimize_c2, optimize_levels,
+                      check_conclusions, trace_proof_argument, ps_probe,
+                      check_mpt_geometry)
 from .gridoracle import (GridGraph, OracleResult, bottleneck_value,
                          widest_value, enumerate_small, critical_scan)

@@ -22,13 +22,16 @@ import numpy as np
 from . import __version__
 from .bands import (BandPartition, DeformationParams, RegionSpec,
                     SampledBackend, build_backend, export_region_clouds)
-from .errors import ConfigError, PasslabError
+from .errors import ConfigError, PasslabError, VectorFieldSingular
 from .fields import (DomainBox, ScalarField, catalog_field, default_box,
                      polynomial_field)
 from .flow import DeformationField, FlowConfig, verify_deformation
 from .gridoracle import GridGraph, bottleneck_value, widest_value, critical_scan
+# optimize_c1 and optimize_c2 stay bound here: bench/spans.py traces them
+# at this lookup site
 from .minimax import (check_conclusions, check_mpt_geometry, optimize_c1,
-                      optimize_c2, ps_probe, trace_proof_argument)
+                      optimize_c2, optimize_levels, ps_probe,
+                      trace_proof_argument)
 from .paths import MountainPassInstance, check_m
 
 _REQUIRED = "required"
@@ -269,23 +272,29 @@ def _run_deform(cfg, field, box, seed, out_dir):
     fcfg = FlowConfig(step=d["step"], record_every=d["record_every"])
     with _naming("deformation.step"):
         fcfg.grid(df.horizon)
-    report = verify_deformation(df, fcfg, d["samples"], seed)
+    try:
+        report = verify_deformation(df, fcfg, d["samples"], seed)
+    except VectorFieldSingular as exc:   # a critical point in the band
+        payload = {"error": str(exc), "point": exc.point}
+        checks = [{"name": "band_gradient_hypothesis", "ok": False}]
+    else:
+        payload = report.to_dict()
+        checks = [
+            {"name": "a_prime_identity", "ok": report.a_prime_violations == 0},
+            {"name": "speed_bound", "ok": report.speed_violations == 0},
+            {"name": "conditional_b_prime",
+             "ok": report.b_prime["confined_satisfying"]
+                   == report.b_prime["confined_in_B"]},
+            {"name": "conditional_c_prime",
+             "ok": report.c_prime["confined_satisfying"]
+                   == report.c_prime["confined_in_C"]},
+        ]
     _dump_psi_grid(df, box, d["dump_resolution"],
                    os.path.join(out_dir, "psi_grid.csv"))
     if isinstance(df.backend, SampledBackend):
         export_region_clouds(df.part, df.backend,
                              os.path.join(out_dir, "region_clouds.csv"))
-    checks = [
-        {"name": "a_prime_identity", "ok": report.a_prime_violations == 0},
-        {"name": "speed_bound", "ok": report.speed_violations == 0},
-        {"name": "conditional_b_prime",
-         "ok": report.b_prime["confined_satisfying"]
-               == report.b_prime["confined_in_B"]},
-        {"name": "conditional_c_prime",
-         "ok": report.c_prime["confined_satisfying"]
-               == report.c_prime["confined_in_C"]},
-    ]
-    return report.to_dict(), checks
+    return payload, checks
 
 
 def _dump_psi_grid(df, box, resolution, path):
@@ -308,8 +317,7 @@ def _run_minimax(cfg, field, box, seed, out_dir):
     kw = dict(ensemble_size=m["ensemble_size"], M=m["M"],
               max_iters=m["max_iters"], tol=m["tol"], seed=seed)
     eps = m["conclusions_eps"]
-    r1 = optimize_c1(inst, **kw)
-    r2 = optimize_c2(inst, **kw)
+    r1, r2 = optimize_levels(inst, **kw)
     conclusions = check_conclusions(inst, r1, r2, eps)
     payload = {"c1": r1.to_dict(), "c2": r2.to_dict(),
                "conclusions_eps": eps, "conclusions": conclusions}

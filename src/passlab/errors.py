@@ -18,7 +18,12 @@ class DegeneratePartition(PasslabError):
 
 
 class VectorFieldSingular(PasslabError):
-    """The gradient norm fell below the floor where the cutoff is nonzero."""
+    """The gradient norm fell below the floor where the cutoff is nonzero,
+    at ``point`` (a list of coordinates)."""
+
+    def __init__(self, message: str, point=None):
+        super().__init__(message)
+        self.point = point
 
 
 class InvalidM(PasslabError):

@@ -100,7 +100,7 @@ def _stage(df: DeformationField, U):
     if np.count_nonzero(gn < MIN_GRAD_FLOOR):
         bad = (U if whole else U[active])[gn < MIN_GRAD_FLOOR][0]
         raise VectorFieldSingular(f"||grad|| < {MIN_GRAD_FLOOR} at {bad.tolist()} "
-                                  f"where the cutoff is nonzero")
+                                  f"where the cutoff is nonzero", bad.tolist())
     if whole:
         return (psi_vals / gn ** 2)[..., None] * g, psi_vals
     f = np.zeros(U.shape)

@@ -4,8 +4,12 @@ brute-force enumeration for small grids, and critical-point scans.
 Bottleneck and widest values are maximum-capacity route problems (Hu, 1961),
 solved by a threshold sweep: nodes are ranked by value and the first rank
 whose sublevel (superlevel) set joins the endpoints is found by bisection
-with one ``ndimage.label`` pass per probe; a breadth-first search over that
-set gives the witness path, the first time the witness is read.
+with one ``ndimage.label`` pass per probe.  The bisection runs over a
+bracket, from the later endpoint to the latest node of the route that walks
+from p to q one axis at a time, a path in every connectivity; only the
+bracket is sorted, and where that route is already optimal no pass is
+made.  A breadth-first search over the active set gives the witness path,
+the first time the witness is read.
 
 Paths are node-valued: the bottleneck value of a path is the maximum node
 value along it (the widest value is the minimum), matching the extremum of
@@ -180,12 +184,17 @@ def _threshold_sweep(g: GridGraph, p, q, descending: bool) -> OracleResult:
     """Activate nodes in ascending (descending) value order, ties by index,
     and stop at the first node whose activation joins p and q.
 
-    Node k of that order has rank k, so the nodes active after k steps are
-    ``rank <= k``; the stopping step is found by bisection, one
-    ``ndimage.label`` pass per probe.  The result keeps the nodes active at
-    that step, and its witness, a breadth-first search through them, is
-    built when it is first read.  The method strings
-    ``union_find_ascending`` / ``union_find_descending`` name the direction.
+    That node lies in a bracket of the order: from the later endpoint to
+    the latest node of the route that walks from p to q along axis 0, then
+    axis 1, ..., a path in every connectivity.  Only the bracket is ranked:
+    its node k has rank k, the nodes before it rank -1 and those after it
+    never activate, so the nodes active at step k are ``rank <= k``.  The
+    stopping step is found by bisection over the bracket, one
+    ``ndimage.label`` pass per probe; a bracket of one node needs none.  The
+    result keeps the nodes active at that step, and its witness, a
+    breadth-first search through them, is built when it is first read.  The
+    method strings ``union_find_ascending`` / ``union_find_descending`` name
+    the direction.
     """
     from scipy import ndimage  # deferred: ~0.2 s to import; only the oracle needs it
     p, q = _node_index(g, p, "p"), _node_index(g, q, "q")
@@ -193,12 +202,29 @@ def _threshold_sweep(g: GridGraph, p, q, descending: bool) -> OracleResult:
         raise ValueError("need p != q")
     vals = g.values.ravel()
     key = -vals if descending else vals
-    order = np.lexsort((np.arange(vals.size), key))
-    rank = np.empty(vals.size, dtype=np.intp)
-    rank[order] = np.arange(vals.size)
+    flat = np.arange(vals.size)
+
+    def latest(nodes):
+        return nodes[np.lexsort((nodes, key[nodes]))[-1]]
+
+    def before(node):
+        return (key < key[node]) | ((key == key[node]) & (flat < node))
+
+    a, b = np.unravel_index(p, g.shape), np.unravel_index(q, g.shape)
+    legs = []
+    for ax in range(g.dim):   # the leg along ax: q's coordinates before ax, p's after
+        start, stop = sorted((a[ax], b[ax]))
+        legs.append(flat.reshape(g.shape)[b[:ax] + (slice(start, stop + 1),) + a[ax + 1:]])
+    route = np.concatenate(legs)
+    first, last = latest(np.array([p, q])), latest(route)
+    always = before(first)
+    bracket = np.flatnonzero(~always & (before(last) | (flat == last)))
+    bracket = bracket[np.argsort(key[bracket], kind="stable")]
+    rank = np.where(always, -1, vals.size)
+    rank[bracket] = np.arange(bracket.size)
     rank = rank.reshape(g.shape)
     structure = _structure(g.dim, g.connectivity)
-    lo, hi = max(rank.flat[p], rank.flat[q]), vals.size - 1
+    lo, hi = 0, bracket.size - 1
     while lo < hi:
         mid = (lo + hi) // 2
         labels, _ = ndimage.label(rank <= mid, structure=structure)
@@ -208,7 +234,7 @@ def _threshold_sweep(g: GridGraph, p, q, descending: bool) -> OracleResult:
             lo = mid + 1
     active = rank <= lo
     method = "union_find_descending" if descending else "union_find_ascending"
-    return OracleResult(float(vals[order[lo]]),
+    return OracleResult(float(vals[bracket[lo]]),
                         lambda: _frontier_witness(g, active, p, q), method)
 
 

@@ -11,8 +11,10 @@ BLOCK_NODES path nodes, so an iteration makes one gradient and one
 evaluation call for the whole block; a member that stalls leaves the block's
 live set, and each member's path is the one a member-by-member descent would
 give, bit for bit.  c1 is the same descent on -phi, its value and history
-negated back.  The estimates are meant to be validated against the grid
-oracles, not trusted.
+negated back; each member carries its sign, so optimize_levels runs the
+members of both levels, from the same start paths, in one lockstep block.
+The estimates are meant to be validated against the grid oracles, not
+trusted.
 
 The proof tracer deforms at each level with D = {phi = level} on the
 default backend of bands.build_backend, first-order distances, so its RK4
@@ -118,10 +120,10 @@ def _resample(seg: np.ndarray) -> np.ndarray:
 
 
 def _descend(inst: MountainPassInstance, nodes: np.ndarray, pinned: tuple,
-             sign: float, max_iters: int, tol: float, s0: float):
+             sign: np.ndarray, max_iters: int, tol: float, s0: float):
     """Lockstep local search for the inf-max of sign * phi on a block of
     members, nodes (members, M+1, dim), all pinned at the same indices,
-    from step length s0.
+    from step length s0; sign holds each member's +-1.0.
 
     Every live member takes one step per iteration; a member that stalls
     leaves the live set.  Returns (nodes, their values of sign * phi, best,
@@ -136,7 +138,7 @@ def _descend(inst: MountainPassInstance, nodes: np.ndarray, pinned: tuple,
     free = np.ones(n_nodes, dtype=bool)
     free[pins] = False
 
-    vals = sign * np.asarray(field.evaluate(nodes))
+    vals = sign[:, None] * np.asarray(field.evaluate(nodes))
     best = vals.max(axis=1)
     history = [[b] for b in best.tolist()]
     s = np.full(size, s0)
@@ -153,7 +155,7 @@ def _descend(inst: MountainPassInstance, nodes: np.ndarray, pinned: tuple,
         move[move] = free[k[move]]
         row, col = np.nonzero(move)
         k = k[row, col]
-        g = sign * np.asarray(field.gradient(cand[row, k]))
+        g = sign[live[row], None] * np.asarray(field.gradient(cand[row, k]))
         gn = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])  # np.linalg.norm's dot
         step = gn > 0
         row, col, k, g, gn = row[step], col[step], k[step], g[step], gn[step]
@@ -163,7 +165,7 @@ def _descend(inst: MountainPassInstance, nodes: np.ndarray, pinned: tuple,
             cand[:, a:b + 1] = _resample(cand[:, a:b + 1])
         cand = inst.box.clip(cand)
         cand[:, pins] = nodes[live[:, None], pins]
-        cand_vals = sign * np.asarray(field.evaluate(cand))
+        cand_vals = sign[live, None] * np.asarray(field.evaluate(cand))
         new = cand_vals.max(axis=1)
 
         old = best[live]
@@ -188,13 +190,16 @@ def _descend(inst: MountainPassInstance, nodes: np.ndarray, pinned: tuple,
     return nodes, vals, best, history, iters, converged
 
 
-def _optimize(inst: MountainPassInstance, sign: float, ensemble_size: int,
-              M: int, max_iters: int, tol: float, seed: int) -> MinimaxResult:
-    """The ensemble descent for the inf-max level of sign * phi, reported
-    for phi: value and history are multiplied back by sign.
+def _optimize(inst: MountainPassInstance, signs: tuple, ensemble_size: int,
+              M: int, max_iters: int, tol: float, seed: int) -> list:
+    """The ensemble descent for the inf-max level of sign * phi, one
+    MinimaxResult per sign in signs, reported for phi: value and history
+    are multiplied back by sign.
 
-    Members descend in lockstep, in blocks of at most BLOCK_NODES path nodes;
-    only the best member so far is kept, the first on ties.
+    Each start path is built once and descends once per sign; the members
+    of every sign descend in lockstep, in blocks of at most BLOCK_NODES
+    path nodes.  Per sign only the best member so far is kept, the first
+    on ties.
     """
     for name, count in (("ensemble_size", ensemble_size), ("max_iters", max_iters)):
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)) \
@@ -205,35 +210,51 @@ def _optimize(inst: MountainPassInstance, sign: float, ensemble_size: int,
     span = float(np.linalg.norm(inst.pin_e - inst.pin_zero))
     s0 = 0.2 * max(span, 1e-6)
     child_seeds = np.random.SeedSequence(seed).generate_state(ensemble_size)
-    block = max(1, BLOCK_NODES // (M + 1))
-    kept = None   # the best member so far: (best, index, nodes, vals, history, iters, conv)
+    n_signs = len(signs)
+    block = max(1, BLOCK_NODES // (n_signs * (M + 1)))   # start paths per block
+    # per sign, the best member so far: (best, index, nodes, vals, history, iters, conv)
+    kept = [None] * n_signs
     for first in range(0, ensemble_size, block):
         paths = [make_path(inst, M, init="axis") if m == 0 else
                  make_path(inst, M, init="jitter", scale=0.1 * span,
                            seed=int(child_seeds[m]))
                  for m in range(first, min(first + block, ensemble_size))]
         pinned = paths[0].pinned
+        # row r descends start path r // n_signs for sign r % n_signs
         nodes, vals, best, history, iters, conv = _descend(
-            inst, np.stack([p.nodes for p in paths]), pinned, sign, max_iters, tol,
-            s0)
-        b = int(np.argmin(best))
-        # np.argmin's choice over the whole ensemble: first NaN, else first minimum
-        if kept is None or np.argmin([kept[0], best[b]]) == 1:
-            kept = (best[b], first + b, nodes[b], vals[b], history[b], iters[b], conv[b])
-    best, member, nodes, vals, history, iters, conv = kept
-    w_idx = int(np.argmax(vals))
-    return MinimaxResult(
-        value=sign * float(best), witness_path=DiscretePath(nodes.copy(), pinned),
-        witness_point=nodes[w_idx].copy(), witness_index=w_idx,
-        iterations=int(iters), converged=bool(conv),
-        history=[sign * h for h in history], member_index=member)
+            inst, np.repeat(np.stack([p.nodes for p in paths]), n_signs, axis=0),
+            pinned, np.tile(np.asarray(signs, dtype=float), len(paths)), max_iters,
+            tol, s0)
+        for i in range(n_signs):
+            r = i + n_signs * int(np.argmin(best[i::n_signs]))
+            # np.argmin's choice over the whole ensemble: first NaN, else first minimum
+            if kept[i] is None or np.argmin([kept[i][0], best[r]]) == 1:
+                kept[i] = (best[r], first + r // n_signs, nodes[r], vals[r],
+                           history[r], iters[r], conv[r])
+    results = []
+    for sign, (best, member, nodes, vals, history, iters, conv) in zip(signs, kept):
+        w_idx = int(np.argmax(vals))
+        results.append(MinimaxResult(
+            value=sign * float(best), witness_path=DiscretePath(nodes.copy(), pinned),
+            witness_point=nodes[w_idx].copy(), witness_index=w_idx,
+            iterations=int(iters), converged=bool(conv),
+            history=[sign * h for h in history], member_index=member))
+    return results
+
+
+def optimize_levels(inst: MountainPassInstance, ensemble_size: int = 8,
+                    M: int = 32, max_iters: int = 200, tol: float = 1e-6,
+                    seed: int = 0) -> tuple:
+    """Estimate (c1, c2) in one lockstep descent: the results of
+    optimize_c1 and optimize_c2 with the same arguments, field for field."""
+    return tuple(_optimize(inst, (-1.0, 1.0), ensemble_size, M, max_iters, tol, seed))
 
 
 def optimize_c2(inst: MountainPassInstance, ensemble_size: int = 8, M: int = 32,
                 max_iters: int = 200, tol: float = 1e-6,
                 seed: int = 0) -> MinimaxResult:
     """Estimate the inf-max level; history is nonincreasing."""
-    return _optimize(inst, 1.0, ensemble_size, M, max_iters, tol, seed)
+    return _optimize(inst, (1.0,), ensemble_size, M, max_iters, tol, seed)[0]
 
 
 def optimize_c1(inst: MountainPassInstance, ensemble_size: int = 8, M: int = 32,
@@ -241,7 +262,7 @@ def optimize_c1(inst: MountainPassInstance, ensemble_size: int = 8, M: int = 32,
                 seed: int = 0) -> MinimaxResult:
     """Estimate the sup-min level, as the c2 descent on -phi; history is
     nondecreasing."""
-    return _optimize(inst, -1.0, ensemble_size, M, max_iters, tol, seed)
+    return _optimize(inst, (-1.0,), ensemble_size, M, max_iters, tol, seed)[0]
 
 
 def check_conclusions(inst: MountainPassInstance, c1_result: MinimaxResult,

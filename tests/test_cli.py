@@ -3,11 +3,12 @@ import hashlib
 import json
 import pathlib
 import re
+from unittest import mock
 
 import pytest
 
 from passlab.cli import _REQUIRED, _SCHEMA, _check_grids, _parse, main
-from passlab.errors import ConfigError
+from passlab.errors import ConfigError, DegeneratePartition
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -188,16 +189,36 @@ def test_proof_trace_at_a_critical_point_exits_0(tmp_path):
     assert "[1.0, 0.0]" in step["observed"]["error"]
 
 
+# phi = 1e-9 x: |grad phi| is below MIN_GRAD_FLOOR everywhere, and the
+# band around c = 1e-9 holds points where the cutoff is nonzero
+TINY_GRADIENT_DEFORM = {
+    "functional": {"poly": {"dim": 2, "terms": [{"exps": [1, 0], "coef": 1e-9}]}},
+    "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+    "deformation": {"c": 1e-9, "eps": 1e-9, "samples": 20}}
+
+
+@pytest.mark.parametrize("flags, exit_code", [((), 0), (("--strict",), 3)])
+def test_deform_at_a_critical_point_is_recorded(tmp_path, flags, exit_code):
+    # the audit's flow meets the small gradient: a failed hypothesis that
+    # names the point, not an internal error
+    code, report, out = _run(tmp_path, "deform", TINY_GRADIENT_DEFORM, *flags)
+    assert code == exit_code
+    result = report["payload"]["result"]
+    assert result["error"].startswith("||grad|| < 1e-08 at ")
+    assert len(result["point"]) == 2 and str(result["point"]) in result["error"]
+    assert report["payload"]["checks"] == [{"name": "band_gradient_hypothesis",
+                                            "ok": False}]
+    assert (out / "psi_grid.csv").exists()
+
+
 def test_library_error_exits_1(tmp_path, capsys):
-    # phi = 1e-9 x: |grad phi| is below MIN_GRAD_FLOOR everywhere, and the
-    # band around c = 1e-9 holds points where the cutoff is nonzero
-    cfg = {"functional": {"poly": {"dim": 2, "terms": [{"exps": [1, 0],
-                                                        "coef": 1e-9}]}},
-           "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
-           "deformation": {"c": 1e-9, "eps": 1e-9, "samples": 20}}
-    code, report, _ = _run(tmp_path, "deform", cfg)
+    # a library error the run cannot record, here a degenerate cutoff
+    # quotient raised by the audit, exits 1 and writes no report
+    with mock.patch("passlab.cli.verify_deformation",
+                    side_effect=DegeneratePartition("denominator underflowed")):
+        code, report, _ = _run(tmp_path, "deform", AFFINE_DEFORM)
     assert code == 1 and report is None
-    assert capsys.readouterr().err.startswith("error: ||grad|| < 1e-08 at ")
+    assert capsys.readouterr().err == "error: denominator underflowed\n"
 
 
 def test_invalid_eps_exits_2(tmp_path):

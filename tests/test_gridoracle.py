@@ -1,13 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from passlab import gridoracle
-from passlab import (GridGraph, bottleneck_value, catalog_field, critical_scan,
-                     default_box, enumerate_small, widest_value)
+from passlab import (GridGraph, OracleResult, bottleneck_value, catalog_field,
+                     critical_scan, default_box, enumerate_small, widest_value)
 from passlab.errors import GridTooLarge
 from passlab.fields import DomainBox
 
@@ -227,3 +228,82 @@ def test_tie_break_witness(values, conn, mode, p, q, witness):
     g = GridGraph(np.asarray(values, float), connectivity=conn)
     sweep = bottleneck_value if mode == "bottleneck" else widest_value
     assert sweep(g, p, q).witness == witness
+
+
+# The threshold sweep before its bisection was bracketed by the axis route,
+# kept verbatim as the reference: it bisects over every rank from the
+# higher endpoint's to the last.
+
+def _full_range_sweep(g: GridGraph, p, q, descending: bool) -> OracleResult:
+    from scipy import ndimage
+    p, q = gridoracle._node_index(g, p, "p"), gridoracle._node_index(g, q, "q")
+    if p == q:
+        raise ValueError("need p != q")
+    vals = g.values.ravel()
+    key = -vals if descending else vals
+    order = np.lexsort((np.arange(vals.size), key))
+    rank = np.empty(vals.size, dtype=np.intp)
+    rank[order] = np.arange(vals.size)
+    rank = rank.reshape(g.shape)
+    structure = gridoracle._structure(g.dim, g.connectivity)
+    lo, hi = max(rank.flat[p], rank.flat[q]), vals.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        labels, _ = ndimage.label(rank <= mid, structure=structure)
+        if labels.flat[p] == labels.flat[q]:
+            hi = mid
+        else:
+            lo = mid + 1
+    active = rank <= lo
+    method = "union_find_descending" if descending else "union_find_ascending"
+    return OracleResult(float(vals[order[lo]]),
+                        lambda: gridoracle._frontier_witness(g, active, p, q),
+                        method)
+
+
+@st.composite
+def _bracket_grids(draw):
+    """Random 1-3-D grids, larger than enumeration allows, half with small
+    integer values so that ranks tie; q often shares all but one coordinate
+    with p, so that the axis route is a straight line."""
+    dim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(3, {1: 40, 2: 12, 3: 6}[dim]))
+                  for _ in range(dim))
+    n = math.prod(shape)
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(0, draw(st.integers(0, 3))),
+                               min_size=n, max_size=n))
+    else:
+        values = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    a = [draw(st.integers(0, s - 1)) for s in shape]
+    b = [draw(st.integers(0, s - 1)) for s in shape]
+    if draw(st.booleans()):   # share a row, column or line of the grid
+        keep = draw(st.integers(0, dim - 1))
+        b = [b[ax] if ax == keep else a[ax] for ax in range(dim)]
+    g = GridGraph(np.reshape(values, shape).astype(float),
+                  draw(st.sampled_from([4, 8])))
+    p, q = g.flat(a), g.flat(b)
+    assume(p != q)
+    return g, p, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bracket_grids())
+def test_bracketed_sweep_equals_the_full_range_sweep(case):
+    g, p, q = case
+    for descending, sweep in ((False, bottleneck_value), (True, widest_value)):
+        got, want = sweep(g, p, q), _full_range_sweep(g, p, q, descending)
+        assert (got.value, got.method) == (want.value, want.method)
+        assert got.witness == want.witness
+
+
+def test_readme_bottleneck_sweep_makes_no_label_pass(w2s_field, w2s_box):
+    # on the README minimax config q = (1, 0) is the saddle, the highest node
+    # of the straight route from p = (0, 0), so the bracket is closed
+    from scipy import ndimage
+    g = GridGraph.from_field(w2s_field, w2s_box, 257, 8)
+    p, q = g.nearest_node([0.0, 0.0]), g.nearest_node([1.0, 0.0])
+    want = _full_range_sweep(g, p, q, False).value
+    with mock.patch.object(ndimage, "label", wraps=ndimage.label) as label:
+        assert bottleneck_value(g, p, q).value == want
+    assert label.call_count == 0

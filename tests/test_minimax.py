@@ -11,7 +11,8 @@ from passlab import (DiscretePath, DomainBox, MinimaxResult,
                      MountainPassInstance, ScalarField, catalog_field,
                      catalog_names, check_conclusions, check_mpt_geometry,
                      default_box, make_path, optimize_c1, optimize_c2,
-                     polynomial_field, ps_probe, trace_proof_argument)
+                     optimize_levels, polynomial_field, ps_probe,
+                     trace_proof_argument)
 from passlab import minimax
 from passlab.errors import InvalidInstance
 from passlab.minimax import STALL_ITERS
@@ -216,7 +217,9 @@ def _optimize_by_member(inst: MountainPassInstance, sign: float, ensemble_size: 
 
 
 def _same_result(a: MinimaxResult, b: MinimaxResult) -> bool:
-    return (a.value == b.value and a.history == b.history
+    # NaN-aware on value and history: an overflowing field gives NaN levels
+    return (np.array_equal(a.value, b.value, equal_nan=True)
+            and np.array_equal(a.history, b.history, equal_nan=True)
             and np.array_equal(a.witness_path.nodes, b.witness_path.nodes)
             and a.witness_path.pinned == b.witness_path.pinned
             and np.array_equal(a.witness_point, b.witness_point)
@@ -254,45 +257,91 @@ def _pin(draw, box):
                      for lo, hi in zip(box.lo, box.hi)])
 
 
-def _assert_lockstep_equals_member(inst, args):
-    # the lockstep descent gives every field of the member-by-member result,
-    # whatever the block size: blocks of 1 and 3 members, and one block
-    M = args[2]
-    want = _optimize_by_member(inst, *args)
-    assert _same_result(minimax._optimize(inst, *args), want)
+def _assert_lockstep_equals_member(inst, signs, args):
+    # the lockstep descent gives, for each sign, every field of the
+    # member-by-member result, whatever the block size: blocks of 1 and 3
+    # start paths, and one block
+    M = args[1]
+    want = [_optimize_by_member(inst, sign, *args) for sign in signs]
+    got = minimax._optimize(inst, signs, *args)
+    assert len(got) == len(signs) and all(map(_same_result, got, want))
     for members in (1, 3):
-        with mock.patch.object(minimax, "BLOCK_NODES", members * (M + 1)):
-            assert _same_result(minimax._optimize(inst, *args), want)
+        with mock.patch.object(minimax, "BLOCK_NODES",
+                               members * len(signs) * (M + 1)):
+            assert all(map(_same_result, minimax._optimize(inst, signs, *args),
+                           want))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_lockstep_descent_equals_the_member_descent(data):
+def _drawn_instance(data):
+    """A drawn field, box and pin pair; the flag says whether it overflows."""
     field, box, overflows = data.draw(_fields())
     z, e = _pin(data.draw, box), _pin(data.draw, box)
     assume(not np.array_equal(z, e))
     inst = MountainPassInstance(field, box, z, e,
                                 pin_mode=data.draw(st.sampled_from(["interior",
                                                                     "endpoints"])))
-    M = data.draw(st.sampled_from([8, 12, 16, 32]))
-    args = (data.draw(st.sampled_from([1.0, -1.0])), data.draw(st.integers(1, 5)),
-            M, data.draw(st.sampled_from([1, 3, 40])), 1e-6,
+    return inst, overflows
+
+
+def _overflow_guard(overflows):
+    return (np.errstate(over="ignore", invalid="ignore") if overflows
+            else contextlib.nullcontext())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lockstep_descent_equals_the_member_descent(data):
+    inst, overflows = _drawn_instance(data)
+    signs = data.draw(st.sampled_from([(1.0,), (-1.0,), (-1.0, 1.0)]))
+    args = (data.draw(st.integers(1, 5)), data.draw(st.sampled_from([8, 12, 16, 32])),
+            data.draw(st.sampled_from([1, 3, 40])), 1e-6,
             data.draw(st.integers(0, 2**32 - 1)))
-    with (np.errstate(over="ignore", invalid="ignore") if overflows
-          else contextlib.nullcontext()):
-        _assert_lockstep_equals_member(inst, args)
+    with _overflow_guard(overflows):
+        _assert_lockstep_equals_member(inst, signs, args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_optimize_levels_equals_c1_and_c2(data):
+    # one descent for both levels gives what the two single-level runs give
+    inst, overflows = _drawn_instance(data)
+    kw = dict(ensemble_size=data.draw(st.integers(1, 5)),
+              M=data.draw(st.sampled_from([8, 12, 16, 32])),
+              max_iters=data.draw(st.sampled_from([1, 3, 40])),
+              seed=data.draw(st.integers(0, 2**32 - 1)))
+    with _overflow_guard(overflows):
+        got = optimize_levels(inst, **kw)
+        want = (optimize_c1(inst, **kw), optimize_c2(inst, **kw))
+    assert len(got) == 2 and all(map(_same_result, got, want))
+
+
+def test_lockstep_descent_with_nan_levels():
+    # x^4 y times 7.5e304 overflows at every start node, so both results
+    # have value NaN and history [nan, nan]; NaN != NaN made the comparison
+    # fail on a matching pair
+    field = polynomial_field(2, [((4, 1), 7.487268366773494e+304)])
+    inst = MountainPassInstance(field, DomainBox([-7.0, -7.0], [7.0, 7.0]),
+                                np.array([-7.0, -7.0]), np.array([-7.0, 0.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = minimax._optimize(inst, (1.0,), 1, 8, 1, 1e-6, 0)[0]
+        assert np.isnan(got.value) and len(got.history) == 2 \
+            and np.isnan(got.history).all()
+        _assert_lockstep_equals_member(inst, (1.0,), (1, 8, 1, 1e-6, 0))
+        _assert_lockstep_equals_member(inst, (-1.0, 1.0), (1, 8, 1, 1e-6, 0))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lockstep_descent_keeps_nan_nodes(seed):
     # 1e305 x^6 overflows the c1 descent's gradient, and a step puts a NaN
     # node on a path; np.interp spreads it over the segment, so the member
-    # descent rejects that step, and so must the lockstep descent
+    # descent rejects that step, and so must the lockstep descent, also
+    # beside the c2 members
     field = polynomial_field(2, [((6, 0), 1e305), ((2, 0), -1.0), ((0, 2), 1.0)])
     inst = MountainPassInstance(field, DomainBox([-10.0, -10.0], [10.0, 10.0]),
                                 np.array([-9.0, 0.3]), np.array([9.0, -0.2]))
     with np.errstate(over="ignore", invalid="ignore"):
-        _assert_lockstep_equals_member(inst, (-1.0, 3, 16, 40, 1e-6, seed))
+        _assert_lockstep_equals_member(inst, (-1.0,), (3, 16, 40, 1e-6, seed))
+        _assert_lockstep_equals_member(inst, (-1.0, 1.0), (3, 16, 40, 1e-6, seed))
 
 
 @pytest.mark.parametrize("optimize", [optimize_c1, optimize_c2])
