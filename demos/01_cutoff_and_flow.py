@@ -7,17 +7,15 @@ distances, and every claim can be checked by eye.
 """
 import numpy as np
 
-from passlab import (BandPartition, DeformationField, DeformationParams,
-                     DomainBox, FlowConfig, build_backend, catalog_field,
-                     classify_region, eta, integrate_flow, psi,
-                     verify_deformation)
+from passlab import (BandPartition, DeformationField, DomainBox,
+                     build_backend, catalog_field, classify_region, eta,
+                     integrate_flow, psi, verify_deformation)
 
 field = catalog_field("affine")
 box = DomainBox(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
-part = BandPartition(field, box, DeformationParams(0.0, 0.5))
+part = BandPartition(field, box, 0.0, 0.5)
 backend = build_backend(part)
-df = DeformationField(part, backend)
-cfg = FlowConfig()
+df = DeformationField(backend)   # RK4 steps of horizon/1000, every one recorded
 
 print("Band structure for phi = x, c = 0, eps = 0.5")
 print(f"  push-up band   B = x in [{part.b_range[0]}, {part.b_range[1]}]")
@@ -34,7 +32,7 @@ print()
 
 print("Flow from inside the push-up band: phi rises at unit rate, then the")
 print("trajectory decelerates toward the midplane where the cutoff vanishes.")
-traj = integrate_flow(df, cfg, np.array([-0.4, 0.0]))
+traj = integrate_flow(df, np.array([-0.4, 0.0]))
 for k in (0, 100, 300, 600, 1000):
     print(f"  t={traj.times[k]:.2f}  x={traj.points[k][0]:+.4f}  "
           f"phi={traj.phi_values[k]:+.4f}  psi={traj.psi_values[k]:+.4f}")
@@ -42,11 +40,11 @@ print()
 
 u = np.array([1.5, 0.7])
 print(f"Outside the band the map is the identity, bit for bit: "
-      f"eta({u.tolist()}) == u is {np.array_equal(eta(df, cfg, u), u)}")
+      f"eta({u.tolist()}) == u is {np.array_equal(eta(df, u), u)}")
 print()
 
 print("Property audit over 200 random starts:")
-rep = verify_deformation(df, cfg, samples=200, seed=0)
+rep = verify_deformation(df, samples=200, seed=0)
 print(f"  min |grad phi| on the band      {rep.hypothesis_min_grad}")
 print(f"  fixed-point violations          {rep.a_prime_violations}")
 print(f"  trajectories confined to B / C  {rep.b_prime['confined_in_B']} / "

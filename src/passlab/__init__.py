@@ -5,11 +5,10 @@ __version__ = "0.1.0"
 
 from .fields import (DomainBox, ScalarField, catalog_field, catalog_names,
                      default_box, polynomial_field, gradient_check)
-from .bands import (BandPartition, DeformationParams, RegionSpec, RegionTag,
-                    FirstOrderBackend, SampledBackend, build_backend,
-                    classify_region, psi)
-from .flow import (DeformationField, FlowConfig, Trajectory, vector_field,
-                   integrate_flow, eta, verify_deformation)
+from .bands import (BandPartition, RegionSpec, RegionTag, FirstOrderBackend,
+                    SampledBackend, build_backend, classify_region, psi)
+from .flow import (DeformationField, Trajectory, vector_field, integrate_flow,
+                   eta, verify_deformation)
 from .paths import (MountainPassInstance, DiscretePath, make_path,
                     path_extrema, deform_path)
 from .minimax import (MinimaxResult, ProofTrace, PSReport, GeometryCheckResult,

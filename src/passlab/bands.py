@@ -17,12 +17,14 @@ Region membership is decided in one place, BandPartition.tags, as int8
 codes viewed through the IntEnum RegionTag; psi's plateaus come from them.
 A partition binds its band edges as floats once, and tags looks a value's
 code up by its rank among the sorted edges, in a table built at
-construction from the mask cascade that states the rule.  cutoff_stage,
-the per-stage cutoff of the flow, takes a batch its callers have checked
-once and calls the field's eval_fn and grad_fn on it directly; it compares
-the codes as plain ints, passes a batch through whole when all its rows
-need the gradient or the set distances, and tests for a degenerate
-quotient only where a denominator underflows.
+construction from the mask cascade that states the rule.  A backend holds
+the partition it was built for, and psi rejects another partition's.
+cutoff_stage, the per-stage cutoff of the flow, reaches the partition
+through the backend, takes a batch its callers have checked once and
+calls the field's eval_fn and grad_fn on it directly; it compares the
+codes as plain ints, passes a batch through whole when all its rows need
+the gradient or the set distances, and tests for a degenerate quotient
+only where a denominator underflows.
 
 Two backends give the set distances between the plateaus, both measured
 in the box.  FirstOrderBackend, the default, divides the slab distance in
@@ -117,16 +119,6 @@ def _rank_code(edges, values):
 
 
 @dataclass(frozen=True)
-class DeformationParams:
-    c: float
-    eps: float
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
-
-
-@dataclass(frozen=True)
 class RegionSpec:
     """Specification of the fixed set D: empty, a level set, or a point cloud."""
 
@@ -155,12 +147,18 @@ class BandPartition:
 
     field: ScalarField
     box: DomainBox
-    params: DeformationParams
+    c: float
+    eps: float
     d_spec: RegionSpec = dc_field(default_factory=RegionSpec.empty)
 
     def __post_init__(self):
         if self.field.dim != self.box.dim:
             raise ValueError("field and box dimensions differ")
+        # NaN fails both; a non-finite c or eps would empty the band silently
+        if not np.isfinite(self.c):
+            raise ValueError(f"c must be finite, got {self.c!r}")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
         self._validate_d()
         spec = self.d_spec
         tree = None
@@ -172,7 +170,7 @@ class BandPartition:
         object.__setattr__(self, "_diagonal", self.box.diagonal)
         # the band edges, bound once as floats, and the region code of every
         # rank of a value among them (see tags)
-        c, e = self.params.c, self.params.eps
+        c, e = self.c, self.eps
         ranges = ((c - 2.0 * e, c + 2.0 * e), (c - e, c - 0.6 * e),
                   (c + 0.6 * e, c + e))
         object.__setattr__(self, "_ranges", ranges)
@@ -197,10 +195,10 @@ class BandPartition:
     def d_thickness(self) -> float:
         if self.d_spec.thickness is not None:
             return self.d_spec.thickness
-        return 1e-6 * self.params.eps
+        return 1e-6 * self.eps
 
     def _validate_d(self):
-        c, e = self.params.c, self.params.eps
+        c, e = self.c, self.eps
         spec = self.d_spec
         if spec.kind == "empty":
             return
@@ -592,9 +590,10 @@ def _quotient(dB, dC, dXA):
     return num / den
 
 
-def cutoff_stage(part: BandPartition, backend, U):
+def cutoff_stage(backend, U):
     """psi, grad phi, ||grad phi|| and the region codes of a batch U
-    (..., dim) of floats, from one evaluation of phi and one of its gradient.
+    (..., dim) of floats on the backend's partition, from one evaluation of
+    phi and one of its gradient.
 
     U is not checked: psi and the flow check a batch once, with
     ScalarField.check, and the stage calls the field's eval_fn and grad_fn
@@ -608,6 +607,7 @@ def cutoff_stage(part: BandPartition, backend, U):
     minimum or maximum), its distance is +inf and psi takes the quotient's
     limit.
     """
+    part = backend.part
     field = part.field
     phi = np.asarray(field.eval_fn(U))
     tags = part.tags(U, phi)
@@ -633,12 +633,15 @@ def cutoff_stage(part: BandPartition, backend, U):
 
 def psi(part: BandPartition, backend, u):
     """The cutoff value(s) at u; in [-1, 1] with exact plateaus."""
+    # another partition's backend gives a wrong psi with no error
+    if backend.part is not part:
+        raise ValueError("backend was built for another partition")
     u = np.asarray(u, dtype=float)
-    out = cutoff_stage(part, backend, part.field.check(np.atleast_2d(u)))[0]
+    out = cutoff_stage(backend, part.field.check(np.atleast_2d(u)))[0]
     return float(out[0]) if u.ndim == 1 else out
 
 
-def export_region_clouds(part: BandPartition, backend, path: str):
+def export_region_clouds(backend, path: str):
     """CSV dump (coords, phi, tag) of the backend's cached region clouds.
 
     The lines are those csv.writer writes for these rows (floats as repr,
@@ -646,7 +649,7 @@ def export_region_clouds(part: BandPartition, backend, path: str):
     """
     if not isinstance(backend, SampledBackend):
         raise ValueError("only the sampled backend caches region clouds")
-    dim = part.field.dim
+    dim = backend.part.field.dim
     header = ["x", "y", "z"][:dim] + ["phi", "tag"]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")

@@ -20,12 +20,12 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .bands import (BandPartition, DeformationParams, RegionSpec,
-                    SampledBackend, build_backend, export_region_clouds)
+from .bands import (BandPartition, RegionSpec, SampledBackend, build_backend,
+                    export_region_clouds)
 from .errors import ConfigError, PasslabError, VectorFieldSingular
 from .fields import (DomainBox, ScalarField, catalog_field, default_box,
                      polynomial_field)
-from .flow import DeformationField, FlowConfig, verify_deformation
+from .flow import DeformationField, verify_deformation
 from .gridoracle import GridGraph, bottleneck_value, widest_value, critical_scan
 # optimize_c1 and optimize_c2 stay bound here: bench/spans.py traces them
 # at this lookup site
@@ -243,15 +243,17 @@ def _oracle(o: dict, field, box, a, b, name_a: str, name_b: str):
 
 
 def _to_jsonable(obj):
+    """obj with numpy arrays and scalars as Python lists and numbers, and
+    every non-finite float (NaN, +-inf) at any depth as null."""
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and (obj != obj):  # NaN -> null for valid JSON
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
 
@@ -264,16 +266,13 @@ def _to_jsonable(obj):
 def _run_deform(cfg, field, box, seed, out_dir):
     d = cfg["deformation"]
     with _naming("deformation.d_spec"):
-        part = BandPartition(field, box, DeformationParams(d["c"], d["eps"]),
-                             _d_spec(d["d_spec"]))
+        part = BandPartition(field, box, d["c"], d["eps"], _d_spec(d["d_spec"]))
     with _naming("deformation.backend or deformation.resolution"):
         backend = build_backend(part, d["backend"], d["resolution"])
-    df = DeformationField(part, backend)
-    fcfg = FlowConfig(step=d["step"], record_every=d["record_every"])
     with _naming("deformation.step"):
-        fcfg.grid(df.horizon)
+        df = DeformationField(backend, d["step"], d["record_every"])
     try:
-        report = verify_deformation(df, fcfg, d["samples"], seed)
+        report = verify_deformation(df, d["samples"], seed)
     except VectorFieldSingular as exc:   # a critical point in the band
         payload = {"error": str(exc), "point": exc.point}
         checks = [{"name": "band_gradient_hypothesis", "ok": False}]
@@ -292,8 +291,7 @@ def _run_deform(cfg, field, box, seed, out_dir):
     _dump_psi_grid(df, box, d["dump_resolution"],
                    os.path.join(out_dir, "psi_grid.csv"))
     if isinstance(df.backend, SampledBackend):
-        export_region_clouds(df.part, df.backend,
-                             os.path.join(out_dir, "region_clouds.csv"))
+        export_region_clouds(df.backend, os.path.join(out_dir, "region_clouds.csv"))
     return payload, checks
 
 
@@ -468,7 +466,7 @@ def main(argv=None) -> int:
         "wall_ms": wall_ms,
     }
     with open(os.path.join(args.out, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
     if args.strict and any(not c["ok"] for c in checks):
         failed = [c["name"] for c in checks if not c["ok"]]
         print(f"strict-mode check failure: {failed}", file=sys.stderr)

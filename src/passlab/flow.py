@@ -6,24 +6,27 @@ The vector field is
          = 0                                    where psi(u) = 0
 
 and the deformation is eta(u) = sigma(T, u) with horizon T = 2 eps, where
-sigma solves dsigma/dt = f(sigma), sigma(0) = u.  Each evaluation of f reads
-phi and its gradient once (bands.cutoff_stage) and also yields psi; a stage
-whose rows all have psi != 0 is computed on the whole batch, with no gather
-or scatter.  The points' dimension is checked once per public call
-(vector_field, and the integrator behind eta, eta_batch, integrate_flow and
-the audit), never per stage.  One RK4 integrator serves eta, eta_batch,
-integrate_flow and the audit; a step is clipped to the box only when a row
-has left it.  Rows with a zero field at the start are frozen: they are
-never stepped and come back bit-identically (the unique constant
-solution), so the fixed-point property is machine-exact.  Only the live
-rows are recorded, with psi at each recorded state taken from the stage
-that starts the next step; callers rebuild full rows from the starts, and
-the audit evaluates a frozen row once at its start and counts it once per
-recorded state or interval.
+sigma solves dsigma/dt = f(sigma), sigma(0) = u.  A DeformationField is the
+whole deformation: its backend, which holds the partition (c, eps, D), and
+the integrator's step and record_every, checked and turned into the step
+grid at construction; every flow call takes only it.  Each evaluation of f
+reads phi and its gradient once (bands.cutoff_stage) and also yields psi; a
+stage whose rows all have psi != 0 is computed on the whole batch, with no
+gather or scatter.  One RK4 integrator serves eta, eta_batch, integrate_flow
+and the audit; it checks the points' dimension once per call (as
+vector_field does), never per stage, and clips a step to the box only when a
+row has left it.  Rows with a zero field at the start are frozen: they are
+never stepped and come back bit-identically (the unique constant solution),
+so the fixed-point property is machine-exact.  Only the live rows are
+recorded, with psi at each recorded state taken from the stage that starts
+the next step; callers rebuild full rows from the starts, and the audit
+evaluates a frozen row once at its start and counts it once per recorded
+state or interval.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from numbers import Integral
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -40,14 +43,27 @@ PUSH_TOL = 1e-3
 
 @dataclass(frozen=True)
 class DeformationField:
-    part: BandPartition
+    """eta of the backend's partition in n RK4 steps of h, grid = (n, h), h
+    being step (default horizon/1000) rounded to divide the horizon."""
+
     backend: object
+    step: Optional[float] = None
+    record_every: int = 1
 
     def __post_init__(self):
-        # the backend's distances are to this partition's regions; another
-        # partition's backend gives a psi that is wrong with no error
-        if self.backend.part is not self.part:
-            raise ValueError("backend was built for another partition")
+        if not isinstance(self.record_every, Integral) or self.record_every < 1:
+            raise ValueError(f"record_every must be an integer >= 1, "
+                             f"got {self.record_every!r}")
+        horizon = self.horizon
+        step = self.step if self.step is not None else horizon / 1000.0
+        if not 0 < step <= horizon:   # False on NaN
+            raise ValueError("need 0 < step <= horizon")
+        n = max(1, round(horizon / step))
+        object.__setattr__(self, "grid", (n, horizon / n))
+
+    @property
+    def part(self) -> BandPartition:
+        return self.backend.part
 
     @property
     def field(self) -> ScalarField:
@@ -58,22 +74,7 @@ class DeformationField:
 
     @property
     def horizon(self) -> float:
-        return 2.0 * self.part.params.eps
-
-
-@dataclass(frozen=True)
-class FlowConfig:
-    """Fixed-step integrator settings; step defaults to horizon/1000."""
-
-    step: Optional[float] = None
-    record_every: int = 1
-
-    def grid(self, horizon: float):
-        step = self.step if self.step is not None else horizon / 1000.0
-        if step <= 0 or step > horizon:
-            raise ValueError("need 0 < step <= horizon")
-        n = max(1, round(horizon / step))
-        return n, horizon / n
+        return 2.0 * self.part.eps
 
 
 @dataclass
@@ -92,7 +93,7 @@ class Trajectory:
 def _stage(df: DeformationField, U):
     """f and psi at a checked batch U (N, dim), from one bands.cutoff_stage;
     a batch whose rows all have psi != 0 is not gathered or scattered."""
-    psi_vals, g, gn, _ = cutoff_stage(df.part, df.backend, U)
+    psi_vals, g, gn, _ = cutoff_stage(df.backend, U)
     active = psi_vals != 0.0
     whole = np.count_nonzero(active) == active.size
     if not whole:
@@ -132,14 +133,14 @@ class _Run(NamedTuple):
         return out
 
 
-def _record_steps(cfg: FlowConfig, n: int) -> set:
-    """The steps a recording run of n steps records at: 0, every
+def _record_steps(df: DeformationField) -> set:
+    """The steps a recording run of df.grid's n steps records at: 0, every
     record_every-th step and n."""
-    return set(range(0, n + 1, cfg.record_every)) | {n}
+    n = df.grid[0]
+    return set(range(0, n + 1, df.record_every)) | {n}
 
 
-def _integrate(df: DeformationField, cfg: FlowConfig, U0: np.ndarray,
-               record: bool) -> _Run:
+def _integrate(df: DeformationField, U0: np.ndarray, record: bool) -> _Run:
     """RK4 on a batch of starts (N, dim).
 
     Rows with a zero field at the start are frozen: they are never stepped
@@ -151,7 +152,7 @@ def _integrate(df: DeformationField, cfg: FlowConfig, U0: np.ndarray,
     from the k1 stage that starts the next step (one extra cutoff_stage at
     t = T).
     """
-    n, h = cfg.grid(df.horizon)
+    n, h = df.grid
     U0 = df.field.check(U0)
     f0, psi0 = _stage(df, U0)
     live = np.any(f0 != 0.0, axis=-1)
@@ -161,7 +162,7 @@ def _integrate(df: DeformationField, cfg: FlowConfig, U0: np.ndarray,
     if not np.any(live):
         return _Run(np.array([0.0, n * h]), live, np.stack([U, U]),
                     np.stack(psis * 2), psi0, clamped)
-    rec = _record_steps(cfg, n) if record else {n}
+    rec = _record_steps(df) if record else {n}
     box = df.part.box
     for k in range(1, n + 1):
         k2 = _stage(df, U + (0.5 * h) * k1)[0]
@@ -176,7 +177,7 @@ def _integrate(df: DeformationField, cfg: FlowConfig, U0: np.ndarray,
         if k < n:
             k1, psi = _stage(df, U)
         else:
-            psi = cutoff_stage(df.part, df.backend, U)[0]
+            psi = cutoff_stage(df.backend, U)[0]
         if k in rec:
             times.append(k * h)
             path.append(U)
@@ -185,10 +186,10 @@ def _integrate(df: DeformationField, cfg: FlowConfig, U0: np.ndarray,
                 psi0, clamped)
 
 
-def integrate_flow(df: DeformationField, cfg: FlowConfig, u) -> Trajectory:
+def integrate_flow(df: DeformationField, u) -> Trajectory:
     """Solve the flow from a single start over [0, 2 eps]."""
     u = np.asarray(u, dtype=float)
-    run = _integrate(df, cfg, u[None, :], True)
+    run = _integrate(df, u[None, :], True)
     if run.live[0]:
         pts, psis = run.path[:, 0, :], run.psi[:, 0]
     else:   # the constant solution, recorded at t = 0 and t = T
@@ -197,16 +198,16 @@ def integrate_flow(df: DeformationField, cfg: FlowConfig, u) -> Trajectory:
     return Trajectory(run.times, pts, phis, psis, bool(run.clamped[0]))
 
 
-def eta(df: DeformationField, cfg: FlowConfig, u):
+def eta(df: DeformationField, u):
     """Deformation endpoint sigma(2 eps, u) of a point or a batch."""
     u = np.asarray(u, dtype=float)
-    out = eta_batch(df, cfg, np.atleast_2d(u))
+    out = eta_batch(df, np.atleast_2d(u))
     return out[0] if u.ndim == 1 else out
 
 
-def eta_batch(df: DeformationField, cfg: FlowConfig, U):
+def eta_batch(df: DeformationField, U):
     U = np.asarray(U, dtype=float)
-    return _integrate(df, cfg, U, False).finals(U)
+    return _integrate(df, U, False).finals(U)
 
 
 @dataclass
@@ -230,7 +231,7 @@ class DeformationReport:
         return asdict(self)
 
 
-def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
+def verify_deformation(df: DeformationField, samples: int,
                        seed: int) -> DeformationReport:
     """Sample-based audit of the deformation's claimed properties.
 
@@ -258,7 +259,7 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     part = df.part
-    c, eps = part.params.c, part.params.eps
+    c, eps = part.c, part.eps
     rng = np.random.default_rng(seed)
     U0 = part.box.sample(rng, samples)
     phi0 = np.asarray(df.field.evaluate(U0))
@@ -268,7 +269,7 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
     gn0 = df.field.grad_norm(U0)
     hyp_min = float(np.min(gn0[band])) if np.any(band) else float("nan")
 
-    run = _integrate(df, cfg, U0, True)
+    run = _integrate(df, U0, True)
     live, frozen = run.live, ~run.live
     finals = run.finals(U0)
 
@@ -313,11 +314,11 @@ def verify_deformation(df: DeformationField, cfg: FlowConfig, samples: int,
     # the start) with residual |psi at the start|.  n_sched counts the
     # schedule, not the run's records: a run with no live row records only
     # t = 0 and t = T.
-    n_sched = len(_record_steps(cfg, cfg.grid(df.horizon)[0]))
+    n_sched = len(_record_steps(df))
     dt = np.diff(run.times)[:, None]
     dphi = np.diff(phis, axis=0)
     mids = (0.5 * (path[:-1] + path[1:])).reshape(-1, dim)
-    psi_mid, _, _, tag_mid = cutoff_stage(part, df.backend, mids)
+    psi_mid, _, _, tag_mid = cutoff_stage(df.backend, mids)
     psi_mid = psi_mid.reshape(n_rec - 1, n_live)
     tag_mid = tag_mid.reshape(n_rec - 1, n_live)
     ok_live = ok[live]

@@ -28,10 +28,10 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .bands import BandPartition, DeformationParams, RegionSpec, build_backend
+from .bands import BandPartition, RegionSpec, build_backend
 from .errors import InvalidInstance, PinMoved, VectorFieldSingular
 from .fields import DomainBox, ScalarField
-from .flow import DeformationField, FlowConfig, eta
+from .flow import DeformationField, eta
 from .paths import DiscretePath, MountainPassInstance, make_path, path_extrema, \
     deform_path
 
@@ -41,7 +41,6 @@ BLOCK_NODES = 1 << 14       # path nodes of the ensemble members descending toge
 _NEIGHBOURS = np.array([-1, 0, 1])   # the maximal node and its two neighbours
 _WEIGHTS = np.array([0.5, 1.0, 0.5])  # their step weights
 
-PROOF_FLOW = FlowConfig()   # the proof tracer's integrator settings
 PROOF_M = 32                # segments of the proof tracer's paths
 PROOF_RESOLUTION = 201      # grid points per axis: backend and band search
 PROOF_HALVINGS = 12         # band widths tried per route, halving from eps1
@@ -311,14 +310,12 @@ def _step(name, claimed, observed, verdict):
 
 
 def _partition_at(inst, level, eps_level):
-    return BandPartition(inst.field, inst.box,
-                         DeformationParams(c=level, eps=eps_level),
+    return BandPartition(inst.field, inst.box, level, eps_level,
                          RegionSpec.level_set(level))
 
 
 def _deformation_at(part):
-    return DeformationField(part,
-                            build_backend(part, resolution=PROOF_RESOLUTION))
+    return DeformationField(build_backend(part, resolution=PROOF_RESOLUTION))
 
 
 def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
@@ -352,7 +349,7 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
     for name, claimed, pin in (("pin_zero_fixed", "eta(0) = 0 exactly", inst.pin_zero),
                                ("pin_e_fixed", "eta(e) = e exactly", inst.pin_e)):
         try:
-            img = eta(df1, PROOF_FLOW, pin)
+            img = eta(df1, pin)
         except VectorFieldSingular as exc:   # the flow meets a critical point
             steps.append(_step(name, claimed, {"error": str(exc)}, "fails"))
             continue
@@ -395,9 +392,9 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
             return
         steps.append(_step(f"{tag}_band_path",
                            f"extremum within [{lo}, {hi}]",
-                           {tag: part.params.eps, "extremum": ext[key]}, "holds"))
+                           {tag: part.eps, "extremum": ext[key]}, "holds"))
         try:
-            beta = deform_path(_deformation_at(part), PROOF_FLOW, cand)
+            beta = deform_path(_deformation_at(part), cand)
         except PinMoved as exc:
             steps.append(_step(f"{tag}_deformed_bound",
                                "pins preserved during deformation",

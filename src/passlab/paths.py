@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidM, PinMoved
 from .fields import DomainBox, ScalarField
-from .flow import DeformationField, FlowConfig, eta_batch
+from .flow import DeformationField, eta_batch
 
 
 @dataclass(frozen=True)
@@ -127,12 +127,11 @@ def path_extrema(inst: MountainPassInstance, path: DiscretePath) -> dict:
     }
 
 
-def deform_path(df: DeformationField, cfg: FlowConfig,
-                path: DiscretePath) -> DiscretePath:
+def deform_path(df: DeformationField, path: DiscretePath) -> DiscretePath:
     """Apply the deformation to every node; pins must be preserved exactly."""
     if path.nodes.shape[1] != df.field.dim:
         raise ValueError("path dimension does not match the deformation field")
-    images = eta_batch(df, cfg, path.nodes)
+    images = eta_batch(df, path.nodes)
     for idx in path.pinned:
         if np.any(images[idx] != path.nodes[idx]):
             raise PinMoved(

@@ -9,8 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from passlab import (BandPartition, DeformationField, DeformationParams,
-                     DomainBox, FlowConfig, GridGraph,
+from passlab import (BandPartition, DeformationField, DomainBox, GridGraph,
                      MountainPassInstance, RegionSpec, RegionTag,
                      bottleneck_value, build_backend, catalog_field,
                      catalog_names, check_conclusions, default_box,
@@ -30,10 +29,10 @@ def _verdict(num, label, ok, detail=""):
 def affine_verification():
     """Criterion 4's run, shared with criterion 2's speed audit."""
     part = BandPartition(catalog_field("affine"), default_box("affine"),
-                         DeformationParams(0.0, 0.5))
-    df = DeformationField(part, build_backend(part))
+                         0.0, 0.5)
+    df = DeformationField(build_backend(part))
     t0 = time.perf_counter()
-    rep = verify_deformation(df, FlowConfig(), samples=100, seed=0)
+    rep = verify_deformation(df, samples=100, seed=0)
     return rep, time.perf_counter() - t0
 
 
@@ -47,7 +46,7 @@ def test_criterion_01_cutoff_suite():
         f = catalog_field(name)
         c = 0.0 if name == "affine" else 1.0
         eps = 0.5 if name == "affine" else 0.1
-        part = BandPartition(f, default_box(name), DeformationParams(c, eps))
+        part = BandPartition(f, default_box(name), c, eps)
         backend = build_backend(part, kind, 201)
         pts = part.box.sample(np.random.default_rng(0), 10_000)
         vals = np.asarray(psi(part, backend, pts))
@@ -74,17 +73,15 @@ def test_criterion_03_identity_exactness():
     t0 = time.perf_counter()
     f = catalog_field("affine")
     box = DomainBox(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
-    part = BandPartition(f, box, DeformationParams(0.0, 0.5),
-                         RegionSpec.level_set(0.0))
-    df = DeformationField(part, build_backend(part))
+    part = BandPartition(f, box, 0.0, 0.5, RegionSpec.level_set(0.0))
+    df = DeformationField(build_backend(part))
     rng = np.random.default_rng(1)
     pts = box.sample(rng, 4000)
     outside = pts[part.classify(pts) == RegionTag.OUTSIDE][:800]
     d_pts = np.column_stack([np.zeros(200), rng.uniform(-2, 2, 200)])
     sample = np.concatenate([outside, d_pts])
     assert len(sample) == 1000
-    cfg = FlowConfig()
-    exact = sum(1 for u in sample if np.array_equal(eta(df, cfg, u), u))
+    exact = sum(1 for u in sample if np.array_equal(eta(df, u), u))
     dt = time.perf_counter() - t0
     _verdict(3, "identity exactness", exact == 1000 and dt < 5.0,
              f"bit-exact {exact}/1000, {dt:.1f}s")

@@ -1,16 +1,16 @@
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passlab import (BandPartition, DeformationField, DeformationParams,
-                     DomainBox, FirstOrderBackend, RegionSpec, RegionTag,
-                     SampledBackend, build_backend, catalog_field,
-                     classify_region, default_box, polynomial_field, psi,
-                     vector_field)
+from passlab import (BandPartition, DeformationField, DomainBox,
+                     FirstOrderBackend, RegionSpec, RegionTag, SampledBackend,
+                     build_backend, catalog_field, classify_region,
+                     default_box, polynomial_field, psi, vector_field)
 from passlab.bands import export_region_clouds
 from passlab.errors import InvalidRegionSpec
 
@@ -96,8 +96,7 @@ def test_continuity_probe_reports_finite_constant(affine_part, affine_backend):
 
 
 def test_d_levelset_accepted_at_center(affine_part):
-    part = BandPartition(affine_part.field, affine_part.box,
-                         affine_part.params, RegionSpec.level_set(0.0))
+    part = replace(affine_part, d_spec=RegionSpec.level_set(0.0))
     assert classify_region(part, [0.0, 0.77]) is RegionTag.D
 
 
@@ -106,21 +105,18 @@ def test_d_spec_too_close_to_bands_rejected(affine_part):
     # stay 0.05 * eps away from D
     for bad in (-0.3, 0.29, -0.1 - 0.5 * 0.5, 0.6 * 0.5):
         with pytest.raises(InvalidRegionSpec):
-            BandPartition(affine_part.field, affine_part.box,
-                          affine_part.params, RegionSpec.level_set(bad))
+            replace(affine_part, d_spec=RegionSpec.level_set(bad))
 
 
 def test_psi_zero_on_d(affine_part, affine_field):
-    part = BandPartition(affine_field, affine_part.box, affine_part.params,
-                         RegionSpec.level_set(0.0))
+    part = replace(affine_part, d_spec=RegionSpec.level_set(0.0))
     backend = build_backend(part)
     assert float(psi(part, backend, [0.0, 0.5])) == 0.0
 
 
 def test_point_cloud_d_membership(affine_field, affine_part):
     cloud = [[0.0, 0.0], [0.0, 0.5]]
-    part = BandPartition(affine_field, affine_part.box, affine_part.params,
-                         RegionSpec.point_cloud(cloud))
+    part = replace(affine_part, d_spec=RegionSpec.point_cloud(cloud))
     assert classify_region(part, [0.0, 0.5]) is RegionTag.D
 
 
@@ -134,11 +130,11 @@ def test_psi_limit_with_empty_band(w2s_deformation, empty):
     elif empty == "C":   # -x^2 - y^2 <= 0 at c = 0: C is empty
         f = polynomial_field(2, [((2, 0), -1.0), ((0, 2), -1.0)])
         box = DomainBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        part = BandPartition(f, box, DeformationParams(c=0.0, eps=0.1))
+        part = BandPartition(f, box, c=0.0, eps=0.1)
         backend = build_backend(part, "sampled", resolution=101)
     else:   # the 3 x 3 grid's phi-values 0, 4, 8 all lie outside [0.3, 0.7]
         part = BandPartition(catalog_field("paraboloid"), default_box("paraboloid"),
-                             DeformationParams(c=0.5, eps=0.1))
+                             c=0.5, eps=0.1)
         backend = build_backend(part, "sampled", resolution=3)
         assert len(backend.clouds["OUT"]) == 9
     pts = part.box.sample(np.random.default_rng(5), 4000)
@@ -167,16 +163,16 @@ def _empty_band_partition(empty):
     if empty == "B":   # well_to_saddle, phi >= 0, at the valley level c = 0
         part = BandPartition(catalog_field("well_to_saddle"),
                              default_box("well_to_saddle"),
-                             DeformationParams(c=0.0, eps=0.1),
+                             0.0, 0.1,
                              RegionSpec.level_set(0.0))
         return part, 201
     if empty == "C":   # -x^2 - y^2 <= 0 at c = 0
         f = polynomial_field(2, [((2, 0), -1.0), ((0, 2), -1.0)])
         box = DomainBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        return BandPartition(f, box, DeformationParams(c=0.0, eps=0.1)), 101
+        return BandPartition(f, box, c=0.0, eps=0.1), 101
     # the 3 x 3 grid's phi-values 0, 4, 8 all lie outside [0.3, 0.7]
     return BandPartition(catalog_field("paraboloid"), default_box("paraboloid"),
-                         DeformationParams(c=0.5, eps=0.1)), 3
+                         c=0.5, eps=0.1), 3
 
 
 @pytest.mark.parametrize("empty", ["B", "C", "BC"])
@@ -223,7 +219,7 @@ def test_first_order_complement_sides(affine_part):
     assert np.all(np.isinf(backend.distances(pts, phi, gnorm)[2]))
     assert len(build_backend(affine_part, "sampled", 41).clouds["OUT"]) == 0
     box = DomainBox(np.array([-1.5, -1.0]), np.array([1.0, 1.0]))
-    part = BandPartition(affine_part.field, box, affine_part.params)
+    part = replace(affine_part, box=box)
     dXA = build_backend(part, "first_order", 41).distances(pts, phi, gnorm)[2]
     assert np.array_equal(dXA, phi + 1.0)
 
@@ -246,7 +242,7 @@ def test_first_order_agrees_with_sampled_reference():
     # the first-order psi as the grid is refined
     f = catalog_field("well_to_saddle")
     part = BandPartition(f, default_box("well_to_saddle"),
-                         DeformationParams(c=0.5, eps=0.1),
+                         0.5, 0.1,
                          RegionSpec.level_set(0.5))
     pts = part.box.sample(np.random.default_rng(17), 200_000)
     pts = pts[part.classify(pts) == RegionTag.A_OTHER]
@@ -270,6 +266,8 @@ def test_psi_underflowed_quotient_is_zero(affine_part):
     # 0/0 where dXA and dB dC vanish together: psi is 0 there, and the other
     # rows keep the plain quotient
     class Distances:
+        part = affine_part
+
         def distances(self, u, phi, gnorm):
             return (np.array([1e-170, 0.1]), np.array([2e-170, 0.2]),
                     np.array([0.0, 0.3]))
@@ -298,7 +296,7 @@ def test_export_region_clouds(tmp_path, affine_part):
     backend = build_backend(affine_part, "sampled", resolution=41)
     assert isinstance(backend, SampledBackend)
     out = tmp_path / "clouds.csv"
-    export_region_clouds(affine_part, backend, str(out))
+    export_region_clouds(backend, str(out))
     header = out.read_text().splitlines()[0]
     assert header.split(",")[:2] == ["x", "y"]
     assert "tag" in header
@@ -324,7 +322,7 @@ def _d_specs(draw):
        st.integers(0, 2**32 - 1))
 def test_psi_plateaus_match_classify(affine_wide_df, d_spec, kind, seed):
     wide = affine_wide_df.part
-    part = BandPartition(wide.field, wide.box, wide.params, d_spec)
+    part = BandPartition(wide.field, wide.box, wide.c, wide.eps, d_spec)
     backend = build_backend(part, kind, resolution=41)
     pts = part.box.sample(np.random.default_rng(seed), 300)
     if d_spec.kind == "point_cloud":
@@ -341,7 +339,7 @@ def test_psi_plateaus_match_classify(affine_wide_df, d_spec, kind, seed):
     assert d_spec.kind == "empty" or np.any(tags == RegionTag.D)
     # a mixed batch (masked rows) and each row alone (the whole batch) agree
     # bit for bit
-    df = DeformationField(part, backend)
+    df = DeformationField(backend)
     f = vector_field(df, pts)
     for i, u in enumerate(pts):
         assert psi(part, backend, u) == vals[i]
@@ -352,7 +350,7 @@ def _cascade_tags(part, u, phi):
     """The region codes by the mask cascade tags applied before it looked
     codes up by rank, kept here as the reference: precedence D, OUTSIDE,
     B, C, A_OTHER."""
-    c, e = part.params.c, part.params.eps
+    c, e = part.c, part.eps
     out = np.zeros(np.shape(phi), dtype=np.int8)
     out[(phi >= c + 0.6 * e) & (phi <= c + e)] = RegionTag.C
     out[(phi >= c - e) & (phi <= c - 0.6 * e)] = RegionTag.B
@@ -372,7 +370,7 @@ def _cascade_tags(part, u, phi):
 def test_tags_equal_the_mask_cascade(affine_field, c, eps, d_spec):
     part = BandPartition(affine_field, DomainBox(np.array([-1.0, -1.0]),
                                                  np.array([1.0, 1.0])),
-                         DeformationParams(c=c, eps=eps), d_spec)
+                         c, eps, d_spec)
     edges = np.ravel([part.a_range, part.b_range, part.c_range])
     phi = np.concatenate([
         edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
@@ -393,7 +391,7 @@ def test_tags_equal_the_mask_cascade(affine_field, c, eps, d_spec):
                 max_size=20))
 def test_tags_equal_the_mask_cascade_anywhere(affine_field, c, eps, values):
     part = BandPartition(affine_field, default_box("affine"),
-                         DeformationParams(c=c, eps=eps))
+                         c=c, eps=eps)
     phi = np.array(values + [c - 2.0 * eps, c + eps])
     u = np.zeros(phi.shape + (2,))
     assert np.array_equal(part.tags(u, phi), _cascade_tags(part, u, phi))
@@ -410,7 +408,7 @@ _CLOUD_SHA256 = {
 @pytest.mark.parametrize("name", sorted(_CLOUD_SHA256))
 def test_export_region_clouds_bytes_pinned(tmp_path, w2s_field, w2s_box, name):
     if name == "deform_flow":
-        part = BandPartition(w2s_field, w2s_box, DeformationParams(c=0.5, eps=0.1),
+        part = BandPartition(w2s_field, w2s_box, 0.5, 0.1,
                              RegionSpec.level_set(0.5))
         resolution = 201
     else:
@@ -418,8 +416,18 @@ def test_export_region_clouds_bytes_pinned(tmp_path, w2s_field, w2s_box, name):
                  ((0, 0, 2), 0.5)]
         part = BandPartition(polynomial_field(3, terms),
                              DomainBox(-np.ones(3), np.ones(3)),
-                             DeformationParams(c=0.6, eps=0.25))
+                             c=0.6, eps=0.25)
         resolution = 17
     out = tmp_path / "region_clouds.csv"
-    export_region_clouds(part, build_backend(part, "sampled", resolution), str(out))
+    export_region_clouds(build_backend(part, "sampled", resolution), str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _CLOUD_SHA256[name]
+
+
+@pytest.mark.parametrize("c, eps", [(np.nan, 0.5), (np.inf, 0.5), (-np.inf, 0.5),
+                                    (0.0, np.nan), (0.0, np.inf), (0.0, 0.0),
+                                    (0.0, -0.5)])
+def test_partition_needs_finite_c_and_positive_eps(affine_field, c, eps):
+    # a NaN or infinite c built an empty band (psi = 0, eta the identity)
+    # and a NaN eps failed only at the first integration, in round()
+    with pytest.raises(ValueError, match="finite"):
+        BandPartition(affine_field, default_box("affine"), c, eps)

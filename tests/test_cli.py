@@ -5,9 +5,14 @@ import pathlib
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from passlab.cli import _REQUIRED, _SCHEMA, _check_grids, _parse, main
+from passlab import (BandPartition, DeformationField, RegionSpec,
+                     build_backend, catalog_field, default_box,
+                     verify_deformation)
+from passlab.cli import (_REQUIRED, _SCHEMA, _check_grids, _parse,
+                         _to_jsonable, main)
 from passlab.errors import ConfigError, DegeneratePartition
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -689,3 +694,67 @@ def test_deform_at_an_empty_band_is_vacuous(tmp_path):
     assert "vacuous" not in result["c_prime"]
     assert (out / "psi_grid.csv").exists()
     assert not (out / "region_clouds.csv").exists()
+
+
+# the sampled backend with a point-cloud D, which only the benchmark's
+# deform_flow workload ran through the CLI before
+SAMPLED_CLOUD_DEFORM = {
+    "functional": {"catalog": "paraboloid"},
+    "deformation": {"c": 1.0, "eps": 0.3, "backend": "sampled",
+                    "resolution": 61, "samples": 200,
+                    "d_spec": {"kind": "point_cloud",
+                               "points": [[1.0, 0.0], [0.0, 1.0]]}},
+}
+
+
+def test_sampled_deform_with_a_point_cloud_d(tmp_path):
+    code, report, out = _run(tmp_path, "deform", SAMPLED_CLOUD_DEFORM,
+                             "--strict")
+    assert code == 0
+    assert (out / "region_clouds.csv").exists()
+    # the payload is the library's audit of the same objects
+    f = catalog_field("paraboloid")
+    part = BandPartition(f, default_box("paraboloid"), 1.0, 0.3,
+                         RegionSpec.point_cloud([[1.0, 0.0], [0.0, 1.0]]))
+    df = DeformationField(build_backend(part, "sampled", 61))
+    want = _to_jsonable(verify_deformation(df, 200, seed=0).to_dict())
+    assert report["payload"]["result"] == want
+
+
+def test_point_cloud_d_without_points_exits_2(tmp_path, capsys):
+    deformation = dict(SAMPLED_CLOUD_DEFORM["deformation"],
+                       d_spec={"kind": "point_cloud"})
+    cfg = dict(SAMPLED_CLOUD_DEFORM, deformation=deformation)
+    err = _config_error(tmp_path, capsys, "deform", cfg)
+    assert "'point_cloud' with points" in err
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_overflowing_report_is_strict_json(tmp_path):
+    # x^8 * 1e300 overflows the gradient norm at the witness points: the
+    # report held "grad_norm": Infinity twice under conclusions
+    cfg = {"functional": {"poly": {"dim": 2, "terms": [
+               {"exps": [8, 0], "coef": 1e300}, {"exps": [0, 2], "coef": 1.0}]}},
+           "box": {"lo": [-10.0, -10.0], "hi": [10.0, 10.0]},
+           "minimax": {"pin_zero": [-1.0, 0.0], "pin_e": [1.0, 0.0]}}
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, _, out = _run(tmp_path, "minimax", cfg)
+    assert code == 0
+    report = _strict_json((out / "report.json").read_text())
+    conclusions = report["payload"]["result"]["conclusions"]
+    assert conclusions["II"]["grad_norm"] is None
+    assert conclusions["IV"]["grad_norm"] is None
+
+
+def test_to_jsonable_nulls_every_non_finite_float():
+    got = _to_jsonable({"a": [1.5, np.inf, (np.float64(-np.inf),)],
+                        "b": np.array([[np.nan, 2.0], [3.0, -np.inf]]),
+                        "c": np.float32(np.nan), "d": np.int64(4)})
+    assert got == {"a": [1.5, None, [None]], "b": [[None, 2.0], [3.0, None]],
+                   "c": None, "d": 4}
+    assert _strict_json(json.dumps(got, allow_nan=False)) == got

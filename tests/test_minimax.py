@@ -473,6 +473,28 @@ def test_proof_trace_push_up_bound_pinned():
              {"observed": 1.0305387310477183}, "fails"))}
 
 
+def test_proof_trace_records_a_moved_pin():
+    # the same instance at c1 = 0.5: the zero pin has phi = 1, inside the
+    # band at c2 = 1.05 and off its D = {phi = 1.05}, so the eps3
+    # deformation moves it
+    inst = MountainPassInstance(catalog_field("saddle"), default_box("saddle"),
+                                np.array([-1.0, 0.0]), np.array([1.0, 0.0]))
+    assert trace_proof_argument(inst, 0.5, 1.05, 0.3).to_dict() == {
+        "eps": 0.3, "eps1": 0.1375, "case": "C1LessC2",
+        "d_choice": "level_set at the deformation level",
+        "steps": _trace_steps(
+            ("eps1_formula", "eps1 = min(|c2 - c1|/4, eps)", {"eps1": 0.1375},
+             "holds"),
+            ("level_separation", "c2 > c1 + 2*eps1",
+             {"c2": 1.05, "c1_plus_2eps1": 0.775}, "holds"),
+            *_PINS_FIXED, *_vacuous("eps2"),
+            ("eps3_band_path", "extremum within [1.1325, 1.1875]",
+             {"eps3": 0.1375, "extremum": 1.1776000000000004}, "holds"),
+            ("eps3_deformed_bound", "pins preserved during deformation",
+             {"error": "pinned node 8 moved from [-1.0, 0.0] to "
+                       "[-1.0181108137405792, 0.0]"}, "fails"))}
+
+
 _SINGULAR = {"error": "||grad|| < 1e-08 at [1.0, 0.0] where the cutoff is nonzero"}
 
 

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from passlab import (BandPartition, DeformationField, DeformationParams,
-                     DiscretePath, FlowConfig,
+from passlab import (BandPartition, DeformationField, DiscretePath,
                      MountainPassInstance, RegionSpec, build_backend,
                      catalog_field, default_box, deform_path, make_path,
                      path_extrema)
@@ -67,10 +66,9 @@ def test_pin_sandwich(w2s_instance, seed):
 def test_deformation_fixes_pins_exactly(w2s_deformation):
     # the two-pin argument needs eta(0) = 0 (via D at the valley level) and
     # eta(e) = e (e sits outside the band); both must be bit-exact
-    cfg = FlowConfig()
     for pin in (np.array([0.0, 0.0]), np.array([1.0, 0.0])):
         from passlab import eta
-        assert np.array_equal(eta(w2s_deformation, cfg, pin), pin)
+        assert np.array_equal(eta(w2s_deformation, pin), pin)
 
 
 def test_deform_path_preserves_pins(w2s_instance, w2s_deformation):
@@ -79,7 +77,7 @@ def test_deform_path_preserves_pins(w2s_instance, w2s_deformation):
     # fixed point and in particular no pin moves
     nodes = np.array([[0.0, 0.0]] * 3 + [[1.0, 0.0]] * 6)
     p = DiscretePath(nodes, (2, 4))
-    out = deform_path(w2s_deformation, FlowConfig(), p)
+    out = deform_path(w2s_deformation, p)
     assert np.array_equal(out.nodes, p.nodes)
 
 
@@ -87,7 +85,7 @@ def test_deform_path_identity_outside(affine_wide_df, w2s_field):
     inst = MountainPassInstance(affine_wide_df.field, affine_wide_df.part.box,
                                 np.array([-1.9, 0.0]), np.array([1.5, 0.0]))
     p = make_path(inst, 8, init="axis")
-    out = deform_path(affine_wide_df, FlowConfig(), p)
+    out = deform_path(affine_wide_df, p)
     # the node at (1.5, 0) lies outside the band and must not move
     assert np.array_equal(out.nodes[4], [1.5, 0.0])
 
@@ -98,7 +96,7 @@ def test_pin_moved_raises(affine_wide_df):
                                 np.array([-1.9, 0.0]), np.array([0.4, 0.0]))
     p = make_path(inst, 8, init="axis")
     with pytest.raises(PinMoved):
-        deform_path(affine_wide_df, FlowConfig(), p)
+        deform_path(affine_wide_df, p)
 
 
 def test_endpoints_mode_pins(w2s_field, w2s_box):
@@ -136,11 +134,12 @@ def test_pins_exact_under_deform_path(name, a, b, d_on_e, scale, seed):
     gap = abs(phi_e - phi_z)
     assume(gap > 1e-3)
     c = phi_e if d_on_e else phi_z
-    part = BandPartition(f, box, DeformationParams(c, min(0.5, gap / 4.0)),
-                         RegionSpec.level_set(c))
-    df = DeformationField(part, build_backend(part, "first_order", 41))
+    eps = min(0.5, gap / 4.0)
+    part = BandPartition(f, box, c, eps, RegionSpec.level_set(c))
+    df = DeformationField(build_backend(part, "first_order", 41),
+                          step=2.0 * eps / 200)
     inst = MountainPassInstance(f, box, z, e)
     path = make_path(inst, 16, init="jitter", scale=scale, seed=seed)
-    out = deform_path(df, FlowConfig(step=df.horizon / 200), path)
+    out = deform_path(df, path)
     for idx in path.pinned:
         assert np.array_equal(out.nodes[idx], path.nodes[idx])

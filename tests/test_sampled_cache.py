@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passlab import (BandPartition, DeformationField, DeformationParams,
-                     DomainBox, FlowConfig, RegionSpec, SampledBackend,
+from passlab import (BandPartition, DeformationField, DomainBox,
+                     RegionSpec, SampledBackend,
                      catalog_field, default_box, polynomial_field,
                      verify_deformation)
 from passlab import bands
@@ -52,7 +52,7 @@ def _bowl(dim, c, eps):
     terms += [(axis_power(a, 2), 0.5) for a in range(1, dim)]
     box = DomainBox(-np.ones(dim), np.ones(dim))
     part = BandPartition(polynomial_field(dim, terms), box,
-                         DeformationParams(c=c, eps=eps))
+                         c=c, eps=eps)
     return SampledBackend(part, _RESOLUTION[dim])
 
 
@@ -95,7 +95,7 @@ def test_empty_band_at_a_global_extremum(name, coefs, empty):
     else:
         field = polynomial_field(2, [((2, 0), coefs[0]), ((0, 2), coefs[1])])
         box = DomainBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    part = BandPartition(field, box, DeformationParams(c=0.0, eps=0.1))
+    part = BandPartition(field, box, c=0.0, eps=0.1)
     backend = SampledBackend(part, 101)
     assert len(backend.clouds[empty]) == 0
     pts = box.sample(np.random.default_rng(3), 3000)
@@ -108,7 +108,7 @@ def test_every_cloud_empty():
     # phi = x, c = 0, eps = 5 on [-1, 1]^2: A covers the box and B, C lie
     # outside it, so every distance is +inf
     part = BandPartition(catalog_field("affine"), default_box("affine"),
-                         DeformationParams(c=0.0, eps=5.0))
+                         c=0.0, eps=5.0)
     backend = SampledBackend(part, 5)
     assert not any(len(cloud) for cloud in backend.clouds.values())
     pts = np.random.default_rng(2).uniform(-1.2, 1.2, (50, 2))
@@ -121,7 +121,7 @@ def test_ring_centre_cell_goes_to_the_trees():
     # ring point can be nearest to a point of the centre cell, far more
     # than the cap
     part = BandPartition(catalog_field("paraboloid"), default_box("paraboloid"),
-                         DeformationParams(c=1.0, eps=0.3))
+                         c=1.0, eps=0.3)
     backend = SampledBackend(part, 201)
     centre = np.array([[0.0, 0.0], [0.005, -0.003], [0.3, 0.2]])
     _assert_exact(backend, centre)
@@ -170,12 +170,11 @@ def test_flow_is_bit_identical_to_tree_queries():
     # the deform_flow configuration, reduced to 200 samples
     part = BandPartition(catalog_field("well_to_saddle"),
                          default_box("well_to_saddle"),
-                         DeformationParams(c=0.5, eps=0.1),
-                         RegionSpec.level_set(0.5))
+                         0.5, 0.1, RegionSpec.level_set(0.5))
     runs = []
     for backend in (SampledBackend(part, 201), _TreeBackend(part, 201)):
-        df = DeformationField(part, backend)
-        report = verify_deformation(df, FlowConfig(), 200, seed=1)
+        df = DeformationField(backend)
+        report = verify_deformation(df, 200, seed=1)
         grid = np.asarray(df.psi(part.box.grid(101)))
         runs.append((json.dumps(report.to_dict(), sort_keys=True), grid.tobytes()))
     assert runs[0][0] == runs[1][0]
