@@ -19,8 +19,13 @@ trusted.
 The proof tracer deforms at each level with D = {phi = level} on the
 default backend of bands.build_backend, first-order distances, so its RK4
 stages make no point lookups; its band ranges and deformed-bound targets
-are those of the BandPartition it deforms with.  Its settings, and the
-Palais-Smale probe's thresholds, are the module constants PROOF_* and PS_*.
+are those of the BandPartition it deforms with.
+
+The Palais-Smale probe's searches for small gradients move all their
+starts in lockstep, as one (starts, dim) array (_band_search).  Only a
+near-critical cluster's escape probe, a Nelder-Mead polish, calls scipy,
+so a probe that finds no cluster loads no scipy.optimize.  The tracer's
+settings and the probe's are the module constants PROOF_* and PS_*.
 """
 from __future__ import annotations
 
@@ -47,6 +52,14 @@ PROOF_HALVINGS = 12         # band widths tried per route, halving from eps1
 
 PS_GRAD_TOL = 1e-3          # ||grad|| below which a probe final is near-critical
 PS_CLUSTER_RADIUS = 0.05    # linkage radius of near-critical clusters
+PS_BAND_WEIGHT = 1e8        # penalty weight of the band search outside the band
+PS_FTOL = 1e7 * np.finfo(float).eps   # a start stops at this relative decrease of F
+PS_GTOL = 1e-5              # or at this projected gradient: L-BFGS-B's defaults
+PS_FD_STEP = 6e-6           # relative central-difference step of the Hessian
+PS_DAMPING = 1e-3           # initial Levenberg-Marquardt damping, on the scaled system
+PS_MIN_DAMPING = 1e-10      # its floor, which keeps every damped system regular
+PS_MAX_DAMPING = 1e16       # a start whose damping exceeds this stops
+PS_MAX_ITERS = 200          # at most this many band-search iterations
 
 
 @dataclass
@@ -155,7 +168,8 @@ def _descend(inst: MountainPassInstance, nodes: np.ndarray, pinned: tuple,
         row, col = np.nonzero(move)
         k = k[row, col]
         g = sign[live[row], None] * np.asarray(field.gradient(cand[row, k]))
-        gn = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])  # np.linalg.norm's dot
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflowing field
+            gn = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])  # np.linalg.norm's dot
         step = gn > 0
         row, col, k, g, gn = row[step], col[step], k[step], g[step], gn[step]
         cand[row, k] = cand[row, k] - (s[live[row]] * _WEIGHTS[col])[:, None] * g \
@@ -264,6 +278,7 @@ def optimize_c1(inst: MountainPassInstance, ensemble_size: int = 8, M: int = 32,
     return _optimize(inst, (-1.0,), ensemble_size, M, max_iters, tol, seed)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflowing field
 def check_conclusions(inst: MountainPassInstance, c1_result: MinimaxResult,
                       c2_result: MinimaxResult, eps: float) -> dict:
     """Evaluate the four claimed inequalities at the two witnesses.
@@ -443,10 +458,10 @@ class PSReport:
 
 
 def scipy_minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``.  ``ps_probe`` and ``_escape_probe`` look
-    it up as this module attribute at each call, so a wrapper set here sees
-    every optimiser call."""
-    # deferred: scipy.optimize takes ~0.35 s to import; only the PS probe needs it
+    """``scipy.optimize.minimize``.  ``_escape_probe`` looks it up as this
+    module attribute at each call, so a wrapper set here sees every
+    optimiser call."""
+    # deferred: scipy.optimize takes ~0.35 s to import; only the escape probe needs it
     from scipy.optimize import minimize
     return minimize(*args, **kwargs)
 
@@ -524,50 +539,116 @@ def _escape_probe(field: ScalarField, box: DomainBox, center: np.ndarray):
     return None
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflowing field
+def _band_search(field: ScalarField, box: DomainBox, starts: np.ndarray,
+                 c: float, halfwidth: float, weight: float) -> np.ndarray:
+    """Minimise F(u) = |grad phi(u)|^2 + weight * max(0, |phi(u) - c| - halfwidth)^2
+    over the box from every row of starts (n, dim) at once; returns the
+    finals, shape (n, dim).
+
+    Lockstep Levenberg-Marquardt on the residual (grad phi, sqrt(weight) *
+    signed excess): each iteration makes one batched gradient call, at every
+    live trial point and its central-difference stencil, which gives the
+    Hessian, and one batched evaluation.  Steps are clipped to the box.  Each
+    start keeps its own damping, moves only when F strictly falls, and
+    leaves the live set when it stops by L-BFGS-B's default rule (PS_FTOL,
+    PS_GTOL), when a clipped step no longer moves it or its damping passes
+    PS_MAX_DAMPING, or at once when F or its Jacobian is not finite.
+    """
+    dim = box.dim
+    root_w = np.sqrt(weight)
+    shifts = np.concatenate([np.zeros((1, dim)), np.eye(dim), -np.eye(dim)])
+
+    def linearise(x):
+        """F, the residual and its Jacobian at each row of x."""
+        h = PS_FD_STEP * np.maximum(1.0, np.abs(x))
+        g = np.asarray(field.gradient(x[:, None, :] + shifts * h[:, None, :]))
+        grad = g[:, 0]
+        dev = np.asarray(field.evaluate(x)) - c
+        excess = np.maximum(0.0, np.abs(dev) - halfwidth)
+        f = np.sum(grad * grad, axis=-1) + weight * excess * excess
+        res = np.concatenate([grad, (root_w * np.sign(dev) * excess)[:, None]], axis=1)
+        # jac[i, j, k] = d res_j / d u_k; the Hessian rows by central differences
+        jac = np.concatenate([np.swapaxes(g[:, 1:dim + 1] - g[:, dim + 1:], 1, 2)
+                              / (2.0 * h[:, None, :]),
+                              (root_w * (excess > 0))[:, None, None] * grad[:, None, :]],
+                             axis=1)
+        return f, res, jac
+
+    def stationary(x, res, jac):
+        """L-BFGS-B's projected-gradient test on F's gradient 2 J^T r."""
+        dF = 2.0 * np.einsum("nij,ni->nj", jac, res)
+        return np.max(np.abs(box.clip(x - dF) - x), axis=-1) <= PS_GTOL
+
+    u = box.clip(starts)
+    f, res, jac = linearise(u)
+    go = np.isfinite(f) & np.isfinite(jac).all(axis=(1, 2)) & ~stationary(u, res, jac)
+    live = np.flatnonzero(go)              # the rows of u still moving
+    x, f, res, jac = u[live], f[go], res[go], jac[go]
+    damping = np.full(live.size, PS_DAMPING)
+    for _ in range(PS_MAX_ITERS):
+        if not live.size:
+            break
+        # the damped Gauss-Newton step, on the system scaled by J's largest
+        # entry so that J^T J cannot overflow
+        s = np.max(np.abs(jac), axis=(1, 2))
+        s[s == 0] = 1.0
+        J, r = jac / s[:, None, None], res / s[:, None]
+        A = np.matmul(np.swapaxes(J, 1, 2), J) + damping[:, None, None] * np.eye(dim)
+        step = np.linalg.solve(A, -np.einsum("nij,ni->nj", J, r)[..., None])[..., 0]
+        trial = box.clip(x + step)
+        ft, rt, jt = linearise(trial)
+        ok = (ft < f) & np.isfinite(jt).all(axis=(1, 2))
+        stop = ~np.any(trial != x, axis=-1) | \
+            (ok & (f - ft <= PS_FTOL * np.maximum(f, 1.0)))   # ft < f where ok
+        x = np.where(ok[:, None], trial, x)
+        f = np.where(ok, ft, f)
+        res = np.where(ok[:, None], rt, res)
+        jac = np.where(ok[:, None, None], jt, jac)
+        stop |= ok & stationary(x, res, jac)
+        damping = np.where(ok, np.maximum(damping / 3.0, PS_MIN_DAMPING), damping * 4.0)
+        stop |= damping > PS_MAX_DAMPING
+        u[live[stop]] = x[stop]
+        go = ~stop
+        live, x, f, res, jac, damping = live[go], x[go], f[go], res[go], jac[go], damping[go]
+    u[live] = x
+    return u
+
+
+@np.errstate(over="ignore", invalid="ignore")   # an overflowing field
 def ps_probe(field: ScalarField, box: DomainBox, c: float,
              band_halfwidth: float, samples: int = 64, seed: int = 0) -> PSReport:
     """Search for near-critical points at the given level and classify.
 
-    Multistart minimization of ||grad phi||^2 + (phi - c)^2 inside the box.
+    Multistart minimization of ||grad phi||^2 + (phi - c)^2 inside the box,
+    then of ||grad phi||^2 plus a penalty outside the band, both by
+    _band_search, whose starts all move in one array.
     Verdicts: Consistent (interior near-critical cluster found), Vacuous
     (no near-critical point in the band; the smallest in-band gradient norm
     is reported), EscapingTrend (near-critical samples pile up on the box
     boundary with shrinking gradients).  A probe, not a proof.
     """
-    if band_halfwidth <= 0:
-        raise ValueError("band_halfwidth must be > 0")
+    if not np.isfinite(c):
+        raise ValueError(f"c must be finite, got {c!r}")
+    if not (np.isfinite(band_halfwidth) and band_halfwidth > 0):
+        raise ValueError(f"band_halfwidth must be finite and > 0, got {band_halfwidth!r}")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) \
+            or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     starts = box.sample(rng, samples)
-    bounds = list(zip(box.lo, box.hi))
-
-    def F(u):
-        g = np.asarray(field.gradient(u))
-        return float(g @ g + (float(field.evaluate(u)) - c) ** 2)
-
-    finals = np.asarray([scipy_minimize(F, u0, method="L-BFGS-B", bounds=bounds).x
-                         for u0 in starts])
+    finals = _band_search(field, box, starts, c, 0.0, 1.0)
     fin_gn = np.asarray(field.grad_norm(finals))
     fin_phi = np.asarray(field.evaluate(finals))
 
     # smallest in-band gradient norm, via a penalized search seeded from the
     # multistart finals and raw band samples
-    W = 1e8
-
-    def G(u):
-        g = np.asarray(field.gradient(u))
-        excess = max(0.0, abs(float(field.evaluate(u)) - c) - band_halfwidth)
-        return float(g @ g) + W * excess ** 2
-
     pool = box.sample(rng, max(256, 4 * samples))
     pool_phi = np.asarray(field.evaluate(pool))
     in_band_pool = pool[np.abs(pool_phi - c) <= band_halfwidth]
-    g_starts = list(finals[:8]) + list(in_band_pool[:8])
-    band_candidates = []
-    for u0 in g_starts:
-        res = scipy_minimize(G, np.asarray(u0), method="L-BFGS-B", bounds=bounds)
-        band_candidates.append(res.x)
-    cand = np.concatenate([np.reshape(band_candidates, (-1, box.dim)),
-                           in_band_pool])
+    g_starts = np.concatenate([finals[:8], in_band_pool[:8]])
+    cand = np.concatenate([_band_search(field, box, g_starts, c, band_halfwidth,
+                                        PS_BAND_WEIGHT), in_band_pool])
     cin = np.abs(np.asarray(field.evaluate(cand)) - c) <= band_halfwidth + 1e-4
     band_min_grad = (float(np.min(field.grad_norm(cand[cin])))
                      if np.any(cin) else float("nan"))

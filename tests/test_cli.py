@@ -735,20 +735,33 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+# x^8 * 1e300 overflows the gradient norm almost everywhere in the box
+OVERFLOW = {"functional": {"poly": {"dim": 2, "terms": [
+                {"exps": [8, 0], "coef": 1e300}, {"exps": [0, 2], "coef": 1.0}]}},
+            "box": {"lo": [-10.0, -10.0], "hi": [10.0, 10.0]}}
+
+
 def test_overflowing_report_is_strict_json(tmp_path):
-    # x^8 * 1e300 overflows the gradient norm at the witness points: the
-    # report held "grad_norm": Infinity twice under conclusions
-    cfg = {"functional": {"poly": {"dim": 2, "terms": [
-               {"exps": [8, 0], "coef": 1e300}, {"exps": [0, 2], "coef": 1.0}]}},
-           "box": {"lo": [-10.0, -10.0], "hi": [10.0, 10.0]},
-           "minimax": {"pin_zero": [-1.0, 0.0], "pin_e": [1.0, 0.0]}}
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code, _, out = _run(tmp_path, "minimax", cfg)
+    # both witnesses' gradient norms overflow; the run raises no
+    # RuntimeWarning, which the test settings make an error
+    cfg = dict(OVERFLOW, minimax={"pin_zero": [-1.0, 0.0], "pin_e": [1.0, 0.0]})
+    code, _, out = _run(tmp_path, "minimax", cfg)
     assert code == 0
     report = _strict_json((out / "report.json").read_text())
     conclusions = report["payload"]["result"]["conclusions"]
     assert conclusions["II"]["grad_norm"] is None
     assert conclusions["IV"]["grad_norm"] is None
+
+
+def test_overflowing_pscheck_is_strict_json(tmp_path):
+    # the probe's objective overflows at almost every start, which then
+    # stays put, and no point of the band is found; the run still exits 0
+    cfg = dict(OVERFLOW, ps={"level": 1.0, "band_halfwidth": 0.05})
+    code, _, out = _run(tmp_path, "pscheck", cfg, "--strict")
+    assert code == 0
+    result = _strict_json((out / "report.json").read_text())["payload"]["result"]
+    assert result["verdict"] == "Vacuous"
+    assert result["band_min_grad"] is None
 
 
 def test_to_jsonable_nulls_every_non_finite_float():

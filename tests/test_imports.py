@@ -56,6 +56,11 @@ CASES = {
         ("pscheck", {"functional": W2S,
                      "ps": {"level": 1.0, "band_halfwidth": 0.05, "samples": 4}}),
     ], {"scipy.optimize"}, set()),
+    # no near-critical cluster, so no escape probe, which alone needs scipy
+    "vacuous_pscheck": ([
+        ("pscheck", {"functional": {"catalog": "paraboloid"},
+                     "ps": {"level": 1.0, "band_halfwidth": 0.1}}),
+    ], set(), None),
 }
 
 # Imports passlab, runs each (subcommand, config, out) of argv[1] through

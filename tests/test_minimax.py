@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -624,6 +625,172 @@ def test_ps_probe_escaping():
     gns = np.asarray(f.grad_norm(seq))
     assert np.all(np.diff(gns) <= 1e-15)
     assert seq[-1][0] > seq[0][0]  # marches along increasing x
+
+
+def _scipy_ps_probe(field, box, c, band_halfwidth, samples=64, seed=0):
+    """The probe as it was with 64 scalar scipy L-BFGS-B runs, verbatim:
+    the reference that the lockstep band search is held to."""
+    if band_halfwidth <= 0:
+        raise ValueError("band_halfwidth must be > 0")
+    rng = np.random.default_rng(seed)
+    starts = box.sample(rng, samples)
+    bounds = list(zip(box.lo, box.hi))
+
+    def F(u):
+        g = np.asarray(field.gradient(u))
+        return float(g @ g + (float(field.evaluate(u)) - c) ** 2)
+
+    finals = np.asarray([minimax.scipy_minimize(F, u0, method="L-BFGS-B",
+                                                bounds=bounds).x
+                         for u0 in starts])
+    fin_gn = np.asarray(field.grad_norm(finals))
+    fin_phi = np.asarray(field.evaluate(finals))
+
+    # smallest in-band gradient norm, via a penalized search seeded from the
+    # multistart finals and raw band samples
+    W = 1e8
+
+    def G(u):
+        g = np.asarray(field.gradient(u))
+        excess = max(0.0, abs(float(field.evaluate(u)) - c) - band_halfwidth)
+        return float(g @ g) + W * excess ** 2
+
+    pool = box.sample(rng, max(256, 4 * samples))
+    pool_phi = np.asarray(field.evaluate(pool))
+    in_band_pool = pool[np.abs(pool_phi - c) <= band_halfwidth]
+    g_starts = list(finals[:8]) + list(in_band_pool[:8])
+    band_candidates = []
+    for u0 in g_starts:
+        res = minimax.scipy_minimize(G, np.asarray(u0), method="L-BFGS-B",
+                                     bounds=bounds)
+        band_candidates.append(res.x)
+    cand = np.concatenate([np.reshape(band_candidates, (-1, box.dim)),
+                           in_band_pool])
+    cin = np.abs(np.asarray(field.evaluate(cand)) - c) <= band_halfwidth + 1e-4
+    band_min_grad = (float(np.min(field.grad_norm(cand[cin])))
+                     if np.any(cin) else float("nan"))
+
+    near = (fin_gn < minimax.PS_GRAD_TOL) \
+        & (np.abs(fin_phi - c) <= band_halfwidth + 1e-9)
+    if not np.any(near):
+        return minimax.PSReport(level=c, verdict="Vacuous",
+                                band_min_grad=band_min_grad)
+
+    near_pts = finals[near]
+    clusters = minimax._cluster(near_pts, minimax.PS_CLUSTER_RADIUS)
+    stationary, escapes = [], []
+    for cl in clusters:
+        gns = np.asarray(field.grad_norm(near_pts[cl]))
+        center = near_pts[cl[int(np.argmin(gns))]]
+        seq = minimax._escape_probe(field, box, center)
+        if seq is None:
+            stationary.append(center)
+        else:
+            escapes.append(seq)
+    if stationary:
+        return minimax.PSReport(level=c, verdict="Consistent",
+                                band_min_grad=band_min_grad,
+                                accumulation_points=[p.tolist() for p in stationary])
+    seq = max(escapes, key=len)
+    return minimax.PSReport(level=c, verdict="EscapingTrend",
+                            band_min_grad=band_min_grad,
+                            sample_sequence=[p.tolist() for p in seq])
+
+
+# (catalog field, level, band half-width): one per catalog field
+_PS_CASES = [("affine", 0.0, 0.1), ("paraboloid", 1.0, 0.1), ("saddle", 0.0, 0.1),
+             ("well_to_saddle", 1.0, 0.05), ("exp_decay", 0.0, 0.05)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name, level, halfwidth", _PS_CASES)
+def test_ps_probe_matches_the_scipy_probe(name, level, halfwidth, seed):
+    f, box = catalog_field(name), default_box(name)
+    got = ps_probe(f, box, level, halfwidth, samples=48, seed=seed)
+    want = _scipy_ps_probe(f, box, level, halfwidth, samples=48, seed=seed)
+    assert got.verdict == want.verdict
+    assert got.band_min_grad == pytest.approx(want.band_min_grad, abs=1e-3)
+    assert len(got.accumulation_points) == len(want.accumulation_points)
+    for p, q in zip(got.accumulation_points, want.accumulation_points):
+        assert np.linalg.norm(np.subtract(p, q)) <= minimax.PS_CLUSTER_RADIUS
+
+
+def _band_objective(field, u, c, halfwidth, weight):
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.asarray(field.gradient(u))
+        excess = np.maximum(0.0, np.abs(np.asarray(field.evaluate(u)) - c) - halfwidth)
+        return np.sum(g * g, axis=-1) + weight * excess * excess
+
+
+def _assert_band_search_descends(field, box, starts, c, halfwidth, weight):
+    # finals stay in the box, no final's objective exceeds its start's, a
+    # start whose objective is not finite stays put, reruns are byte for
+    # byte the same, and an overflowing field raises no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        finals = minimax._band_search(field, box, starts, c, halfwidth, weight)
+        again = minimax._band_search(field, box, starts, c, halfwidth, weight)
+    assert finals.shape == starts.shape
+    assert finals.tobytes() == again.tobytes()
+    assert np.all(box.contains(finals))
+    f0 = _band_objective(field, starts, c, halfwidth, weight)
+    f1 = _band_objective(field, finals, c, halfwidth, weight)
+    finite = np.isfinite(f0)
+    assert np.all(f1[finite] <= f0[finite])
+    assert np.array_equal(finals[~finite], starts[~finite])
+
+
+_BAND_SEARCHES = [(0.0, 1.0), (0.05, 1e8), (0.5, 1e8)]   # (halfwidth, weight)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_band_search_descends_inside_the_box(data):
+    field, box, _ = data.draw(_fields())
+    starts = box.sample(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                        data.draw(st.integers(1, 24)))
+    _assert_band_search_descends(field, box, starts, data.draw(st.floats(-2.0, 2.0)),
+                                 *data.draw(st.sampled_from(_BAND_SEARCHES)))
+
+
+@pytest.mark.parametrize("halfwidth, weight", _BAND_SEARCHES)
+@pytest.mark.parametrize("terms", [[((8, 0), 1e300), ((0, 2), 1.0)],
+                                   [((6, 2), 1e305)]])
+def test_band_search_on_an_overflowing_field(terms, halfwidth, weight):
+    box = DomainBox([-10.0, -10.0], [10.0, 10.0])
+    starts = np.concatenate([box.sample(np.random.default_rng(0), 16),
+                             [[0.0, 1.0], [1e-38, 0.5], [0.0, 0.0]]])
+    _assert_band_search_descends(polynomial_field(2, terms), box, starts, 1.0,
+                                 halfwidth, weight)
+
+
+def test_ps_probe_calls_scipy_at_most_once_per_cluster():
+    # the benchmark's pscheck config: one cluster, at the saddle (1, 0)
+    clusters, plain = [], minimax._cluster
+
+    def cluster(points, radius):
+        clusters.extend(plain(points, radius))
+        return clusters
+
+    f = catalog_field("well_to_saddle")
+    with mock.patch.object(minimax, "_cluster", cluster), \
+            mock.patch.object(minimax, "scipy_minimize",
+                              wraps=minimax.scipy_minimize) as spy:
+        rep = ps_probe(f, default_box("well_to_saddle"), 1.0, 0.05, samples=48, seed=0)
+    assert rep.verdict == "Consistent"
+    assert 1 <= spy.call_count <= len(clusters)
+
+
+@pytest.mark.parametrize("kw", [dict(c=np.nan), dict(c=np.inf), dict(c=-np.inf),
+                                dict(band_halfwidth=np.nan),
+                                dict(band_halfwidth=np.inf),
+                                dict(band_halfwidth=0.0), dict(band_halfwidth=-0.1),
+                                dict(samples=0), dict(samples=-3), dict(samples=2.5),
+                                dict(samples=True), dict(samples="8")])
+def test_ps_probe_arguments_checked(kw):
+    args = dict(dict(c=1.0, band_halfwidth=0.1, samples=8), **kw)
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        ps_probe(catalog_field("paraboloid"), default_box("paraboloid"), **args)
 
 
 def test_geometry_w2s_holds():
