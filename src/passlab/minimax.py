@@ -22,10 +22,14 @@ stages make no point lookups; its band ranges and deformed-bound targets
 are those of the BandPartition it deforms with.
 
 The Palais-Smale probe's searches for small gradients move all their
-starts in lockstep, as one (starts, dim) array (_band_search).  Only a
-near-critical cluster's escape probe, a Nelder-Mead polish, calls scipy,
-so a probe that finds no cluster loads no scipy.optimize.  The tracer's
-settings and the probe's are the module constants PROOF_* and PS_*.
+starts in lockstep, as one (starts, dim) array (_band_search): the
+multistart, the band search, and the escape search, which descends
+|grad phi|^2 alone from every near-critical cluster's centre at once and
+keeps each start's accepted iterates.  The escape search stops on a
+scale-free rule, a relative decrease of F below PS_FTOL * F or F below
+PS_ESCAPE_FLOOR, so that it follows a gradient that decays toward the box
+edge.  The probe calls no scipy.  The tracer's settings and the probe's
+are the module constants PROOF_* and PS_*.
 """
 from __future__ import annotations
 
@@ -60,6 +64,7 @@ PS_DAMPING = 1e-3           # initial Levenberg-Marquardt damping, on the scaled
 PS_MIN_DAMPING = 1e-10      # its floor, which keeps every damped system regular
 PS_MAX_DAMPING = 1e16       # a start whose damping exceeds this stops
 PS_MAX_ITERS = 200          # at most this many band-search iterations
+PS_ESCAPE_FLOOR = 1e-24     # an escape search stops once |grad phi|^2 is below this
 
 
 @dataclass
@@ -448,8 +453,9 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
 @dataclass
 class PSReport:
     level: float
-    verdict: str                      # "Consistent" | "Vacuous" | "EscapingTrend"
+    verdict: str        # "Consistent" | "Vacuous" | "EscapingTrend" | "Unsearched"
     band_min_grad: float
+    finite_starts: int  # multistart starts whose objective is finite
     accumulation_points: list = dc_field(default_factory=list)
     sample_sequence: list = dc_field(default_factory=list)
 
@@ -458,10 +464,9 @@ class PSReport:
 
 
 def scipy_minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``.  ``_escape_probe`` looks it up as this
-    module attribute at each call, so a wrapper set here sees every
-    optimiser call."""
-    # deferred: scipy.optimize takes ~0.35 s to import; only the escape probe needs it
+    """``scipy.optimize.minimize``.  No library code calls it; it is kept as
+    the lookup site that the benchmark's tracer wraps to count optimiser
+    calls, which now read 0."""
     from scipy.optimize import minimize
     return minimize(*args, **kwargs)
 
@@ -488,63 +493,63 @@ def _fd_slope(field: ScalarField, u: np.ndarray, h: float) -> np.ndarray:
     return (gn[:len(u)] - gn[len(u):]) / (2.0 * h)
 
 
-def _escape_probe(field: ScalarField, box: DomainBox, center: np.ndarray):
-    """Probe whether a small-gradient point is a genuine critical point.
+def _escape_probes(field: ScalarField, box: DomainBox, centers: np.ndarray) -> list:
+    """Probe whether each small-gradient point, a row of centers, is a
+    genuine critical point: one _escape_verdict per centre, on the accepted
+    iterates of the escape search (_band_search at weight 0), which descends
+    ||grad phi||^2 from every centre at once."""
+    trails = [[p] for p in centers]
+    _band_search(field, box, centers, 0.0, 0.0, 0.0, trails)
+    return [_escape_verdict(field, box, trail) for trail in trails]
 
-    Polishes the point by minimizing ||grad phi||^2 with Nelder-Mead inside
-    the box (simplex search tracks the narrow valleys of the gradient norm
-    where steepest descent zigzags).  Returns None when the polish stays in
-    the cluster and drives the norm to essentially zero, i.e. a genuine
-    critical point.  Returns a list of points with nonincreasing gradient
-    norms marching away from the start when the polish drifts out of the
-    cluster, or when it is pinned against the box boundary by an outward
-    descent direction, both signatures of an escaping trend.
+
+def _escape_verdict(field: ScalarField, box: DomainBox, trail: list):
+    """Read one escape search, its accepted iterates from the centre to the
+    final.
+
+    Returns None when the search stays in the cluster and drives the norm
+    to essentially zero, i.e. a genuine critical point.  Returns a list of
+    points with nonincreasing gradient norms marching away from the centre
+    when the search drifts out of the cluster, or when it is pinned against
+    the box boundary by an outward descent direction, both signatures of an
+    escaping trend.
     """
-    h = 1e-4 * float(np.max(box.hi - box.lo))
-
-    def gn2(u):
-        g = np.asarray(field.gradient(u))
-        return float(g @ g)
-
-    trace = [np.asarray(center, dtype=float).copy()]
-    res = scipy_minimize(gn2, center, method="Nelder-Mead",
-                         bounds=list(zip(box.lo, box.hi)),
-                         callback=lambda xk: trace.append(np.array(xk)),
-                         options={"maxiter": 400, "xatol": 1e-12,
-                                  "fatol": 1e-24})
-    drift = float(np.linalg.norm(res.x - center))
-    if drift > PS_CLUSTER_RADIUS:
+    center, x = trail[0], trail[-1]
+    if float(np.linalg.norm(x - center)) > PS_CLUSTER_RADIUS:
         # keep a subsequence with nonincreasing gradient norms and growing
         # distance from the start
-        gns = np.asarray(field.grad_norm(np.asarray(trace)))
+        gns = np.asarray(field.grad_norm(np.asarray(trail)))
         kept = [0]
-        for i in range(1, len(trace)):
+        for i in range(1, len(trail)):
             if gns[i] <= gns[kept[-1]] and \
-                    np.linalg.norm(trace[i] - trace[0]) >= \
-                    np.linalg.norm(trace[kept[-1]] - trace[0]):
+                    np.linalg.norm(trail[i] - center) >= \
+                    np.linalg.norm(trail[kept[-1]] - center):
                 kept.append(i)
-        return [trace[i] for i in kept]
-    if float(field.grad_norm(res.x)) < 1e-8:
+        return [trail[i] for i in kept]
+    if float(field.grad_norm(x)) < 1e-8:
         return None
-    # polish stalled above zero without drifting: escaping only if it is
-    # held in place by an active box bound with an outward descent direction
-    slope = _fd_slope(field, res.x, h)
+    # stalled above zero without drifting: escaping only if it is held in
+    # place by an active box bound with an outward descent direction
+    h = 1e-4 * float(np.max(box.hi - box.lo))
+    slope = _fd_slope(field, x, h)
     norm = float(np.linalg.norm(slope))
     if norm > 0:
         d = -slope / norm
-        pinned = np.any(((res.x - box.lo < 2.0 * h) & (d < -1e-3))
-                        | ((box.hi - res.x < 2.0 * h) & (d > 1e-3)))
+        pinned = np.any(((x - box.lo < 2.0 * h) & (d < -1e-3))
+                        | ((box.hi - x < 2.0 * h) & (d > 1e-3)))
         if pinned:
-            return [np.array(res.x)]
+            return [x]
     return None
 
 
 @np.errstate(over="ignore", invalid="ignore")   # an overflowing field
 def _band_search(field: ScalarField, box: DomainBox, starts: np.ndarray,
-                 c: float, halfwidth: float, weight: float) -> np.ndarray:
+                 c: float, halfwidth: float, weight: float,
+                 trails: list | None = None) -> np.ndarray:
     """Minimise F(u) = |grad phi(u)|^2 + weight * max(0, |phi(u) - c| - halfwidth)^2
     over the box from every row of starts (n, dim) at once; returns the
-    finals, shape (n, dim).
+    finals, shape (n, dim).  With trails, a list of n lists, each accepted
+    iterate of start i is appended to trails[i].
 
     Lockstep Levenberg-Marquardt on the residual (grad phi, sqrt(weight) *
     signed excess): each iteration makes one batched gradient call, at every
@@ -554,8 +559,16 @@ def _band_search(field: ScalarField, box: DomainBox, starts: np.ndarray,
     leaves the live set when it stops by L-BFGS-B's default rule (PS_FTOL,
     PS_GTOL), when a clipped step no longer moves it or its damping passes
     PS_MAX_DAMPING, or at once when F or its Jacobian is not finite.
+
+    At weight 0 it is the escape search: the residual is grad phi alone,
+    phi is not evaluated, and the stop rule is scale-free, a relative
+    decrease of at most PS_FTOL * F or F below PS_ESCAPE_FLOOR, with no
+    projected-gradient test.  L-BFGS-B's rule would stop a start at once
+    where F is far below 1, as on a gradient that decays toward the box
+    edge.
     """
     dim = box.dim
+    escape = weight == 0
     root_w = np.sqrt(weight)
     shifts = np.concatenate([np.zeros((1, dim)), np.eye(dim), -np.eye(dim)])
 
@@ -564,25 +577,29 @@ def _band_search(field: ScalarField, box: DomainBox, starts: np.ndarray,
         h = PS_FD_STEP * np.maximum(1.0, np.abs(x))
         g = np.asarray(field.gradient(x[:, None, :] + shifts * h[:, None, :]))
         grad = g[:, 0]
+        # jac[i, j, k] = d res_j / d u_k; the Hessian rows by central differences
+        hess = np.swapaxes(g[:, 1:dim + 1] - g[:, dim + 1:], 1, 2) / (2.0 * h[:, None, :])
+        if escape:
+            return np.sum(grad * grad, axis=-1), grad, hess
         dev = np.asarray(field.evaluate(x)) - c
         excess = np.maximum(0.0, np.abs(dev) - halfwidth)
         f = np.sum(grad * grad, axis=-1) + weight * excess * excess
         res = np.concatenate([grad, (root_w * np.sign(dev) * excess)[:, None]], axis=1)
-        # jac[i, j, k] = d res_j / d u_k; the Hessian rows by central differences
-        jac = np.concatenate([np.swapaxes(g[:, 1:dim + 1] - g[:, dim + 1:], 1, 2)
-                              / (2.0 * h[:, None, :]),
-                              (root_w * (excess > 0))[:, None, None] * grad[:, None, :]],
-                             axis=1)
+        jac = np.concatenate([hess, (root_w * (excess > 0))[:, None, None]
+                              * grad[:, None, :]], axis=1)
         return f, res, jac
 
-    def stationary(x, res, jac):
-        """L-BFGS-B's projected-gradient test on F's gradient 2 J^T r."""
+    def stationary(x, f, res, jac):
+        """L-BFGS-B's projected-gradient test on F's gradient 2 J^T r, or
+        the escape search's floor on F."""
+        if escape:
+            return f <= PS_ESCAPE_FLOOR
         dF = 2.0 * np.einsum("nij,ni->nj", jac, res)
         return np.max(np.abs(box.clip(x - dF) - x), axis=-1) <= PS_GTOL
 
     u = box.clip(starts)
     f, res, jac = linearise(u)
-    go = np.isfinite(f) & np.isfinite(jac).all(axis=(1, 2)) & ~stationary(u, res, jac)
+    go = np.isfinite(f) & np.isfinite(jac).all(axis=(1, 2)) & ~stationary(u, f, res, jac)
     live = np.flatnonzero(go)              # the rows of u still moving
     x, f, res, jac = u[live], f[go], res[go], jac[go]
     damping = np.full(live.size, PS_DAMPING)
@@ -600,12 +617,15 @@ def _band_search(field: ScalarField, box: DomainBox, starts: np.ndarray,
         ft, rt, jt = linearise(trial)
         ok = (ft < f) & np.isfinite(jt).all(axis=(1, 2))
         stop = ~np.any(trial != x, axis=-1) | \
-            (ok & (f - ft <= PS_FTOL * np.maximum(f, 1.0)))   # ft < f where ok
+            (ok & (f - ft <= PS_FTOL * (f if escape else np.maximum(f, 1.0))))
         x = np.where(ok[:, None], trial, x)
         f = np.where(ok, ft, f)
         res = np.where(ok[:, None], rt, res)
         jac = np.where(ok[:, None, None], jt, jac)
-        stop |= ok & stationary(x, res, jac)
+        stop |= ok & stationary(x, f, res, jac)
+        if trails is not None:
+            for i, p in zip(live[ok].tolist(), x[ok]):
+                trails[i].append(p)
         damping = np.where(ok, np.maximum(damping / 3.0, PS_MIN_DAMPING), damping * 4.0)
         stop |= damping > PS_MAX_DAMPING
         u[live[stop]] = x[stop]
@@ -621,12 +641,14 @@ def ps_probe(field: ScalarField, box: DomainBox, c: float,
     """Search for near-critical points at the given level and classify.
 
     Multistart minimization of ||grad phi||^2 + (phi - c)^2 inside the box,
-    then of ||grad phi||^2 plus a penalty outside the band, both by
-    _band_search, whose starts all move in one array.
+    then of ||grad phi||^2 plus a penalty outside the band, and the escape
+    search from the near-critical clusters, all by _band_search, whose
+    starts all move in one array.
     Verdicts: Consistent (interior near-critical cluster found), Vacuous
     (no near-critical point in the band; the smallest in-band gradient norm
     is reported), EscapingTrend (near-critical samples pile up on the box
-    boundary with shrinking gradients).  A probe, not a proof.
+    boundary with shrinking gradients), Unsearched (no multistart start has
+    a finite objective, so nothing was searched).  A probe, not a proof.
     """
     if not np.isfinite(c):
         raise ValueError(f"c must be finite, got {c!r}")
@@ -638,8 +660,13 @@ def ps_probe(field: ScalarField, box: DomainBox, c: float,
     rng = np.random.default_rng(seed)
     starts = box.sample(rng, samples)
     finals = _band_search(field, box, starts, c, 0.0, 1.0)
-    fin_gn = np.asarray(field.grad_norm(finals))
+    fin_g = np.asarray(field.gradient(finals))
+    fin_gn = np.linalg.norm(fin_g, axis=-1)
     fin_phi = np.asarray(field.evaluate(finals))
+    # a start whose objective is not finite never moves, so its final is
+    # its start
+    finite_starts = int(np.count_nonzero(np.isfinite(
+        np.sum(fin_g * fin_g, axis=-1) + (fin_phi - c) ** 2)))
 
     # smallest in-band gradient norm, via a penalized search seeded from the
     # multistart finals and raw band samples
@@ -653,32 +680,34 @@ def ps_probe(field: ScalarField, box: DomainBox, c: float,
     band_min_grad = (float(np.min(field.grad_norm(cand[cin])))
                      if np.any(cin) else float("nan"))
 
+    if not finite_starts:
+        return PSReport(level=c, verdict="Unsearched", band_min_grad=band_min_grad,
+                        finite_starts=0)
     near = (fin_gn < PS_GRAD_TOL) & (np.abs(fin_phi - c) <= band_halfwidth + 1e-9)
     if not np.any(near):
-        return PSReport(level=c, verdict="Vacuous", band_min_grad=band_min_grad)
+        return PSReport(level=c, verdict="Vacuous", band_min_grad=band_min_grad,
+                        finite_starts=finite_starts)
 
-    # classify each near-critical cluster: at a genuine critical point the
-    # gradient norm is locally minimized, so its finite-difference slope
-    # vanishes there; an escaping cluster has a descent direction for the
-    # gradient norm along which doubled-step probes keep shrinking it
-    near_pts = finals[near]
-    clusters = _cluster(near_pts, PS_CLUSTER_RADIUS)
+    # classify each near-critical cluster by the escape search from its
+    # smallest-gradient point: at a genuine critical point the gradient norm
+    # is locally minimized and the search stays put; an escaping cluster has
+    # a descent direction for the gradient norm that leads out of it
+    near_pts, near_gn = finals[near], fin_gn[near]
+    centers = np.array([near_pts[cl[int(np.argmin(near_gn[cl]))]]
+                        for cl in _cluster(near_pts, PS_CLUSTER_RADIUS)])
     stationary, escapes = [], []
-    for cl in clusters:
-        gns = np.asarray(field.grad_norm(near_pts[cl]))
-        center = near_pts[cl[int(np.argmin(gns))]]
-        seq = _escape_probe(field, box, center)
+    for center, seq in zip(centers, _escape_probes(field, box, centers)):
         if seq is None:
             stationary.append(center)
         else:
             escapes.append(seq)
     if stationary:
         return PSReport(level=c, verdict="Consistent",
-                        band_min_grad=band_min_grad,
+                        band_min_grad=band_min_grad, finite_starts=finite_starts,
                         accumulation_points=[p.tolist() for p in stationary])
     seq = max(escapes, key=len)
     return PSReport(level=c, verdict="EscapingTrend",
-                    band_min_grad=band_min_grad,
+                    band_min_grad=band_min_grad, finite_starts=finite_starts,
                     sample_sequence=[p.tolist() for p in seq])
 
 

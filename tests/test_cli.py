@@ -754,13 +754,15 @@ def test_overflowing_report_is_strict_json(tmp_path):
 
 
 def test_overflowing_pscheck_is_strict_json(tmp_path):
-    # the probe's objective overflows at almost every start, which then
-    # stays put, and no point of the band is found; the run still exits 0
+    # the probe's objective overflows at every start, which then stays put,
+    # so nothing is searched and the verdict says so; pscheck has no strict
+    # checks, so the run still exits 0
     cfg = dict(OVERFLOW, ps={"level": 1.0, "band_halfwidth": 0.05})
     code, _, out = _run(tmp_path, "pscheck", cfg, "--strict")
     assert code == 0
     result = _strict_json((out / "report.json").read_text())["payload"]["result"]
-    assert result["verdict"] == "Vacuous"
+    assert result["verdict"] == "Unsearched"
+    assert result["finite_starts"] == 0
     assert result["band_min_grad"] is None
 
 

@@ -1,3 +1,4 @@
+import heapq
 import math
 from unittest import mock
 
@@ -158,50 +159,148 @@ def test_critical_scan_well_to_saddle():
     assert np.allclose(centers, [0.0, 1.0, 2.0], atol=0.02)
 
 
-@st.composite
-def _oracle_grids(draw):
-    """Random 1-3-D grids small enough to enumerate, with endpoints p != q.
+def _minimax_dijkstra(g: GridGraph, p: int, q: int, mode: str) -> float:
+    """The bottleneck (widest) value from p to q by Dijkstra's method for the
+    maximum-capacity route (Pollack, 1960): a heap keyed on each route's
+    running maximum of sign * value, over GridGraph.neighbors.  It shares no
+    code with the threshold sweep and runs in O(E log V) on any grid."""
+    sign = -1.0 if mode == "widest" else 1.0
+    vals = (sign * g.values.ravel()).tolist()
+    best = {p: vals[p]}
+    heap = [(vals[p], p)]
+    while True:
+        key, node = heapq.heappop(heap)
+        if node == q:
+            return sign * key
+        if key > best[node]:   # a stale entry
+            continue
+        for nb in g.neighbors(node):
+            k = max(key, vals[nb])
+            if k < best.get(nb, math.inf):
+                best[nb] = k
+                heapq.heappush(heap, (k, nb))
 
-    Half draw uniform values and half small integers, so threshold ties
-    occur; 8-connected 2-D grids stop at 16 nodes and 3-D grids are
-    3 x 3 x 3 with values in {0, 1, 2}, where enumeration stays fast.
-    """
-    dim = draw(st.integers(1, 3))
-    conn = draw(st.sampled_from([4, 8]))
-    if dim == 1:
-        shape = (draw(st.integers(3, 25)),)
-    elif dim == 2:
-        a = draw(st.integers(3, 5))
-        shape = (a, draw(st.integers(3, (16 if conn == 8 else 25) // a)))
-    else:
-        shape = (3, 3, 3)
-    n = math.prod(shape)
-    if dim == 3 or draw(st.booleans()):
-        top = 2 if dim == 3 else draw(st.integers(0, 3))
-        values = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
-    else:
-        values = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+
+def _assert_sweeps(g, p, q, reference):
+    """Both sweeps equal reference(mode), and each witness is a route from p
+    to q whose extremum is the value."""
+    flat = g.values.ravel()
+    for mode, sweep, extreme in (("bottleneck", bottleneck_value, max),
+                                 ("widest", widest_value, min)):
+        res = sweep(g, p, q)
+        assert res.value == reference(mode)
+        assert res.witness[0] == p and res.witness[-1] == q
+        for a, b in zip(res.witness, res.witness[1:]):
+            assert b in g.neighbors(a)
+        assert extreme(flat[res.witness]) == res.value
+
+
+def _values(draw, rng, n):
+    """n node values: half small integers, so that threshold ties occur, and
+    half uniform."""
+    if draw(st.booleans()):
+        return rng.integers(0, draw(st.integers(0, 3)) + 1, size=n).astype(float)
+    return rng.uniform(-1.0, 1.0, size=n)
+
+
+def _rng(draw):
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def _endpoints(draw, n):
     p = draw(st.integers(0, n - 1))
     q = draw(st.integers(0, n - 2))
-    q += q >= p
-    return GridGraph(np.reshape(values, shape).astype(float), conn), p, q
+    return p, q + (q >= p)
+
+
+def _walks(g: GridGraph) -> int:
+    """The most self-avoiding walks from any one node of g.  enumerate_small's
+    DFS makes one call per walk from p that it extends, so this bounds its
+    calls whatever the values."""
+    adj = [g.neighbors(n) for n in range(g.n_nodes)]
+    seen = [False] * g.n_nodes
+
+    def count(node):
+        seen[node] = True
+        total = 1 + sum(count(nb) for nb in adj[node] if not seen[nb])
+        seen[node] = False
+        return total
+
+    return max(count(n) for n in range(g.n_nodes))
+
+
+# Enumeration is the reference only on the grids with at most ENUM_WALKS
+# self-avoiding walks from a node: measured, at most 0.03 s of DFS per call
+# on values that defeat its pruning.  The worst counts just past the bound
+# are 293,648 and 1,012,520 on 3 x 5 and 4 x 4 8-connected grids, 153,745
+# on a 5 x 5 4-connected grid and over two million on 3 x 3 x 3; those
+# grids, and larger ones, are checked against Dijkstra.
+ENUM_WALKS = 25_000
+_ENUM_SHAPES = {   # connectivity -> shapes; 1-D grids take axis neighbours
+    4: [(n,) for n in range(3, 26)] + [(3, b) for b in range(3, 8)]
+    + [(4, 3), (4, 4), (4, 5), (5, 3), (5, 4)],
+    8: [(n,) for n in range(3, 26)] + [(3, 3), (3, 4), (4, 3)],
+}
+
+
+@pytest.mark.parametrize("conn", sorted(_ENUM_SHAPES))
+def test_enumeration_shapes_are_bounded(conn):
+    walks = {shape: _walks(GridGraph(np.zeros(shape), conn))
+             for shape in _ENUM_SHAPES[conn]}
+    assert max(walks.values()) <= ENUM_WALKS, walks
+
+
+@st.composite
+def _enumerable_grids(draw):
+    """Random grids whose enumeration is bounded by ENUM_WALKS, with
+    endpoints p != q."""
+    conn = draw(st.sampled_from(sorted(_ENUM_SHAPES)))
+    shape = draw(st.sampled_from(_ENUM_SHAPES[conn]))
+    n = math.prod(shape)
+    return GridGraph(_values(draw, _rng(draw), n).reshape(shape), conn), \
+        *_endpoints(draw, n)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_oracle_grids())
+@given(_enumerable_grids())
 def test_sweep_matches_enumeration(case):
     g, p, q = case
-    flat = g.values.ravel()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gridoracle, "ENUM_NODE_CAP", 27)
-        for mode, sweep, extreme in (("bottleneck", bottleneck_value, max),
-                                     ("widest", widest_value, min)):
-            res = sweep(g, p, q)
-            assert res.value == enumerate_small(g, p, q, mode).value
-            assert res.witness[0] == p and res.witness[-1] == q
-            for a, b in zip(res.witness, res.witness[1:]):
-                assert b in g.neighbors(a)
-            assert extreme(flat[res.witness]) == res.value
+
+    def reference(mode):
+        value = enumerate_small(g, p, q, mode).value
+        assert _minimax_dijkstra(g, p, q, mode) == value
+        return value
+
+    _assert_sweeps(g, p, q, reference)
+
+
+@st.composite
+def _large_grids(draw):
+    """Random grids up to 200 nodes in 1-D, 65 x 65 in 2-D and 9 x 9 x 9 in
+    3-D, each axis length uniform, with endpoints p != q."""
+    dim, rng = draw(st.integers(1, 3)), _rng(draw)
+    shape = tuple(rng.integers(3, {1: 200, 2: 65, 3: 9}[dim], size=dim, endpoint=True))
+    n = math.prod(shape)
+    g = GridGraph(_values(draw, rng, n).reshape(shape), draw(st.sampled_from([4, 8])))
+    return g, *_endpoints(draw, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_large_grids())
+def test_sweep_matches_dijkstra(case):
+    g, p, q = case
+    _assert_sweeps(g, p, q, lambda mode: _minimax_dijkstra(g, p, q, mode))
+
+
+def test_sweep_matches_dijkstra_at_the_corner_sizes():
+    # the largest grids of the draw, with far-apart endpoints
+    rng = np.random.default_rng(0)
+    for shape, conn in (((65, 65), 8), ((65, 65), 4), ((9, 9, 9), 4)):
+        for values in (rng.uniform(-1.0, 1.0, shape),
+                       rng.integers(0, 4, shape).astype(float)):
+            g = GridGraph(values, conn)
+            p, q = 0, g.n_nodes - 1
+            _assert_sweeps(g, p, q, lambda mode: _minimax_dijkstra(g, p, q, mode))
 
 
 # Witnesses on grids with ties at the threshold.  Nodes activate in value

@@ -2,7 +2,8 @@
 
 Importing scipy.spatial, scipy.ndimage or scipy.optimize takes 0.2-0.35 s
 each, more than most subcommands take to run, so the library imports each
-one only inside the code that calls it.  These tests keep it that way.
+one only inside the code that calls it, and no subcommand loads
+scipy.optimize.  These tests keep it that way.
 """
 import json
 import os
@@ -52,11 +53,15 @@ CASES = {
     "point_cloud_deform": ([
         ("deform", _deform(d_spec={"kind": "point_cloud", "points": [[0.45, 0.0]]})),
     ], {"scipy.spatial"}, {"scipy.optimize", "scipy.ndimage"}),
+    # near-critical clusters, so escape searches: a stationary one and
+    # escaping ones
     "pscheck": ([
         ("pscheck", {"functional": W2S,
                      "ps": {"level": 1.0, "band_halfwidth": 0.05, "samples": 4}}),
-    ], {"scipy.optimize"}, set()),
-    # no near-critical cluster, so no escape probe, which alone needs scipy
+        ("pscheck", {"functional": {"catalog": "exp_decay"},
+                     "ps": {"level": 0.0, "band_halfwidth": 0.05, "samples": 16}}),
+    ], set(), None),
+    # no near-critical cluster, so no escape search
     "vacuous_pscheck": ([
         ("pscheck", {"functional": {"catalog": "paraboloid"},
                      "ps": {"level": 1.0, "band_halfwidth": 0.1}}),

@@ -616,20 +616,85 @@ def test_ps_probe_consistent():
     assert min(dists) <= 0.05
 
 
+def _assert_escaping_sequence(field, rep):
+    # at least two points, with nonincreasing gradient norms, marching
+    # along increasing x
+    seq = np.asarray(rep.sample_sequence)
+    assert len(seq) >= 2
+    assert np.all(np.diff(np.asarray(field.grad_norm(seq))) <= 1e-15)
+    assert np.all(np.diff(seq[:, 0]) > 0)
+
+
 def test_ps_probe_escaping():
     f = catalog_field("exp_decay")
     rep = ps_probe(f, default_box("exp_decay"), 0.0, 0.05, samples=48, seed=0)
     assert rep.verdict == "EscapingTrend"
-    seq = np.asarray(rep.sample_sequence)
-    assert len(seq) >= 2
-    gns = np.asarray(f.grad_norm(seq))
-    assert np.all(np.diff(gns) <= 1e-15)
-    assert seq[-1][0] > seq[0][0]  # marches along increasing x
+    assert rep.finite_starts == 48
+    _assert_escaping_sequence(f, rep)
+
+
+def _nelder_mead_escape_probe(field: ScalarField, box: DomainBox, center: np.ndarray):
+    """Probe whether a small-gradient point is a genuine critical point.
+
+    Polishes the point by minimizing ||grad phi||^2 with Nelder-Mead inside
+    the box (simplex search tracks the narrow valleys of the gradient norm
+    where steepest descent zigzags).  Returns None when the polish stays in
+    the cluster and drives the norm to essentially zero, i.e. a genuine
+    critical point.  Returns a list of points with nonincreasing gradient
+    norms marching away from the start when the polish drifts out of the
+    cluster, or when it is pinned against the box boundary by an outward
+    descent direction, both signatures of an escaping trend.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+    PS_CLUSTER_RADIUS, _fd_slope = minimax.PS_CLUSTER_RADIUS, minimax._fd_slope
+    h = 1e-4 * float(np.max(box.hi - box.lo))
+
+    def gn2(u):
+        g = np.asarray(field.gradient(u))
+        return float(g @ g)
+
+    trace = [np.asarray(center, dtype=float).copy()]
+    res = scipy_minimize(gn2, center, method="Nelder-Mead",
+                         bounds=list(zip(box.lo, box.hi)),
+                         callback=lambda xk: trace.append(np.array(xk)),
+                         options={"maxiter": 400, "xatol": 1e-12,
+                                  "fatol": 1e-24})
+    drift = float(np.linalg.norm(res.x - center))
+    if drift > PS_CLUSTER_RADIUS:
+        # keep a subsequence with nonincreasing gradient norms and growing
+        # distance from the start
+        gns = np.asarray(field.grad_norm(np.asarray(trace)))
+        kept = [0]
+        for i in range(1, len(trace)):
+            if gns[i] <= gns[kept[-1]] and \
+                    np.linalg.norm(trace[i] - trace[0]) >= \
+                    np.linalg.norm(trace[kept[-1]] - trace[0]):
+                kept.append(i)
+        return [trace[i] for i in kept]
+    if float(field.grad_norm(res.x)) < 1e-8:
+        return None
+    # polish stalled above zero without drifting: escaping only if it is
+    # held in place by an active box bound with an outward descent direction
+    slope = _fd_slope(field, res.x, h)
+    norm = float(np.linalg.norm(slope))
+    if norm > 0:
+        d = -slope / norm
+        pinned = np.any(((res.x - box.lo < 2.0 * h) & (d < -1e-3))
+                        | ((box.hi - res.x < 2.0 * h) & (d > 1e-3)))
+        if pinned:
+            return [np.array(res.x)]
+    return None
+
+
+def _nelder_mead_escape_probes(field, box, centers):
+    return [_nelder_mead_escape_probe(field, box, center) for center in centers]
 
 
 def _scipy_ps_probe(field, box, c, band_halfwidth, samples=64, seed=0):
-    """The probe as it was with 64 scalar scipy L-BFGS-B runs, verbatim:
-    the reference that the lockstep band search is held to."""
+    """The probe as it was with 64 scalar scipy L-BFGS-B runs and a
+    Nelder-Mead escape probe per cluster, verbatim but for the count of
+    finite starts: the reference that the lockstep searches are held to."""
+    from scipy.optimize import minimize
     if band_halfwidth <= 0:
         raise ValueError("band_halfwidth must be > 0")
     rng = np.random.default_rng(seed)
@@ -640,11 +705,11 @@ def _scipy_ps_probe(field, box, c, band_halfwidth, samples=64, seed=0):
         g = np.asarray(field.gradient(u))
         return float(g @ g + (float(field.evaluate(u)) - c) ** 2)
 
-    finals = np.asarray([minimax.scipy_minimize(F, u0, method="L-BFGS-B",
-                                                bounds=bounds).x
+    finals = np.asarray([minimize(F, u0, method="L-BFGS-B", bounds=bounds).x
                          for u0 in starts])
     fin_gn = np.asarray(field.grad_norm(finals))
     fin_phi = np.asarray(field.evaluate(finals))
+    finite = int(np.count_nonzero(np.isfinite(fin_gn ** 2 + (fin_phi - c) ** 2)))
 
     # smallest in-band gradient norm, via a penalized search seeded from the
     # multistart finals and raw band samples
@@ -661,8 +726,7 @@ def _scipy_ps_probe(field, box, c, band_halfwidth, samples=64, seed=0):
     g_starts = list(finals[:8]) + list(in_band_pool[:8])
     band_candidates = []
     for u0 in g_starts:
-        res = minimax.scipy_minimize(G, np.asarray(u0), method="L-BFGS-B",
-                                     bounds=bounds)
+        res = minimize(G, np.asarray(u0), method="L-BFGS-B", bounds=bounds)
         band_candidates.append(res.x)
     cand = np.concatenate([np.reshape(band_candidates, (-1, box.dim)),
                            in_band_pool])
@@ -674,7 +738,7 @@ def _scipy_ps_probe(field, box, c, band_halfwidth, samples=64, seed=0):
         & (np.abs(fin_phi - c) <= band_halfwidth + 1e-9)
     if not np.any(near):
         return minimax.PSReport(level=c, verdict="Vacuous",
-                                band_min_grad=band_min_grad)
+                                band_min_grad=band_min_grad, finite_starts=finite)
 
     near_pts = finals[near]
     clusters = minimax._cluster(near_pts, minimax.PS_CLUSTER_RADIUS)
@@ -682,18 +746,18 @@ def _scipy_ps_probe(field, box, c, band_halfwidth, samples=64, seed=0):
     for cl in clusters:
         gns = np.asarray(field.grad_norm(near_pts[cl]))
         center = near_pts[cl[int(np.argmin(gns))]]
-        seq = minimax._escape_probe(field, box, center)
+        seq = _nelder_mead_escape_probe(field, box, center)
         if seq is None:
             stationary.append(center)
         else:
             escapes.append(seq)
     if stationary:
         return minimax.PSReport(level=c, verdict="Consistent",
-                                band_min_grad=band_min_grad,
+                                band_min_grad=band_min_grad, finite_starts=finite,
                                 accumulation_points=[p.tolist() for p in stationary])
     seq = max(escapes, key=len)
     return minimax.PSReport(level=c, verdict="EscapingTrend",
-                            band_min_grad=band_min_grad,
+                            band_min_grad=band_min_grad, finite_starts=finite,
                             sample_sequence=[p.tolist() for p in seq])
 
 
@@ -708,16 +772,48 @@ def test_ps_probe_matches_the_scipy_probe(name, level, halfwidth, seed):
     f, box = catalog_field(name), default_box(name)
     got = ps_probe(f, box, level, halfwidth, samples=48, seed=seed)
     want = _scipy_ps_probe(f, box, level, halfwidth, samples=48, seed=seed)
-    assert got.verdict == want.verdict
+    _assert_same_verdict(got, want)
     assert got.band_min_grad == pytest.approx(want.band_min_grad, abs=1e-3)
+    assert got.finite_starts == want.finite_starts == 48
+
+
+def _assert_same_verdict(got, want):
+    assert got.verdict == want.verdict
     assert len(got.accumulation_points) == len(want.accumulation_points)
     for p, q in zip(got.accumulation_points, want.accumulation_points):
         assert np.linalg.norm(np.subtract(p, q)) <= minimax.PS_CLUSTER_RADIUS
 
 
+@pytest.mark.parametrize("name, level, halfwidth", _PS_CASES)
+def test_escape_search_matches_nelder_mead(name, level, halfwidth):
+    # over seeds 0-149, the escape search and the Nelder-Mead escape probe
+    # call the same clusters stationary, so the probe's verdict and
+    # accumulation points are those it had with Nelder-Mead; every escaping
+    # sequence it reports is a trend
+    f, box = catalog_field(name), default_box(name)
+    escape, verdicts = minimax._escape_probes, []
+
+    def both(field, box, centers):
+        got = escape(field, box, centers)
+        want = _nelder_mead_escape_probes(field, box, centers)
+        verdicts.append(([p is None for p in got], [p is None for p in want]))
+        return got
+
+    with mock.patch.object(minimax, "_escape_probes", both):
+        for seed in range(150):
+            verdicts.clear()
+            rep = ps_probe(f, box, level, halfwidth, samples=48, seed=seed)
+            for got, want in verdicts:
+                assert got == want, seed
+            if rep.verdict == "EscapingTrend":
+                _assert_escaping_sequence(f, rep)
+
+
 def _band_objective(field, u, c, halfwidth, weight):
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.asarray(field.gradient(u))
+        if weight == 0:   # the escape search, which does not evaluate phi
+            return np.sum(g * g, axis=-1)
         excess = np.maximum(0.0, np.abs(np.asarray(field.evaluate(u)) - c) - halfwidth)
         return np.sum(g * g, axis=-1) + weight * excess * excess
 
@@ -725,10 +821,13 @@ def _band_objective(field, u, c, halfwidth, weight):
 def _assert_band_search_descends(field, box, starts, c, halfwidth, weight):
     # finals stay in the box, no final's objective exceeds its start's, a
     # start whose objective is not finite stays put, reruns are byte for
-    # byte the same, and an overflowing field raises no RuntimeWarning
+    # byte the same, and an overflowing field raises no RuntimeWarning; each
+    # start's trail runs from the start to its final through iterates whose
+    # objective strictly falls
+    trails = [[u] for u in box.clip(starts)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        finals = minimax._band_search(field, box, starts, c, halfwidth, weight)
+        finals = minimax._band_search(field, box, starts, c, halfwidth, weight, trails)
         again = minimax._band_search(field, box, starts, c, halfwidth, weight)
     assert finals.shape == starts.shape
     assert finals.tobytes() == again.tobytes()
@@ -738,9 +837,15 @@ def _assert_band_search_descends(field, box, starts, c, halfwidth, weight):
     finite = np.isfinite(f0)
     assert np.all(f1[finite] <= f0[finite])
     assert np.array_equal(finals[~finite], starts[~finite])
+    for trail, final, ok in zip(trails, finals, finite):
+        assert np.array_equal(trail[-1], final)
+        assert ok or len(trail) == 1
+        assert np.all(np.diff(_band_objective(field, np.asarray(trail), c, halfwidth,
+                                              weight)) < 0)
 
 
-_BAND_SEARCHES = [(0.0, 1.0), (0.05, 1e8), (0.5, 1e8)]   # (halfwidth, weight)
+# (halfwidth, weight): the multistart, two band searches and the escape search
+_BAND_SEARCHES = [(0.0, 1.0), (0.05, 1e8), (0.5, 1e8), (0.0, 0.0)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -764,21 +869,17 @@ def test_band_search_on_an_overflowing_field(terms, halfwidth, weight):
                                  halfwidth, weight)
 
 
-def test_ps_probe_calls_scipy_at_most_once_per_cluster():
-    # the benchmark's pscheck config: one cluster, at the saddle (1, 0)
-    clusters, plain = [], minimax._cluster
-
-    def cluster(points, radius):
-        clusters.extend(plain(points, radius))
-        return clusters
-
-    f = catalog_field("well_to_saddle")
-    with mock.patch.object(minimax, "_cluster", cluster), \
-            mock.patch.object(minimax, "scipy_minimize",
-                              wraps=minimax.scipy_minimize) as spy:
-        rep = ps_probe(f, default_box("well_to_saddle"), 1.0, 0.05, samples=48, seed=0)
-    assert rep.verdict == "Consistent"
-    assert 1 <= spy.call_count <= len(clusters)
+def test_ps_probe_makes_no_scipy_minimize_call():
+    # the benchmark's pscheck config, one cluster at the saddle (1, 0), and
+    # exp_decay, whose clusters all escape
+    with mock.patch.object(minimax, "scipy_minimize",
+                           wraps=minimax.scipy_minimize) as spy:
+        reps = [ps_probe(catalog_field(name), default_box(name), level, halfwidth,
+                         samples=48, seed=0)
+                for name, level, halfwidth in (("well_to_saddle", 1.0, 0.05),
+                                               ("exp_decay", 0.0, 0.05))]
+    assert [rep.verdict for rep in reps] == ["Consistent", "EscapingTrend"]
+    assert spy.call_count == 0
 
 
 @pytest.mark.parametrize("kw", [dict(c=np.nan), dict(c=np.inf), dict(c=-np.inf),
