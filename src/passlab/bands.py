@@ -76,8 +76,8 @@ _CHUNK = 2048
 _SLACK = 1e-9
 _UNFILLED, _TO_TREES = -1, -2   # cell-to-slot codes of unlisted and tree cells
 
-# export_region_clouds stacks and writes this many rows at a time, which
-# bounds the rows and text held in memory
+# export_region_clouds (and the CLI's psi grid) formats and writes this many
+# rows at a time, which bounds the text held in memory
 _EXPORT_ROWS = 1024
 
 
@@ -641,11 +641,22 @@ def psi(part: BandPartition, backend, u):
     return float(out[0]) if u.ndim == 1 else out
 
 
+def _coordinate_text(col) -> list:
+    """repr of each float of a column of grid coordinates, formatted once per
+    distinct value.  Values are told apart by their bits, so -0.0 and 0.0,
+    which compare equal, keep their own text."""
+    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in keys.view(np.float64).tolist()],
+                    dtype=object)
+    return text[inverse].tolist()
+
+
 def export_region_clouds(backend, path: str):
     """CSV dump (coords, phi, tag) of the backend's cached region clouds.
 
     The lines are those csv.writer writes for these rows (floats as repr,
-    CRLF line ends), written _EXPORT_ROWS rows at a time.
+    CRLF line ends), formatted a column at a time and written _EXPORT_ROWS
+    rows at a time.
     """
     if not isinstance(backend, SampledBackend):
         raise ValueError("only the sampled backend caches region clouds")
@@ -653,12 +664,14 @@ def export_region_clouds(backend, path: str):
     header = ["x", "y", "z"][:dim] + ["phi", "tag"]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
+        line = ",".join(["{}"] * (dim + 1))
         for tag, pts in backend.clouds.items():
             if len(pts) == 0:
                 continue
             phis = backend.cloud_phi[tag]
-            end = f",{tag}\r\n"
+            fmt = line + f",{tag}\r\n"
             for i in range(0, len(pts), _EXPORT_ROWS):
-                rows = np.column_stack([pts[i:i + _EXPORT_ROWS],
-                                        phis[i:i + _EXPORT_ROWS]]).tolist()
-                fh.write("".join(",".join(map(repr, row)) + end for row in rows))
+                block = pts[i:i + _EXPORT_ROWS]
+                cols = [_coordinate_text(block[:, j]) for j in range(dim)]
+                cols.append(map(repr, phis[i:i + _EXPORT_ROWS].tolist()))
+                fh.write("".join(map(fmt.format, *cols)))

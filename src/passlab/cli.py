@@ -20,8 +20,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .bands import (BandPartition, RegionSpec, SampledBackend, build_backend,
-                    export_region_clouds)
+from .bands import (_EXPORT_ROWS, BandPartition, RegionSpec, SampledBackend,
+                    build_backend, export_region_clouds)
 from .errors import ConfigError, PasslabError, VectorFieldSingular
 from .fields import (DomainBox, ScalarField, catalog_field, default_box,
                      polynomial_field)
@@ -299,9 +299,19 @@ def _dump_psi_grid(df, box, resolution, path):
     pts = box.grid(resolution)
     phis = np.asarray(df.field.evaluate(pts))
     psis = np.asarray(df.psi(pts))
-    header = ",".join(["x", "y", "z"][:box.dim] + ["phi", "psi"])
-    data = np.column_stack([pts, phis, psis])
-    np.savetxt(path, data, delimiter=",", header=header, comments="")
+    header = ["x", "y", "z"][:box.dim] + ["phi", "psi"]
+    _write_csv(path, header, np.column_stack([pts, phis, psis]))
+
+
+def _write_csv(path, header, data):
+    """The bytes np.savetxt(path, data, delimiter=",", header=..., comments="")
+    writes (floats as "%.18e"), formatted with one % per _EXPORT_ROWS rows."""
+    line = ",".join(["%.18e"] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(data), _EXPORT_ROWS):
+            block = data[i:i + _EXPORT_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _run_minimax(cfg, field, box, seed, out_dir):

@@ -18,10 +18,12 @@ vector_field does), never per stage, and clips a step to the box only when a
 row has left it.  Rows with a zero field at the start are frozen: they are
 never stepped and come back bit-identically (the unique constant solution),
 so the fixed-point property is machine-exact.  Only the live rows are
-recorded, with psi at each recorded state taken from the stage that starts
-the next step; callers rebuild full rows from the starts, and the audit
-evaluates a frozen row once at its start and counts it once per recorded
-state or interval.
+recorded, into arrays allocated once for the record schedule, with psi at
+each recorded state taken from the stage that starts the next step;
+callers rebuild full rows from the starts.  The audit reduces the recorded
+path in blocks under a fixed budget of (state, row) pairs, so it needs
+memory for the path and one block, and evaluates a frozen row once at its
+start, counting it once per recorded state or interval.
 """
 from __future__ import annotations
 
@@ -39,6 +41,15 @@ from .fields import ScalarField
 # How close to c + eps (c - eps) a pushed-up (pushed-down) endpoint's phi must
 # come to count as reaching the target level in the audit.
 PUSH_TOL = 1e-3
+
+# verify_deformation reduces the recorded path in blocks of at most this many
+# (recorded state, live row) pairs, which bounds what it derives from the
+# path (phi, tags, midpoints, their cutoff stage and gradient norms) at a
+# few MB whatever the samples and the record schedule.  On the deform_flow
+# benchmark config (2-core x86-64), 2,048 to 32,768 all audit a recorded
+# path in the time of the whole-path audit (56 ms at 1,000 samples, 0.41-
+# 0.55 s at 10,000); 8,192 keeps the audit's own heap under 3 MB.
+_AUDIT_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -148,9 +159,9 @@ def _integrate(df: DeformationField, U0: np.ndarray, record: bool) -> _Run:
     are clamped to it and flagged; the box is tested first, so a step that
     stays inside it is never clipped.  The live rows are recorded at t = 0,
     every record_every-th step and t = T when record is set and some row is
-    live, else at t = 0 and t = T only; psi at each recorded state comes
-    from the k1 stage that starts the next step (one extra cutoff_stage at
-    t = T).
+    live, else at t = 0 and t = T only, into arrays allocated once for that
+    schedule; psi at each recorded state comes from the k1 stage that starts
+    the next step (one extra cutoff_stage at t = T).
     """
     n, h = df.grid
     U0 = df.field.check(U0)
@@ -158,12 +169,15 @@ def _integrate(df: DeformationField, U0: np.ndarray, record: bool) -> _Run:
     live = np.any(f0 != 0.0, axis=-1)
     clamped = np.zeros(len(U0), dtype=bool)
     U, k1 = U0[live], f0[live]
-    times, path, psis = [0.0], [U], [psi0[live]]
-    if not np.any(live):
-        return _Run(np.array([0.0, n * h]), live, np.stack([U, U]),
-                    np.stack(psis * 2), psi0, clamped)
-    rec = _record_steps(df) if record else {n}
+    steps = sorted(_record_steps(df)) if record and len(U) else [0, n]
+    path = np.empty((len(steps),) + U.shape)
+    psis = np.empty((len(steps), len(U)))
+    path[0], psis[0] = U, psi0[live]
+    times = np.asarray(steps) * h
+    if not len(U):
+        return _Run(times, live, path, psis, psi0, clamped)
     box = df.part.box
+    j = 1
     for k in range(1, n + 1):
         k2 = _stage(df, U + (0.5 * h) * k1)[0]
         k3 = _stage(df, U + (0.5 * h) * k2)[0]
@@ -178,12 +192,10 @@ def _integrate(df: DeformationField, U0: np.ndarray, record: bool) -> _Run:
             k1, psi = _stage(df, U)
         else:
             psi = cutoff_stage(df.backend, U)[0]
-        if k in rec:
-            times.append(k * h)
-            path.append(U)
-            psis.append(psi)
-    return _Run(np.asarray(times), live, np.stack(path), np.stack(psis),
-                psi0, clamped)
+        if k == steps[j]:
+            path[j], psis[j] = U, psi
+            j += 1
+    return _Run(times, live, path, psis, psi0, clamped)
 
 
 def integrate_flow(df: DeformationField, u) -> Trajectory:
@@ -231,6 +243,95 @@ class DeformationReport:
         return asdict(self)
 
 
+def _grad_norm(field: ScalarField, u):
+    """||grad phi|| at u, by ScalarField.grad_norm; a gradient whose square
+    overflows gives inf without a warning."""
+    with np.errstate(over="ignore"):
+        return field.grad_norm(u)
+
+
+def _speeds(psis, gn, eps):
+    """||f|| = |psi| / ||grad phi|| at the states where ||grad phi|| >= 2 eps,
+    the hypothesis of the speed bound."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fnorm = np.where(psis != 0.0, np.abs(psis) / gn, 0.0)
+    return fnorm[gn >= 2.0 * eps]
+
+
+class _PathAudit(NamedTuple):
+    """The audit's reduction of the live rows' recorded path."""
+
+    phi_end: np.ndarray      # (n_live,) phi at t = T
+    confined: dict           # tag -> (n_live,) the tag at every recorded state
+    eq31_max: list           # per-block maxima of the residuals used
+    eq31_used: int
+    eq31_excluded: int
+    speed_max: list          # per-block maxima of the checked speeds
+    speed_checked: int
+    speed_violations: int
+
+
+def _audit_path(df: DeformationField, run: _Run, ok_live,
+                bound: float) -> _PathAudit:
+    """Reduce the live rows' recorded path in blocks of at most _AUDIT_ROWS
+    (state, row) pairs; ok_live marks the unclamped rows, bound is the
+    speed bound.
+
+    Each block evaluates phi, the tags and ||grad phi|| on its states, and
+    one cutoff_stage on the midpoints of the record intervals that end in
+    it, the first of which starts at the previous block's last record.
+    Only maxima, counts and the running "confined" flags cross blocks, so
+    the result does not depend on the block size.
+    """
+    part, field, eps = df.part, df.field, df.part.eps
+    path, times = run.path, run.times
+    n_rec, n_live, dim = path.shape
+    per = max(1, _AUDIT_ROWS // max(n_live, 1))
+    confined = {RegionTag.B: np.ones(n_live, dtype=bool),
+                RegionTag.C: np.ones(n_live, dtype=bool)}
+    eq31_max, used, excluded = [], 0, 0
+    speed_max, checked, viol = [], 0, 0
+    for lo in range(0, n_rec, per):
+        hi = min(lo + per, n_rec)
+        states = path[lo:hi].reshape(-1, dim)
+        phis = np.asarray(field.evaluate(states)).reshape(hi - lo, n_live)
+        tags = part.tags(path[lo:hi], phis)
+        for tag, flags in confined.items():
+            flags &= np.all(tags == tag, axis=0)
+
+        f = _speeds(run.psi[lo:hi],
+                    _grad_norm(field, states).reshape(hi - lo, n_live), eps)
+        checked += f.size
+        viol += int(np.sum(f > bound))
+        if f.size:
+            speed_max.append(np.max(f))
+
+        # the derivative identity over the record intervals that end in this
+        # block, from record a on: the first starts at the previous block's
+        # last record
+        if lo:
+            phis = np.concatenate([phi_last[None], phis])
+            tags = np.concatenate([tag_last[None], tags])
+        phi_last, tag_last = phis[-1], tags[-1]
+        a, m = hi - len(phis), len(phis) - 1
+        if not m:
+            continue
+        dt = np.diff(times[a:hi])[:, None]
+        dphi = np.diff(phis, axis=0)
+        mids = (0.5 * (path[a:hi - 1] + path[a + 1:hi])).reshape(-1, dim)
+        psi_mid, _, _, tag_mid = cutoff_stage(df.backend, mids)
+        psi_mid = psi_mid.reshape(m, n_live)
+        tag_mid = tag_mid.reshape(m, n_live)
+        same = (tags[:-1] == tags[1:]) & (tags[:-1] == tag_mid) & ok_live
+        resid = np.abs(dphi / dt - psi_mid)[same]
+        used += resid.size
+        excluded += int(np.sum(~same & ok_live))
+        if resid.size:
+            eq31_max.append(np.max(resid))
+    return _PathAudit(phi_last, confined, eq31_max, used, excluded,
+                      speed_max, checked, viol)
+
+
 def verify_deformation(df: DeformationField, samples: int,
                        seed: int) -> DeformationReport:
     """Sample-based audit of the deformation's claimed properties.
@@ -249,12 +350,15 @@ def verify_deformation(df: DeformationField, samples: int,
     derivative kinks.
 
     phi, tags, midpoints and gradient norms are evaluated on the live rows'
-    recorded path only, with psi as recorded by the integrator.  A frozen
-    row is evaluated once at its start and weighted by the number of states
-    (speed bound) or intervals (derivative identity) of the record schedule,
-    whether or not any row is live, so the report equals an audit of every
-    row at every scheduled time.  The fixed-point check compares the rebuilt
-    final states with the starts.
+    recorded path only, with psi as recorded by the integrator, in blocks
+    of at most _AUDIT_ROWS (state, row) pairs (_audit_path): the audit
+    holds the recorded path and one block, not the path's every derived
+    array.  A frozen row is evaluated once at its start and weighted by the
+    number of states (speed bound) or intervals (derivative identity) of
+    the record schedule, whether or not any row is live, so the report
+    equals an audit of every row at every scheduled time.  The fixed-point
+    check compares the rebuilt final states with the starts.  A gradient
+    that overflows when squared has norm inf, without a warning.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -266,7 +370,7 @@ def verify_deformation(df: DeformationField, samples: int,
     tags0 = part.tags(U0, phi0)
 
     band = tags0 != RegionTag.OUTSIDE
-    gn0 = df.field.grad_norm(U0)
+    gn0 = _grad_norm(df.field, U0)
     hyp_min = float(np.min(gn0[band])) if np.any(band) else float("nan")
 
     run = _integrate(df, U0, True)
@@ -278,22 +382,18 @@ def verify_deformation(df: DeformationField, samples: int,
     a_checked = int(np.sum(fixed_mask))
     a_viol = int(np.sum(np.any(finals[fixed_mask] != U0[fixed_mask], axis=-1)))
 
-    # phi and tags along the live rows' recorded path; a frozen row keeps
-    # its start's phi and tag at every recorded time
-    path = run.path
-    n_rec, n_live, dim = path.shape
-    phis = np.asarray(df.field.evaluate(path.reshape(-1, dim))).reshape(n_rec, n_live)
-    tags = part.tags(path, phis)
-    phi_end = phi0.copy()
-    phi_end[live] = phis[-1]
-
     ok = ~run.clamped  # clamped trajectories are excluded from property stats
+    bound = 1.0 / (2.0 * eps) + 1e-12   # the speed bound
+    audit = _audit_path(df, run, ok[live], bound)
+    # a frozen row keeps its start's phi and tag at every recorded time
+    phi_end = phi0.copy()
+    phi_end[live] = audit.phi_end
 
     def push_record(tag, at_target, target):
         in_band = tags0 == tag
         m = in_band & ok
         confined = in_band.copy()
-        confined[live] = np.all(tags == tag, axis=0)
+        confined[live] = audit.confined[tag]
         confined &= m
         reached = m & at_target
         rec = {f"sampled_{tag.name}": int(np.sum(in_band)),
@@ -309,43 +409,24 @@ def verify_deformation(df: DeformationField, samples: int,
     b_prime = push_record(RegionTag.B, phi_end >= c + eps - PUSH_TOL, "c_plus_eps")
     c_prime = push_record(RegionTag.C, phi_end <= c - eps + PUSH_TOL, "c_minus_eps")
 
-    # derivative identity residual over uniform-tag record intervals; each of
-    # a frozen row's n_sched - 1 intervals is used (dphi = 0, the midpoint is
-    # the start) with residual |psi at the start|.  n_sched counts the
-    # schedule, not the run's records: a run with no live row records only
-    # t = 0 and t = T.
+    # derivative identity: each of a frozen row's n_sched - 1 intervals is
+    # used (dphi = 0, the midpoint is the start) with residual |psi at the
+    # start|.  n_sched counts the schedule, not the run's records: a run
+    # with no live row records only t = 0 and t = T.
     n_sched = len(_record_steps(df))
-    dt = np.diff(run.times)[:, None]
-    dphi = np.diff(phis, axis=0)
-    mids = (0.5 * (path[:-1] + path[1:])).reshape(-1, dim)
-    psi_mid, _, _, tag_mid = cutoff_stage(df.backend, mids)
-    psi_mid = psi_mid.reshape(n_rec - 1, n_live)
-    tag_mid = tag_mid.reshape(n_rec - 1, n_live)
-    ok_live = ok[live]
-    same = (tags[:-1] == tags[1:]) & (tags[:-1] == tag_mid) & ok_live
-    resid = np.concatenate([np.abs(dphi / dt - psi_mid)[same],
-                            np.abs(run.psi0[frozen])])
-    used = int(np.sum(same)) + (n_sched - 1) * int(np.sum(frozen))
-    excluded = int(np.sum(~same & ok_live))
-    eq31 = float(np.max(resid)) if used else float("nan")
+    n_frozen = int(np.sum(frozen))
+    maxima = audit.eq31_max + ([np.max(np.abs(run.psi0[frozen]))]
+                               if n_frozen else [])
+    used = audit.eq31_used + (n_sched - 1) * n_frozen
+    eq31 = float(np.max(maxima)) if used else float("nan")
 
     # speed bound over all recorded states with ||grad|| >= 2 eps; a frozen
     # row's n_sched states are all its start
-    gns = df.field.grad_norm(path.reshape(-1, dim)).reshape(n_rec, n_live)
-    bound = 1.0 / (2.0 * eps) + 1e-12
-
-    def checked_speeds(psis, gn):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fnorm = np.where(psis != 0.0, np.abs(psis) / gn, 0.0)
-        return fnorm[gn >= 2.0 * eps]
-
-    live_f = checked_speeds(run.psi, gns)
-    frozen_f = checked_speeds(run.psi0[frozen], gn0[frozen])
-    speed_checked = live_f.size + n_sched * frozen_f.size
-    speed_viol = (int(np.sum(live_f > bound))
-                  + n_sched * int(np.sum(frozen_f > bound)))
-    speed_max = (float(np.max(np.concatenate([live_f, frozen_f])))
-                 if speed_checked else 0.0)
+    frozen_f = _speeds(run.psi0[frozen], gn0[frozen], eps)
+    speed_checked = audit.speed_checked + n_sched * frozen_f.size
+    speed_viol = audit.speed_violations + n_sched * int(np.sum(frozen_f > bound))
+    maxima = audit.speed_max + ([np.max(frozen_f)] if frozen_f.size else [])
+    speed_max = float(np.max(maxima)) if speed_checked else 0.0
 
     return DeformationReport(
         samples=samples, seed=seed,
@@ -353,7 +434,7 @@ def verify_deformation(df: DeformationField, samples: int,
         a_prime_checked=a_checked, a_prime_violations=a_viol,
         b_prime=b_prime, c_prime=c_prime,
         eq31_max_residual=eq31,
-        eq31_intervals_used=used, eq31_intervals_excluded=excluded,
+        eq31_intervals_used=used, eq31_intervals_excluded=audit.eq31_excluded,
         speed_checked_states=speed_checked, speed_violations=speed_viol,
         speed_max_norm=speed_max,
         clamped_trajectories=int(np.sum(run.clamped)),

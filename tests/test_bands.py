@@ -1,4 +1,5 @@
 import hashlib
+import types
 import warnings
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from passlab import (BandPartition, DeformationField, DomainBox,
                      FirstOrderBackend, RegionSpec, RegionTag, SampledBackend,
                      build_backend, catalog_field, classify_region,
                      default_box, polynomial_field, psi, vector_field)
-from passlab.bands import export_region_clouds
+from passlab.bands import _EXPORT_ROWS, export_region_clouds
 from passlab.errors import InvalidRegionSpec
 
 
@@ -431,3 +432,56 @@ def test_partition_needs_finite_c_and_positive_eps(affine_field, c, eps):
     # and a NaN eps failed only at the first integration, in round()
     with pytest.raises(ValueError, match="finite"):
         BandPartition(affine_field, default_box("affine"), c, eps)
+
+
+def _reference_export_region_clouds(backend, path: str):
+    """export_region_clouds as it was before it formatted whole columns: a
+    repr per value, row by row."""
+    if not isinstance(backend, SampledBackend):
+        raise ValueError("only the sampled backend caches region clouds")
+    dim = backend.part.field.dim
+    header = ["x", "y", "z"][:dim] + ["phi", "tag"]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for tag, pts in backend.clouds.items():
+            if len(pts) == 0:
+                continue
+            phis = backend.cloud_phi[tag]
+            end = f",{tag}\r\n"
+            for i in range(0, len(pts), _EXPORT_ROWS):
+                rows = np.column_stack([pts[i:i + _EXPORT_ROWS],
+                                        phis[i:i + _EXPORT_ROWS]]).tolist()
+                fh.write("".join(",".join(map(repr, row)) + end for row in rows))
+
+
+_AXIS_VALUES = st.lists(st.floats(-1e6, 1e6, allow_subnormal=True)
+                        | st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1e-300]),
+                        min_size=1, max_size=6, unique_by=lambda v: repr(v))
+_SPECIAL_PHI = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308, 5e-324])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_export_region_clouds_bytes_equal_the_row_writer(tmp_path_factory, dim, data):
+    # clouds of grid points (coordinates repeat across rows; -0.0 and 0.0
+    # are both drawn), of 0 to three blocks of rows, with NaN and +-inf phi;
+    # a stand-in for a sampled backend holds them
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    axes = [np.array(data.draw(_AXIS_VALUES)) for _ in range(dim)]
+    clouds, cloud_phi = {}, {}
+    for key in ("B", "C", "OUT"):
+        n = data.draw(st.sampled_from([0, 1, _EXPORT_ROWS, 2 * _EXPORT_ROWS + 7]))
+        clouds[key] = np.column_stack([a[rng.integers(0, len(a), n)] for a in axes])
+        phi = rng.normal(size=n) * 10.0 ** rng.integers(-5, 6, n)
+        special = rng.random(n) < 0.1
+        phi[special] = rng.choice(_SPECIAL_PHI, np.count_nonzero(special))
+        cloud_phi[key] = phi
+    backend = SampledBackend.__new__(SampledBackend)
+    backend.part = types.SimpleNamespace(field=types.SimpleNamespace(dim=dim))
+    backend.clouds, backend.cloud_phi = clouds, cloud_phi
+    tmp = tmp_path_factory.mktemp("csv")
+    want, got = tmp / f"want{dim}.csv", tmp / f"got{dim}.csv"
+    _reference_export_region_clouds(backend, str(want))
+    export_region_clouds(backend, str(got))
+    assert got.read_bytes() == want.read_bytes()

@@ -7,12 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from passlab import (BandPartition, DeformationField, RegionSpec,
+from passlab import (BandPartition, DeformationField, DomainBox, RegionSpec,
                      build_backend, catalog_field, default_box,
-                     verify_deformation)
-from passlab.cli import (_REQUIRED, _SCHEMA, _check_grids, _parse,
-                         _to_jsonable, main)
+                     polynomial_field, verify_deformation)
+from passlab.cli import (_REQUIRED, _SCHEMA, _check_grids, _dump_psi_grid,
+                         _parse, _to_jsonable, _write_csv, main)
 from passlab.errors import ConfigError, DegeneratePartition
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -773,3 +775,49 @@ def test_to_jsonable_nulls_every_non_finite_float():
     assert got == {"a": [1.5, None, [None]], "b": [[None, 2.0], [3.0, None]],
                    "c": None, "d": 4}
     assert _strict_json(json.dumps(got, allow_nan=False)) == got
+
+
+def _reference_dump_psi_grid(df, box, resolution, path):
+    """_dump_psi_grid as it was before it formatted blocks of rows: through
+    np.savetxt, one row at a time."""
+    pts = box.grid(resolution)
+    phis = np.asarray(df.field.evaluate(pts))
+    psis = np.asarray(df.psi(pts))
+    header = ",".join(["x", "y", "z"][:box.dim] + ["phi", "psi"])
+    data = np.column_stack([pts, phis, psis])
+    np.savetxt(path, data, delimiter=",", header=header, comments="")
+
+
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308, 5e-324, -1e-300])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.sampled_from([0, 1, 1023, 1024, 3000]),
+       st.integers(0, 2**32 - 1))
+def test_write_csv_bytes_equal_savetxt(tmp_path_factory, cols, rows, seed):
+    # 0 to three blocks of rows of values over many magnitudes, with NaN,
+    # +-inf, -0.0 and subnormals
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
+    special = rng.random((rows, cols)) < 0.1
+    data[special] = rng.choice(_SPECIAL, np.count_nonzero(special))
+    header = [f"c{j}" for j in range(cols)]
+    tmp = tmp_path_factory.mktemp("csv")
+    want, got = tmp / "want.csv", tmp / "got.csv"
+    np.savetxt(str(want), data, delimiter=",", header=",".join(header),
+               comments="")
+    _write_csv(str(got), header, data)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("dim, resolution", [(1, 2000), (2, 41), (3, 13)])
+def test_psi_grid_bytes_equal_the_savetxt_writer(tmp_path, dim, resolution):
+    terms = [(tuple(2 if i == j else 0 for i in range(dim)), 1.0 + j)
+             for j in range(dim)]
+    box = DomainBox(-np.ones(dim), np.ones(dim))
+    part = BandPartition(polynomial_field(dim, terms), box, 0.5, 0.2)
+    df = DeformationField(build_backend(part, "first_order", 11))
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    _reference_dump_psi_grid(df, box, resolution, str(want))
+    _dump_psi_grid(df, box, resolution, str(got))
+    assert got.read_bytes() == want.read_bytes()

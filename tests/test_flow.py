@@ -1,16 +1,24 @@
+import json
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from passlab import (BandPartition, RegionSpec, RegionTag, build_backend,
-                     catalog_field, default_box, DeformationField, eta,
-                     integrate_flow, vector_field, verify_deformation)
+from passlab import (BandPartition, DomainBox, RegionSpec, RegionTag,
+                     build_backend, catalog_field, default_box,
+                     DeformationField, eta, integrate_flow, polynomial_field,
+                     vector_field, verify_deformation)
+from passlab import flow
 from passlab.cli import _to_jsonable
-from passlab.bands import psi
-from passlab.errors import InvalidPoint, VectorFieldSingular
-from passlab.flow import eta_batch
+from passlab.bands import cutoff_stage, psi
+from passlab.errors import InvalidPoint, PasslabError, VectorFieldSingular
+from passlab.flow import (PUSH_TOL, DeformationReport, _integrate,
+                          _record_steps, _stage, eta_batch)
 
 
 def test_vector_field_values(affine_df):
@@ -328,3 +336,295 @@ def test_backend_of_another_partition_rejected(w2s_field, w2s_box, kind):
     assert df.part is part_a
     assert psi(part_a, df.backend, u) == df.psi(u) < 0.0
 
+
+
+def _reference_verify_deformation(df: DeformationField, samples: int,
+                                  seed: int) -> DeformationReport:
+    """verify_deformation as it was before the audit worked in blocks: every
+    recorded state's phi, tags, midpoints and gradient norms at once."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    part = df.part
+    c, eps = part.c, part.eps
+    rng = np.random.default_rng(seed)
+    U0 = part.box.sample(rng, samples)
+    phi0 = np.asarray(df.field.evaluate(U0))
+    tags0 = part.tags(U0, phi0)
+
+    band = tags0 != RegionTag.OUTSIDE
+    gn0 = df.field.grad_norm(U0)
+    hyp_min = float(np.min(gn0[band])) if np.any(band) else float("nan")
+
+    run = _integrate(df, U0, True)
+    live, frozen = run.live, ~run.live
+    finals = run.finals(U0)
+
+    # fixed-point property on OUTSIDE and D samples (bit-exact)
+    fixed_mask = (tags0 == RegionTag.OUTSIDE) | (tags0 == RegionTag.D)
+    a_checked = int(np.sum(fixed_mask))
+    a_viol = int(np.sum(np.any(finals[fixed_mask] != U0[fixed_mask], axis=-1)))
+
+    # phi and tags along the live rows' recorded path; a frozen row keeps
+    # its start's phi and tag at every recorded time
+    path = run.path
+    n_rec, n_live, dim = path.shape
+    phis = np.asarray(df.field.evaluate(path.reshape(-1, dim))).reshape(n_rec, n_live)
+    tags = part.tags(path, phis)
+    phi_end = phi0.copy()
+    phi_end[live] = phis[-1]
+
+    ok = ~run.clamped  # clamped trajectories are excluded from property stats
+
+    def push_record(tag, at_target, target):
+        in_band = tags0 == tag
+        m = in_band & ok
+        confined = in_band.copy()
+        confined[live] = np.all(tags == tag, axis=0)
+        confined &= m
+        reached = m & at_target
+        rec = {f"sampled_{tag.name}": int(np.sum(in_band)),
+               f"confined_in_{tag.name}": int(np.sum(confined)),
+               "confined_satisfying": int(np.sum(confined & reached)),
+               f"unconditional_fraction_reaching_{target}":
+                   float(np.sum(reached) / np.sum(m)) if np.any(m)
+                   else float("nan")}
+        if not np.any(in_band):   # no start in the band: holds vacuously
+            rec["vacuous"] = True
+        return rec
+
+    b_prime = push_record(RegionTag.B, phi_end >= c + eps - PUSH_TOL, "c_plus_eps")
+    c_prime = push_record(RegionTag.C, phi_end <= c - eps + PUSH_TOL, "c_minus_eps")
+
+    # derivative identity residual over uniform-tag record intervals; each of
+    # a frozen row's n_sched - 1 intervals is used (dphi = 0, the midpoint is
+    # the start) with residual |psi at the start|.  n_sched counts the
+    # schedule, not the run's records: a run with no live row records only
+    # t = 0 and t = T.
+    n_sched = len(_record_steps(df))
+    dt = np.diff(run.times)[:, None]
+    dphi = np.diff(phis, axis=0)
+    mids = (0.5 * (path[:-1] + path[1:])).reshape(-1, dim)
+    psi_mid, _, _, tag_mid = cutoff_stage(df.backend, mids)
+    psi_mid = psi_mid.reshape(n_rec - 1, n_live)
+    tag_mid = tag_mid.reshape(n_rec - 1, n_live)
+    ok_live = ok[live]
+    same = (tags[:-1] == tags[1:]) & (tags[:-1] == tag_mid) & ok_live
+    resid = np.concatenate([np.abs(dphi / dt - psi_mid)[same],
+                            np.abs(run.psi0[frozen])])
+    used = int(np.sum(same)) + (n_sched - 1) * int(np.sum(frozen))
+    excluded = int(np.sum(~same & ok_live))
+    eq31 = float(np.max(resid)) if used else float("nan")
+
+    # speed bound over all recorded states with ||grad|| >= 2 eps; a frozen
+    # row's n_sched states are all its start
+    gns = df.field.grad_norm(path.reshape(-1, dim)).reshape(n_rec, n_live)
+    bound = 1.0 / (2.0 * eps) + 1e-12
+
+    def checked_speeds(psis, gn):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fnorm = np.where(psis != 0.0, np.abs(psis) / gn, 0.0)
+        return fnorm[gn >= 2.0 * eps]
+
+    live_f = checked_speeds(run.psi, gns)
+    frozen_f = checked_speeds(run.psi0[frozen], gn0[frozen])
+    speed_checked = live_f.size + n_sched * frozen_f.size
+    speed_viol = (int(np.sum(live_f > bound))
+                  + n_sched * int(np.sum(frozen_f > bound)))
+    speed_max = (float(np.max(np.concatenate([live_f, frozen_f])))
+                 if speed_checked else 0.0)
+
+    return DeformationReport(
+        samples=samples, seed=seed,
+        hypothesis_min_grad=hyp_min,
+        a_prime_checked=a_checked, a_prime_violations=a_viol,
+        b_prime=b_prime, c_prime=c_prime,
+        eq31_max_residual=eq31,
+        eq31_intervals_used=used, eq31_intervals_excluded=excluded,
+        speed_checked_states=speed_checked, speed_violations=speed_viol,
+        speed_max_norm=speed_max,
+        clamped_trajectories=int(np.sum(run.clamped)),
+    )
+
+
+def _outcome(audit, df, samples, seed):
+    """The audit's report as report.json writes it (NaN as null, -0.0 kept),
+    or the class of the library error it raised."""
+    try:
+        report = audit(df, samples, seed)
+    except PasslabError as exc:
+        return type(exc)
+    return json.dumps(_to_jsonable(report.to_dict()))
+
+
+def _budgets(df, samples, seed):
+    """Block budgets of one row, of a whole number of records plus a part
+    of one whose record count divides no schedule longer than two, and of
+    more than every row."""
+    U0 = df.part.box.sample(np.random.default_rng(seed), samples)
+    n_live = int(np.sum(np.any(_stage(df, U0)[0] != 0.0, axis=-1)))
+    n_rec = len(_record_steps(df))
+    per = next(k for k in range(2, n_rec + 2) if n_rec % k)
+    ragged = per * n_live + n_live // 2 if n_live else 7
+    return [1, ragged, (n_rec + 1) * (n_live + 1)]
+
+
+def _assert_blocked_audit_is_the_reference(df, samples, seed):
+    """The audit equals the reference at every budget of _budgets; the
+    audits share one integration of the starts."""
+    integrate, runs = flow._integrate, []
+
+    def integrate_once(*args):
+        if not runs:
+            runs.append(integrate(*args))
+        return runs[0]
+
+    with mock.patch.object(flow, "_integrate", integrate_once), \
+            mock.patch.dict(globals(), _integrate=integrate_once):
+        want = _outcome(_reference_verify_deformation, df, samples, seed)
+        if isinstance(want, type):   # the starts' flow meets a critical point
+            assert _outcome(verify_deformation, df, samples, seed) is want
+            return
+        for budget in _budgets(df, samples, seed):
+            with mock.patch.object(flow, "_AUDIT_ROWS", budget):
+                got = _outcome(verify_deformation, df, samples, seed)
+            assert got == want, budget
+
+
+_POLY_BOX = {1: ([-1.5], [1.5]), 2: ([-1.5, -1.0], [1.5, 1.0]),
+             3: ([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])}
+
+
+@st.composite
+def _deformations(draw):
+    """A deformation of a catalog or polynomial field at a drawn level and
+    width (at times with an empty band), on either backend, with an empty,
+    level-set or point-cloud D, a drawn step and record_every; and the
+    audit's samples and seed."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(["affine", "paraboloid", "saddle",
+                                     "well_to_saddle", "exp_decay"]))
+        field, box = catalog_field(name), default_box(name)
+    else:
+        dim = draw(st.integers(1, 3))
+        exps = st.tuples(*[st.integers(0, 8 // dim if dim > 2 else 3)] * dim)
+        terms = draw(st.lists(st.tuples(exps, st.floats(-2.0, 2.0)),
+                              min_size=1, max_size=4))
+        field = polynomial_field(dim, terms)
+        box = DomainBox(*map(np.array, _POLY_BOX[dim]))
+    samples = draw(st.integers(1, 3000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    values = np.asarray(field.evaluate(box.sample(np.random.default_rng(0), 256)))
+    lo, hi = float(np.min(values)), float(np.max(values))
+    width = max(hi - lo, 1e-3)
+    c = lo + draw(st.floats(-0.3, 1.3)) * width
+    eps = draw(st.floats(0.02, 0.5)) * width
+    kind = draw(st.sampled_from(["empty", "level_set", "point_cloud"]))
+    d_spec = RegionSpec.empty()
+    if kind == "level_set":
+        d_spec = RegionSpec.level_set(c + draw(st.floats(-0.4, 0.4)) * eps)
+    elif kind == "point_cloud":
+        # D is made of the audit's own starts with phi near c, so that some
+        # samples start in D
+        U0 = box.sample(np.random.default_rng(seed), samples)
+        near = U0[np.abs(np.asarray(field.evaluate(U0)) - c) <= 0.4 * eps]
+        if len(near):
+            d_spec = RegionSpec.point_cloud(near[:3])
+    part = BandPartition(field, box, c, eps, d_spec)
+    backend = build_backend(part, draw(st.sampled_from(["first_order", "sampled"])),
+                            draw(st.integers(5, 31)))
+    n = draw(st.integers(1, 60))
+    df = DeformationField(backend, 2.0 * eps / n, draw(st.integers(1, 7)))
+    return df, samples, seed
+
+
+@settings(max_examples=50, deadline=None)
+@given(_deformations())
+def test_blocked_audit_equals_the_reference(drawn):
+    # every report field, NaN-aware and bit for bit, at block budgets of one
+    # row, of a size that divides no row count and of more than all rows
+    _assert_blocked_audit_is_the_reference(*drawn)
+
+
+@pytest.mark.parametrize("name", ["all_frozen", "clamped", "vacuous_b"])
+def test_blocked_audit_equals_the_reference_pinned(pinned_audit_fields,
+                                                   w2s_deformation, name):
+    # every row frozen (the band below the paraboloid's range), rows clamped
+    # to the box edge, and the valley level of well_to_saddle, where B is
+    # empty and (b') holds vacuously
+    if name == "vacuous_b":
+        df, samples = replace(w2s_deformation, step=0.002), 300
+    else:
+        df, samples = pinned_audit_fields[name], 200
+    _assert_blocked_audit_is_the_reference(df, samples, 0)
+    rep = verify_deformation(df, samples, 0)
+    assert {"all_frozen": rep.eq31_intervals_excluded == 0
+                          and rep.a_prime_checked == samples,
+            "clamped": rep.clamped_trajectories > 0,
+            "vacuous_b": rep.b_prime.get("vacuous") is True}[name]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["first_order", "sampled"])
+def test_overflowing_gradient_audits_without_a_warning(kind):
+    # 1e300 x^8 + y^2: ||grad phi||^2 overflows wherever |x| is not tiny;
+    # the audit printed numpy's "overflow encountered in multiply" from
+    # np.linalg.norm.  Those norms are inf, and the report is the one the
+    # old audit gives with the warning silenced
+    field = polynomial_field(2, [((8, 0), 1e300), ((0, 2), 1.0)])
+    box = DomainBox(np.array([-10.0, -10.0]), np.array([10.0, 10.0]))
+    part = BandPartition(field, box, 1.0, 0.25)
+    df = DeformationField(build_backend(part, kind, 51))
+    rep = verify_deformation(df, 200, 0)
+    assert np.isinf(flow._grad_norm(field, np.array([5.0, 0.0])))
+    assert flow._grad_norm(field, np.array([0.0, 2.0])) == 4.0
+    assert rep.a_prime_violations == 0 and rep.speed_violations == 0
+    assert _to_jsonable(rep.to_dict()) == _to_jsonable(
+        _reference_audit_quietly(df, 200, 0).to_dict())
+
+
+def _reference_audit_quietly(df, samples, seed):
+    with np.errstate(over="ignore"):
+        return _reference_verify_deformation(df, samples, seed)
+
+
+@pytest.mark.parametrize("samples", [1000, 4000])
+@pytest.mark.parametrize("kind", ["first_order", "sampled"])
+def test_audit_memory_is_the_recorded_path_and_one_block(
+        pinned_audit_fields, kind, samples):
+    # the deform_flow configuration: the audit's heap peak was 16.0-74.2 MB
+    # here, about 8 recorded paths; it is now the recorded path and psi
+    # (2.2 and 9.1 MB) plus one block
+    df = pinned_audit_fields["deform_flow"]
+    if kind == "first_order":
+        df = DeformationField(build_backend(df.part, "first_order"))
+    U0 = df.part.box.sample(np.random.default_rng(0), samples)
+    n_live = int(np.sum(np.any(_stage(df, U0)[0] != 0.0, axis=-1)))
+    recorded = len(_record_steps(df)) * n_live * (df.part.field.dim + 1) * 8
+    tracemalloc.start()
+    try:
+        verify_deformation(df, samples, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * recorded + 4e6, (peak, recorded)
+
+
+@pytest.mark.parametrize("kind", ["first_order", "sampled"])
+def test_recording_is_one_allocation_per_array(pinned_audit_fields, kind):
+    # the path and psi are written into arrays allocated once for the record
+    # schedule; appending the states to lists and stacking them held the
+    # path twice (a heap peak of 2.1-2.3 times the recorded bytes)
+    df = pinned_audit_fields["deform_flow"]
+    if kind == "first_order":
+        df = DeformationField(build_backend(df.part, "first_order"))
+    U0 = df.part.box.sample(np.random.default_rng(0), 4000)
+    tracemalloc.start()
+    try:
+        run = _integrate(df, U0, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    recorded = run.path.nbytes + run.psi.nbytes
+    assert run.path.shape[:2] == run.psi.shape == (len(_record_steps(df)),
+                                                   np.sum(run.live))
+    assert peak <= 1.3 * recorded, (peak, recorded)
