@@ -22,9 +22,11 @@ the partition it was built for, and psi rejects another partition's.
 cutoff_stage, the per-stage cutoff of the flow, reaches the partition
 through the backend, takes a batch its callers have checked once and
 calls the field's eval_fn and grad_fn on it directly; it compares the
-codes as plain ints, passes a batch through whole when all its rows need
-the gradient or the set distances, and tests for a degenerate quotient
-only where a denominator underflows.
+codes as plain ints and passes a batch through whole when all its rows
+need the gradient or the set distances.  The quotient cannot degenerate:
+for distances >= 0 its computed denominator is never below |numerator|,
+as rounding is monotone, so psi stays in [-1, 1]; a row whose denominator
+underflows is at 0.
 
 Two backends give the set distances between the plateaus, both measured
 in the box.  FirstOrderBackend, the default, divides the slab distance in
@@ -50,11 +52,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneratePartition, InvalidRegionSpec
-from .fields import DomainBox, ScalarField
+from .errors import InvalidRegionSpec
+from .fields import DomainBox, ScalarField, check_positive, check_resolution
 
 # Minimum separation (in units of eps) between D's value range and the
-# B/C value ranges; closer specs make the cutoff quotient degenerate.
+# B/C value ranges: it keeps D's values off B and C, so that psi's +1 and
+# -1 plateaus hold on the whole of B and C.
 D_SEPARATION = 0.05
 
 # The smallest ||grad phi|| a distance or the flow's vector field divides by;
@@ -157,8 +160,7 @@ class BandPartition:
         # NaN fails both; a non-finite c or eps would empty the band silently
         if not np.isfinite(self.c):
             raise ValueError(f"c must be finite, got {self.c!r}")
-        if not (np.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
+        check_positive("eps", self.eps)
         self._validate_d()
         spec = self.d_spec
         tree = None
@@ -215,9 +217,8 @@ class BandPartition:
             if spec.points.shape[1] != self.field.dim:
                 raise InvalidRegionSpec("point cloud dimension mismatch")
             values = np.asarray(self.field.evaluate(spec.points))
-        lo = c - (0.6 - D_SEPARATION) * e   # keep >= 0.05 eps above B's top
+        lo = c - 0.5 * e                    # the fixed set lives in [c-0.5eps, c+eps]
         hi = c + (0.6 - D_SEPARATION) * e   # keep >= 0.05 eps below C's bottom
-        lo = max(lo, c - 0.5 * e)           # the fixed set lives in [c-0.5eps, c+eps]
         pad = self.d_thickness
         if np.any(values - pad < lo) or np.any(values + pad > hi):
             raise InvalidRegionSpec(
@@ -311,8 +312,7 @@ def _slab_distance(phi, lo, hi, gnorm):
 def _grid_tags(part: BandPartition, resolution: int):
     """The regular grid of the box at ``resolution`` points per axis, its
     phi-values and its region codes."""
-    if resolution < 3:
-        raise ValueError("resolution must be >= 3 per axis")
+    check_resolution(resolution, part.box.dim)
     pts = part.box.grid(resolution)
     phi = part.field.evaluate(pts)
     return pts, phi, part.tags(pts, phi)
@@ -424,13 +424,6 @@ class SampledBackend:
         self._start = np.arange(3)
         self._table = np.empty((box.dim, 3, 0))   # axis, candidate, slot
 
-    def _cloud_distance(self, key, u):
-        """Distances from u to a cloud; +inf to a cloud with no points."""
-        tree = self.trees[key]
-        if tree is None:
-            return np.full(np.shape(u)[:-1], np.inf)
-        return tree.query(u)[0]
-
     def _undominated(self, pts, n, lo, hi):
         """(cells, K) mask of the first n[i] of the +inf-padded candidates
         pts (cells, K, dim) of the cells [lo, hi], less each one that the
@@ -520,9 +513,9 @@ class SampledBackend:
         slot[inside] = self._slot[cell]
         d = np.empty((3, len(pts)))
         miss = np.flatnonzero(slot < 0)
-        if miss.size:
-            for j, key in enumerate(self.clouds):
-                d[j, miss] = self._cloud_distance(key, pts[miss])
+        if miss.size:   # +inf to a cloud with no points
+            for j, tree in enumerate(self.trees.values()):
+                d[j, miss] = np.inf if tree is None else tree.query(pts[miss])[0]
         for i in range(0, len(pts), _CHUNK):
             s = slot[i:i + _CHUNK]
             hit = _rows_of(s >= 0)
@@ -578,14 +571,17 @@ def _quotient(dB, dC, dXA):
         # limit there, e.g. -dXA / (dXA + dC) for empty B.
         with np.errstate(divide="ignore", invalid="ignore"):
             rB, rC, rX = 1.0 / dB, 1.0 / dC, 1.0 / dXA
+            # B or C at distance 0, or so near that the reciprocal overflows,
+            # outweighs the rest: each infinite reciprocal counts 1, each
+            # finite one 0 (inf / inf would give NaN)
+            hit = np.isinf(rB) | np.isinf(rC)
+            if np.count_nonzero(hit):
+                rB, rC, rX = (np.where(hit, np.isinf(r), r) for r in (rB, rC, rX))
             num = np.where(near, (dC - dB) * dXA, rB - rC)
             den = np.where(near, den, rB + rC + rX)
+    # den >= |num| in both forms, so an underflowed den has num ~ 0 too
     tiny = den < _UNDERFLOW
     if np.count_nonzero(tiny):
-        if np.any(tiny & (np.abs(num) >= _UNDERFLOW)):
-            raise DegeneratePartition(
-                "cutoff denominator underflowed while the numerator did not "
-                "(the fixed set D touches B or C)")
         num, den = np.where(tiny, 0.0, num), np.where(tiny, 1.0, den)
     return num / den
 

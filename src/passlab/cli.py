@@ -92,6 +92,11 @@ _GRID_FIELDS = (("deformation", "resolution"), ("deformation", "dump_resolution"
                 ("oracle", "resolution"), ("oracle", "scan_resolution"))
 MAX_GRID_POINTS = 10_000_000
 
+# A deform run records every live sample at each state of its record
+# schedule; it may hold at most MAX_RECORDED_STATES (state, sample) pairs,
+# the default schedule of 1,001 states at the 10,000-sample cap.
+MAX_RECORDED_STATES = 1001 * 10_000
+
 
 def _parse(raw, section: str = "", name: str = "") -> dict:
     """``raw`` checked against ``_SCHEMA[section]``, with every default filled
@@ -271,6 +276,12 @@ def _run_deform(cfg, field, box, seed, out_dir):
         backend = build_backend(part, d["backend"], d["resolution"])
     with _naming("deformation.step"):
         df = DeformationField(backend, d["step"], d["record_every"])
+    if len(df.schedule) * d["samples"] > MAX_RECORDED_STATES:
+        raise ConfigError(
+            f"deformation.samples x recorded states must be <= "
+            f"{MAX_RECORDED_STATES}, got {d['samples']} x {len(df.schedule)}; "
+            f"raise deformation.step or deformation.record_every, or lower "
+            f"deformation.samples")
     try:
         report = verify_deformation(df, d["samples"], seed)
     except VectorFieldSingular as exc:   # a critical point in the band

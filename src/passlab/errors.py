@@ -13,10 +13,6 @@ class InvalidRegionSpec(PasslabError):
     """A fixed-region spec is too close in value to the push bands."""
 
 
-class DegeneratePartition(PasslabError):
-    """The cutoff quotient's denominator underflowed while the numerator did not."""
-
-
 class VectorFieldSingular(PasslabError):
     """The gradient norm fell below the floor where the cutoff is nonzero,
     at ``point`` (a list of coordinates)."""

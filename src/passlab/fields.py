@@ -8,6 +8,7 @@ set distances treat an affine field like any other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -15,6 +16,27 @@ import numpy as np
 from .errors import InvalidPoint
 
 MAX_POLY_DEGREE = 8
+
+
+def check_count(name: str, value, least: int = 1) -> int:
+    """value as an int, or a ValueError naming ``name`` unless it is an
+    integer (not a boolean) >= least."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_resolution(resolution, dim: int) -> tuple:
+    """Grid points per axis, one count for every axis or one per axis, as a
+    tuple of dim ints; each must be an integer >= 3."""
+    return tuple(check_count("resolution", r, 3)
+                 for r in np.broadcast_to(resolution, (dim,)).tolist())
+
+
+def check_positive(name: str, value):
+    """A ValueError naming ``name`` unless value is finite and > 0."""
+    if not (np.isfinite(value) and value > 0):   # False on NaN
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +121,10 @@ class ScalarField:
         return self.grad_fn(u)
 
     def grad_norm(self, u) -> np.ndarray:
-        return np.linalg.norm(self.gradient(u), axis=-1)
+        """||grad phi|| at u; inf, without a warning, where its square
+        overflows."""
+        with np.errstate(over="ignore"):
+            return np.linalg.norm(self.gradient(u), axis=-1)
 
 
 def affine_field() -> ScalarField:
@@ -254,10 +279,8 @@ def gradient_check(field: ScalarField, box: DomainBox, samples: int = 1000,
     Reports the maximum relative error (absolute where the analytic gradient
     norm is below 1e-8) and the worst offending point.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    check_count("samples", samples)
+    check_positive("step", step)
     rng = np.random.default_rng(seed)
     pts = box.sample(rng, samples)
     analytic = field.gradient(pts)

@@ -9,10 +9,11 @@ and the deformation is eta(u) = sigma(T, u) with horizon T = 2 eps, where
 sigma solves dsigma/dt = f(sigma), sigma(0) = u.  A DeformationField is the
 whole deformation: its backend, which holds the partition (c, eps, D), and
 the integrator's step and record_every, checked and turned into the step
-grid at construction; every flow call takes only it.  Each evaluation of f
-reads phi and its gradient once (bands.cutoff_stage) and also yields psi; a
-stage whose rows all have psi != 0 is computed on the whole batch, with no
-gather or scatter.  One RK4 integrator serves eta, eta_batch, integrate_flow
+grid and the record schedule at construction, with at most MAX_STEPS steps;
+every flow call takes only it.  Each evaluation of f reads phi and its
+gradient once (bands.cutoff_stage) and also yields psi; a stage whose rows
+all have psi != 0 is computed on the whole batch, with no gather or
+scatter.  One RK4 integrator serves eta, eta_batch, integrate_flow
 and the audit; it checks the points' dimension once per call (as
 vector_field does), never per stage, and clips a step to the box only when a
 row has left it.  Rows with a zero field at the start are frozen: they are
@@ -28,7 +29,6 @@ start, counting it once per recorded state or interval.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from numbers import Integral
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -36,7 +36,12 @@ import numpy as np
 from .bands import (MIN_GRAD_FLOOR, BandPartition, RegionTag, cutoff_stage,
                     psi as psi_fn)
 from .errors import VectorFieldSingular
-from .fields import ScalarField
+from .fields import ScalarField, check_count
+
+# A DeformationField takes at most this many RK4 steps over the horizon, so
+# that an absurd step fails at construction, not in a run that cannot end or
+# in a record schedule that cannot be allocated.
+MAX_STEPS = 1_000_000
 
 # How close to c + eps (c - eps) a pushed-up (pushed-down) endpoint's phi must
 # come to count as reaching the target level in the audit.
@@ -55,22 +60,27 @@ _AUDIT_ROWS = 8192
 @dataclass(frozen=True)
 class DeformationField:
     """eta of the backend's partition in n RK4 steps of h, grid = (n, h), h
-    being step (default horizon/1000) rounded to divide the horizon."""
+    being step (default horizon/1000) rounded to divide the horizon and n at
+    most MAX_STEPS; schedule holds the steps a recording run records at: 0,
+    every record_every-th step and n."""
 
     backend: object
     step: Optional[float] = None
     record_every: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.record_every, Integral) or self.record_every < 1:
-            raise ValueError(f"record_every must be an integer >= 1, "
-                             f"got {self.record_every!r}")
+        check_count("record_every", self.record_every)
         horizon = self.horizon
         step = self.step if self.step is not None else horizon / 1000.0
         if not 0 < step <= horizon:   # False on NaN
             raise ValueError("need 0 < step <= horizon")
+        if horizon / step > MAX_STEPS:
+            raise ValueError(f"step {step!r} takes more than {MAX_STEPS} RK4 "
+                             f"steps over the horizon {horizon!r}")
         n = max(1, round(horizon / step))
         object.__setattr__(self, "grid", (n, horizon / n))
+        object.__setattr__(self, "schedule",
+                           np.append(np.arange(0, n, self.record_every), n))
 
     @property
     def part(self) -> BandPartition:
@@ -95,10 +105,6 @@ class Trajectory:
     phi_values: np.ndarray
     psi_values: np.ndarray
     clamped: bool
-
-    @property
-    def end(self):
-        return self.points[-1]
 
 
 def _stage(df: DeformationField, U):
@@ -144,13 +150,6 @@ class _Run(NamedTuple):
         return out
 
 
-def _record_steps(df: DeformationField) -> set:
-    """The steps a recording run of df.grid's n steps records at: 0, every
-    record_every-th step and n."""
-    n = df.grid[0]
-    return set(range(0, n + 1, df.record_every)) | {n}
-
-
 def _integrate(df: DeformationField, U0: np.ndarray, record: bool) -> _Run:
     """RK4 on a batch of starts (N, dim).
 
@@ -159,9 +158,9 @@ def _integrate(df: DeformationField, U0: np.ndarray, record: bool) -> _Run:
     are clamped to it and flagged; the box is tested first, so a step that
     stays inside it is never clipped.  The live rows are recorded at t = 0,
     every record_every-th step and t = T when record is set and some row is
-    live, else at t = 0 and t = T only, into arrays allocated once for that
-    schedule; psi at each recorded state comes from the k1 stage that starts
-    the next step (one extra cutoff_stage at t = T).
+    live (df.schedule), else at t = 0 and t = T only, into arrays allocated
+    once for that schedule; psi at each recorded state comes from the k1
+    stage that starts the next step (one extra cutoff_stage at t = T).
     """
     n, h = df.grid
     U0 = df.field.check(U0)
@@ -169,7 +168,7 @@ def _integrate(df: DeformationField, U0: np.ndarray, record: bool) -> _Run:
     live = np.any(f0 != 0.0, axis=-1)
     clamped = np.zeros(len(U0), dtype=bool)
     U, k1 = U0[live], f0[live]
-    steps = sorted(_record_steps(df)) if record and len(U) else [0, n]
+    steps = df.schedule if record and len(U) else [0, n]
     path = np.empty((len(steps),) + U.shape)
     psis = np.empty((len(steps), len(U)))
     path[0], psis[0] = U, psi0[live]
@@ -243,13 +242,6 @@ class DeformationReport:
         return asdict(self)
 
 
-def _grad_norm(field: ScalarField, u):
-    """||grad phi|| at u, by ScalarField.grad_norm; a gradient whose square
-    overflows gives inf without a warning."""
-    with np.errstate(over="ignore"):
-        return field.grad_norm(u)
-
-
 def _speeds(psis, gn, eps):
     """||f|| = |psi| / ||grad phi|| at the states where ||grad phi|| >= 2 eps,
     the hypothesis of the speed bound."""
@@ -300,7 +292,7 @@ def _audit_path(df: DeformationField, run: _Run, ok_live,
             flags &= np.all(tags == tag, axis=0)
 
         f = _speeds(run.psi[lo:hi],
-                    _grad_norm(field, states).reshape(hi - lo, n_live), eps)
+                    field.grad_norm(states).reshape(hi - lo, n_live), eps)
         checked += f.size
         viol += int(np.sum(f > bound))
         if f.size:
@@ -360,8 +352,7 @@ def verify_deformation(df: DeformationField, samples: int,
     check compares the rebuilt final states with the starts.  A gradient
     that overflows when squared has norm inf, without a warning.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    check_count("samples", samples)
     part = df.part
     c, eps = part.c, part.eps
     rng = np.random.default_rng(seed)
@@ -370,7 +361,7 @@ def verify_deformation(df: DeformationField, samples: int,
     tags0 = part.tags(U0, phi0)
 
     band = tags0 != RegionTag.OUTSIDE
-    gn0 = _grad_norm(df.field, U0)
+    gn0 = df.field.grad_norm(U0)
     hyp_min = float(np.min(gn0[band])) if np.any(band) else float("nan")
 
     run = _integrate(df, U0, True)
@@ -413,7 +404,7 @@ def verify_deformation(df: DeformationField, samples: int,
     # used (dphi = 0, the midpoint is the start) with residual |psi at the
     # start|.  n_sched counts the schedule, not the run's records: a run
     # with no live row records only t = 0 and t = T.
-    n_sched = len(_record_steps(df))
+    n_sched = len(df.schedule)
     n_frozen = int(np.sum(frozen))
     maxima = audit.eq31_max + ([np.max(np.abs(run.psi0[frozen]))]
                                if n_frozen else [])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooLarge
-from .fields import DomainBox, ScalarField
+from .fields import DomainBox, ScalarField, check_positive, check_resolution
 
 ENUM_NODE_CAP = 25
 
@@ -54,8 +54,7 @@ class GridGraph:
         object.__setattr__(self, "values", v)
         if v.ndim not in (1, 2, 3):
             raise ValueError("grid dimension must be 1, 2 or 3")
-        if min(v.shape) < 3:
-            raise ValueError("resolution must be >= 3 per axis")
+        check_resolution(v.shape, v.ndim)
         if self.connectivity not in (4, 8):
             raise ValueError(f"connectivity must be 4 or 8, "
                              f"got {self.connectivity!r}")
@@ -65,7 +64,7 @@ class GridGraph:
     @classmethod
     def from_field(cls, field: ScalarField, box: DomainBox, resolution,
                    connectivity: int = 8) -> "GridGraph":
-        res = np.broadcast_to(resolution, (box.dim,))
+        res = check_resolution(resolution, box.dim)
         axes = tuple(np.linspace(box.lo[i], box.hi[i], res[i])
                      for i in range(box.dim))
         vals = np.asarray(field.evaluate(box.grid(res))).reshape(res)
@@ -295,12 +294,12 @@ def critical_scan(field: ScalarField, box: DomainBox, resolution,
     gradient norm.
     """
     from scipy import ndimage  # deferred: ~0.2 s to import; only the oracle needs it
-    if grad_tol <= 0:
-        raise ValueError("grad_tol must be > 0")
-    pts = box.grid(resolution)
+    check_positive("grad_tol", grad_tol)
+    res = check_resolution(resolution, box.dim)
+    pts = box.grid(res)
     phi = np.asarray(field.evaluate(pts))
     gn = np.asarray(field.grad_norm(pts))
-    mask = (gn < grad_tol).reshape(np.broadcast_to(resolution, (box.dim,)))
+    mask = (gn < grad_tol).reshape(res)
     structure = np.ones((3,) * box.dim, dtype=int)
     labels, nlab = ndimage.label(mask, structure=structure)
     labels = labels.ravel()

@@ -39,7 +39,7 @@ import numpy as np
 
 from .bands import BandPartition, RegionSpec, build_backend
 from .errors import InvalidInstance, PinMoved, VectorFieldSingular
-from .fields import DomainBox, ScalarField
+from .fields import DomainBox, ScalarField, check_count, check_positive
 from .flow import DeformationField, eta
 from .paths import DiscretePath, MountainPassInstance, make_path, path_extrema, \
     deform_path
@@ -219,10 +219,8 @@ def _optimize(inst: MountainPassInstance, signs: tuple, ensemble_size: int,
     path nodes.  Per sign only the best member so far is kept, the first
     on ties.
     """
-    for name, count in (("ensemble_size", ensemble_size), ("max_iters", max_iters)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) \
-                or count < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    check_count("ensemble_size", ensemble_size)
+    check_count("max_iters", max_iters)
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     span = float(np.linalg.norm(inst.pin_e - inst.pin_zero))
@@ -493,16 +491,6 @@ def _fd_slope(field: ScalarField, u: np.ndarray, h: float) -> np.ndarray:
     return (gn[:len(u)] - gn[len(u):]) / (2.0 * h)
 
 
-def _escape_probes(field: ScalarField, box: DomainBox, centers: np.ndarray) -> list:
-    """Probe whether each small-gradient point, a row of centers, is a
-    genuine critical point: one _escape_verdict per centre, on the accepted
-    iterates of the escape search (_band_search at weight 0), which descends
-    ||grad phi||^2 from every centre at once."""
-    trails = [[p] for p in centers]
-    _band_search(field, box, centers, 0.0, 0.0, 0.0, trails)
-    return [_escape_verdict(field, box, trail) for trail in trails]
-
-
 def _escape_verdict(field: ScalarField, box: DomainBox, trail: list):
     """Read one escape search, its accepted iterates from the centre to the
     final.
@@ -652,11 +640,8 @@ def ps_probe(field: ScalarField, box: DomainBox, c: float,
     """
     if not np.isfinite(c):
         raise ValueError(f"c must be finite, got {c!r}")
-    if not (np.isfinite(band_halfwidth) and band_halfwidth > 0):
-        raise ValueError(f"band_halfwidth must be finite and > 0, got {band_halfwidth!r}")
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) \
-            or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    check_positive("band_halfwidth", band_halfwidth)
+    check_count("samples", samples)
     rng = np.random.default_rng(seed)
     starts = box.sample(rng, samples)
     finals = _band_search(field, box, starts, c, 0.0, 1.0)
@@ -689,14 +674,18 @@ def ps_probe(field: ScalarField, box: DomainBox, c: float,
                         finite_starts=finite_starts)
 
     # classify each near-critical cluster by the escape search from its
-    # smallest-gradient point: at a genuine critical point the gradient norm
-    # is locally minimized and the search stays put; an escaping cluster has
-    # a descent direction for the gradient norm that leads out of it
+    # smallest-gradient point, which descends ||grad phi||^2 from every
+    # centre at once: at a genuine critical point the gradient norm is
+    # locally minimized and the search stays put; an escaping cluster has a
+    # descent direction for the gradient norm that leads out of it
     near_pts, near_gn = finals[near], fin_gn[near]
     centers = np.array([near_pts[cl[int(np.argmin(near_gn[cl]))]]
                         for cl in _cluster(near_pts, PS_CLUSTER_RADIUS)])
+    trails = [[p] for p in centers]
+    _band_search(field, box, centers, 0.0, 0.0, 0.0, trails)
     stationary, escapes = [], []
-    for center, seq in zip(centers, _escape_probes(field, box, centers)):
+    for center, trail in zip(centers, trails):
+        seq = _escape_verdict(field, box, trail)
         if seq is None:
             stationary.append(center)
         else:
@@ -736,6 +725,7 @@ def check_mpt_geometry(inst: MountainPassInstance, sphere_samples: int = 4096,
     also needs the sphere inside the box and e outside it."""
     if inst.radius is None:
         raise ValueError("instance has no radius set")
+    check_count("sphere_samples", sphere_samples)
     r = inst.radius
     z = inst.pin_zero
     dim = inst.field.dim

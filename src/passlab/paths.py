@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidM, PinMoved
-from .fields import DomainBox, ScalarField
+from .fields import DomainBox, ScalarField, check_count, check_positive
 from .flow import DeformationField, eta_batch
 
 
@@ -45,8 +45,7 @@ class MountainPassInstance:
         if self.pin_mode not in ("interior", "endpoints"):
             raise ValueError(f"unknown pin mode {self.pin_mode!r}")
         if self.radius is not None:
-            if self.radius <= 0:
-                raise ValueError("radius must be > 0")
+            check_positive("radius", self.radius)
             if self.pin_mode == "endpoints" and np.linalg.norm(e - z) <= self.radius:
                 raise ValueError("endpoints mode requires ||e - pin_zero|| > radius")
 
@@ -60,10 +59,6 @@ class MountainPassInstance:
 class DiscretePath:
     nodes: np.ndarray          # (M+1, dim)
     pinned: tuple              # (index of the zero-pin, index of the e-pin)
-
-    @property
-    def M(self) -> int:
-        return self.nodes.shape[0] - 1
 
     @property
     def params(self) -> np.ndarray:
@@ -81,9 +76,11 @@ class DiscretePath:
 
 
 def check_m(M: int):
-    """Raise InvalidM unless M (path segments) is a multiple of 4 and >= 8."""
+    """Raise InvalidM unless M (path segments) is a multiple of 4 and >= 8,
+    and ValueError unless it is an integer."""
     if M < 8 or M % 4 != 0:
         raise InvalidM(f"M must be a multiple of 4 and >= 8, got {M}")
+    check_count("M", M)
 
 
 def make_path(inst: MountainPassInstance, M: int, init: str = "axis",

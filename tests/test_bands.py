@@ -12,7 +12,7 @@ from passlab import (BandPartition, DeformationField, DomainBox,
                      FirstOrderBackend, RegionSpec, RegionTag, SampledBackend,
                      build_backend, catalog_field, classify_region,
                      default_box, polynomial_field, psi, vector_field)
-from passlab.bands import _EXPORT_ROWS, export_region_clouds
+from passlab.bands import _EXPORT_ROWS, _UNDERFLOW, _quotient, export_region_clouds
 from passlab.errors import InvalidRegionSpec
 
 
@@ -485,3 +485,47 @@ def test_export_region_clouds_bytes_equal_the_row_writer(tmp_path_factory, dim, 
     _reference_export_region_clouds(backend, str(want))
     export_region_clouds(backend, str(got))
     assert got.read_bytes() == want.read_bytes()
+
+
+# distances >= 0: zero, subnormals, values near the float maximum and +inf
+_DISTANCES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e154,
+                     1e308, 1.7976931348623157e308, np.inf]),
+    st.floats(min_value=0.0, allow_infinity=True))
+
+
+def _quotient_terms(dB, dC, dXA):
+    """The numerator and denominator that _quotient divides, in its
+    arithmetic: the distance form where the denominator is finite, else the
+    reciprocal form, in which an infinite reciprocal of dB or dC counts 1
+    and a finite one 0."""
+    with np.errstate(all="ignore"):
+        den = (dC + dB) * dXA + dB * dC
+        rB, rC, rX = 1.0 / dB, 1.0 / dC, 1.0 / dXA
+        hit = np.isinf(rB) | np.isinf(rC)
+        rB, rC, rX = (np.where(hit, np.isinf(r), r) for r in (rB, rC, rX))
+        near = np.isfinite(den)
+        return (np.where(near, (dC - dB) * dXA, rB - rC),
+                np.where(near, den, rB + rC + rX))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(_DISTANCES, _DISTANCES, _DISTANCES),
+                min_size=1, max_size=6))
+def test_quotient_denominator_is_at_least_the_numerator(rows):
+    # rounding is monotone, so fl(dC + dB) >= fl(|dC - dB|), and dB dC >= 0
+    # only adds (likewise 1/dB + 1/dC >= |1/dB - 1/dC| in the reciprocal
+    # form): a denominator that underflows has a numerator that did too, so
+    # "the denominator underflowed while the numerator did not" cannot
+    # happen, and psi lies in [-1, 1].  A B or C at distance 0 beside an
+    # infinite distance gave psi NaN (inf / inf) before the reciprocal form
+    # counted infinite reciprocals as 1.
+    dB, dC, dXA = np.array(rows).T
+    num, den = _quotient_terms(dB, dC, dXA)
+    assert np.all(den >= np.abs(num))
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi_values = _quotient(dB, dC, dXA)
+    assert np.all((psi_values >= -1.0) & (psi_values <= 1.0))
+    tiny = den < _UNDERFLOW
+    assert np.array_equal(psi_values,
+                          np.where(tiny, 0.0, num) / np.where(tiny, 1.0, den))

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from passlab import (BandPartition, DeformationField, DomainBox, RegionSpec,
                      build_backend, catalog_field, default_box,
                      polynomial_field, verify_deformation)
-from passlab.cli import (_REQUIRED, _SCHEMA, _check_grids, _dump_psi_grid,
-                         _parse, _to_jsonable, _write_csv, main)
-from passlab.errors import ConfigError, DegeneratePartition
+from passlab.cli import (_REQUIRED, _SCHEMA, MAX_RECORDED_STATES, _check_grids,
+                         _dump_psi_grid, _parse, _to_jsonable, _write_csv, main)
+from passlab.errors import ConfigError, InvalidPoint
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -219,13 +219,38 @@ def test_deform_at_a_critical_point_is_recorded(tmp_path, flags, exit_code):
 
 
 def test_library_error_exits_1(tmp_path, capsys):
-    # a library error the run cannot record, here a degenerate cutoff
-    # quotient raised by the audit, exits 1 and writes no report
+    # a library error the run cannot record (deform records only
+    # VectorFieldSingular), here one raised by the audit, exits 1 and writes
+    # no report
     with mock.patch("passlab.cli.verify_deformation",
-                    side_effect=DegeneratePartition("denominator underflowed")):
+                    side_effect=InvalidPoint("point of the wrong shape")):
         code, report, _ = _run(tmp_path, "deform", AFFINE_DEFORM)
     assert code == 1 and report is None
-    assert capsys.readouterr().err == "error: denominator underflowed\n"
+    assert capsys.readouterr().err == "error: point of the wrong shape\n"
+
+
+def test_absurd_step_exits_2(tmp_path, capsys):
+    # 2 * 10^8 RK4 steps: the record schedule was a set of as many ints, and
+    # the run died with a raw MemoryError and exit 1
+    cfg = {"functional": {"catalog": "well_to_saddle"},
+           "deformation": {"c": 0.5, "eps": 0.1, "step": 1e-9, "samples": 1000}}
+    err = _config_error(tmp_path, capsys, "deform", cfg)
+    assert err.startswith("config error: bad deformation.step: step 1e-09 ")
+
+
+def test_recorded_states_past_the_budget_exit_2(tmp_path, capsys):
+    # 1,002 recorded states of 10,000 samples; the benchmark's deform config
+    # at the sample cap, 1,001 states of 10,000 samples, is the budget
+    deformation = {"c": 0.5, "eps": 0.1, "samples": 10_000, "resolution": 3}
+    cfg = {"functional": {"catalog": "well_to_saddle"},
+           "deformation": dict(deformation, step=0.2 / 1001)}
+    err = _config_error(tmp_path, capsys, "deform", cfg)
+    assert "deformation.samples x recorded states must be <= 10010000, " \
+        "got 10000 x 1002" in err
+    part = BandPartition(catalog_field("well_to_saddle"),
+                         default_box("well_to_saddle"), 0.5, 0.1)
+    df = DeformationField(build_backend(part, resolution=3))
+    assert len(df.schedule) * 10_000 == MAX_RECORDED_STATES
 
 
 def test_invalid_eps_exits_2(tmp_path):
@@ -753,6 +778,16 @@ def test_overflowing_report_is_strict_json(tmp_path):
     conclusions = report["payload"]["result"]["conclusions"]
     assert conclusions["II"]["grad_norm"] is None
     assert conclusions["IV"]["grad_norm"] is None
+
+
+def test_overflowing_oracle_prints_nothing(tmp_path, capsys):
+    # the critical scan's gradient norms overflow; numpy printed "overflow
+    # encountered in multiply", which the test settings make an error
+    cfg = dict(OVERFLOW, oracle={"resolution": 33, "scan_resolution": 33,
+                                 "p": [-1.0, 0.0], "q": [1.0, 0.0]})
+    code, _, out = _run(tmp_path, "oracle", cfg, "--strict")
+    assert code == 0 and capsys.readouterr().err == ""
+    _strict_json((out / "report.json").read_text())
 
 
 def test_overflowing_pscheck_is_strict_json(tmp_path):

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passlab import (DomainBox, catalog_field, catalog_names, default_box,
-                     gradient_check, polynomial_field)
+from passlab import (BandPartition, DeformationField, DomainBox,
+                     MountainPassInstance, build_backend, catalog_field,
+                     catalog_names, check_mpt_geometry, critical_scan,
+                     default_box, gradient_check, make_path,
+                     polynomial_field, verify_deformation)
 from passlab.errors import InvalidPoint
 
 
@@ -126,3 +129,45 @@ def test_affine_linearity(x, y, s):
     f = catalog_field("affine")
     lhs = float(f.evaluate([s * x, s * y]))
     assert lhs == pytest.approx(s * float(f.evaluate([x, y])), abs=1e-12)
+
+
+def _w2s_instance(**kw):
+    return MountainPassInstance(catalog_field("well_to_saddle"),
+                                default_box("well_to_saddle"), [0.0, 0.0],
+                                [2.0, 0.0], **kw)
+
+
+def _w2s_deformation():
+    part = BandPartition(catalog_field("well_to_saddle"),
+                         default_box("well_to_saddle"), 0.5, 0.1)
+    return DeformationField(build_backend(part, resolution=21))
+
+
+@pytest.mark.parametrize("call, name", [
+    # numpy's "zero-size array to reduction operation minimum", and TypeError
+    (lambda: check_mpt_geometry(_w2s_instance(radius=1.0), sphere_samples=0),
+     "sphere_samples"),
+    (lambda: check_mpt_geometry(_w2s_instance(radius=1.0), sphere_samples=2.5),
+     "sphere_samples"),
+    # TypeError from the sampler
+    (lambda: verify_deformation(_w2s_deformation(), 1.5, 0), "samples"),
+    (lambda: verify_deformation(_w2s_deformation(), True, 0), "samples"),
+    # TypeError from np.empty
+    (lambda: make_path(_w2s_instance(), 8.0), "M"),
+    # a silent empty list
+    (lambda: critical_scan(catalog_field("paraboloid"), default_box("paraboloid"),
+                           1, 0.1), "resolution"),
+    (lambda: critical_scan(catalog_field("paraboloid"), default_box("paraboloid"),
+                           (21, 2), 0.1), "resolution"),
+    # accepted: the geometry check reported b NaN (and a RuntimeWarning at inf)
+    (lambda: _w2s_instance(radius=float("nan")), "radius"),
+    (lambda: _w2s_instance(radius=float("inf")), "radius"),
+    # TypeError from the sampler
+    (lambda: gradient_check(catalog_field("paraboloid"),
+                            default_box("paraboloid"), samples=2.0), "samples"),
+], ids=["sphere_samples=0", "sphere_samples=2.5", "samples=1.5", "samples=True",
+        "M=8.0", "resolution=1", "resolution=(21,2)", "radius=nan",
+        "radius=inf", "fd_samples=2.0"])
+def test_entry_points_reject_bad_counts_and_radii(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        call()

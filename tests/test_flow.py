@@ -17,8 +17,8 @@ from passlab import flow
 from passlab.cli import _to_jsonable
 from passlab.bands import cutoff_stage, psi
 from passlab.errors import InvalidPoint, PasslabError, VectorFieldSingular
-from passlab.flow import (PUSH_TOL, DeformationReport, _integrate,
-                          _record_steps, _stage, eta_batch)
+from passlab.flow import (MAX_STEPS, PUSH_TOL, DeformationReport, _integrate,
+                          _stage, eta_batch)
 
 
 def test_vector_field_values(affine_df):
@@ -37,20 +37,34 @@ def test_flow_config_validation(affine_df):
     # a bad step or record_every fails at construction, before any
     # integration.  record_every = -1 recorded only t = 0 and t = T: a
     # 200-sample audit then used 96 eq31 intervals (residual 0.44) where
-    # record_every = 1 uses 199,757 (9.2e-7); 0 raised a bare range() error
-    for step in (2.0, -0.1, float("nan")):
+    # record_every = 1 uses 199,757 (9.2e-7); 0 raised a bare range() error,
+    # and True was taken for 1.  A step of 1e-9 on this horizon of 1 asked
+    # for 10^9 RK4 steps and a record schedule of as many ints
+    horizon = affine_df.horizon
+    for step in (2.0, -0.1, float("nan"), horizon / (MAX_STEPS + 1), 1e-9, 5e-324):
         with pytest.raises(ValueError, match="step"):
             replace(affine_df, step=step)
-    for record_every in (0, -1, 1.5, 2.0, None):
+    for record_every in (0, -1, 1.5, 2.0, None, True):
         with pytest.raises(ValueError, match="record_every"):
             replace(affine_df, record_every=record_every)
+
+
+def test_record_schedule(affine_df):
+    # step 0, every record_every-th step and the last, computed once beside
+    # the step grid, up to MAX_STEPS steps
+    horizon = affine_df.horizon
+    for n, every in ((1, 1), (10, 3), (12, 4), (1000, 1), (7, 50)):
+        df = replace(affine_df, step=horizon / n, record_every=every)
+        assert df.grid[0] == n
+        assert df.schedule.tolist() == sorted(set(range(0, n + 1, every)) | {n})
+    assert replace(affine_df, step=horizon / MAX_STEPS).grid[0] == MAX_STEPS
 
 
 def test_push_up_from_b(affine_df):
     traj = integrate_flow(affine_df, np.array([-0.4, 0.0]))
     # phi increases at unit rate while in B, then stalls near the midplane
     assert traj.phi_values[1] > traj.phi_values[0]
-    assert -0.3 < traj.end[0] < 0.0
+    assert -0.3 < traj.points[-1, 0] < 0.0
     assert np.all(np.diff(traj.phi_values) >= -1e-12)
 
 
@@ -62,7 +76,7 @@ def test_pull_down_from_c(affine_df):
 def test_identity_outside_is_bit_exact(affine_wide_df):
     u = np.array([1.5, 0.7])
     traj = integrate_flow(affine_wide_df, u)
-    assert np.array_equal(traj.end, u)
+    assert np.array_equal(traj.points[-1], u)
     assert len(traj.times) == 2  # constant short-circuit records start/end
     assert np.array_equal(eta(affine_wide_df, u), u)
 
@@ -209,7 +223,7 @@ def test_eta_with_empty_b_band(w2s_deformation):
     assert np.all(np.diff(traj.phi_values) <= 0.0)
     assert np.all((traj.psi_values >= -1.0) & (traj.psi_values <= 0.0))
     assert 0.0 <= traj.phi_values[-1] < 0.06
-    assert np.array_equal(eta(df, u), traj.end)
+    assert np.array_equal(eta(df, u), traj.points[-1])
 
 
 def test_critical_point_where_the_cutoff_is_nonzero_raises(w2s_field, w2s_box):
@@ -400,7 +414,7 @@ def _reference_verify_deformation(df: DeformationField, samples: int,
     # the start) with residual |psi at the start|.  n_sched counts the
     # schedule, not the run's records: a run with no live row records only
     # t = 0 and t = T.
-    n_sched = len(_record_steps(df))
+    n_sched = len(df.schedule)
     dt = np.diff(run.times)[:, None]
     dphi = np.diff(phis, axis=0)
     mids = (0.5 * (path[:-1] + path[1:])).reshape(-1, dim)
@@ -462,7 +476,7 @@ def _budgets(df, samples, seed):
     more than every row."""
     U0 = df.part.box.sample(np.random.default_rng(seed), samples)
     n_live = int(np.sum(np.any(_stage(df, U0)[0] != 0.0, axis=-1)))
-    n_rec = len(_record_steps(df))
+    n_rec = len(df.schedule)
     per = next(k for k in range(2, n_rec + 2) if n_rec % k)
     ragged = per * n_live + n_live // 2 if n_live else 7
     return [1, ragged, (n_rec + 1) * (n_live + 1)]
@@ -575,8 +589,8 @@ def test_overflowing_gradient_audits_without_a_warning(kind):
     part = BandPartition(field, box, 1.0, 0.25)
     df = DeformationField(build_backend(part, kind, 51))
     rep = verify_deformation(df, 200, 0)
-    assert np.isinf(flow._grad_norm(field, np.array([5.0, 0.0])))
-    assert flow._grad_norm(field, np.array([0.0, 2.0])) == 4.0
+    assert np.isinf(field.grad_norm(np.array([5.0, 0.0])))
+    assert field.grad_norm(np.array([0.0, 2.0])) == 4.0
     assert rep.a_prime_violations == 0 and rep.speed_violations == 0
     assert _to_jsonable(rep.to_dict()) == _to_jsonable(
         _reference_audit_quietly(df, 200, 0).to_dict())
@@ -599,7 +613,7 @@ def test_audit_memory_is_the_recorded_path_and_one_block(
         df = DeformationField(build_backend(df.part, "first_order"))
     U0 = df.part.box.sample(np.random.default_rng(0), samples)
     n_live = int(np.sum(np.any(_stage(df, U0)[0] != 0.0, axis=-1)))
-    recorded = len(_record_steps(df)) * n_live * (df.part.field.dim + 1) * 8
+    recorded = len(df.schedule) * n_live * (df.part.field.dim + 1) * 8
     tracemalloc.start()
     try:
         verify_deformation(df, samples, 0)
@@ -625,6 +639,6 @@ def test_recording_is_one_allocation_per_array(pinned_audit_fields, kind):
     finally:
         tracemalloc.stop()
     recorded = run.path.nbytes + run.psi.nbytes
-    assert run.path.shape[:2] == run.psi.shape == (len(_record_steps(df)),
+    assert run.path.shape[:2] == run.psi.shape == (len(df.schedule),
                                                    np.sum(run.live))
     assert peak <= 1.3 * recorded, (peak, recorded)

@@ -148,7 +148,7 @@ def _descend_member(inst: MountainPassInstance, path: DiscretePath,
     """
     field = inst.field
     nodes = path.nodes.copy()
-    M = path.M
+    M = len(nodes) - 1
     pinned = set(path.pinned)
     span = float(np.linalg.norm(inst.pin_e - inst.pin_zero))
     s0 = 0.2 * max(span, 1e-6)
@@ -686,10 +686,6 @@ def _nelder_mead_escape_probe(field: ScalarField, box: DomainBox, center: np.nda
     return None
 
 
-def _nelder_mead_escape_probes(field, box, centers):
-    return [_nelder_mead_escape_probe(field, box, center) for center in centers]
-
-
 def _scipy_ps_probe(field, box, c, band_halfwidth, samples=64, seed=0):
     """The probe as it was with 64 scalar scipy L-BFGS-B runs and a
     Nelder-Mead escape probe per cluster, verbatim but for the count of
@@ -791,15 +787,15 @@ def test_escape_search_matches_nelder_mead(name, level, halfwidth):
     # accumulation points are those it had with Nelder-Mead; every escaping
     # sequence it reports is a trend
     f, box = catalog_field(name), default_box(name)
-    escape, verdicts = minimax._escape_probes, []
+    escape, verdicts = minimax._escape_verdict, []
 
-    def both(field, box, centers):
-        got = escape(field, box, centers)
-        want = _nelder_mead_escape_probes(field, box, centers)
-        verdicts.append(([p is None for p in got], [p is None for p in want]))
+    def both(field, box, trail):   # trail[0] is the cluster's centre
+        got = escape(field, box, trail)
+        want = _nelder_mead_escape_probe(field, box, trail[0])
+        verdicts.append((got is None, want is None))
         return got
 
-    with mock.patch.object(minimax, "_escape_probes", both):
+    with mock.patch.object(minimax, "_escape_verdict", both):
         for seed in range(150):
             verdicts.clear()
             rep = ps_probe(f, box, level, halfwidth, samples=48, seed=seed)
