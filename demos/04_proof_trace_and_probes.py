@@ -48,8 +48,8 @@ for name, e, r in (("well_to_saddle", (2.0, 0.0), 1.0),
                    ("affine", (1.0, 0.0), 0.5)):
     f = catalog_field(name)
     gi = MountainPassInstance(f, default_box(name), np.array([0.0, 0.0]),
-                              np.asarray(e), radius=r)
-    res = check_mpt_geometry(gi, sphere_samples=2048, seed=0)
+                              np.asarray(e))
+    res = check_mpt_geometry(gi, r, sphere_samples=2048, seed=0)
     print(f"  {name:<15} b = {res.b:+.4f}, phi(0) = {res.phi_at_zero:+.2f}, "
           f"phi(e) = {res.phi_at_e:+.2f}  ->  "
           f"{'holds' if res.verdict else 'fails'}")

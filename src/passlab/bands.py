@@ -13,6 +13,9 @@ The cutoff is
 with dB = dist(u, B), dC = dist(u, C), dXA = dist(u, complement of A).
 It equals +1 on B, -1 on C and 0 outside the band and on D, exactly.
 
+D is given by a RegionSpec, which checks its own rules when it is built;
+BandPartition checks the rules that need the field, c and eps.
+
 Region membership is decided in one place, BandPartition.tags, as int8
 codes viewed through the IntEnum RegionTag; psi's plateaus come from them.
 A partition binds its band edges as floats once, and tags looks a value's
@@ -23,10 +26,11 @@ cutoff_stage, the per-stage cutoff of the flow, reaches the partition
 through the backend, takes a batch its callers have checked once and
 calls the field's eval_fn and grad_fn on it directly; it compares the
 codes as plain ints and passes a batch through whole when all its rows
-need the gradient or the set distances.  The quotient cannot degenerate:
-for distances >= 0 its computed denominator is never below |numerator|,
-as rounding is monotone, so psi stays in [-1, 1]; a row whose denominator
-underflows is at 0.
+need the gradient or the set distances.  A gradient norm, set distance or
+denominator that overflows there is inf, without a numpy warning.  The
+quotient cannot degenerate: for distances >= 0 its computed denominator is
+never below |numerator|, as rounding is monotone, so psi stays in [-1, 1];
+a row whose denominator underflows is at 0.  The module does no file I/O.
 
 Two backends give the set distances between the plateaus, both measured
 in the box.  FirstOrderBackend, the default, divides the slab distance in
@@ -41,7 +45,8 @@ the arithmetic of cKDTree.query, bit for bit; rows outside the box,
 non-finite rows and cells whose lists would be too long go to the
 KD-trees.  A band (or a side of the complement of A) with no grid point
 is at +inf in both.  A distance that divides by ||grad phi|| floors it at
-MIN_GRAD_FLOOR.
+MIN_GRAD_FLOOR.  Both build on the box's grid of one resolution, an
+integer >= 3, on every axis.
 """
 from __future__ import annotations
 
@@ -53,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidRegionSpec
-from .fields import DomainBox, ScalarField, check_positive, check_resolution
+from .fields import DomainBox, ScalarField, check_count, check_positive
 
 # Minimum separation (in units of eps) between D's value range and the
 # B/C value ranges: it keeps D's values off B and C, so that psi's +1 and
@@ -78,11 +83,6 @@ _CELL_CHUNK = 64
 _CHUNK = 2048
 _SLACK = 1e-9
 _UNFILLED, _TO_TREES = -1, -2   # cell-to-slot codes of unlisted and tree cells
-
-# export_region_clouds (and the CLI's psi grid) formats and writes this many
-# rows at a time, which bounds the text held in memory
-_EXPORT_ROWS = 1024
-
 
 class RegionTag(IntEnum):
     """Region codes as returned by BandPartition.tags.
@@ -123,12 +123,42 @@ def _rank_code(edges, values):
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """Specification of the fixed set D: empty, a level set, or a point cloud."""
+    """Specification of the fixed set D: empty, a level set, or a point cloud.
+
+    Its own rules are checked when it is built, with InvalidRegionSpec: the
+    kind is one of the three, a level set has a finite value (kept as a
+    float) and a thickness that is None (1e-6 eps) or finite and > 0, and a
+    point cloud has finite points (kept as a 2-D float array).  The rules
+    that need the field, c and eps are BandPartition's.
+    """
 
     kind: str = "empty"  # "empty" | "level_set" | "point_cloud"
     value: Optional[float] = None
     thickness: Optional[float] = None
     points: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        # a NaN value fails every band comparison, and a thickness <= 0 (or
+        # NaN) matches no point: either would leave D silently empty
+        try:
+            if self.kind == "level_set":
+                object.__setattr__(self, "value", float(self.value))
+                thick = 1.0 if self.thickness is None else float(self.thickness)
+                ok = np.isfinite(self.value) and np.isfinite(thick) and thick > 0
+            elif self.kind == "point_cloud":
+                pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+                ok = pts.ndim == 2 and np.all(np.isfinite(pts))
+                if ok:
+                    object.__setattr__(self, "points", pts)
+            else:
+                ok = self.kind == "empty"
+        except (TypeError, ValueError):   # None, or not numbers
+            ok = False
+        if not ok:
+            raise InvalidRegionSpec(
+                f"D needs kind 'empty', 'level_set' with a finite value and a "
+                f"thickness None or finite and > 0, or 'point_cloud' with "
+                f"finite points, got {self!r}")
 
     @classmethod
     def empty(cls) -> "RegionSpec":
@@ -136,12 +166,11 @@ class RegionSpec:
 
     @classmethod
     def level_set(cls, value: float, thickness: Optional[float] = None) -> "RegionSpec":
-        return cls("level_set", value=float(value), thickness=thickness)
+        return cls("level_set", value=value, thickness=thickness)
 
     @classmethod
     def point_cloud(cls, points) -> "RegionSpec":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return cls("point_cloud", points=pts)
+        return cls("point_cloud", points=points)
 
 
 @dataclass(frozen=True)
@@ -200,19 +229,14 @@ class BandPartition:
         return 1e-6 * self.eps
 
     def _validate_d(self):
+        """The rules of D that need the field, c and eps (RegionSpec checks
+        its own): the points' dimension and the band separation."""
         c, e = self.c, self.eps
         spec = self.d_spec
         if spec.kind == "empty":
             return
         if spec.kind == "level_set":
             values = np.array([spec.value])
-            # NaN fails every comparison below, and a thickness <= 0 (or
-            # NaN) matches no point: either would leave D silently empty
-            if not np.isfinite(spec.value):
-                raise InvalidRegionSpec(f"D level {spec.value} must be finite")
-            if not self.d_thickness > 0:
-                raise InvalidRegionSpec(
-                    f"D thickness {self.d_thickness} must be > 0")
         else:
             if spec.points.shape[1] != self.field.dim:
                 raise InvalidRegionSpec("point cloud dimension mismatch")
@@ -310,9 +334,9 @@ def _slab_distance(phi, lo, hi, gnorm):
 
 
 def _grid_tags(part: BandPartition, resolution: int):
-    """The regular grid of the box at ``resolution`` points per axis, its
-    phi-values and its region codes."""
-    check_resolution(resolution, part.box.dim)
+    """The regular grid of the box at ``resolution`` points per axis (an
+    integer >= 3), its phi-values and its region codes."""
+    check_count("resolution", resolution, 3)
     pts = part.box.grid(resolution)
     phi = part.field.evaluate(pts)
     return pts, phi, part.tags(pts, phi)
@@ -586,10 +610,13 @@ def _quotient(dB, dC, dXA):
     return num / den
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cutoff_stage(backend, U):
     """psi, grad phi, ||grad phi|| and the region codes of a batch U
     (..., dim) of floats on the backend's partition, from one evaluation of
-    phi and one of its gradient.
+    phi and one of its gradient.  Like ScalarField.grad_norm, a value that
+    overflows is inf (a set distance or the quotient's denominator too),
+    without a numpy warning.
 
     U is not checked: psi and the flow check a batch once, with
     ScalarField.check, and the stage calls the field's eval_fn and grad_fn
@@ -635,39 +662,3 @@ def psi(part: BandPartition, backend, u):
     u = np.asarray(u, dtype=float)
     out = cutoff_stage(backend, part.field.check(np.atleast_2d(u)))[0]
     return float(out[0]) if u.ndim == 1 else out
-
-
-def _coordinate_text(col) -> list:
-    """repr of each float of a column of grid coordinates, formatted once per
-    distinct value.  Values are told apart by their bits, so -0.0 and 0.0,
-    which compare equal, keep their own text."""
-    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    text = np.array([repr(v) for v in keys.view(np.float64).tolist()],
-                    dtype=object)
-    return text[inverse].tolist()
-
-
-def export_region_clouds(backend, path: str):
-    """CSV dump (coords, phi, tag) of the backend's cached region clouds.
-
-    The lines are those csv.writer writes for these rows (floats as repr,
-    CRLF line ends), formatted a column at a time and written _EXPORT_ROWS
-    rows at a time.
-    """
-    if not isinstance(backend, SampledBackend):
-        raise ValueError("only the sampled backend caches region clouds")
-    dim = backend.part.field.dim
-    header = ["x", "y", "z"][:dim] + ["phi", "tag"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        line = ",".join(["{}"] * (dim + 1))
-        for tag, pts in backend.clouds.items():
-            if len(pts) == 0:
-                continue
-            phis = backend.cloud_phi[tag]
-            fmt = line + f",{tag}\r\n"
-            for i in range(0, len(pts), _EXPORT_ROWS):
-                block = pts[i:i + _EXPORT_ROWS]
-                cols = [_coordinate_text(block[:, j]) for j in range(dim)]
-                cols.append(map(repr, phis[i:i + _EXPORT_ROWS].tolist()))
-                fh.write("".join(map(fmt.format, *cols)))

@@ -20,8 +20,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .bands import (_EXPORT_ROWS, BandPartition, RegionSpec, SampledBackend,
-                    build_backend, export_region_clouds)
+from .bands import BandPartition, RegionSpec, SampledBackend, build_backend
 from .errors import ConfigError, PasslabError, VectorFieldSingular
 from .fields import (DomainBox, ScalarField, catalog_field, default_box,
                      polynomial_field)
@@ -91,6 +90,10 @@ _SCHEMA = {
 _GRID_FIELDS = (("deformation", "resolution"), ("deformation", "dump_resolution"),
                 ("oracle", "resolution"), ("oracle", "scan_resolution"))
 MAX_GRID_POINTS = 10_000_000
+
+# The CSV writers format and write this many rows at a time, which bounds the
+# text held in memory.
+_EXPORT_ROWS = 1024
 
 # A deform run records every live sample at each state of its record
 # schedule; it may hold at most MAX_RECORDED_STATES (state, sample) pairs,
@@ -217,22 +220,11 @@ def _build_box(cfg: dict, field: ScalarField) -> DomainBox:
     return box
 
 
-def _d_spec(d: dict) -> RegionSpec:
-    if d is None or d["kind"] == "empty":
-        return RegionSpec.empty()
-    if d["kind"] == "level_set" and d["value"] is not None:
-        return RegionSpec.level_set(d["value"], d["thickness"])
-    if d["kind"] == "point_cloud" and d["points"] is not None:
-        return RegionSpec.point_cloud(d["points"])
-    raise ConfigError("deformation.d_spec needs kind 'empty', 'level_set' "
-                      f"with a value or 'point_cloud' with points, got {d!r}")
-
-
 def _instance(cfg, field, box) -> MountainPassInstance:
-    m, g = cfg["minimax"], cfg["geometry"]
+    m = cfg["minimax"]
     with _naming("minimax"):
         return MountainPassInstance(field, box, m["pin_zero"], m["pin_e"],
-                                    m["pin_mode"], g["r"] if g else None)
+                                    m["pin_mode"])
 
 
 def _oracle(o: dict, field, box, a, b, name_a: str, name_b: str):
@@ -271,7 +263,8 @@ def _to_jsonable(obj):
 def _run_deform(cfg, field, box, seed, out_dir):
     d = cfg["deformation"]
     with _naming("deformation.d_spec"):
-        part = BandPartition(field, box, d["c"], d["eps"], _d_spec(d["d_spec"]))
+        part = BandPartition(field, box, d["c"], d["eps"],
+                             RegionSpec(**(d["d_spec"] or {})))
     with _naming("deformation.backend or deformation.resolution"):
         backend = build_backend(part, d["backend"], d["resolution"])
     with _naming("deformation.step"):
@@ -323,6 +316,42 @@ def _write_csv(path, header, data):
         for i in range(0, len(data), _EXPORT_ROWS):
             block = data[i:i + _EXPORT_ROWS]
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _coordinate_text(col) -> list:
+    """repr of each float of a column of grid coordinates, formatted once per
+    distinct value.  Values are told apart by their bits, so -0.0 and 0.0,
+    which compare equal, keep their own text."""
+    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in keys.view(np.float64).tolist()],
+                    dtype=object)
+    return text[inverse].tolist()
+
+
+def export_region_clouds(backend, path: str):
+    """CSV dump (coords, phi, tag) of the backend's cached region clouds.
+
+    The lines are those csv.writer writes for these rows (floats as repr,
+    CRLF line ends), formatted a column at a time and written _EXPORT_ROWS
+    rows at a time.
+    """
+    if not isinstance(backend, SampledBackend):
+        raise ValueError("only the sampled backend caches region clouds")
+    dim = backend.part.field.dim
+    header = ["x", "y", "z"][:dim] + ["phi", "tag"]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        line = ",".join(["{}"] * (dim + 1))
+        for tag, pts in backend.clouds.items():
+            if len(pts) == 0:
+                continue
+            phis = backend.cloud_phi[tag]
+            fmt = line + f",{tag}\r\n"
+            for i in range(0, len(pts), _EXPORT_ROWS):
+                block = pts[i:i + _EXPORT_ROWS]
+                cols = [_coordinate_text(block[:, j]) for j in range(dim)]
+                cols.append(map(repr, phis[i:i + _EXPORT_ROWS].tolist()))
+                fh.write("".join(map(fmt.format, *cols)))
 
 
 def _run_minimax(cfg, field, box, seed, out_dir):
@@ -409,9 +438,10 @@ def _run_proof_trace(cfg, field, box, seed, out_dir):
 
 def _run_geometry(cfg, field, box, seed, out_dir):
     inst = _instance(cfg, field, box)
-    if inst.radius is None:
+    g = cfg["geometry"]
+    if g["r"] is None:
         raise ConfigError("geometry.r is required")
-    res = check_mpt_geometry(inst, cfg["geometry"]["sphere_samples"], seed)
+    res = check_mpt_geometry(inst, g["r"], g["sphere_samples"], seed)
     return res.to_dict(), []
 
 

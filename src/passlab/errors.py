@@ -10,7 +10,8 @@ class InvalidPoint(PasslabError):
 
 
 class InvalidRegionSpec(PasslabError):
-    """A fixed-region spec is too close in value to the push bands."""
+    """A fixed-region spec is malformed, or too close in value to the push
+    bands."""
 
 
 class VectorFieldSingular(PasslabError):
@@ -20,10 +21,6 @@ class VectorFieldSingular(PasslabError):
     def __init__(self, message: str, point=None):
         super().__init__(message)
         self.point = point
-
-
-class InvalidM(PasslabError):
-    """Path node count M is not a positive multiple of 4 (or is below 8)."""
 
 
 class PinMoved(PasslabError):

@@ -3,7 +3,10 @@
 All fields are vectorized: points may be a single vector of shape (dim,)
 or a batch of shape (..., dim).  A field is its name, dimension, value and
 gradient and nothing more: no closed form is attached to it, so the cutoff's
-set distances treat an affine field like any other.
+set distances treat an affine field like any other.  A box grid has one
+resolution, the same integer count of points on every axis.  A polynomial
+whose value overflows is inf there, without a numpy warning, and one whose
+derivative coefficients overflow is rejected when it is built.
 """
 from __future__ import annotations
 
@@ -24,13 +27,6 @@ def check_count(name: str, value, least: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
-
-
-def check_resolution(resolution, dim: int) -> tuple:
-    """Grid points per axis, one count for every axis or one per axis, as a
-    tuple of dim ints; each must be an integer >= 3."""
-    return tuple(check_count("resolution", r, 3)
-                 for r in np.broadcast_to(resolution, (dim,)).tolist())
 
 
 def check_positive(name: str, value):
@@ -79,11 +75,11 @@ class DomainBox:
         """n uniform points in the box, shape (n, dim)."""
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
-    def grid(self, resolution) -> np.ndarray:
-        """Regular grid points in C order, shape (points, dim); resolution is
-        one point count for every axis or one count per axis."""
-        res = np.broadcast_to(resolution, (self.dim,))
-        axes = [np.linspace(self.lo[i], self.hi[i], res[i]) for i in range(self.dim)]
+    def grid(self, resolution: int) -> np.ndarray:
+        """The regular grid of ``resolution`` points on every axis (an
+        integer >= 1), in C order, shape (points, dim)."""
+        n = check_count("resolution", resolution)
+        axes = [np.linspace(lo, hi, n) for lo, hi in zip(self.lo, self.hi)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -231,7 +227,8 @@ def polynomial_field(dim: int, terms: Sequence[tuple]) -> ScalarField:
     """Dense multi-index polynomial: terms is a list of (exps, coef).
 
     exps is a length-dim tuple of nonnegative integer exponents with total
-    degree <= 8, and coef a finite number (not a boolean or a string).
+    degree <= 8, and coef a finite number (not a boolean or a string) whose
+    product with every exponent, a derivative coefficient, is finite too.
     """
     parsed = []
     for exps, coef in terms:
@@ -248,6 +245,9 @@ def polynomial_field(dim: int, terms: Sequence[tuple]) -> ScalarField:
         coef = float(coef)
         if not np.isfinite(coef):
             raise ValueError(f"coefficient {coef} of term {exps} must be finite")
+        if not np.isfinite(coef * max(exps, default=0)):
+            raise ValueError(f"coefficient {coef} of term {exps} overflows "
+                             f"in the term's derivative")
         parsed.append((exps, coef))
 
     # the partial derivative along each axis, as monomial terms
@@ -259,9 +259,10 @@ def polynomial_field(dim: int, terms: Sequence[tuple]) -> ScalarField:
         lambda u: np.stack([_monomials(terms, u) for terms in partials], axis=-1))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _monomials(terms, u) -> np.ndarray:
     """The sum of coef * prod(u[..., ax] ** e) over terms (exps, coef), in
-    order."""
+    order; a sum that overflows is +-inf (or NaN), without a warning."""
     out = np.zeros(u.shape[:-1])
     for exps, coef in terms:
         term = np.full(u.shape[:-1], coef)

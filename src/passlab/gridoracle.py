@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooLarge
-from .fields import DomainBox, ScalarField, check_positive, check_resolution
+from .fields import DomainBox, ScalarField, check_count, check_positive
 
 ENUM_NODE_CAP = 25
 
@@ -54,7 +54,8 @@ class GridGraph:
         object.__setattr__(self, "values", v)
         if v.ndim not in (1, 2, 3):
             raise ValueError("grid dimension must be 1, 2 or 3")
-        check_resolution(v.shape, v.ndim)
+        for n in v.shape:
+            check_count("resolution", n, 3)
         if self.connectivity not in (4, 8):
             raise ValueError(f"connectivity must be 4 or 8, "
                              f"got {self.connectivity!r}")
@@ -62,12 +63,13 @@ class GridGraph:
             raise ValueError("node values must be finite")
 
     @classmethod
-    def from_field(cls, field: ScalarField, box: DomainBox, resolution,
+    def from_field(cls, field: ScalarField, box: DomainBox, resolution: int,
                    connectivity: int = 8) -> "GridGraph":
-        res = check_resolution(resolution, box.dim)
-        axes = tuple(np.linspace(box.lo[i], box.hi[i], res[i])
-                     for i in range(box.dim))
-        vals = np.asarray(field.evaluate(box.grid(res))).reshape(res)
+        """The graph of field on the box's grid of ``resolution`` points per
+        axis, an integer >= 3."""
+        res = check_count("resolution", resolution, 3)
+        axes = tuple(np.linspace(lo, hi, res) for lo, hi in zip(box.lo, box.hi))
+        vals = np.asarray(field.evaluate(box.grid(res))).reshape((res,) * box.dim)
         return cls(vals, connectivity, axes)
 
     @property
@@ -285,9 +287,11 @@ def enumerate_small(g: GridGraph, p: int, q: int, mode: str) -> OracleResult:
     return OracleResult(sign * best, best_path, f"enumerate_{mode}")
 
 
-def critical_scan(field: ScalarField, box: DomainBox, resolution,
+def critical_scan(field: ScalarField, box: DomainBox, resolution: int,
                   grad_tol: float) -> list:
-    """Grid points with small gradient norm, clustered by grid adjacency.
+    """Grid points with small gradient norm, on the box's grid of
+    ``resolution`` points per axis (an integer >= 3), clustered by grid
+    adjacency.
 
     Returns a list of {"center", "min_grad", "phi"} dicts, one per cluster,
     sorted by center coordinates; the center is the cluster's argmin of the
@@ -295,11 +299,11 @@ def critical_scan(field: ScalarField, box: DomainBox, resolution,
     """
     from scipy import ndimage  # deferred: ~0.2 s to import; only the oracle needs it
     check_positive("grad_tol", grad_tol)
-    res = check_resolution(resolution, box.dim)
+    res = check_count("resolution", resolution, 3)
     pts = box.grid(res)
     phi = np.asarray(field.evaluate(pts))
     gn = np.asarray(field.grad_norm(pts))
-    mask = (gn < grad_tol).reshape(res)
+    mask = (gn < grad_tol).reshape((res,) * box.dim)
     structure = np.ones((3,) * box.dim, dtype=int)
     labels, nlab = ndimage.label(mask, structure=structure)
     labels = labels.ravel()

@@ -718,15 +718,15 @@ class GeometryCheckResult:
         return asdict(self)
 
 
-def check_mpt_geometry(inst: MountainPassInstance, sphere_samples: int = 4096,
+def check_mpt_geometry(inst: MountainPassInstance, r: float,
+                       sphere_samples: int = 4096,
                        seed: int = 0) -> GeometryCheckResult:
-    """Check the ring inequality: min phi on the radius-r sphere around
-    pin_zero exceeds phi(pin_zero), which is at least phi(e).  The verdict
-    also needs the sphere inside the box and e outside it."""
-    if inst.radius is None:
-        raise ValueError("instance has no radius set")
+    """Check the ring inequality: min phi on the sphere of radius r (finite
+    and > 0) around pin_zero exceeds phi(pin_zero), which is at least
+    phi(e).  The verdict also needs the sphere inside the box and e outside
+    it, in either pin mode."""
+    check_positive("r", r)
     check_count("sphere_samples", sphere_samples)
-    r = inst.radius
     z = inst.pin_zero
     dim = inst.field.dim
     if dim == 1:

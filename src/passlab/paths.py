@@ -1,20 +1,21 @@
 """Discrete paths with exactly pinned nodes, and their nodewise deformation.
 
-A path is M+1 nodes at parameters t_i = i/M, with M a multiple of 4.  In
-"interior" pin mode the nodes at t = 1/4 and t = 1/2 are pinned to the two
-anchor points (both path endpoints stay free); "endpoints" mode pins t = 0
-and t = 1 instead.
+A path is M+1 nodes at parameters t_i = i/M, with M a multiple of 4 and
+>= 8 (check_m, a ValueError otherwise).  In "interior" pin mode the nodes at
+t = 1/4 and t = 1/2 are pinned to the two anchor points (both path endpoints
+stay free); "endpoints" mode pins t = 0 and t = 1 instead.  An instance holds
+no ring radius: the radius is minimax.check_mpt_geometry's parameter, whose
+verdict reports e inside the ring in either pin mode.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidM, PinMoved
-from .fields import DomainBox, ScalarField, check_count, check_positive
+from .errors import PinMoved
+from .fields import DomainBox, ScalarField, check_count
 from .flow import DeformationField, eta_batch
 
 
@@ -27,7 +28,6 @@ class MountainPassInstance:
     pin_zero: np.ndarray
     pin_e: np.ndarray
     pin_mode: str = "interior"  # "interior" | "endpoints"
-    radius: Optional[float] = None
 
     def __post_init__(self):
         z = np.asarray(self.pin_zero, dtype=float)
@@ -44,10 +44,6 @@ class MountainPassInstance:
             raise ValueError("the two pins must differ")
         if self.pin_mode not in ("interior", "endpoints"):
             raise ValueError(f"unknown pin mode {self.pin_mode!r}")
-        if self.radius is not None:
-            check_positive("radius", self.radius)
-            if self.pin_mode == "endpoints" and np.linalg.norm(e - z) <= self.radius:
-                raise ValueError("endpoints mode requires ||e - pin_zero|| > radius")
 
     def pinned_indices(self, M: int):
         if self.pin_mode == "interior":
@@ -76,11 +72,10 @@ class DiscretePath:
 
 
 def check_m(M: int):
-    """Raise InvalidM unless M (path segments) is a multiple of 4 and >= 8,
-    and ValueError unless it is an integer."""
-    if M < 8 or M % 4 != 0:
-        raise InvalidM(f"M must be a multiple of 4 and >= 8, got {M}")
-    check_count("M", M)
+    """A ValueError naming M unless M (path segments) is an integer (not a
+    boolean) >= 8 and a multiple of 4."""
+    if check_count("M", M, 8) % 4:
+        raise ValueError(f"M must be a multiple of 4, got {M!r}")
 
 
 def make_path(inst: MountainPassInstance, M: int, init: str = "axis",

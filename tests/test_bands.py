@@ -12,7 +12,8 @@ from passlab import (BandPartition, DeformationField, DomainBox,
                      FirstOrderBackend, RegionSpec, RegionTag, SampledBackend,
                      build_backend, catalog_field, classify_region,
                      default_box, polynomial_field, psi, vector_field)
-from passlab.bands import _EXPORT_ROWS, _UNDERFLOW, _quotient, export_region_clouds
+from passlab.bands import _UNDERFLOW, _quotient
+from passlab.cli import _EXPORT_ROWS, export_region_clouds
 from passlab.errors import InvalidRegionSpec
 
 
@@ -107,6 +108,28 @@ def test_d_spec_too_close_to_bands_rejected(affine_part):
     for bad in (-0.3, 0.29, -0.1 - 0.5 * 0.5, 0.6 * 0.5):
         with pytest.raises(InvalidRegionSpec):
             replace(affine_part, d_spec=RegionSpec.level_set(bad))
+
+
+@pytest.mark.parametrize("kind, kw", [
+    ("bogus", {}),                                    # a raw AttributeError
+    ("point_cloud", {}),                              # a raw AttributeError
+    ("level_set", {}),                                # a raw TypeError
+    ("level_set", {"value": np.nan}),
+    ("level_set", {"value": "abc"}),
+    ("level_set", {"value": 0.0, "thickness": 0.0}),
+    ("level_set", {"value": 0.0, "thickness": -1e-3}),
+    ("level_set", {"value": 0.0, "thickness": np.nan}),
+    ("level_set", {"value": 0.0, "thickness": np.inf}),
+    ("point_cloud", {"points": [[0.0, np.nan]]}),
+    ("point_cloud", {"points": [[0.0, 0.0], [0.5]]}),
+    ("point_cloud", {"points": np.zeros((2, 2, 2))}),
+], ids=["bogus_kind", "cloud_without_points", "level_without_value",
+        "nan_value", "string_value", "zero_thickness", "negative_thickness",
+        "nan_thickness", "inf_thickness", "nan_point", "ragged_points",
+        "3d_points"])
+def test_malformed_region_spec_rejected_at_construction(kind, kw):
+    with pytest.raises(InvalidRegionSpec):
+        RegionSpec(kind, **kw)
 
 
 def test_psi_zero_on_d(affine_part, affine_field):

@@ -753,7 +753,8 @@ def test_point_cloud_d_without_points_exits_2(tmp_path, capsys):
                        d_spec={"kind": "point_cloud"})
     cfg = dict(SAMPLED_CLOUD_DEFORM, deformation=deformation)
     err = _config_error(tmp_path, capsys, "deform", cfg)
-    assert "'point_cloud' with points" in err
+    assert "bad deformation.d_spec: D needs kind" in err
+    assert "'point_cloud' with finite points" in err
 
 
 def _strict_json(text):
@@ -788,6 +789,46 @@ def test_overflowing_oracle_prints_nothing(tmp_path, capsys):
     code, _, out = _run(tmp_path, "oracle", cfg, "--strict")
     assert code == 0 and capsys.readouterr().err == ""
     _strict_json((out / "report.json").read_text())
+
+
+def _poly_deform(terms, c, eps):
+    return {"functional": {"poly": {"dim": 2, "terms": [
+                {"exps": exps, "coef": coef} for exps, coef in terms]}},
+            "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+            "deformation": {"c": c, "eps": eps, "samples": 50}}
+
+
+@pytest.mark.parametrize("cfg", [
+    # ||grad phi||^2 and the quotient's denominator overflow in the cutoff
+    _poly_deform([([3, 0], 1e156), ([0, 2], 1.0)], 0.0, 1e154),
+    # phi itself overflows, at (1, 1)
+    _poly_deform([([1, 0], 1e308), ([0, 1], 1e308)], 0.0, 1.0),
+], ids=["cutoff", "monomials"])
+def test_overflowing_deform_prints_nothing(tmp_path, capsys, cfg):
+    # numpy's "overflow encountered" and "invalid value encountered", which
+    # the test settings make an error
+    code, _, out = _run(tmp_path, "deform", cfg)
+    assert code == 0 and capsys.readouterr().err == ""
+    _strict_json((out / "report.json").read_text())
+
+
+def test_poly_whose_derivative_overflows_exits_2(tmp_path, capsys):
+    # the x-derivative coefficient of 1e308 x^2 is 2e308, inf
+    cfg = _poly_deform([([2, 0], 1e308), ([0, 2], 1.0)], 0.0, 1.0)
+    err = _config_error(tmp_path, capsys, "deform", cfg)
+    assert "bad functional.poly" in err and "(2, 0)" in err
+
+
+def test_minimax_reads_no_ring_radius(tmp_path):
+    # e lies 0.5 from pin_zero, inside the r = 1 ring; exited 2 with
+    # "endpoints mode requires ||e - pin_zero|| > radius"
+    cfg = {"functional": {"catalog": "well_to_saddle"},
+           "minimax": {"pin_zero": [0.0, 0.0], "pin_e": [0.5, 0.0],
+                       "pin_mode": "endpoints", "ensemble_size": 2, "M": 16,
+                       "max_iters": 50},
+           "geometry": {"r": 1.0}}
+    code, report, _ = _run(tmp_path, "minimax", cfg, "--strict")
+    assert code == 0 and report is not None
 
 
 def test_overflowing_pscheck_is_strict_json(tmp_path):

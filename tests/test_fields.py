@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passlab import (BandPartition, DeformationField, DomainBox,
+from passlab import (BandPartition, DeformationField, DomainBox, GridGraph,
                      MountainPassInstance, build_backend, catalog_field,
                      catalog_names, check_mpt_geometry, critical_scan,
                      default_box, gradient_check, make_path,
@@ -131,10 +131,15 @@ def test_affine_linearity(x, y, s):
     assert lhs == pytest.approx(s * float(f.evaluate([x, y])), abs=1e-12)
 
 
-def _w2s_instance(**kw):
+def _w2s_instance():
     return MountainPassInstance(catalog_field("well_to_saddle"),
                                 default_box("well_to_saddle"), [0.0, 0.0],
-                                [2.0, 0.0], **kw)
+                                [2.0, 0.0])
+
+
+def _paraboloid_partition():
+    return BandPartition(catalog_field("paraboloid"), default_box("paraboloid"),
+                         1.0, 0.3)
 
 
 def _w2s_deformation():
@@ -145,9 +150,9 @@ def _w2s_deformation():
 
 @pytest.mark.parametrize("call, name", [
     # numpy's "zero-size array to reduction operation minimum", and TypeError
-    (lambda: check_mpt_geometry(_w2s_instance(radius=1.0), sphere_samples=0),
+    (lambda: check_mpt_geometry(_w2s_instance(), 1.0, sphere_samples=0),
      "sphere_samples"),
-    (lambda: check_mpt_geometry(_w2s_instance(radius=1.0), sphere_samples=2.5),
+    (lambda: check_mpt_geometry(_w2s_instance(), 1.0, sphere_samples=2.5),
      "sphere_samples"),
     # TypeError from the sampler
     (lambda: verify_deformation(_w2s_deformation(), 1.5, 0), "samples"),
@@ -159,15 +164,40 @@ def _w2s_deformation():
                            1, 0.1), "resolution"),
     (lambda: critical_scan(catalog_field("paraboloid"), default_box("paraboloid"),
                            (21, 2), 0.1), "resolution"),
-    # accepted: the geometry check reported b NaN (and a RuntimeWarning at inf)
-    (lambda: _w2s_instance(radius=float("nan")), "radius"),
-    (lambda: _w2s_instance(radius=float("inf")), "radius"),
+    # a box grid has one resolution; the sampled backend's was a raw TypeError
+    # and the others ran a per-axis grid
+    (lambda: build_backend(_paraboloid_partition(), "first_order", (21, 31)),
+     "resolution"),
+    (lambda: build_backend(_paraboloid_partition(), "sampled", (21, 31)),
+     "resolution"),
+    (lambda: GridGraph.from_field(catalog_field("paraboloid"),
+                                  default_box("paraboloid"), (21, 31)),
+     "resolution"),
+    (lambda: critical_scan(catalog_field("paraboloid"), default_box("paraboloid"),
+                           (21, 31), 0.1), "resolution"),
+    (lambda: default_box("paraboloid").grid((21, 31)), "resolution"),
+    # the ring radius: b was NaN (and a RuntimeWarning at inf)
+    (lambda: check_mpt_geometry(_w2s_instance(), float("nan")), "r"),
+    (lambda: check_mpt_geometry(_w2s_instance(), float("inf")), "r"),
     # TypeError from the sampler
     (lambda: gradient_check(catalog_field("paraboloid"),
                             default_box("paraboloid"), samples=2.0), "samples"),
 ], ids=["sphere_samples=0", "sphere_samples=2.5", "samples=1.5", "samples=True",
-        "M=8.0", "resolution=1", "resolution=(21,2)", "radius=nan",
-        "radius=inf", "fd_samples=2.0"])
+        "M=8.0", "resolution=1", "resolution=(21,2)",
+        "first_order_resolution=(21,31)", "sampled_resolution=(21,31)",
+        "from_field_resolution=(21,31)", "critical_scan_resolution=(21,31)",
+        "grid_resolution=(21,31)", "radius=nan", "radius=inf", "fd_samples=2.0"])
 def test_entry_points_reject_bad_counts_and_radii(call, name):
     with pytest.raises(ValueError, match=rf"^{name} must be "):
         call()
+
+
+def test_poly_rejects_a_derivative_coefficient_that_overflows():
+    # the x-derivative of 1e308 x^2 is 2e308 x, inf: grad phi was inf at
+    # (0.5, 0), where it is 1e308, and NaN at (0, 0.5), where it is 0
+    with pytest.raises(ValueError, match=r"term \(2, 0\) overflows"):
+        polynomial_field(2, [((2, 0), 1e308), ((0, 2), 1.0)])
+    # the largest coefficient whose derivative coefficients stay finite
+    big = np.finfo(float).max / 2
+    f = polynomial_field(2, [((2, 0), big), ((0, 2), 1.0)])
+    assert np.array_equal(f.gradient([0.5, 0.0]), [big, 0.0])

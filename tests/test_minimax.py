@@ -21,10 +21,10 @@ from passlab.minimax import STALL_ITERS
 OPT_KW = dict(ensemble_size=4, M=16, max_iters=150, seed=0)
 
 
-def _instance(name, e=(1.0, 0.0), r=None):
+def _instance(name, e=(1.0, 0.0)):
     f = catalog_field(name)
     return MountainPassInstance(f, default_box(name), np.array([0.0, 0.0]),
-                                np.asarray(e, float), radius=r)
+                                np.asarray(e, float))
 
 
 @pytest.fixture(scope="module")
@@ -891,22 +891,22 @@ def test_ps_probe_arguments_checked(kw):
 
 
 def test_geometry_w2s_holds():
-    inst = _instance("well_to_saddle", e=(2.0, 0.0), r=1.0)
-    res = check_mpt_geometry(inst, sphere_samples=2048, seed=0)
+    inst = _instance("well_to_saddle", e=(2.0, 0.0))
+    res = check_mpt_geometry(inst, 1.0, sphere_samples=2048, seed=0)
     assert res.verdict
     assert res.b == pytest.approx(1.0, abs=0.01)
 
 
 def test_geometry_paraboloid_fails():
-    inst = _instance("paraboloid", e=(1.0, 0.0), r=0.5)
-    res = check_mpt_geometry(inst, sphere_samples=512, seed=0)
+    inst = _instance("paraboloid", e=(1.0, 0.0))
+    res = check_mpt_geometry(inst, 0.5, sphere_samples=512, seed=0)
     assert not res.verdict
     assert res.phi_at_e > res.phi_at_zero
 
 
 def test_geometry_affine_fails():
-    inst = _instance("affine", e=(1.0, 0.0), r=0.5)
-    res = check_mpt_geometry(inst, sphere_samples=512, seed=0)
+    inst = _instance("affine", e=(1.0, 0.0))
+    res = check_mpt_geometry(inst, 0.5, sphere_samples=512, seed=0)
     assert not res.verdict
     assert res.b == pytest.approx(-0.5, abs=0.01)
 
@@ -914,8 +914,8 @@ def test_geometry_affine_fails():
 def test_geometry_centres_the_sphere_on_pin_zero(w2s_field, w2s_box):
     # phi(pin_zero) = 0.25 * 2.25 + 0.25, not phi(0) = 0
     inst = MountainPassInstance(w2s_field, w2s_box, np.array([0.5, 0.5]),
-                                np.array([2.0, 0.0]), radius=1.0)
-    res = check_mpt_geometry(inst, sphere_samples=512)
+                                np.array([2.0, 0.0]))
+    res = check_mpt_geometry(inst, 1.0, sphere_samples=512)
     assert res.phi_at_zero == 0.8125
     assert res.sphere_in_box and res.e_outside_ring
     assert res.verdict == (res.b > 0.8125 >= res.phi_at_e)
@@ -925,19 +925,30 @@ def test_geometry_needs_the_sphere_in_the_box_and_e_outside_it(w2s_field, w2s_bo
     # the r = 5 sphere around (0.5, 0.5) leaves the box [-1, 3] x [-2, 2],
     # where phi only grows, and holds e
     inst = MountainPassInstance(w2s_field, w2s_box, np.array([0.5, 0.5]),
-                                np.array([2.0, 0.0]), radius=5.0)
-    res = check_mpt_geometry(inst, sphere_samples=512)
+                                np.array([2.0, 0.0]))
+    res = check_mpt_geometry(inst, 5.0, sphere_samples=512)
     assert res.b > res.phi_at_zero >= res.phi_at_e
     assert not res.sphere_in_box and not res.e_outside_ring
     assert not res.verdict
 
 
 def test_endpoints_mode_measures_e_from_pin_zero(w2s_field, w2s_box):
-    # ||e|| = 2.5 > r, but e lies 0.5 from pin_zero
-    with pytest.raises(ValueError, match="pin_zero"):
-        MountainPassInstance(w2s_field, w2s_box, np.array([1.5, 1.5]),
-                             np.array([2.0, 1.5]), pin_mode="endpoints",
-                             radius=1.0)
+    # ||e|| = 2.5 > r, but e lies 0.5 from pin_zero, inside the ring
+    inst = MountainPassInstance(w2s_field, w2s_box, np.array([1.5, 1.5]),
+                                np.array([2.0, 1.5]), pin_mode="endpoints")
+    res = check_mpt_geometry(inst, 1.0, sphere_samples=512)
+    assert not res.e_outside_ring and not res.verdict
+
+
+@pytest.mark.parametrize("pin_mode", ["interior", "endpoints"])
+def test_e_inside_the_ring_is_a_verdict_in_both_pin_modes(w2s_field, w2s_box,
+                                                          pin_mode):
+    # endpoints mode rejected this instance when it was built, with a radius
+    inst = MountainPassInstance(w2s_field, w2s_box, np.array([0.0, 0.0]),
+                                np.array([0.5, 0.0]), pin_mode=pin_mode)
+    res = check_mpt_geometry(inst, 1.0, sphere_samples=512)
+    assert res.sphere_in_box
+    assert not res.e_outside_ring and not res.verdict
 
 
 @pytest.mark.parametrize("terms, z, e", [
@@ -952,8 +963,8 @@ def test_geometry_in_1d_and_3d(terms, z, e):
     field = polynomial_field(dim, terms)
     z = np.array(z)
     inst = MountainPassInstance(field, DomainBox([-1.0] * dim, [3.0] * dim), z,
-                                np.array(e), radius=1.0)
-    res = check_mpt_geometry(inst, sphere_samples=4096, seed=0)
+                                np.array(e))
+    res = check_mpt_geometry(inst, 1.0, sphere_samples=4096, seed=0)
     # the sphere's lowest points are pin_zero -+ (1, 0, 0)
     want = float(field.evaluate(z + np.eye(dim)[0]))
     if dim == 1:
