@@ -26,8 +26,9 @@ cutoff_stage, the per-stage cutoff of the flow, reaches the partition
 through the backend, takes a batch its callers have checked once and
 calls the field's eval_fn and grad_fn on it directly; it compares the
 codes as plain ints and passes a batch through whole when all its rows
-need the gradient or the set distances.  A gradient norm, set distance or
-denominator that overflows there is inf, without a numpy warning.  The
+need the gradient or the set distances.  A gradient norm is inf there
+only where the norm itself overflows (fields.vector_norm), and a set
+distance or denominator that overflows is inf, without a numpy warning.  The
 quotient cannot degenerate: for distances >= 0 its computed denominator is
 never below |numerator|, as rounding is monotone, so psi stays in [-1, 1];
 a row whose denominator underflows is at 0.  The module does no file I/O.
@@ -38,27 +39,31 @@ phi by the local ||grad phi||: the distances vanish at the band edges, so
 psi is continuous there, no point lookup is made, and they are exact for an
 affine field.  SampledBackend measures them exactly to grid point clouds;
 it is the set-distance reference the first-order distances are checked
-against.  It lists, the first time a query lands in a grid cell, the cloud
-points that can be nearest to any point of the cell, and answers later
-queries there from those lists, kept in one dimension-major table, with
-the arithmetic of cKDTree.query, bit for bit; rows outside the box,
-non-finite rows and cells whose lists would be too long go to the
-KD-trees.  A band (or a side of the complement of A) with no grid point
-is at +inf in both.  A distance that divides by ||grad phi|| floors it at
-MIN_GRAD_FLOOR.  Both build on the box's grid of one resolution, an
-integer >= 3, on every axis.
+against.  The nearest node of a cloud to any point is one of the cloud's
+boundary nodes or a corner of the point's grid cell (_boundary), so the
+backend searches those alone.  It lists, the first time a query lands in
+a grid cell, the cloud points that can be nearest to any point of the
+cell, and answers later queries there from those lists, kept in one
+dimension-major table; rows outside the box and cells whose lists would
+be too long are scanned over the boundary nodes.  Either way a distance
+is the brute-force minimum over the cloud, bit for bit, and a non-finite
+row is a ValueError.  A band (or a side of the complement of A) with no
+grid point is at +inf in both.  A distance that divides by ||grad phi||
+floors it at MIN_GRAD_FLOOR.  Both build on the box's grid of one
+resolution, an integer >= 3, on every axis.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
-from itertools import chain, product
+from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidRegionSpec
-from .fields import DomainBox, ScalarField, check_count, check_positive
+from .fields import (DomainBox, ScalarField, check_count, check_positive,
+                     vector_norm)
 
 # Minimum separation (in units of eps) between D's value range and the
 # B/C value ranges: it keeps D's values off B and C, so that psi's +1 and
@@ -72,17 +77,19 @@ MIN_GRAD_FLOOR = 1e-8
 _UNDERFLOW = 1e-300
 
 # SampledBackend: a grid cell whose candidate list for some cloud is longer
-# than CELL_CAP points is answered by the KD-trees, as is one whose ball
-# holds more than _BALL_CAP points before pruning (the centre of a
-# ring-shaped band holds hundreds).  Cells are listed _CELL_CHUNK at a time
-# and looked up _CHUNK rows at a time, which bounds the temporaries.  _SLACK
-# is the relative margin by which a candidate must lose to be pruned.
+# than CELL_CAP points is scanned, as is one whose ball holds more than
+# _BALL_CAP points before pruning (the centre of a ring-shaped band holds
+# hundreds).  Cells are listed _CELL_CHUNK at a time and looked up _CHUNK
+# rows at a time, and a listing or a scan measures at most _SCAN (row,
+# node) pairs at once, which bounds the temporaries.  _SLACK is the
+# relative margin by which a candidate must lose to be pruned.
 CELL_CAP = 32
 _BALL_CAP = 128
 _CELL_CHUNK = 64
 _CHUNK = 2048
+_SCAN = 1 << 18
 _SLACK = 1e-9
-_UNFILLED, _TO_TREES = -1, -2   # cell-to-slot codes of unlisted and tree cells
+_UNFILLED, _SCANNED = -1, -2   # cell-to-slot codes of unlisted and scanned cells
 
 class RegionTag(IntEnum):
     """Region codes as returned by BandPartition.tags.
@@ -383,6 +390,42 @@ class FirstOrderBackend:
         return dB, dC, np.minimum(d_out, self.part.d_distance(u, phi, gnorm))
 
 
+def _boundary(inside):
+    """The boundary nodes of a boolean grid array: those in it that lack
+    one of their 2 dim axis neighbours in it, every node on a face of the
+    grid among them.
+
+    The nearest node of the set to a point x is one of them or a corner of
+    x's grid cell.  For an inner node p that is not a corner of the cell,
+    some axis i has p_i at least one step h_i from x_i; p's neighbour one
+    step towards x_i is in the set, and its difference to x_i on axis i,
+    and so its squared distance, is no larger in floats (rounding is
+    monotone), while the other axes' terms are the same.  The same holds
+    for an inner node and a point outside the box.  The step h_i must
+    exceed the rounding of a cell index, which SampledBackend checks.
+    """
+    inner = inside.copy()
+    for axis in range(inside.ndim):
+        have, keep = np.moveaxis(inside, axis, 0), np.moveaxis(inner, axis, 0)
+        keep[1:] &= have[:-1]
+        keep[:-1] &= have[1:]
+        keep[[0, -1]] = False
+    return inside & ~inner
+
+
+def _sq_dist(x, nodes):
+    """(rows, nodes) squared distances from the rows of x (rows, dim) to
+    nodes (dim, nodes), one contiguous row per axis: the squared coordinate
+    differences summed over the axes in order."""
+    d2 = nodes[0] - x[:, 0, None]
+    d2 *= d2
+    for axis in range(1, len(nodes)):
+        t = nodes[axis] - x[:, axis, None]
+        t *= t
+        d2 += t
+    return d2
+
+
 class SampledBackend:
     """Rejection-sampled region clouds on a regular grid, with exact
     nearest-point distances to them.
@@ -393,41 +436,46 @@ class SampledBackend:
     A; the cutoff's plateau values come from the region codes, not from
     these distances, so they stay exact.
 
+    The nearest node of a cloud to a point is one of the cloud's boundary
+    nodes or an inner node at a corner of the point's cell (see _boundary),
+    so those are the only nodes searched: on well_to_saddle at c = 0.5,
+    eps = 0.1 and a 201^2 grid, 2,148 boundary nodes of 37,565.  Where the
+    squared step of some axis is not above _SLACK times the squared
+    coordinate scale (only very fine grids), every node counts as a
+    boundary node.
+
     A query row is looked up in the grid cell that holds it (cell k spans
-    [lo + k h, lo + (k + 1) h]).  The first query landing in a cell lists,
-    for each cloud, the points that can be nearest to a point of the cell:
-    the KD-tree's points within d(x_c) + 2r of the centre x_c, r being the
-    cell's circumradius, less each point that another one is closer than
-    at every corner of the cell (and so everywhere in it).  Both tests
-    keep a float margin.  The three lists sit side by side, padded with
-    +inf, in one dimension-major coordinate table (dim, candidates,
-    slots), so a lookup is one gather of slots, a sum of the squared
-    coordinate differences over the axes in order, as cKDTree sums them,
-    and one minimum per cloud over contiguous rows: the distances equal
-    cKDTree.query's bit for bit.
-    Rows outside the box, non-finite rows and rows in a cell with a list
-    longer than CELL_CAP points are queried on the KD-trees (which reject
-    a non-finite row with ValueError).
+    [lo + k h, lo + (k + 1) h]; a row on the last grid line of an axis is
+    in the last cell).  The first query landing in a cell lists, for each
+    cloud, the points that can be nearest to a point of the cell: the
+    boundary nodes within d(x_c) + 2r of the centre x_c and the cell's
+    inner corners, r being the cell's circumradius, less each point that
+    another one is closer than at every corner of the cell (and so
+    everywhere in it).  Both tests keep a float margin.  The three lists
+    sit side by side, padded with +inf, in one dimension-major coordinate
+    table (dim, candidates, slots), so a lookup is one gather of slots, a
+    sum of the squared coordinate differences over the axes in order, and
+    one minimum per cloud over contiguous rows.  Rows outside the box and
+    rows in a cell with a list longer than CELL_CAP points are scanned:
+    every boundary node is measured, and the inner corners of the row's
+    cell.  Both give the brute-force minimum over the cloud bit for bit,
+    and a non-finite row raises ValueError.
     """
 
     name = "sampled"
 
     def __init__(self, part: BandPartition, resolution: int = 201):
-        # deferred: scipy.spatial takes ~0.25 s to import; only this backend and
-        # a point-cloud D need it
-        from scipy.spatial import cKDTree
         pts, phi, tags = _grid_tags(part, resolution)
         self.part = part
-        masks = {"B": tags == RegionTag.B, "C": tags == RegionTag.C,
-                 "OUT": tags == RegionTag.OUTSIDE}
+        masks = {"B": tags == _B, "C": tags == _C, "OUT": tags == _OUTSIDE}
         self.clouds = {k: pts[m] for k, m in masks.items()}
         self.cloud_phi = {k: phi[m] for k, m in masks.items()}
-        self.trees = {k: (cKDTree(v) if len(v) else None) for k, v in self.clouds.items()}
         box = part.box
+        dim = box.dim
         self._res = resolution
         self._lo = box.lo
         self._h = (box.hi - box.lo) / (resolution - 1)
-        self._stride = resolution ** np.arange(box.dim - 1, -1, -1, dtype=np.int32)
+        self._stride = resolution ** np.arange(dim - 1, -1, -1, dtype=np.int32)
         # Float margins, far above the rounding of a cell index, a distance
         # or a difference of squared distances at this coordinate scale:
         # cells are widened by _pad per side, the ball's radius 2r by a
@@ -439,14 +487,45 @@ class SampledBackend:
         self._span = self._h + 2.0 * self._pad
         self._reach = 2.0 * r + 1e-9 * (r + scale)
         self._scale2 = scale * scale
-        self._corners = np.array(list(product((False, True), repeat=box.dim)))
-        self._points = np.concatenate(list(self.clouds.values()))
-        self._base = np.cumsum([0] + [len(c) for c in self.clouds.values()])[:3]
-        self._slot = np.full(resolution ** box.dim, _UNFILLED, dtype=np.int32)
+        self._corners = np.array(list(product((False, True), repeat=dim)))
+        # each cloud's boundary nodes side by side, one contiguous row per
+        # axis, and the cloud (0, 1, 2) of each inner node, -1 elsewhere
+        coarse = np.all(self._h * self._h > _SLACK * self._scale2)
+        edges = [_boundary(m.reshape((resolution,) * dim)).ravel() if coarse
+                 else m for m in masks.values()]
+        self._edge = np.concatenate([pts[e] for e in edges]).T.copy()
+        ends = np.cumsum([np.count_nonzero(e) for e in edges]).tolist()
+        self._segments = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        self._inner = np.full(resolution ** dim, -1, dtype=np.int8)
+        for j, (m, e) in enumerate(zip(masks.values(), edges)):
+            self._inner[m & ~e] = j
+        # the grid's coordinates on each axis, as box.grid gave them
+        self._axes = [pts[np.arange(resolution) * s, a]
+                      for a, s in enumerate(self._stride)]
+        self._slot = np.full(resolution ** dim, _UNFILLED, dtype=np.int32)
         self._filled = 0
         self._width = np.ones(3, dtype=np.intp)   # B, C, OUT segment widths
         self._start = np.arange(3)
-        self._table = np.empty((box.dim, 3, 0))   # axis, candidate, slot
+        self._table = np.empty((dim, 3, 0))   # axis, candidate, slot
+
+    def _inner_corners(self, x, k):
+        """The corners of the cells k (rows, dim) that are inner nodes of a
+        cloud: (rows, corners) cloud codes (-1 for none), (rows, corners,
+        dim) coordinates and (rows, corners) squared distances to the rows
+        of x."""
+        idx = k[:, None, :] + self._corners          # (rows, corners, dim)
+        code = self._inner.take(idx @ self._stride)
+        at = np.stack([ax.take(idx[..., a]) for a, ax in enumerate(self._axes)])
+        return code, np.moveaxis(at, 0, -1), _sq_dist(x, at)
+
+    def _minima(self, d2e, code, d2c):
+        """(3, rows) minima of each cloud's squared distances: d2e to the
+        boundary nodes (rows, nodes), d2c to the corners of codes code."""
+        out = np.empty((3, len(d2e)))
+        for j, seg in enumerate(self._segments):
+            np.minimum(d2e[:, seg].min(axis=1, initial=np.inf),
+                       np.where(code == j, d2c, np.inf).min(axis=1), out=out[j])
+        return out
 
     def _undominated(self, pts, n, lo, hi):
         """(cells, K) mask of the first n[i] of the +inf-padded candidates
@@ -468,31 +547,39 @@ class SampledBackend:
     def _fill(self, cells):
         """List the candidates of the given unique, unlisted flat cell ids."""
         m, dim = len(cells), len(self._h)
-        k = cells[:, None] // self._stride % self._res          # (m, dim) cell index
+        k = np.minimum(cells[:, None] // self._stride % self._res, self._res - 2)
         lo = self._lo - self._pad + k * self._h
         hi = lo + self._span
         centres = lo + 0.5 * self._span
-        balls = list(chain.from_iterable(
-            [[]] * m if tree is None else tree.query_ball_point(
-                centres, tree.query(centres)[0] + self._reach)
-            for tree in self.trees.values()))                    # cloud-major
-        n = np.fromiter(map(len, balls), dtype=np.intp, count=3 * m)
+        # the ball around each centre: the boundary nodes within d + reach
+        # of it, d being its distance to the cloud, and the inner corners
+        d2e = _sq_dist(centres, self._edge)                      # (m, nodes)
+        code, corner, d2c = self._inner_corners(centres, k)
+        radius = np.sqrt(self._minima(d2e, code, d2c)) + self._reach
+        rows, at = [], []
+        for j, seg in enumerate(self._segments):   # cloud-major rows j m + i
+            i, e = np.nonzero(d2e[:, seg] <= (radius[j] * radius[j])[:, None])
+            ic, c = np.nonzero(code == j)
+            rows += [j * m + i, j * m + ic]
+            at += [self._edge.T[seg][e], corner[ic, c]]
+        row = np.concatenate(rows)
+        order = np.argsort(row, kind="stable")     # grouped by row
+        row = row[order]
+        n = np.bincount(row, minlength=3 * m)
         over = n > _BALL_CAP
         n[over] = 0
-        total = int(n.sum())
-        ids = np.fromiter(chain.from_iterable(
-            b for b, o in zip(balls, over) if not o), dtype=np.intp, count=total)
+        take = ~over[row]
+        row = row[take]
+        col = np.arange(len(row)) - np.repeat(np.cumsum(n) - n, n)
         # the balls as one +inf-padded (3 m, K, dim) coordinate array
-        row = np.repeat(np.arange(3 * m), n)
-        col = np.arange(total) - np.repeat(np.cumsum(n) - n, n)
         pts = np.full((3 * m, int(n.max(initial=1)), dim), np.inf)   # K >= 1
-        pts[row, col] = self._points[ids + self._base[row // m]]
+        pts[row, col] = np.concatenate(at)[order[take]]
         keep = self._undominated(pts, n, np.tile(lo, (3, 1)), np.tile(hi, (3, 1)))
         n = np.count_nonzero(keep, axis=1)
-        n[over] = CELL_CAP + 1      # an unpruned ball goes to the trees too
+        n[over] = CELL_CAP + 1      # an unpruned ball is scanned too
         n = n.reshape(3, m)
         ok = np.all(n <= CELL_CAP, axis=0)
-        self._slot[cells[~ok]] = _TO_TREES
+        self._slot[cells[~ok]] = _SCANNED
         filled = self._filled + np.count_nonzero(ok)
         width = np.maximum(self._width, n[:, ok].max(axis=1, initial=0))
         slots = self._table.shape[2]
@@ -522,24 +609,49 @@ class SampledBackend:
         d2 = np.add.reduce(g, axis=0)     # dx*dx + dy*dy (+ dz*dz), in order
         return np.sqrt(np.minimum.reduceat(d2, self._start, axis=0))
 
+    def _grid_coords(self, pts):
+        """Grid coordinates (lo + t h = pts) of the rows of pts, and whether
+        each row is in the box (False on NaN)."""
+        t = (pts - self._lo) / self._h
+        return t, np.all((t >= 0.0) & (t <= self._res - 1), axis=-1)
+
+    def _scan(self, pts):
+        """(3, rows) distances from the rows of pts (rows, dim) measured to
+        every boundary node and to the inner corners of the cell of each
+        row in the box, _SCAN (row, node) pairs at a time."""
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("query points must be finite")
+        t, inside = self._grid_coords(pts)
+        # the cell of each row in the box, a row on the last grid line of an
+        # axis being in the last cell; rows outside get cell 0, unused
+        k = np.minimum(np.where(inside[:, None], t, 0.0).astype(np.int32),
+                       self._res - 2)
+        d2 = np.empty((3, len(pts)))
+        per = max(1, _SCAN // max(self._edge.shape[1], 1))
+        for i in range(0, len(pts), per):
+            x = pts[i:i + per]
+            code, _, d2c = self._inner_corners(x, k[i:i + per])
+            code[~inside[i:i + per]] = -1   # outside the box: the boundary only
+            d2[:, i:i + per] = self._minima(_sq_dist(x, self._edge), code, d2c)
+        return np.sqrt(d2)
+
     def _all_rows(self, pts):
         """(3, rows) distances from every row of pts: lists the cells not
-        yet listed, sends the rows outside the box or in a cell over the cap
-        to the KD-trees and looks the rest up in chunks."""
-        t = (pts - self._lo) / self._h
-        inside = np.all((t >= 0.0) & (t <= self._res - 1), axis=-1)   # False on NaN
+        yet listed, scans the rows outside the box or in a cell over the
+        cap and looks the rest up in chunks."""
+        t, inside = self._grid_coords(pts)
         cell = t[inside].astype(np.int32) @ self._stride
         del t
         new = np.unique(cell[self._slot[cell] == _UNFILLED])
-        for i in range(0, new.size, _CELL_CHUNK):
-            self._fill(new[i:i + _CELL_CHUNK])
-        slot = np.full(len(pts), _TO_TREES, dtype=np.int32)
+        per = max(1, min(_CELL_CHUNK, _SCAN // max(self._edge.shape[1], 1)))
+        for i in range(0, new.size, per):
+            self._fill(new[i:i + per])
+        slot = np.full(len(pts), _SCANNED, dtype=np.int32)
         slot[inside] = self._slot[cell]
         d = np.empty((3, len(pts)))
         miss = np.flatnonzero(slot < 0)
-        if miss.size:   # +inf to a cloud with no points
-            for j, tree in enumerate(self.trees.values()):
-                d[j, miss] = np.inf if tree is None else tree.query(pts[miss])[0]
+        if miss.size:
+            d[:, miss] = self._scan(pts[miss])
         for i in range(0, len(pts), _CHUNK):
             s = slot[i:i + _CHUNK]
             hit = _rows_of(s >= 0)
@@ -614,9 +726,10 @@ def _quotient(dB, dC, dXA):
 def cutoff_stage(backend, U):
     """psi, grad phi, ||grad phi|| and the region codes of a batch U
     (..., dim) of floats on the backend's partition, from one evaluation of
-    phi and one of its gradient.  Like ScalarField.grad_norm, a value that
-    overflows is inf (a set distance or the quotient's denominator too),
-    without a numpy warning.
+    phi and one of its gradient.  ||grad phi|| is fields.vector_norm, as
+    in ScalarField.grad_norm, so it is finite wherever the norm is, even
+    where its square overflows; a set distance or the quotient's
+    denominator that overflows is inf.  No numpy warning is printed.
 
     U is not checked: psi and the flow check a batch once, with
     ScalarField.check, and the stage calls the field's eval_fn and grad_fn
@@ -643,8 +756,7 @@ def cutoff_stage(backend, U):
     else:
         grad = np.zeros(U.shape)
         grad[live] = field.grad_fn(U[live])
-    # np.linalg.norm(grad, axis=-1) without its dispatch: the same formula
-    gnorm = np.sqrt(np.add.reduce(grad * grad, axis=-1))
+    gnorm = vector_norm(grad)
     if all_rest:
         out = _quotient(*backend.distances(U, phi, gnorm))
     else:

@@ -6,7 +6,9 @@ gradient and nothing more: no closed form is attached to it, so the cutoff's
 set distances treat an affine field like any other.  A box grid has one
 resolution, the same integer count of points on every axis.  A polynomial
 whose value overflows is inf there, without a numpy warning, and one whose
-derivative coefficients overflow is rejected when it is built.
+derivative coefficients overflow is rejected when it is built.  A gradient
+norm (vector_norm) is finite wherever the norm is, even where its square
+overflows.
 """
 from __future__ import annotations
 
@@ -117,10 +119,25 @@ class ScalarField:
         return self.grad_fn(u)
 
     def grad_norm(self, u) -> np.ndarray:
-        """||grad phi|| at u; inf, without a warning, where its square
-        overflows."""
-        with np.errstate(over="ignore"):
-            return np.linalg.norm(self.gradient(u), axis=-1)
+        """||grad phi|| at u (vector_norm), without a numpy warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return vector_norm(self.gradient(u))
+
+
+def vector_norm(v):
+    """||v|| over the last axis: the root of the summed squares, as
+    np.linalg.norm computes it, except on the rows where that sum overflows.
+    There it is m sqrt(sum((v / m)^2)), m = max |v_i|, which is inf only
+    where the norm itself overflows or v has an infinite entry.  Callers
+    silence numpy's overflow and invalid-value warnings."""
+    norm = np.asarray(np.sqrt(np.add.reduce(v * v, axis=-1)))
+    big = np.isinf(norm)
+    if np.count_nonzero(big):
+        w = np.abs(v[big])
+        m = np.max(w, axis=-1, keepdims=True)
+        scaled = m[:, 0] * np.sqrt(np.add.reduce((w / m) ** 2, axis=-1))
+        norm[big] = np.where(np.isinf(m[:, 0]), np.inf, scaled)
+    return norm[()]   # a scalar for one point
 
 
 def affine_field() -> ScalarField:

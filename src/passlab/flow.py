@@ -13,7 +13,8 @@ grid and the record schedule at construction, with at most MAX_STEPS steps;
 every flow call takes only it.  Each evaluation of f reads phi and its
 gradient once (bands.cutoff_stage) and also yields psi; a stage whose rows
 all have psi != 0 is computed on the whole batch, with no gather or
-scatter.  One RK4 integrator serves eta, eta_batch, integrate_flow
+scatter; where ||grad||^2 overflows, f is (psi / ||grad||)(grad / ||grad||),
+so the flow keeps its finite speed there.  One RK4 integrator serves eta, eta_batch, integrate_flow
 and the audit; it checks the points' dimension once per call (as
 vector_field does), never per stage, and clips a step to the box only when a
 row has left it.  Rows with a zero field at the start are frozen: they are
@@ -46,6 +47,10 @@ MAX_STEPS = 1_000_000
 # How close to c + eps (c - eps) a pushed-up (pushed-down) endpoint's phi must
 # come to count as reaching the target level in the audit.
 PUSH_TOL = 1e-3
+
+# The largest ||grad phi|| whose square cannot overflow (1e308 < the float
+# maximum 1.797e308).
+_SQUARE_SAFE = 1e154
 
 # verify_deformation reduces the recorded path in blocks of at most this many
 # (recorded state, live row) pairs, which bounds what it derives from the
@@ -120,10 +125,24 @@ def _stage(df: DeformationField, U):
         raise VectorFieldSingular(f"||grad|| < {MIN_GRAD_FLOOR} at {bad.tolist()} "
                                   f"where the cutoff is nonzero", bad.tolist())
     if whole:
-        return (psi_vals / gn ** 2)[..., None] * g, psi_vals
+        return _velocity(psi_vals, g, gn), psi_vals
     f = np.zeros(U.shape)
-    f[active] = (psi_vals[active] / gn ** 2)[..., None] * g
+    f[active] = _velocity(psi_vals[active], g, gn)
     return f, psi_vals
+
+
+def _velocity(psi_vals, g, gn):
+    """psi g / ||g||^2 by rows, from psi, g and gn = ||g||.  Where gn^2
+    overflows it is (psi / gn) (g / gn), so a finite speed psi / gn does not
+    become 0 there; no gn <= _SQUARE_SAFE can overflow when squared."""
+    if not np.maximum.reduce(gn, axis=None, initial=0.0) > _SQUARE_SAFE:
+        return (psi_vals / gn ** 2)[..., None] * g
+    with np.errstate(over="ignore", invalid="ignore"):
+        gn2 = gn ** 2
+        f = (psi_vals / gn2)[..., None] * g
+        big = np.isinf(gn2)
+        f[big] = (psi_vals[big] / gn[big])[:, None] * (g[big] / gn[big][:, None])
+    return f
 
 
 def vector_field(df: DeformationField, u):

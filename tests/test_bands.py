@@ -12,7 +12,7 @@ from passlab import (BandPartition, DeformationField, DomainBox,
                      FirstOrderBackend, RegionSpec, RegionTag, SampledBackend,
                      build_backend, catalog_field, classify_region,
                      default_box, polynomial_field, psi, vector_field)
-from passlab.bands import _UNDERFLOW, _quotient
+from passlab.bands import _UNDERFLOW, _quotient, cutoff_stage
 from passlab.cli import _EXPORT_ROWS, export_region_clouds
 from passlab.errors import InvalidRegionSpec
 
@@ -552,3 +552,25 @@ def test_quotient_denominator_is_at_least_the_numerator(rows):
     tiny = den < _UNDERFLOW
     assert np.array_equal(psi_values,
                           np.where(tiny, 0.0, num) / np.where(tiny, 1.0, den))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cutoff_stage_norm_is_finite_where_its_square_overflows():
+    # 1e156 x^3 + y^2: ||grad phi|| = 3e156 x^2 (and 2 y) squares past the
+    # float maximum for |x| above about 0.067, and the stage read it as inf.
+    # It is now max |g_i| sqrt(sum (g / max |g_i|)^2) on those rows and
+    # np.linalg.norm's value, bit for bit, on the others
+    field = polynomial_field(2, [((3, 0), 1e156), ((0, 2), 1.0)])
+    box = DomainBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    part = BandPartition(field, box, 0.0, 1e154)
+    u = np.array([[0.15, 0.5], [-0.12, 0.0], [0.01, 0.3], [0.0, 0.2]])
+    _, grad, gnorm, _ = cutoff_stage(build_backend(part), u)
+    with np.errstate(over="ignore"):
+        plain = np.linalg.norm(grad, axis=-1)
+    big = np.isinf(plain)
+    assert big.tolist() == [True, True, False, False]
+    m = np.max(np.abs(grad[big]), axis=-1)
+    assert np.array_equal(gnorm[big],
+                          m * np.sqrt(np.sum((grad[big] / m[:, None]) ** 2, axis=-1)))
+    assert np.array_equal(gnorm[~big], plain[~big])
+    assert np.array_equal(gnorm, field.grad_norm(u))

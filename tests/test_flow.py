@@ -582,18 +582,43 @@ def test_blocked_audit_equals_the_reference_pinned(pinned_audit_fields,
 def test_overflowing_gradient_audits_without_a_warning(kind):
     # 1e300 x^8 + y^2: ||grad phi||^2 overflows wherever |x| is not tiny;
     # the audit printed numpy's "overflow encountered in multiply" from
-    # np.linalg.norm.  Those norms are inf, and the report is the one the
-    # old audit gives with the warning silenced
+    # np.linalg.norm.  Those norms are the scaled norm, finite (they were
+    # inf), and the report is the one the old audit gives with the warning
+    # silenced
     field = polynomial_field(2, [((8, 0), 1e300), ((0, 2), 1.0)])
     box = DomainBox(np.array([-10.0, -10.0]), np.array([10.0, 10.0]))
     part = BandPartition(field, box, 1.0, 0.25)
     df = DeformationField(build_backend(part, kind, 51))
     rep = verify_deformation(df, 200, 0)
-    assert np.isinf(field.grad_norm(np.array([5.0, 0.0])))
+    x_axis = np.array([5.0, 0.0])
+    assert field.grad_norm(x_axis) == abs(field.gradient(x_axis)[0]) > 1e154
     assert field.grad_norm(np.array([0.0, 2.0])) == 4.0
     assert rep.a_prime_violations == 0 and rep.speed_violations == 0
     assert _to_jsonable(rep.to_dict()) == _to_jsonable(
         _reference_audit_quietly(df, 200, 0).to_dict())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_flow_moves_where_the_gradient_norm_squared_overflows():
+    # 1e156 x^3 + y^2 on [-1, 1]^2, c = 0, eps = 1e154: ||grad phi||^2
+    # overflows for |x| above about 0.067, and psi / ||grad phi||^2 read 0
+    # there, so the flow stood still.  Those rows are (psi / gn)(g / gn),
+    # with speed |psi| / gn; the others keep psi g / gn^2 bit for bit
+    field = polynomial_field(2, [((3, 0), 1e156), ((0, 2), 1.0)])
+    box = DomainBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    df = DeformationField(build_backend(BandPartition(field, box, 0.0, 1e154)))
+    u = np.array([[0.15, 0.5], [0.2, -0.1], [0.01, 0.3], [-0.05, 0.1]])
+    f = vector_field(df, u)
+    psis, g, gn, _ = cutoff_stage(df.backend, u)
+    assert np.all(psis != 0.0)
+    with np.errstate(over="ignore"):
+        big = np.isinf(gn ** 2)
+    assert big.tolist() == [True, True, False, False]
+    assert np.allclose(np.linalg.norm(f[big], axis=-1),
+                       np.abs(psis[big]) / gn[big], rtol=1e-12, atol=0.0)
+    assert np.array_equal(f[~big], (psis[~big] / gn[~big] ** 2)[:, None] * g[~big])
+    rep = verify_deformation(df, 50, 0)
+    assert rep.speed_max_norm > 0.0 and rep.eq31_max_residual < 1e-3
 
 
 def _reference_audit_quietly(df, samples, seed):

@@ -49,7 +49,7 @@ CASES = {
     ], {"scipy.ndimage"}, {"scipy.optimize", "scipy.spatial"}),
     "sampled_deform": ([
         ("deform", _deform(backend="sampled", resolution=41)),
-    ], {"scipy.spatial"}, {"scipy.optimize", "scipy.ndimage"}),
+    ], set(), None),
     "point_cloud_deform": ([
         ("deform", _deform(d_spec={"kind": "point_cloud", "points": [[0.45, 0.0]]})),
     ], {"scipy.spatial"}, {"scipy.optimize", "scipy.ndimage"}),

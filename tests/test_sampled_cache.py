@@ -1,17 +1,21 @@
-"""SampledBackend's per-cell candidate lists against its KD-trees.
+"""SampledBackend's exact nearest distances against KD-trees built here.
 
-The cached distances must equal cKDTree.query's bit for bit, for rows in
-the box, on its faces, up to one cell outside it, in cells sent back to the
-trees, and next to empty bands; and a run of the flow must not change by a
-bit when every distance is queried on the trees instead.
+The backend searches each cloud's boundary nodes and the corners of a
+query's grid cell only.  Its distances must equal cKDTree.query's on the
+whole cloud bit for bit, for rows in the box, on its faces, up to one cell
+outside it, in scanned cells, and next to empty bands; and a run of the
+flow must not change by a bit when every distance is queried on such
+trees instead.  scipy is the tests' oracle; the backend does not import it.
 """
 import json
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from passlab import (BandPartition, DeformationField, DomainBox,
                      RegionSpec, SampledBackend,
@@ -20,10 +24,71 @@ from passlab import (BandPartition, DeformationField, DomainBox,
 from passlab import bands
 
 
-def _tree_distances(backend, u):
-    """(dB, dC, d_out) from the KD-trees alone; +inf to an empty cloud."""
-    return [np.full(len(u), np.inf) if backend.trees[k] is None
-            else backend.trees[k].query(u)[0] for k in ("B", "C", "OUT")]
+def _trees(backend):
+    """KD-trees on the backend's B, C and OUT clouds; None for an empty one."""
+    return [cKDTree(cloud) if len(cloud) else None
+            for cloud in (backend.clouds[k] for k in ("B", "C", "OUT"))]
+
+
+def _tree_distances(trees, u):
+    """(dB, dC, d_out) queried on the trees; +inf to an empty cloud."""
+    return [np.full(len(u), np.inf) if tree is None else tree.query(u)[0]
+            for tree in trees]
+
+
+def _sq_dist(nodes, x):
+    """Squared distances from the point x to each row of nodes, summed over
+    the axes in order."""
+    d2 = np.zeros(len(nodes))
+    for a in range(len(x)):
+        d2 += (nodes[:, a] - x[a]) ** 2
+    return d2
+
+
+@st.composite
+def _masks_and_queries(draw):
+    """A random set of nodes of a random box grid in 1, 2 or 3 dimensions,
+    and query points in the box widened by one cell per side, a share of
+    their coordinates snapped onto grid lines or cell midlines."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    res = draw(st.integers(3, {1: 60, 2: 15, 3: 7}[dim]))
+    lo = np.array([draw(st.floats(-3.0, 0.0)) for _ in range(dim)])
+    hi = lo + np.array([draw(st.floats(0.5, 4.0)) for _ in range(dim)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((res,) * dim) < draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))
+    h = (hi - lo) / (res - 1)
+    x = rng.uniform(lo - h, hi + h, (30, dim))
+    snap = rng.integers(0, 3, x.shape)         # 0 keep, 1 grid line, 2 midline
+    j = np.floor((x - lo) / h)
+    x = np.where(snap == 1, lo + j * h, np.where(snap == 2, lo + (j + 0.5) * h, x))
+    return DomainBox(lo, hi), res, mask, x
+
+
+@settings(max_examples=80, deadline=None)
+@given(_masks_and_queries())
+def test_nearest_node_is_a_boundary_node_or_a_cell_corner(case):
+    # the minimum over the boundary nodes and the corners of the query's
+    # cell (none outside the box) equals the minimum over the set, bit for bit
+    box, res, mask, queries = case
+    grid = box.grid(res)
+    nodes = grid[mask.ravel()]
+    edge = grid[bands._boundary(mask).ravel()]
+    if not len(nodes):
+        assert not len(edge)
+        return
+    h = (box.hi - box.lo) / (res - 1)
+    stride = res ** np.arange(box.dim - 1, -1, -1)
+    flat_mask = mask.ravel()
+    for x in queries:
+        near = _sq_dist(edge, x)
+        t = (x - box.lo) / h
+        if np.all((t >= 0.0) & (t <= res - 1)):
+            k = np.minimum(t.astype(int), res - 2)
+            ids = [(k + np.array(c)) @ stride
+                   for c in product((0, 1), repeat=box.dim)]
+            ids = [i for i in ids if flat_mask[i]]
+            near = np.concatenate([near, _sq_dist(grid[ids], x)])
+        assert near.min(initial=np.inf) == _sq_dist(nodes, x).min()
 
 
 def _assert_exact(backend, u):
@@ -34,7 +99,7 @@ def _assert_exact(backend, u):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = backend.distances(u, phi, gnorm)
-    want = _tree_distances(backend, u)
+    want = _tree_distances(_trees(backend), u)
     want[2] = np.minimum(want[2], part.d_distance(u, phi, gnorm))
     for g, w, name in zip(got, want, ("dB", "dC", "dXA")):
         assert np.array_equal(g, w), name
@@ -113,10 +178,10 @@ def test_every_cloud_empty():
     assert not any(len(cloud) for cloud in backend.clouds.values())
     pts = np.random.default_rng(2).uniform(-1.2, 1.2, (50, 2))
     _assert_exact(backend, pts)
-    assert np.all(np.isinf(_tree_distances(backend, pts)))
+    assert np.all(np.isinf(_tree_distances(_trees(backend), pts)))
 
 
-def test_ring_centre_cell_goes_to_the_trees():
+def test_ring_centre_cell_is_scanned():
     # the paraboloid's B band at c = 1 is a ring around the origin: every
     # ring point can be nearest to a point of the centre cell, far more
     # than the cap
@@ -125,24 +190,38 @@ def test_ring_centre_cell_goes_to_the_trees():
     backend = SampledBackend(part, 201)
     centre = np.array([[0.0, 0.0], [0.005, -0.003], [0.3, 0.2]])
     _assert_exact(backend, centre)
-    assert np.count_nonzero(backend._slot == bands._TO_TREES) >= 1
+    assert np.count_nonzero(backend._slot == bands._SCANNED) >= 1
     rng = np.random.default_rng(11)
     _assert_exact(backend, np.concatenate([centre, rng.uniform(-0.1, 0.1, (200, 2))]))
 
 
 def test_cells_over_a_lower_cap_mix_with_listed_ones(monkeypatch):
-    # with a cap of 2 most cells go to the trees; one batch then mixes
-    # listed cells, tree cells and rows outside the box
+    # with a cap of 2 most cells are scanned; one batch then mixes listed
+    # cells, scanned cells and rows outside the box
     monkeypatch.setattr(bands, "CELL_CAP", 2)
     backend = _bowl(2, 0.3, 0.1)
     pts = np.random.default_rng(4).uniform(-1.05, 1.05, (3000, 2))
     _assert_exact(backend, pts)
     slots = backend._slot[backend._slot != bands._UNFILLED]
-    assert np.any(slots == bands._TO_TREES) and np.any(slots >= 0)
+    assert np.any(slots == bands._SCANNED) and np.any(slots >= 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_every_row_scanned_in_small_blocks(monkeypatch, dim):
+    # a cap of 0 scans every row, and a budget of 64 (row, node) pairs
+    # scans them a few rows at a time; rows on the grid's last lines sit
+    # in the last cell
+    monkeypatch.setattr(bands, "CELL_CAP", 0)
+    monkeypatch.setattr(bands, "_SCAN", 64)
+    backend = _bowl(dim, 0.3, 0.1)
+    pts = np.random.default_rng(dim).uniform(-1.05, 1.05, (400, dim))
+    pts[:20, 0] = 1.0
+    _assert_exact(backend, pts)
+    assert np.all(backend._slot[backend._slot != bands._UNFILLED] == bands._SCANNED)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_row_raises_the_trees_error(bad):
+def test_non_finite_row_raises_must_be_finite(bad):
     backend = _bowl(2, 0.3, 0.1)
     u = np.array([[0.1, 0.2], [bad, 0.0], [0.3, -0.4]])
     phi = np.array([0.1, 0.2, 0.3])
@@ -159,10 +238,14 @@ def test_large_batch_is_chunked_and_exact():
 
 
 class _TreeBackend(SampledBackend):
-    """The sampled backend with every distance queried on the KD-trees."""
+    """The sampled backend with every distance queried on KD-trees."""
+
+    def __init__(self, part, resolution):
+        super().__init__(part, resolution)
+        self.trees = _trees(self)
 
     def distances(self, u, phi, gnorm):
-        dB, dC, d_out = _tree_distances(self, u)
+        dB, dC, d_out = _tree_distances(self.trees, u)
         return dB, dC, np.minimum(d_out, self.part.d_distance(u, phi, gnorm))
 
 
