@@ -14,7 +14,8 @@ with dB = dist(u, B), dC = dist(u, C), dXA = dist(u, complement of A).
 It equals +1 on B, -1 on C and 0 outside the band and on D, exactly.
 
 D is given by a RegionSpec, which checks its own rules when it is built;
-BandPartition checks the rules that need the field, c and eps.
+BandPartition checks the rules that need the field, c and eps, and
+measures a point-cloud D by brute force, in bounded blocks (_nearest).
 
 Region membership is decided in one place, BandPartition.tags, as int8
 codes viewed through the IntEnum RegionTag; psi's plateaus come from them.
@@ -198,13 +199,8 @@ class BandPartition:
             raise ValueError(f"c must be finite, got {self.c!r}")
         check_positive("eps", self.eps)
         self._validate_d()
-        spec = self.d_spec
-        tree = None
-        if spec.kind == "point_cloud":
-            # deferred: ~0.25 s to import; only a point-cloud D needs scipy.spatial
-            from scipy.spatial import cKDTree
-            tree = cKDTree(spec.points)
-        object.__setattr__(self, "_d_tree", tree)
+        if self.d_spec.kind == "point_cloud":   # one contiguous row per axis
+            object.__setattr__(self, "_d_nodes", self.d_spec.points.T.copy())
         object.__setattr__(self, "_diagonal", self.box.diagonal)
         # the band edges, bound once as floats, and the region code of every
         # rank of a value among them (see tags)
@@ -265,8 +261,7 @@ class BandPartition:
             return np.zeros(np.shape(phi), dtype=bool)
         if spec.kind == "level_set":
             return np.abs(phi - spec.value) <= self.d_thickness
-        d, _ = self._d_tree.query(u)
-        return d <= 1e-12 * max(1.0, self._diagonal)
+        return _nearest(u, self._d_nodes) <= 1e-12 * max(1.0, self._diagonal)
 
     def _band_tags(self, phi) -> np.ndarray:
         """int8 codes of values phi by the band ranges alone, precedence
@@ -325,8 +320,7 @@ class BandPartition:
         if spec.kind == "level_set":
             gn = np.maximum(gnorm, MIN_GRAD_FLOOR)
             return np.minimum(np.abs(phi - spec.value) / gn, self._diagonal)
-        d, _ = self._d_tree.query(u)
-        return d
+        return _nearest(u, self._d_nodes)
 
 
 def classify_region(part: BandPartition, u) -> RegionTag:
@@ -358,7 +352,7 @@ class FirstOrderBackend:
     distance to the complement of A is the nearer of its lower and upper
     sides.  A band or side that no point of box.grid(resolution) falls in
     is at +inf, exactly where SampledBackend at that resolution has an
-    empty cloud; this is decided once, here, and no tree is built.
+    empty cloud; this is decided once, here.
     """
 
     name = "first_order"
@@ -424,6 +418,20 @@ def _sq_dist(x, nodes):
         t *= t
         d2 += t
     return d2
+
+
+def _nearest(u, nodes):
+    """(...) distances from the points u (..., dim) to the nearest of nodes
+    (dim, nodes), the brute-force minimum measured _SCAN (point, node) pairs
+    at a time; a non-finite point is a ValueError."""
+    x = np.asarray(u, dtype=float).reshape(-1, len(nodes))
+    if not np.all(np.isfinite(x)):
+        raise ValueError("query points must be finite")
+    d2 = np.empty(len(x))
+    per = max(1, _SCAN // max(nodes.shape[1], 1))
+    for i in range(0, len(x), per):
+        d2[i:i + per] = _sq_dist(x[i:i + per], nodes).min(axis=1, initial=np.inf)
+    return np.sqrt(d2).reshape(np.shape(u)[:-1])
 
 
 class SampledBackend:

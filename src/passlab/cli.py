@@ -4,8 +4,8 @@
 
 Subcommands: deform, minimax, oracle, pscheck, proof-trace, geometry.
 Each run writes report.json (keys: config, version, payload, wall_ms) plus
-CSV artifacts into the output directory.  Exit codes: 0 ok, 1 internal
-error, 2 invalid config, 3 a strict-mode check failed.
+CSV artifacts (paths.write_rows) into the output directory.  Exit codes: 0
+ok, 1 internal error, 2 invalid config, 3 a strict-mode check failed.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from .gridoracle import GridGraph, bottleneck_value, widest_value, critical_scan
 from .minimax import (check_conclusions, check_mpt_geometry, optimize_c1,
                       optimize_c2, optimize_levels, ps_probe,
                       trace_proof_argument)
-from .paths import MountainPassInstance, check_m
+from .paths import MountainPassInstance, check_m, write_rows
 
 _REQUIRED = "required"
 
@@ -90,10 +90,6 @@ _SCHEMA = {
 _GRID_FIELDS = (("deformation", "resolution"), ("deformation", "dump_resolution"),
                 ("oracle", "resolution"), ("oracle", "scan_resolution"))
 MAX_GRID_POINTS = 10_000_000
-
-# The CSV writers format and write this many rows at a time, which bounds the
-# text held in memory.
-_EXPORT_ROWS = 1024
 
 # A deform run records every live sample at each state of its record
 # schedule; it may hold at most MAX_RECORDED_STATES (state, sample) pairs,
@@ -189,8 +185,6 @@ def _naming(name: str):
     config field (or section) ``name`` that caused it."""
     try:
         yield
-    except ConfigError:
-        raise
     except (KeyError, ValueError, PasslabError) as exc:
         raise ConfigError(f"bad {name}: {exc}") from None
 
@@ -301,57 +295,24 @@ def _run_deform(cfg, field, box, seed, out_dir):
 
 def _dump_psi_grid(df, box, resolution, path):
     pts = box.grid(resolution)
-    phis = np.asarray(df.field.evaluate(pts))
-    psis = np.asarray(df.psi(pts))
-    header = ["x", "y", "z"][:box.dim] + ["phi", "psi"]
-    _write_csv(path, header, np.column_stack([pts, phis, psis]))
-
-
-def _write_csv(path, header, data):
-    """The bytes np.savetxt(path, data, delimiter=",", header=..., comments="")
-    writes (floats as "%.18e"), formatted with one % per _EXPORT_ROWS rows."""
-    line = ",".join(["%.18e"] * data.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(0, len(data), _EXPORT_ROWS):
-            block = data[i:i + _EXPORT_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
-
-
-def _coordinate_text(col) -> list:
-    """repr of each float of a column of grid coordinates, formatted once per
-    distinct value.  Values are told apart by their bits, so -0.0 and 0.0,
-    which compare equal, keep their own text."""
-    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    text = np.array([repr(v) for v in keys.view(np.float64).tolist()],
-                    dtype=object)
-    return text[inverse].tolist()
+    data = np.column_stack([pts, df.field.evaluate(pts), df.psi(pts)])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["x", "y", "z"][:box.dim] + ["phi", "psi"]) + "\n")
+        write_rows(fh, data, ["{:.18e}"] * data.shape[1], "\n")
 
 
 def export_region_clouds(backend, path: str):
-    """CSV dump (coords, phi, tag) of the backend's cached region clouds.
-
-    The lines are those csv.writer writes for these rows (floats as repr,
-    CRLF line ends), formatted a column at a time and written _EXPORT_ROWS
-    rows at a time.
-    """
+    """CSV dump (coords, phi, tag) of the backend's cached region clouds,
+    as Python's csv module writes the rows (floats as repr, CRLF line
+    ends)."""
     if not isinstance(backend, SampledBackend):
         raise ValueError("only the sampled backend caches region clouds")
     dim = backend.part.field.dim
-    header = ["x", "y", "z"][:dim] + ["phi", "tag"]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        line = ",".join(["{}"] * (dim + 1))
+        fh.write(",".join(["x", "y", "z"][:dim] + ["phi", "tag"]) + "\r\n")
         for tag, pts in backend.clouds.items():
-            if len(pts) == 0:
-                continue
-            phis = backend.cloud_phi[tag]
-            fmt = line + f",{tag}\r\n"
-            for i in range(0, len(pts), _EXPORT_ROWS):
-                block = pts[i:i + _EXPORT_ROWS]
-                cols = [_coordinate_text(block[:, j]) for j in range(dim)]
-                cols.append(map(repr, phis[i:i + _EXPORT_ROWS].tolist()))
-                fh.write("".join(map(fmt.format, *cols)))
+            write_rows(fh, np.column_stack([pts, backend.cloud_phi[tag]]),
+                       ["{!r}"] * (dim + 1), f",{tag}\r\n")
 
 
 def _run_minimax(cfg, field, box, seed, out_dir):

@@ -4,11 +4,11 @@ All fields are vectorized: points may be a single vector of shape (dim,)
 or a batch of shape (..., dim).  A field is its name, dimension, value and
 gradient and nothing more: no closed form is attached to it, so the cutoff's
 set distances treat an affine field like any other.  A box grid has one
-resolution, the same integer count of points on every axis.  A polynomial
-whose value overflows is inf there, without a numpy warning, and one whose
-derivative coefficients overflow is rejected when it is built.  A gradient
-norm (vector_norm) is finite wherever the norm is, even where its square
-overflows.
+resolution on every axis, and a finite diagonal.  A value or gradient
+that overflows is inf (or NaN) there, without a numpy warning, and a
+polynomial whose derivative coefficients overflow is rejected when it is
+built.  A gradient norm (vector_norm) is finite wherever the norm is, even
+where its square overflows.
 """
 from __future__ import annotations
 
@@ -57,12 +57,15 @@ class DomainBox:
             raise ValueError("lo and hi must be finite")
         if not np.all(lo < hi):
             raise ValueError("need lo[i] < hi[i] on every axis")
+        if not np.isfinite(self.diagonal):   # so hi - lo is finite too
+            raise ValueError("the box's diagonal must be finite")
 
     @property
     def dim(self) -> int:
         return self.lo.size
 
     @property
+    @np.errstate(over="ignore")
     def diagonal(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
 
@@ -93,7 +96,7 @@ class ScalarField:
     eval_fn maps (..., dim) -> (...); grad_fn maps (..., dim) -> (..., dim).
     Both must be deterministic.  evaluate and gradient check the points
     first; a caller that has checked a batch once (the cutoff and the flow)
-    calls eval_fn and grad_fn on it directly.
+    calls eval_fn and grad_fn on it directly, under its own np.errstate.
     """
 
     name: str
@@ -110,10 +113,12 @@ class ScalarField:
             )
         return u
 
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluate(self, u) -> np.ndarray:
         u = self.check(u)
         return self.eval_fn(u)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def gradient(self, u) -> np.ndarray:
         u = self.check(u)
         return self.grad_fn(u)

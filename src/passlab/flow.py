@@ -355,7 +355,7 @@ def verify_deformation(df: DeformationField, samples: int,
     C), as at a level where that band is empty, the record says it holds
     vacuously ("vacuous": True).  The derivative identity d/dt phi(sigma) =
     psi(sigma) is audited by finite differences over record intervals whose
-    endpoints and spatial midpoint share one region tag; intervals
+    endpoints and the midpoint between them share one region tag; intervals
     straddling a region boundary are excluded and counted, because the
     midpoint stencil is only second-order accurate away from the cutoff's
     derivative kinks.

@@ -470,18 +470,16 @@ def scipy_minimize(*args, **kwargs):
 
 
 def _cluster(points: np.ndarray, radius: float):
-    """Greedy single-linkage clustering; returns lists of row indices."""
-    clusters = []
-    for i in range(len(points)):
-        placed = False
-        for cl in clusters:
-            if any(np.linalg.norm(points[i] - points[j]) <= radius for j in cl):
-                cl.append(i)
-                placed = True
-                break
-        if not placed:
-            clusters.append([i])
-    return clusters
+    """Greedy single-linkage clustering; returns lists of row indices.  Each
+    point joins the first-made cluster, the least label, among the earlier
+    points within ``radius`` of it, or else starts a new cluster."""
+    labels = np.empty(len(points), dtype=np.intp)
+    n = 0
+    for i, p in enumerate(points):
+        near = labels[:i][np.linalg.norm(points[:i] - p, axis=1) <= radius]
+        labels[i] = near.min() if near.size else n
+        n += near.size == 0
+    return [np.flatnonzero(labels == k).tolist() for k in range(n)]
 
 
 def _fd_slope(field: ScalarField, u: np.ndarray, h: float) -> np.ndarray:

@@ -5,11 +5,11 @@ A path is M+1 nodes at parameters t_i = i/M, with M a multiple of 4 and
 t = 1/4 and t = 1/2 are pinned to the two anchor points (both path endpoints
 stay free); "endpoints" mode pins t = 0 and t = 1 instead.  An instance holds
 no ring radius: the radius is minimax.check_mpt_geometry's parameter, whose
-verdict reports e inside the ring in either pin mode.
+verdict reports e inside the ring in either pin mode.  write_rows is the
+package's one CSV row writer.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +61,31 @@ class DiscretePath:
         return np.linspace(0.0, 1.0, self.nodes.shape[0])
 
     def to_csv(self, path: str, field: ScalarField):
-        dim = self.nodes.shape[1]
+        n, dim = self.nodes.shape
         header = ["index", "t"] + [f"x{i+1}" for i in range(dim)] + ["phi"]
-        phis = field.evaluate(self.nodes)
+        data = np.column_stack([np.arange(n), self.params, self.nodes,
+                                field.evaluate(self.nodes)])
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for i, (t, p) in enumerate(zip(self.params, self.nodes)):
-                w.writerow([i, float(t), *map(float, p), float(phis[i])])
+            fh.write(",".join(header) + "\r\n")
+            write_rows(fh, data, ["{:.0f}"] + ["{!r}"] * (dim + 2), "\r\n")
+
+
+_EXPORT_ROWS = 1024   # rows per block of write_rows: bounds the text in memory
+
+
+def write_rows(fh, data, formats, end):
+    """Write the rows of the float array data to the text file fh, column j
+    as formats[j].format(value), joined by commas, each row ended by ``end``.
+    Each column of a block of _EXPORT_ROWS rows formats each distinct value
+    (by its bits, so -0.0 and 0.0 keep their own text) once."""
+    for i in range(0, len(data), _EXPORT_ROWS):
+        cols = []
+        for fmt, col in zip(formats, data[i:i + _EXPORT_ROWS].T):
+            keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+            text = np.array([fmt.format(v) for v in keys.view(np.float64).tolist()],
+                            dtype=object)
+            cols.append(text[inverse].tolist())
+        fh.write(end.join(map(",".join, zip(*cols))) + end)
 
 
 def check_m(M: int):

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from passlab import (BandPartition, DeformationField, DomainBox,
                      FirstOrderBackend, RegionSpec, RegionTag, SampledBackend,
-                     build_backend, catalog_field, classify_region,
-                     default_box, polynomial_field, psi, vector_field)
+                     ScalarField, build_backend, catalog_field,
+                     classify_region, default_box, polynomial_field, psi,
+                     vector_field)
 from passlab.bands import _UNDERFLOW, _quotient, cutoff_stage
-from passlab.cli import _EXPORT_ROWS, export_region_clouds
+from passlab.cli import export_region_clouds
 from passlab.errors import InvalidRegionSpec
+from passlab.paths import _EXPORT_ROWS
 
 
 def test_classify_examples(affine_part):
@@ -574,3 +576,27 @@ def test_cutoff_stage_norm_is_finite_where_its_square_overflows():
                           m * np.sqrt(np.sum((grad[big] / m[:, None]) ** 2, axis=-1)))
     assert np.array_equal(gnorm[~big], plain[~big])
     assert np.array_equal(gnorm, field.grad_norm(u))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 4, 300]))
+def test_point_cloud_d_equals_a_kd_tree(dim, seed, n):
+    # the distance to a point-cloud D, and so D membership, is the one a
+    # KD-tree on D's points gives, bit for bit: 2,000 queries (several
+    # blocks at 300 points), some on D's points, over many magnitudes
+    from scipy.spatial import cKDTree
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4)
+    box = DomainBox(-scale * np.ones(dim), scale * np.ones(dim))
+    pts = rng.uniform(-scale, scale, (n, dim))
+    u = rng.uniform(-scale, scale, (2000, dim))
+    u[::7] = pts[rng.integers(0, n, len(u[::7]))]
+    flat = ScalarField("zero", dim, lambda x: np.zeros(x.shape[:-1]),
+                       lambda x: np.zeros(x.shape))
+    part = BandPartition(flat, box, 0.0, 1.0, RegionSpec.point_cloud(pts))
+    phi = np.zeros(len(u))
+    want = cKDTree(pts).query(u)[0]
+    assert np.array_equal(part.d_distance(u, phi, phi), want)
+    assert np.array_equal(part.in_d(u, phi),
+                          want <= 1e-12 * max(1.0, box.diagonal))

@@ -14,8 +14,9 @@ from passlab import (BandPartition, DeformationField, DomainBox, RegionSpec,
                      build_backend, catalog_field, default_box,
                      polynomial_field, verify_deformation)
 from passlab.cli import (_REQUIRED, _SCHEMA, MAX_RECORDED_STATES, _check_grids,
-                         _dump_psi_grid, _parse, _to_jsonable, _write_csv, main)
+                         _dump_psi_grid, _parse, _to_jsonable, main)
 from passlab.errors import ConfigError, InvalidPoint
+from passlab.paths import write_rows
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -883,7 +884,9 @@ def test_write_csv_bytes_equal_savetxt(tmp_path_factory, cols, rows, seed):
     want, got = tmp / "want.csv", tmp / "got.csv"
     np.savetxt(str(want), data, delimiter=",", header=",".join(header),
                comments="")
-    _write_csv(str(got), header, data)
+    with open(got, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        write_rows(fh, data, ["{:.18e}"] * cols, "\n")
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -898,3 +901,78 @@ def test_psi_grid_bytes_equal_the_savetxt_writer(tmp_path, dim, resolution):
     _reference_dump_psi_grid(df, box, resolution, str(want))
     _dump_psi_grid(df, box, resolution, str(got))
     assert got.read_bytes() == want.read_bytes()
+
+
+_POLY_1D = {"poly": {"dim": 1, "terms": [{"exps": [2], "coef": 1.0}]}}
+# hi - lo overflowed: numpy overflow warnings from the diagonal and the grid,
+# then a raw OverflowError from the uniform sampler
+_HUGE_BOX = {"lo": [-1e308, -1e308], "hi": [1e308, 1e308]}
+
+
+def _with(base, section, **keys):
+    return dict(base, **{section: dict(base[section], **keys)})
+
+
+@pytest.mark.parametrize("sub, cfg, message", [
+    ("deform", dict(AFFINE_DEFORM, deformation={"eps": 0.5}),
+     "deformation.c is required"),
+    ("deform", {"functional": {"catalog": "affine"}},
+     "config is missing required section 'deformation'"),
+    ("deform", dict(AFFINE_DEFORM, functional=_POLY_1D),
+     "poly functionals require an explicit box"),
+    ("deform", dict(AFFINE_DEFORM, box={"lo": [-1.0] * 3, "hi": [1.0] * 3}),
+     "box dimension does not match the functional"),
+    ("geometry", dict(GEOMETRY, geometry={}), "geometry.r is required"),
+    ("deform", dict(AFFINE_DEFORM, box={"lo": -1.0, "hi": [1.0, 1.0]}),
+     "box.lo must be an array, got -1.0"),
+    ("deform", _with(AFFINE_DEFORM, "deformation", c=10 ** 400),
+     f"deformation.c must be finite, got {10 ** 400!r}"),
+    ("deform", dict(AFFINE_DEFORM, box={"lo": [-1.0], "hi": [1.0, 1.0]}),
+     "bad box: lo and hi must be 1-D arrays of equal length"),
+    ("deform", dict(AFFINE_DEFORM, box={"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+                    functional={"poly": {"dim": 2, "terms": [
+                        {"exps": [2], "coef": 1.0}]}}),
+     "bad functional.poly: bad exponent tuple (2,) for dim 2"),
+    ("minimax", _with(MINIMAX, "minimax", pin_zero=[0.0, 0.0, 0.0]),
+     "bad minimax: pin dimensions must match the field"),
+    ("minimax", _with(MINIMAX, "minimax", pin_e=[0.0, 0.0]),
+     "bad minimax: the two pins must differ"),
+    ("minimax", _with(MINIMAX, "minimax", pin_mode="ends"),
+     "bad minimax: unknown pin mode 'ends'"),
+    ("deform", _with(AFFINE_DEFORM, "deformation", d_spec={
+        "kind": "point_cloud", "points": [[0.0, 0.0, 0.0]]}),
+     "bad deformation.d_spec: point cloud dimension mismatch"),
+    ("deform", dict(AFFINE_DEFORM, box=_HUGE_BOX),
+     "bad box: the box's diagonal must be finite"),
+    ("pscheck", dict(PSCHECK, box=_HUGE_BOX),
+     "bad box: the box's diagonal must be finite"),
+], ids=["missing_key", "missing_section", "poly_without_box", "box_dimension",
+        "geometry_without_r", "number_for_point", "huge_integer_float",
+        "box_lengths_differ", "exponent_tuple_length", "pin_dimension",
+        "equal_pins", "unknown_pin_mode", "d_point_dimension",
+        "deform_box_overflows", "pscheck_box_overflows"])
+def test_typed_config_errors_exit_2(tmp_path, capsys, sub, cfg, message):
+    # the message is the whole of stderr: no numpy warning comes first
+    assert _config_error(tmp_path, capsys, sub, cfg) == f"config error: {message}\n"
+
+
+_WIDE_W2S = {"functional": {"catalog": "well_to_saddle"},
+             "box": {"lo": [-1e100, -1e100], "hi": [1e100, 1e100]},
+             "minimax": {"pin_zero": [0.0, 0.0], "pin_e": [1.0, 0.0]}}
+
+
+@pytest.mark.parametrize("sub, cfg, code, err", [
+    ("deform", dict(_WIDE_W2S, deformation={"c": 0.5, "eps": 0.1,
+                                            "samples": 20}), 0, ""),
+    ("proof-trace", dict(_WIDE_W2S, proof_trace={"c1": 0.0, "c2": 1.0,
+                                                 "eps": 0.3}), 0, ""),
+    ("oracle", dict(_WIDE_W2S, oracle={"resolution": 9, "p": [0.0, 0.0],
+                                       "q": [1.0, 0.0], "scan_resolution": 9}),
+     2, "config error: bad oracle: node values must be finite\n"),
+])
+def test_catalog_field_overflow_prints_no_warning(tmp_path, capsys, sub, cfg,
+                                                  code, err):
+    # phi overflows on most of the box: the catalog field printed numpy's
+    # "overflow encountered in multiply" where a polynomial field is silent
+    assert _run(tmp_path, sub, cfg)[0] == code
+    assert capsys.readouterr().err == err

@@ -973,3 +973,33 @@ def test_geometry_in_1d_and_3d(terms, z, e):
         assert want <= res.b <= want + 0.01
     assert res.phi_at_zero == float(field.evaluate(z))
     assert res.sphere_in_box and res.e_outside_ring and res.verdict
+
+
+def _reference_cluster(points, radius):
+    """minimax._cluster as it was: each point compared with every member of
+    every cluster, in Python."""
+    clusters = []
+    for i in range(len(points)):
+        placed = False
+        for cl in clusters:
+            if any(np.linalg.norm(points[i] - points[j]) <= radius for j in cl):
+                cl.append(i)
+                placed = True
+                break
+        if not placed:
+            clusters.append([i])
+    return clusters
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 3), n=st.integers(0, 60), lattice=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_cluster_equals_the_reference_loop(dim, n, lattice, seed):
+    # on a lattice of spacing 1/4 with radius 1/4 many distances equal the
+    # radius exactly, and a point is often near two clusters at once
+    rng = np.random.default_rng(seed)
+    if lattice:
+        points, radius = rng.integers(0, 4, (n, dim)) * 0.25, 0.25
+    else:
+        points, radius = rng.random((n, dim)), 0.15
+    assert minimax._cluster(points, radius) == _reference_cluster(points, radius)

@@ -1,13 +1,17 @@
+import csv
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from passlab import (BandPartition, DeformationField, DiscretePath,
-                     MountainPassInstance, RegionSpec, build_backend,
-                     catalog_field, default_box, deform_path, make_path,
-                     path_extrema)
+from passlab import (BandPartition, DeformationField, DiscretePath, DomainBox,
+                     MountainPassInstance, RegionSpec, ScalarField,
+                     build_backend, catalog_field, default_box, deform_path,
+                     make_path, path_extrema)
 from passlab.errors import PinMoved
+from passlab.gridoracle import GridGraph, enumerate_small
 
 
 def test_axis_init_pins_exact(w2s_instance):
@@ -136,3 +140,70 @@ def test_pins_exact_under_deform_path(name, a, b, d_on_e, scale, seed):
     out = deform_path(df, path)
     for idx in path.pinned:
         assert np.array_equal(out.nodes[idx], path.nodes[idx])
+
+
+def _reference_to_csv(path, file, field):
+    """DiscretePath.to_csv as csv.writer wrote it, one row at a time."""
+    dim = path.nodes.shape[1]
+    header = ["index", "t"] + [f"x{i+1}" for i in range(dim)] + ["phi"]
+    phis = field.evaluate(path.nodes)
+    with open(file, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i, (t, p) in enumerate(zip(path.params, path.nodes)):
+            w.writerow([i, float(t), *map(float, p), float(phis[i])])
+
+
+_NODE_VALUES = np.array([0.0, -0.0, 5e-324, -1e-300, 1e-300, 1e300, -1e300,
+                         1.7e308, 0.1, -2.5])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=10, deadline=None)
+@given(rows=st.sampled_from([9, 1024, 1025, 2 * 1024 + 7]),
+       seed=st.integers(0, 2**32 - 1))
+def test_to_csv_bytes_equal_the_csv_writer(tmp_path_factory, dim, rows, seed):
+    # nodes of many magnitudes with +-0.0 and values near 1e+-300, over up to
+    # three blocks of rows; phi is the first coordinate times the last, each
+    # scaled first, so it overflows to +-inf and is NaN (inf * 0) too
+    rng = np.random.default_rng(seed)
+    nodes = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-300, 300, (rows, dim))
+    special = rng.random((rows, dim)) < 0.3
+    nodes[special] = rng.choice(_NODE_VALUES, np.count_nonzero(special))
+
+    def ev(u):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (u[..., 0] * 1e10) * (u[..., -1] * 1e-10)
+
+    field = ScalarField("product", dim, ev, lambda u: np.zeros(u.shape))
+    path = DiscretePath(nodes, (0, rows - 1))
+    tmp = tmp_path_factory.mktemp("csv")
+    want, got = tmp / "want.csv", tmp / "got.csv"
+    _reference_to_csv(path, str(want), field)
+    path.to_csv(str(got), field)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def _library_errors(w2s_instance, affine_wide_df):
+    path_3d = DiscretePath(np.zeros((9, 3)), (2, 4))
+    grid = GridGraph(np.zeros((3, 3)))
+    return {
+        "make_path_init": lambda: make_path(w2s_instance, 8, init="spiral"),
+        "deform_path_dimension": lambda: deform_path(affine_wide_df, path_3d),
+        "grid_4d": lambda: GridGraph(np.zeros((3, 3, 3, 3))),
+        "enumerate_mode": lambda: enumerate_small(grid, 0, 8, "deepest"),
+        "partition_dimensions": lambda: BandPartition(
+            catalog_field("affine"), DomainBox(-np.ones(3), np.ones(3)), 0.0, 0.5),
+    }
+
+
+@pytest.mark.parametrize("case, message", [
+    ("make_path_init", "unknown init 'spiral'"),
+    ("deform_path_dimension", "path dimension does not match"),
+    ("grid_4d", "grid dimension must be 1, 2 or 3"),
+    ("enumerate_mode", "mode must be 'bottleneck' or 'widest'"),
+    ("partition_dimensions", "field and box dimensions differ"),
+])
+def test_library_argument_errors(w2s_instance, affine_wide_df, case, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _library_errors(w2s_instance, affine_wide_df)[case]()
