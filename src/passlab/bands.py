@@ -45,13 +45,14 @@ boundary nodes or a corner of the point's grid cell (_boundary), so the
 backend searches those alone.  It lists, the first time a query lands in
 a grid cell, the cloud points that can be nearest to any point of the
 cell, and answers later queries there from those lists, kept in one
-dimension-major table; rows outside the box and cells whose lists would
-be too long are scanned over the boundary nodes.  Either way a distance
-is the brute-force minimum over the cloud, bit for bit, and a non-finite
-row is a ValueError.  A band (or a side of the complement of A) with no
-grid point is at +inf in both.  A distance that divides by ||grad phi||
-floors it at MIN_GRAD_FLOOR.  Both build on the box's grid of one
-resolution, an integer >= 3, on every axis.
+dimension-major table at one width for all three clouds; rows outside
+the box and cells whose lists would be too long are scanned over the
+boundary nodes.  Either way a distance is the brute-force minimum over
+the cloud, bit for bit, and a non-finite row is a ValueError.  A band (or
+a side of the complement of A) with no grid point is at +inf in both.
+A distance that divides by ||grad phi|| floors it at MIN_GRAD_FLOOR.
+Both build on the box's grid of one resolution, an integer >= 3, on
+every axis.
 """
 from __future__ import annotations
 
@@ -113,12 +114,6 @@ _A_OTHER, _B, _C, _OUTSIDE, _D = (int(t) for t in RegionTag)
 
 # psi on each region code; A_OTHER rows are interpolated instead
 _PLATEAU = np.array([0.0, 1.0, -1.0, 0.0, 0.0])
-
-
-def _rows_of(mask):
-    """Index selecting the rows of a boolean mask: slice(None), a view
-    with no gather or scatter, when every row is selected."""
-    return slice(None) if np.count_nonzero(mask) == mask.size else mask
 
 
 def _rank_code(edges, values):
@@ -459,15 +454,16 @@ class SampledBackend:
     boundary nodes within d(x_c) + 2r of the centre x_c and the cell's
     inner corners, r being the cell's circumradius, less each point that
     another one is closer than at every corner of the cell (and so
-    everywhere in it).  Both tests keep a float margin.  The three lists
-    sit side by side, padded with +inf, in one dimension-major coordinate
-    table (dim, candidates, slots), so a lookup is one gather of slots, a
-    sum of the squared coordinate differences over the axes in order, and
-    one minimum per cloud over contiguous rows.  Rows outside the box and
-    rows in a cell with a list longer than CELL_CAP points are scanned:
-    every boundary node is measured, and the inner corners of the row's
-    cell.  Both give the brute-force minimum over the cloud bit for bit,
-    and a non-finite row raises ValueError.
+    everywhere in it).  Both tests keep a float margin.  The lists sit in
+    one dimension-major coordinate table (dim, 3 w, slots) padded with +inf,
+    cloud j in rows j w to j w + w - 1, w the longest list yet (a longer one
+    widens the table by one copy), so a lookup is one gather of slots, a sum
+    of the squared coordinate differences over the axes in order, and a
+    minimum over w per cloud.  Rows outside the box and rows in a cell with
+    a list longer than CELL_CAP points are scanned: every boundary node is
+    measured, and the inner corners of the row's cell.  Both give the
+    brute-force minimum over the cloud bit for bit, and a non-finite row
+    raises ValueError.
     """
 
     name = "sampled"
@@ -512,9 +508,7 @@ class SampledBackend:
                       for a, s in enumerate(self._stride)]
         self._slot = np.full(resolution ** dim, _UNFILLED, dtype=np.int32)
         self._filled = 0
-        self._width = np.ones(3, dtype=np.intp)   # B, C, OUT segment widths
-        self._start = np.arange(3)
-        self._table = np.empty((dim, 3, 0))   # axis, candidate, slot
+        self._table = np.empty((dim, 3, 0))   # axis, cloud-major candidate, slot
 
     def _inner_corners(self, x, k):
         """The corners of the cells k (rows, dim) that are inner nodes of a
@@ -589,21 +583,19 @@ class SampledBackend:
         ok = np.all(n <= CELL_CAP, axis=0)
         self._slot[cells[~ok]] = _SCANNED
         filled = self._filled + np.count_nonzero(ok)
-        width = np.maximum(self._width, n[:, ok].max(axis=1, initial=0))
-        slots = self._table.shape[2]
-        if filled > slots or np.any(width > self._width):
-            # grow: double the slots, widen the segments that need it
-            start = np.cumsum(width) - width
-            table = np.full((dim, int(width.sum()), max(filled, 2 * slots)), np.inf)
-            for s_old, s_new, w in zip(self._start, start, self._width):
-                table[:, s_new:s_new + w, :self._filled] = \
-                    self._table[:, s_old:s_old + w, :self._filled]
-            self._table, self._width, self._start = table, width, start
-        # the kept candidates of each cloud j go to the front of segment j
+        w, slots = self._table.shape[1] // 3, self._table.shape[2]
+        width = max(w, int(n[:, ok].max(initial=0)))
+        if filled > slots or width > w:
+            # grow: double the slots, widen every cloud's rows to width
+            table = np.full((dim, 3, width, max(filled, 2 * slots)), np.inf)
+            table[:, :, :w, :self._filled] = \
+                self._table[:, :, :self._filled].reshape(dim, 3, w, -1)
+            self._table = table.reshape(dim, 3 * width, -1)
+        # the kept candidates of each cloud j go to the front of its rows
         keep = keep.reshape(3, m, -1)[:, ok]
         j, i, c = np.nonzero(keep)
         rank = np.cumsum(keep, axis=2)[j, i, c] - 1
-        self._table[:, self._start[j] + rank, self._filled + i] = \
+        self._table[:, j * width + rank, self._filled + i] = \
             pts.reshape(3, m, -1, dim)[:, ok][j, i, c].T
         self._slot[cells[ok]] = np.arange(self._filled, filled)
         self._filled = filled
@@ -611,25 +603,20 @@ class SampledBackend:
     def _lookup(self, slot, u):
         """(3, rows) distances from points u (rows, dim) to the B, C and OUT
         candidates of their table slots."""
-        g = self._table.take(slot, axis=2)   # (dim, candidates, rows)
+        g = self._table.take(slot, axis=2)   # (dim, 3 w, rows)
         g -= u.T[:, None, :]
         g *= g
-        d2 = np.add.reduce(g, axis=0)     # dx*dx + dy*dy (+ dz*dz), in order
-        return np.sqrt(np.minimum.reduceat(d2, self._start, axis=0))
+        d2 = g[0]
+        for a in range(1, len(g)):   # dx*dx + dy*dy (+ dz*dz), in order, in place
+            d2 += g[a]
+        return np.sqrt(d2.reshape(3, len(d2) // 3, -1).min(axis=1))
 
-    def _grid_coords(self, pts):
-        """Grid coordinates (lo + t h = pts) of the rows of pts, and whether
-        each row is in the box (False on NaN)."""
-        t = (pts - self._lo) / self._h
-        return t, np.all((t >= 0.0) & (t <= self._res - 1), axis=-1)
-
-    def _scan(self, pts):
-        """(3, rows) distances from the rows of pts (rows, dim) measured to
-        every boundary node and to the inner corners of the cell of each
-        row in the box, _SCAN (row, node) pairs at a time."""
+    def _scan(self, pts, t, inside):
+        """(3, rows) distances from the rows of pts (rows, dim), at grid
+        coordinates t and in the box where inside, to every boundary node
+        and the inner corners of each row's cell, _SCAN pairs at a time."""
         if not np.all(np.isfinite(pts)):
             raise ValueError("query points must be finite")
-        t, inside = self._grid_coords(pts)
         # the cell of each row in the box, a row on the last grid line of an
         # axis being in the last cell; rows outside get cell 0, unused
         k = np.minimum(np.where(inside[:, None], t, 0.0).astype(np.int32),
@@ -643,13 +630,22 @@ class SampledBackend:
             d2[:, i:i + per] = self._minima(_sq_dist(x, self._edge), code, d2c)
         return np.sqrt(d2)
 
-    def _all_rows(self, pts):
-        """(3, rows) distances from every row of pts: lists the cells not
-        yet listed, scans the rows outside the box or in a cell over the
-        cap and looks the rest up in chunks."""
-        t, inside = self._grid_coords(pts)
+    def _nearest(self, pts):
+        """(3, rows) distances from the rows of pts (rows, dim) to the B, C
+        and OUT clouds: lists the cells not yet listed, scans the rows
+        outside the box or in a cell over the cap and looks the rest up,
+        _CHUNK rows at a time."""
+        t = (pts - self._lo) / self._h   # grid coordinates: lo + t h = pts
+        if len(pts) <= _CHUNK:
+            # a batch of rows all in the box (min and max are NaN on a NaN
+            # row) and in listed cells is one lookup
+            if (np.minimum.reduce(t, axis=None, initial=0.0) >= 0.0
+                    and np.maximum.reduce(t, axis=None, initial=0.0) <= self._res - 1):
+                slot = self._slot[t.astype(np.int32) @ self._stride]
+                if np.minimum.reduce(slot, initial=0) >= 0:
+                    return self._lookup(slot, pts)
+        inside = np.all((t >= 0.0) & (t <= self._res - 1), axis=-1)   # False on NaN
         cell = t[inside].astype(np.int32) @ self._stride
-        del t
         new = np.unique(cell[self._slot[cell] == _UNFILLED])
         per = max(1, min(_CELL_CHUNK, _SCAN // max(self._edge.shape[1], 1)))
         for i in range(0, new.size, per):
@@ -659,26 +655,13 @@ class SampledBackend:
         d = np.empty((3, len(pts)))
         miss = np.flatnonzero(slot < 0)
         if miss.size:
-            d[:, miss] = self._scan(pts[miss])
+            d[:, miss] = self._scan(pts[miss], t[miss], inside[miss])
         for i in range(0, len(pts), _CHUNK):
             s = slot[i:i + _CHUNK]
-            hit = _rows_of(s >= 0)
+            hit = s >= 0   # a view, with no gather or scatter, when all hit
+            hit = slice(None) if np.count_nonzero(hit) == hit.size else hit
             d[:, i:i + _CHUNK][:, hit] = self._lookup(s[hit], pts[i:i + _CHUNK][hit])
         return d
-
-    def _nearest(self, pts):
-        """(3, rows) distances from the rows of pts (rows, dim) to the B, C
-        and OUT clouds."""
-        if len(pts) <= _CHUNK:
-            # a batch of rows all in the box (min and max are NaN on a NaN
-            # row) and in listed cells is one lookup
-            t = (pts - self._lo) / self._h
-            if (np.minimum.reduce(t, axis=None, initial=0.0) >= 0.0
-                    and np.maximum.reduce(t, axis=None, initial=0.0) <= self._res - 1):
-                slot = self._slot[t.astype(np.int32) @ self._stride]
-                if np.minimum.reduce(slot, initial=0) >= 0:
-                    return self._lookup(slot, pts)
-        return self._all_rows(pts)
 
     def distances(self, u, phi, gnorm):
         """Set distances (dB, dC, dXA) from points u with values phi and

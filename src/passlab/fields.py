@@ -4,7 +4,7 @@ All fields are vectorized: points may be a single vector of shape (dim,)
 or a batch of shape (..., dim).  A field is its name, dimension, value and
 gradient and nothing more: no closed form is attached to it, so the cutoff's
 set distances treat an affine field like any other.  A box grid has one
-resolution on every axis, and a finite diagonal.  A value or gradient
+resolution on every axis, and a finite squared diagonal.  A value or gradient
 that overflows is inf (or NaN) there, without a numpy warning, and a
 polynomial whose derivative coefficients overflow is rejected when it is
 built.  A gradient norm (vector_norm) is finite wherever the norm is, even
@@ -57,8 +57,9 @@ class DomainBox:
             raise ValueError("lo and hi must be finite")
         if not np.all(lo < hi):
             raise ValueError("need lo[i] < hi[i] on every axis")
-        if not np.isfinite(self.diagonal):   # so hi - lo is finite too
-            raise ValueError("the box's diagonal must be finite")
+        if not np.isfinite(self.diagonal):   # inf where its square overflows
+            raise ValueError("the box's squared diagonal must be finite: "
+                             "set distances are compared as squares")
 
     @property
     def dim(self) -> int:

@@ -943,9 +943,11 @@ def _with(base, section, **keys):
         "kind": "point_cloud", "points": [[0.0, 0.0, 0.0]]}),
      "bad deformation.d_spec: point cloud dimension mismatch"),
     ("deform", dict(AFFINE_DEFORM, box=_HUGE_BOX),
-     "bad box: the box's diagonal must be finite"),
+     "bad box: the box's squared diagonal must be finite: "
+     "set distances are compared as squares"),
     ("pscheck", dict(PSCHECK, box=_HUGE_BOX),
-     "bad box: the box's diagonal must be finite"),
+     "bad box: the box's squared diagonal must be finite: "
+     "set distances are compared as squares"),
 ], ids=["missing_key", "missing_section", "poly_without_box", "box_dimension",
         "geometry_without_r", "number_for_point", "huge_integer_float",
         "box_lengths_differ", "exponent_tuple_length", "pin_dimension",

@@ -20,6 +20,20 @@ def test_domain_box_validation():
         DomainBox(np.array([0.0, 0.0]), np.array([1.0, np.inf]))
 
 
+@pytest.mark.parametrize("side, dim, ok", [
+    (4e153, 2, True),     # squared diagonal 1.28e308
+    (5e153, 2, False),    # 2e308 overflows
+    (4e153, 3, False),    # 1.92e308 overflows
+])
+def test_domain_box_squared_diagonal_must_be_finite(side, dim, ok):
+    lo, hi = np.full(dim, -side), np.full(dim, side)
+    if ok:
+        assert np.isfinite(DomainBox(lo, hi).diagonal)
+    else:
+        with pytest.raises(ValueError, match="squared diagonal must be finite"):
+            DomainBox(lo, hi)
+
+
 def test_domain_box_contains_and_clip():
     box = DomainBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     assert box.contains(np.array([0.5, -0.5]))

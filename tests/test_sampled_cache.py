@@ -22,6 +22,7 @@ from passlab import (BandPartition, DeformationField, DomainBox,
                      catalog_field, default_box, polynomial_field,
                      verify_deformation)
 from passlab import bands
+from passlab.cli import main
 
 
 def _trees(backend):
@@ -262,3 +263,48 @@ def test_flow_is_bit_identical_to_tree_queries():
         runs.append((json.dumps(report.to_dict(), sort_keys=True), grid.tobytes()))
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_widening_keeps_listed_cells_exact(dim):
+    # cells listed one query at a time: a later, longer list widens the
+    # table after earlier slots are filled, and every earlier cell must
+    # still give each cloud's brute-force minimum bit for bit
+    backend = _bowl(dim, 0.3, 0.1)
+    pts = np.random.default_rng(dim).uniform(-1.0, 1.0, (150, dim))
+    grew = 0
+    for i, x in enumerate(pts):
+        filled, width = backend._filled, backend._table.shape[1]
+        backend._nearest(x[None])
+        if filled and backend._table.shape[1] > width:
+            grew = i
+    assert grew > 0
+    want = np.array([[np.sqrt(_sq_dist(backend.clouds[k], x).min(initial=np.inf))
+                      for k in ("B", "C", "OUT")] for x in pts]).T
+    assert np.all(np.isfinite(want))
+    for x, w in zip(pts[:grew], want.T):
+        assert np.array_equal(backend._nearest(x[None])[:, 0], w)
+    assert np.array_equal(backend._nearest(pts), want)
+
+
+def test_ring_deform_scans_its_centre(tmp_path, monkeypatch):
+    # the paraboloid's bands at c = 0.3, eps = 0.2 are rings close enough to
+    # the origin that the flow reaches cells in the box whose lists are
+    # over the cap
+    inside_rows = []
+    scan = SampledBackend._scan
+
+    def counted(self, pts, t, inside):
+        inside_rows.append(np.count_nonzero(inside))
+        return scan(self, pts, t, inside)
+
+    monkeypatch.setattr(SampledBackend, "_scan", counted)
+    cfg = {"functional": {"catalog": "paraboloid"},
+           "deformation": {"c": 0.3, "eps": 0.2, "backend": "sampled",
+                           "resolution": 201}}
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["deform", "--strict", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert sum(inside_rows) >= 1
