@@ -19,9 +19,10 @@ measures a point-cloud D by brute force, in bounded blocks (_nearest).
 
 Region membership is decided in one place, BandPartition.tags, as int8
 codes viewed through the IntEnum RegionTag; psi's plateaus come from them.
-A partition binds its band edges as floats once, and tags looks a value's
-code up by its rank among the sorted edges, in a table built at
-construction from the mask cascade that states the rule.  A backend holds
+A partition binds its band edges, and a level-set D's least and greatest
+float, once, and tags looks a value's code up by its rank among them, in
+a table built at construction from the mask cascade that states the rule
+and from in_d; only a point-cloud D is measured per call.  A backend holds
 the partition it was built for, and psi rejects another partition's.
 cutoff_stage, the per-stage cutoff of the flow, reaches the partition
 through the backend, takes a batch its callers have checked once and
@@ -36,9 +37,10 @@ a row whose denominator underflows is at 0.  The module does no file I/O.
 
 Two backends give the set distances between the plateaus, both measured
 in the box.  FirstOrderBackend, the default, divides the slab distance in
-phi by the local ||grad phi||: the distances vanish at the band edges, so
-psi is continuous there, no point lookup is made, and they are exact for an
-affine field.  SampledBackend measures them exactly to grid point clouds;
+phi by the local ||grad phi||, for all sets in one pass but a point-cloud
+D, which is measured to its points: the distances vanish at the band
+edges, so psi is continuous there, and they are exact for an affine
+field.  SampledBackend measures them exactly to grid point clouds;
 it is the set-distance reference the first-order distances are checked
 against.  The nearest node of a cloud to any point is one of the cloud's
 boundary nodes or a corner of the point's grid cell (_boundary), so the
@@ -56,6 +58,7 @@ every axis.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
 from itertools import product
@@ -122,6 +125,20 @@ def _rank_code(edges, values):
     code = edges.searchsorted(values, "left")
     code += edges.searchsorted(values, "right")   # in place: one intp temporary
     return code
+
+
+def _last_inside(inside, x, end):
+    """The last float from x, where inside holds, towards end, where it does
+    not, for an inside that holds on an interval of floats: a bisection
+    over the bit patterns in the order the floats compare, <= 64 steps."""
+    flip = lambda k: k ^ (k >> 63 & (1 << 63) - 1)   # its own inverse
+    key = lambda f: flip(struct.unpack("<q", struct.pack("<d", f))[0])
+    val = lambda k: struct.unpack("<d", struct.pack("<q", flip(k)))[0]
+    k_in, k_out = key(x), key(end)
+    while abs(k_out - k_in) > 1:
+        mid = (k_in + k_out) // 2
+        k_in, k_out = (mid, k_out) if inside(val(mid)) else (k_in, mid)
+    return val(k_in)
 
 
 @dataclass(frozen=True)
@@ -203,7 +220,15 @@ class BandPartition:
         ranges = ((c - 2.0 * e, c + 2.0 * e), (c - e, c - 0.6 * e),
                   (c + 0.6 * e, c + e))
         object.__setattr__(self, "_ranges", ranges)
-        edges = np.append(np.sort(np.ravel(ranges)), np.nan)
+        edges = np.ravel(ranges)
+        if self.d_spec.kind == "level_set":
+            # the least and the greatest float in D: phi - value rounds
+            # monotonically in phi, so D's floats are an interval
+            v, t = self.d_spec.value, float(self.d_thickness)
+            inside = lambda phi: abs(phi - v) <= t   # in_d's rule, in floats
+            edges = np.append(edges, [_last_inside(inside, v, end)
+                                      for end in (-np.inf, np.inf)])
+        edges = np.append(np.sort(edges), np.nan)
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_code_tags", self._rank_table(edges))
 
@@ -269,34 +294,39 @@ class BandPartition:
         return out
 
     def _rank_table(self, edges) -> np.ndarray:
-        """_band_tags of each rank code of the sorted edges.
+        """_band_tags, or D where in_d holds, of each rank code of the edges.
 
         The edges end in a NaN, which sorts above every number.  The code
         of a value is the number of edges below it plus the number at or
         below it: one code per distinct edge value and one per open gap
         between them, +-inf sharing the outer gaps' codes and NaN getting
-        its own.  _band_tags compares values with edges only, so it is
-        constant on each code; it is taken at every edge, both float
+        its own.  _band_tags compares values with the band edges only, and
+        a level-set D is the floats between two of the edges, so both are
+        constant on each code; they are taken at every edge, both float
         neighbours of every edge and +-inf, which reach every code a value
         can have.
         """
         reps = np.concatenate([edges, np.nextafter(edges, -np.inf),
                                np.nextafter(edges, np.inf), [-np.inf, np.inf]])
+        codes = self._band_tags(reps)
+        if self.d_spec.kind == "level_set":
+            codes[self.in_d(None, reps)] = _D
         table = np.zeros(2 * edges.size + 1, dtype=np.int8)
-        table[_rank_code(edges, reps)] = self._band_tags(reps)
+        table[_rank_code(edges, reps)] = codes
         return table
 
     def tags(self, u, phi) -> np.ndarray:
         """int8 region codes (RegionTag values) of points u with values phi.
 
         Precedence D, OUTSIDE, B, C, A_OTHER.  Region membership is decided
-        here only: the band codes are looked up by the rank of phi among the
-        sorted band edges, in the table built once from _band_tags, and an
-        empty D is not queried.
+        here only: the codes are looked up by the rank of phi among the
+        sorted band edges and the ends of a level-set D, in the table built
+        once from _band_tags and in_d, and only a point-cloud D is measured
+        per call, by in_d.
         """
         phi = np.asarray(phi)
         out = self._code_tags.take(_rank_code(self._edges, phi))
-        if self.d_spec.kind != "empty":
+        if self.d_spec.kind == "point_cloud":
             out = np.where(self.in_d(u, phi), np.int8(_D), out)
         return out
 
@@ -324,11 +354,6 @@ def classify_region(part: BandPartition, u) -> RegionTag:
     return RegionTag(part.classify(u[None, :])[0])
 
 
-def _slab_distance(phi, lo, hi, gnorm):
-    """Distance from phi-values to the slab phi in [lo, hi], for ||grad|| = gnorm."""
-    return np.maximum(np.maximum(lo - phi, phi - hi), 0.0) / gnorm
-
-
 def _grid_tags(part: BandPartition, resolution: int):
     """The regular grid of the box at ``resolution`` points per axis (an
     integer >= 3), its phi-values and its region codes."""
@@ -343,11 +368,13 @@ class FirstOrderBackend:
     local ||grad phi|| (floored at MIN_GRAD_FLOOR).
 
     For an affine field a . u + b this is the closed-form distance to a
-    slab, |a| being ||grad phi||; it vanishes at every band edge.  The
-    distance to the complement of A is the nearer of its lower and upper
-    sides.  A band or side that no point of box.grid(resolution) falls in
-    is at +inf, exactly where SampledBackend at that resolution has an
-    empty cloud; this is decided once, here.
+    slab, |a| being ||grad phi||; it vanishes at every band edge.  B, C,
+    the two sides of the complement of A (slabs open below and above) and
+    a level-set D (the slab [value, value], capped at the box diagonal)
+    are measured in one broadcast pass over (rows, sets).  dXA is the
+    nearest of the two sides and D.  A band or side that no point of
+    box.grid(resolution) falls in is at +inf, exactly where SampledBackend
+    at that resolution has an empty cloud; this is decided once, here.
     """
 
     name = "first_order"
@@ -357,26 +384,30 @@ class FirstOrderBackend:
         self.part = part
         out = tags == _OUTSIDE
         a_lo, a_hi = part.a_range
-        # each band's range and each outer side's edge, None where no grid
-        # point falls in it
-        self._b = part.b_range if np.any(tags == _B) else None
-        self._c = part.c_range if np.any(tags == _C) else None
-        self._below = a_lo if np.any(out & (phi < a_lo)) else None
-        self._above = a_hi if np.any(out & (phi > a_hi)) else None
-        self._any_empty = any(s is None for s in
-                              (self._b, self._c, self._below, self._above))
+        # each set's slab [lo, hi] of phi, and the sets no grid point is in
+        slabs = [part.b_range, part.c_range, (-np.inf, a_lo), (a_hi, np.inf)]
+        found = [tags == _B, tags == _C, out & (phi < a_lo), out & (phi > a_hi)]
+        self._empty = [j for j, m in enumerate(found) if not np.any(m)]
+        self._d_kind = part.d_spec.kind
+        if self._d_kind == "level_set":   # + 0.0: a zero distance is +0.0
+            slabs.append((part.d_spec.value + 0.0,) * 2)
+        self._lo, self._hi = np.array(slabs).T
 
     def distances(self, u, phi, gnorm):
-        """Set distances (dB, dC, dXA) from points u with values phi and
-        gradient norms gnorm; plateau rows are not masked."""
-        g = np.maximum(gnorm, MIN_GRAD_FLOOR)
-        far = np.full(np.shape(phi), np.inf) if self._any_empty else None
-        dB = far if self._b is None else _slab_distance(phi, *self._b, g)
-        dC = far if self._c is None else _slab_distance(phi, *self._c, g)
-        below = far if self._below is None else np.maximum(phi - self._below, 0.0) / g
-        above = far if self._above is None else np.maximum(self._above - phi, 0.0) / g
-        d_out = np.minimum(below, above)
-        return dB, dC, np.minimum(d_out, self.part.d_distance(u, phi, gnorm))
+        """Set distances (dB, dC, dXA) from points u with values phi (finite
+        or NaN) and gradient norms gnorm; plateau rows are not masked."""
+        p = phi[..., None]
+        d = np.maximum(self._lo - p, p - self._hi)   # (rows, sets)
+        np.maximum(d, 0.0, out=d)
+        d /= np.maximum(gnorm, MIN_GRAD_FLOOR)[..., None]
+        for j in self._empty:
+            d[..., j] = np.inf
+        d_out = np.minimum(d[..., 2], d[..., 3])
+        if self._d_kind == "level_set":
+            d_out = np.minimum(d_out, np.minimum(d[..., 4], self.part._diagonal))
+        elif self._d_kind == "point_cloud":
+            d_out = np.minimum(d_out, self.part.d_distance(u, phi, gnorm))
+        return d[..., 0], d[..., 1], d_out
 
 
 def _boundary(inside):

@@ -261,8 +261,11 @@ def _run_deform(cfg, field, box, seed, out_dir):
                              RegionSpec(**(d["d_spec"] or {})))
     with _naming("deformation.backend or deformation.resolution"):
         backend = build_backend(part, d["backend"], d["resolution"])
-    with _naming("deformation.step"):
-        df = DeformationField(backend, d["step"], d["record_every"])
+    try:
+        with _naming("deformation.step"):
+            df = DeformationField(backend, d["step"], d["record_every"])
+    except OverflowError as exc:   # the horizon 2 eps
+        raise ConfigError(f"bad deformation.eps: {exc}") from None
     if len(df.schedule) * d["samples"] > MAX_RECORDED_STATES:
         raise ConfigError(
             f"deformation.samples x recorded states must be <= "

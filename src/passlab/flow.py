@@ -66,7 +66,8 @@ _AUDIT_ROWS = 8192
 class DeformationField:
     """eta of the backend's partition in n RK4 steps of h, grid = (n, h), h
     being step (default horizon/1000) rounded to divide the horizon and n at
-    most MAX_STEPS; schedule holds the steps a recording run records at: 0,
+    most MAX_STEPS; an eps whose horizon 2 eps overflows is an
+    OverflowError.  schedule holds the steps a recording run records at: 0,
     every record_every-th step and n."""
 
     backend: object
@@ -76,6 +77,9 @@ class DeformationField:
     def __post_init__(self):
         check_count("record_every", self.record_every)
         horizon = self.horizon
+        if not np.isfinite(horizon):   # the step grid would read round(NaN)
+            raise OverflowError(f"the horizon 2 eps overflows at eps "
+                                f"{self.part.eps!r}")
         step = self.step if self.step is not None else horizon / 1000.0
         if not 0 < step <= horizon:   # False on NaN
             raise ValueError("need 0 < step <= horizon")

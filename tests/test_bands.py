@@ -2,6 +2,7 @@ import hashlib
 import types
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from passlab import (BandPartition, DeformationField, DomainBox,
                      ScalarField, build_backend, catalog_field,
                      classify_region, default_box, polynomial_field, psi,
                      vector_field)
-from passlab.bands import _UNDERFLOW, _quotient, cutoff_stage
+from passlab.bands import (MIN_GRAD_FLOOR, _UNDERFLOW, _grid_tags, _quotient,
+                           cutoff_stage)
 from passlab.cli import export_region_clouds
+from passlab.flow import eta_batch
 from passlab.errors import InvalidRegionSpec
 from passlab.paths import _EXPORT_ROWS
 
@@ -250,6 +253,110 @@ def test_first_order_complement_sides(affine_part):
     assert np.array_equal(dXA, phi + 1.0)
 
 
+def _slab_distance(phi, lo, hi, gnorm):
+    """Distance from phi-values to the slab phi in [lo, hi], for ||grad|| = gnorm."""
+    return np.maximum(np.maximum(lo - phi, phi - hi), 0.0) / gnorm
+
+
+def _reference_distances(part, resolution, u, phi, gnorm):
+    """FirstOrderBackend.distances as it was before its one slab pass, kept
+    here as the reference: a _slab_distance per band, a far array for each
+    set with no grid point, and BandPartition.d_distance for D."""
+    _, grid_phi, tags = _grid_tags(part, resolution)
+    out = tags == RegionTag.OUTSIDE
+    a_lo, a_hi = part.a_range
+    b = part.b_range if np.any(tags == RegionTag.B) else None
+    c = part.c_range if np.any(tags == RegionTag.C) else None
+    below = a_lo if np.any(out & (grid_phi < a_lo)) else None
+    above = a_hi if np.any(out & (grid_phi > a_hi)) else None
+    g = np.maximum(gnorm, MIN_GRAD_FLOOR)
+    far = np.full(np.shape(phi), np.inf)
+    dB = far if b is None else _slab_distance(phi, *b, g)
+    dC = far if c is None else _slab_distance(phi, *c, g)
+    below = far if below is None else np.maximum(phi - below, 0.0) / g
+    above = far if above is None else np.maximum(above - phi, 0.0) / g
+    d_out = np.minimum(below, above)
+    return dB, dC, np.minimum(d_out, part.d_distance(u, phi, gnorm))
+
+
+def _slab_partitions():
+    """Partitions for the slab pass: B empty, both sides of the complement of
+    A empty, its lower side only, and D empty, a level set at +-0.0 and at
+    the deform_flow config's 0.5, and a point cloud."""
+    wide = DomainBox(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+    affine = catalog_field("affine")
+    w2s = catalog_field("well_to_saddle")
+    return {
+        "empty_b": BandPartition(catalog_field("paraboloid"),
+                                 default_box("paraboloid"), 0.05, 0.1),
+        "empty_sides": BandPartition(affine, default_box("affine"), 0.0, 0.5),
+        "lower_side": BandPartition(affine, DomainBox(np.array([-1.5, -1.0]),
+                                                      np.array([1.0, 1.0])),
+                                    0.0, 0.5),
+        "d_empty": BandPartition(affine, wide, 0.0, 0.5),
+        "d_plus_0": BandPartition(affine, wide, 0.0, 0.5, RegionSpec.level_set(0.0)),
+        "d_minus_0": BandPartition(affine, wide, 0.0, 0.5,
+                                   RegionSpec.level_set(-0.0)),
+        "d_level": BandPartition(w2s, default_box("well_to_saddle"), 0.5, 0.1,
+                                 RegionSpec.level_set(0.5)),
+        "d_cloud": BandPartition(affine, wide, 0.0, 0.5, RegionSpec.point_cloud(
+            [[0.1, 0.0], [-0.2, 0.5]])),
+    }
+
+
+_SLAB_PARTS = _slab_partitions()
+_GNORMS = [0.0, 5e-324, 1e-8, 1.0, np.inf, np.nan]
+
+
+@pytest.mark.parametrize("name", sorted(_SLAB_PARTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_slab_pass_equals_the_per_set_distances(name, data):
+    # the one broadcast pass gives every distance bit for bit as the
+    # per-set formulas did, signed zeros and NaNs included, at every band
+    # edge, D's value +- thickness, their float neighbours and +-0.0
+    part = _SLAB_PARTS[name]
+    backend = build_backend(part, "first_order", 41)
+    marks = np.ravel([part.a_range, part.b_range, part.c_range])
+    if part.d_spec.kind == "level_set":
+        v, t = part.d_spec.value, part.d_thickness
+        marks = np.append(marks, [v - t, v, v + t])
+    marks = np.concatenate([_ulp_steps(marks, 1), [0.0, -0.0]])
+    n = data.draw(st.integers(1, 8))
+    phi = np.array(data.draw(st.lists(st.sampled_from(marks.tolist())
+                                      | st.floats(-1e6, 1e6),
+                                      min_size=n, max_size=n)))
+    gnorm = np.array(data.draw(st.lists(st.sampled_from(_GNORMS),
+                                        min_size=n, max_size=n)))
+    ys = data.draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))
+    u = np.column_stack([np.clip(phi, -2.0, 2.0), ys])
+    if part.d_spec.kind == "point_cloud":   # rows on D's points too
+        u[:2] = part.d_spec.points[:min(n, 2)]
+    got = backend.distances(u, phi, gnorm)
+    want = _reference_distances(part, 41, u, phi, gnorm)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(np.ascontiguousarray(g).view(np.int64),
+                              w.view(np.int64))
+
+
+def test_level_set_d_tags_without_in_d(w2s_field, w2s_box):
+    # a level-set D is tagged from the rank table: in_d runs once, when the
+    # partition builds the table, and never in a 1,000-step flow
+    with mock.patch.object(BandPartition, "in_d", autospec=True,
+                           side_effect=BandPartition.in_d) as in_d:
+        part = BandPartition(w2s_field, w2s_box, 0.5, 0.1,
+                             RegionSpec.level_set(0.5, thickness=0.01))
+        df = DeformationField(build_backend(part))
+        assert in_d.call_count == 1
+        starts = w2s_box.sample(np.random.default_rng(3), 200)
+        ends = eta_batch(df, starts)
+        assert df.grid[0] == 1000 and in_d.call_count == 1
+    tags = part.classify(starts)
+    assert np.any(tags == RegionTag.D) and np.any(tags == RegionTag.A_OTHER)
+    assert not np.array_equal(ends, starts)
+
+
 def test_build_backend_default_follows_the_field(affine_part, w2s_deformation):
     assert isinstance(build_backend(affine_part), FirstOrderBackend)
     part = w2s_deformation.part
@@ -386,26 +493,55 @@ def _cascade_tags(part, u, phi):
     return out
 
 
+def _ulp_steps(values, k):
+    """values and their float neighbours up to k steps away on each side."""
+    out, down, up = [values], values, values
+    for _ in range(k):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return np.concatenate(out)
+
+
 @pytest.mark.parametrize("c, eps, d_spec", [
     (0.0, 0.5, RegionSpec.empty()),
     (0.3, 0.1, RegionSpec.level_set(0.3)),
     (-2.5, 1e-3, RegionSpec.level_set(-2.5, thickness=1e-4)),
     (1e16, 1.0, RegionSpec.empty()),      # every edge rounds to one of two floats
     (-7.0, 1e-300, RegionSpec.empty()),   # every edge rounds to c
+    # level-set D at the default thickness, 1e-6 eps; at a thickness of
+    # 1e-300, around 0.3 (D = {0.3}) and around 0 (subnormals); at one below
+    # an ulp of the value; at value +-0.0; and at 1e16, where D and every
+    # band edge round to 1e16
+    (0.5, 0.1, RegionSpec.level_set(0.5)),
+    (0.3, 0.1, RegionSpec.level_set(0.3, thickness=1e-300)),
+    (0.0, 0.5, RegionSpec.level_set(0.0, thickness=1e-300)),
+    (0.5, 0.1, RegionSpec.level_set(0.52, thickness=1e-18)),
+    (0.0, 0.5, RegionSpec.level_set(0.0)),
+    (0.0, 0.5, RegionSpec.level_set(-0.0)),
+    (1e16, 1.0, RegionSpec.level_set(1e16)),
 ])
 def test_tags_equal_the_mask_cascade(affine_field, c, eps, d_spec):
+    # a level-set D is looked up in the rank table too, so its ends and
+    # their neighbours up to 4 ulp away are drawn, where in_d decides
     part = BandPartition(affine_field, DomainBox(np.array([-1.0, -1.0]),
                                                  np.array([1.0, 1.0])),
                          c, eps, d_spec)
     edges = np.ravel([part.a_range, part.b_range, part.c_range])
+    ends = []
+    if d_spec.kind == "level_set":
+        v, t = d_spec.value, part.d_thickness
+        ends = _ulp_steps(np.array([v - t, v, v + t]), 4)
     phi = np.concatenate([
         edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
-        [np.nan, np.inf, -np.inf, 0.0, -0.0, c],
+        ends, [np.nan, np.inf, -np.inf, 0.0, -0.0, c],
         np.random.default_rng(0).normal(c, 3.0 * eps, 2000)])
     u = np.zeros(phi.shape + (2,))
     got = part.tags(u, phi)
     assert got.dtype == np.int8
     assert np.array_equal(got, _cascade_tags(part, u, phi))
+    if d_spec.kind == "level_set":   # D's floats are those in_d takes, no more
+        assert np.array_equal(got == RegionTag.D, part.in_d(u, phi))
+        assert np.any(got == RegionTag.D) and not np.all(got[-2000:] == RegionTag.D)
     # a (rows, cols) batch gets the same codes
     assert np.array_equal(part.tags(u[:12].reshape(3, 4, 2), phi[:12].reshape(3, 4)),
                           got[:12].reshape(3, 4))

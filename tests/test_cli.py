@@ -239,6 +239,16 @@ def test_absurd_step_exits_2(tmp_path, capsys):
     assert err.startswith("config error: bad deformation.step: step 1e-09 ")
 
 
+def test_overflowing_horizon_names_eps(tmp_path, capsys):
+    # 2 eps = inf: the step grid read round(NaN) and the error named
+    # deformation.step, which this config does not set
+    cfg = {"functional": {"catalog": "well_to_saddle"},
+           "deformation": {"c": 0.5, "eps": 1e308}}
+    err = _config_error(tmp_path, capsys, "deform", cfg)
+    assert err.startswith("config error: bad deformation.eps: ")
+    assert "step" not in err
+
+
 def test_recorded_states_past_the_budget_exit_2(tmp_path, capsys):
     # 1,002 recorded states of 10,000 samples; the benchmark's deform config
     # at the sample cap, 1,001 states of 10,000 samples, is the budget

@@ -49,6 +49,17 @@ def test_flow_config_validation(affine_df):
             replace(affine_df, record_every=record_every)
 
 
+@pytest.mark.parametrize("eps", [1e308, 8.99e307])
+def test_overflowing_horizon_is_an_eps_error(affine_field, eps):
+    # a finite eps whose horizon 2 eps overflows failed in round(NaN) with
+    # an error that blamed the step
+    part = BandPartition(affine_field, DomainBox(-np.ones(2), np.ones(2)), 0.0, eps)
+    backend = build_backend(part, resolution=3)
+    for step in (None, 1.0):
+        with pytest.raises(OverflowError, match="eps"):
+            DeformationField(backend, step)
+
+
 def test_record_schedule(affine_df):
     # step 0, every record_every-th step and the last, computed once beside
     # the step grid, up to MAX_STEPS steps
