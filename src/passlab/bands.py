@@ -1,6 +1,7 @@
 """Level-band regions around a center level and the distance-quotient cutoff.
 
-The partition is driven by a center level c and half-width eps:
+The partition is driven by a center level c and half-width eps, its value
+ranges stated once, in band_ranges:
 
     A-range = [c - 2 eps, c + 2 eps]   (deformation band, minus the fixed set D)
     B-range = [c - eps,   c - 0.6 eps] (pushed up)
@@ -193,6 +194,13 @@ class RegionSpec:
         return cls("point_cloud", points=points)
 
 
+def band_ranges(c: float, eps: float) -> tuple:
+    """The A, B and C value ranges ((lo, hi) each) at center c and
+    half-width eps; the partition binds them as a_range, b_range, c_range."""
+    return ((c - 2.0 * eps, c + 2.0 * eps), (c - eps, c - 0.6 * eps),
+            (c + 0.6 * eps, c + eps))
+
+
 @dataclass(frozen=True)
 class BandPartition:
     """The regions A, B, C, D induced by a field, a center level and eps."""
@@ -216,10 +224,9 @@ class BandPartition:
         object.__setattr__(self, "_diagonal", self.box.diagonal)
         # the band edges, bound once as floats, and the region code of every
         # rank of a value among them (see tags)
-        c, e = self.c, self.eps
-        ranges = ((c - 2.0 * e, c + 2.0 * e), (c - e, c - 0.6 * e),
-                  (c + 0.6 * e, c + e))
-        object.__setattr__(self, "_ranges", ranges)
+        ranges = band_ranges(self.c, self.eps)
+        for name, r in zip(("a_range", "b_range", "c_range"), ranges):
+            object.__setattr__(self, name, r)
         edges = np.ravel(ranges)
         if self.d_spec.kind == "level_set":
             # the least and the greatest float in D: phi - value rounds
@@ -231,19 +238,6 @@ class BandPartition:
         edges = np.append(np.sort(edges), np.nan)
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_code_tags", self._rank_table(edges))
-
-    # value ranges -----------------------------------------------------
-    @property
-    def a_range(self):
-        return self._ranges[0]
-
-    @property
-    def b_range(self):
-        return self._ranges[1]
-
-    @property
-    def c_range(self):
-        return self._ranges[2]
 
     @property
     def d_thickness(self) -> float:
@@ -286,7 +280,8 @@ class BandPartition:
     def _band_tags(self, phi) -> np.ndarray:
         """int8 codes of values phi by the band ranges alone, precedence
         OUTSIDE, B, C, A_OTHER: the rule tags applies through its table."""
-        (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi) = self._ranges
+        (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi) = \
+            self.a_range, self.b_range, self.c_range
         out = np.zeros(phi.shape, dtype=np.int8)   # _A_OTHER everywhere
         out[(phi >= c_lo) & (phi <= c_hi)] = _C
         out[(phi >= b_lo) & (phi <= b_hi)] = _B

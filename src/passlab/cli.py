@@ -190,6 +190,9 @@ def _naming(name: str):
 
 
 def _build_field(f: dict) -> ScalarField:
+    if f["catalog"] is not None and f["poly"] is not None:
+        raise ConfigError("functional takes one of functional.catalog and "
+                          "functional.poly, got both")
     if f["catalog"] is not None:
         with _naming("functional.catalog"):
             return catalog_field(f["catalog"])

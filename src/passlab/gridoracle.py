@@ -91,12 +91,20 @@ class GridGraph:
         return tuple(int(i) for i in np.unravel_index(idx, self.shape))
 
     def nearest_node(self, point) -> int:
+        """The flat index of the node nearest to a finite point of shape
+        (dim,), axis by axis; a ValueError for any other point.  Each
+        coordinate is first clipped to its axis's ends, so that a far point
+        snaps to the end node rather than to a tie of rounded distances."""
         point = np.asarray(point, dtype=float)
+        if point.shape != (self.dim,) or not np.all(np.isfinite(point)):
+            raise ValueError(f"nearest_node needs a finite point of shape "
+                             f"({self.dim},), got {point.tolist()!r}")
         idx = []
         for ax in range(self.dim):
             axis = (self.coords[ax] if self.coords is not None
                     else np.arange(self.shape[ax], dtype=float))
-            idx.append(int(np.argmin(np.abs(axis - point[ax]))))
+            p = np.clip(point[ax], axis.min(), axis.max())
+            idx.append(int(np.argmin(np.abs(axis - p))))
         return self.flat(idx)
 
     def neighbors(self, idx: int):

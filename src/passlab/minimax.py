@@ -18,8 +18,9 @@ trusted.
 
 The proof tracer deforms at each level with D = {phi = level} on the
 default backend of bands.build_backend, first-order distances, so its RK4
-stages make no point lookups; its band ranges and deformed-bound targets
-are those of the BandPartition it deforms with.
+stages make no point lookups.  It searches band widths on
+bands.band_ranges alone and builds a BandPartition only at the width it
+deforms with; its deformed-bound targets are that width's ranges.
 
 The Palais-Smale probe's searches for small gradients move all their
 starts in lockstep, as one (starts, dim) array (_band_search): the
@@ -37,7 +38,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .bands import BandPartition, RegionSpec, build_backend
+from .bands import BandPartition, RegionSpec, band_ranges, build_backend
 from .errors import InvalidInstance, PinMoved, VectorFieldSingular
 from .fields import DomainBox, ScalarField, check_count, check_positive
 from .flow import DeformationField, eta
@@ -288,6 +289,7 @@ def check_conclusions(inst: MountainPassInstance, c1_result: MinimaxResult,
 
     Purely reports the measured values; never asserts the statement.
     """
+    check_positive("eps", eps)
     field = inst.field
     u_star = c1_result.witness_point
     u_tri = c2_result.witness_point
@@ -327,12 +329,10 @@ def _step(name, claimed, observed, verdict):
             "verdict": verdict}
 
 
-def _partition_at(inst, level, eps_level):
-    return BandPartition(inst.field, inst.box, level, eps_level,
+def _deformation_at(inst, level, eps_level):
+    """The tracer's deformation at level, with D = {phi = level}."""
+    part = BandPartition(inst.field, inst.box, level, eps_level,
                          RegionSpec.level_set(level))
-
-
-def _deformation_at(part):
     return DeformationField(build_backend(part, resolution=PROOF_RESOLUTION))
 
 
@@ -345,6 +345,8 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
     """
     if c1 == c2:
         raise InvalidInstance("the argument requires c1 != c2")
+    if not (np.isfinite(c1) and np.isfinite(c2)):
+        raise ValueError(f"c1 and c2 must be finite, got {c1!r} and {c2!r}")
     steps = []
 
     eps1 = min(abs(c2 - c1) / 4.0, eps)
@@ -363,7 +365,7 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
                        "holds" if sep_ok else "fails"))
 
     # pin preservation under the fixed-set choice D = {phi = c1}
-    df1 = _deformation_at(_partition_at(inst, c1, eps1))
+    df1 = _deformation_at(inst, c1, eps1)
     for name, claimed, pin in (("pin_zero_fixed", "eta(0) = 0 exactly", inst.pin_zero),
                                ("pin_e_fixed", "eta(e) = e exactly", inst.pin_e)):
         try:
@@ -383,15 +385,16 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
 
     def _band_route(level, low_side):
         """The eps2 (low_side) or eps3 route: find a near-optimal path with
-        its extremum in the B (C) band of the partition at this level, deform
-        with that partition, and record the claimed bound: the minimum pushed
-        up to C's top, c + eps (the maximum down to B's bottom, c - eps)."""
+        its extremum in the B (C) band at this level, deform at that width
+        and record the claimed bound: the minimum pushed up to C's top,
+        c + eps (the maximum down to B's bottom, c - eps)."""
         tag = "eps2" if low_side else "eps3"
         key = "min_value" if low_side else "max_value"
         eps_k = eps1
         for _ in range(PROOF_HALVINGS):
-            part = _partition_at(inst, level, eps_k)
-            lo, hi = part.b_range if low_side else part.c_range
+            check_positive("eps", eps_k)   # BandPartition's rule, at every width
+            _, b_range, c_range = band_ranges(level, eps_k)
+            lo, hi = b_range if low_side else c_range
             hit = np.flatnonzero((grid_phi >= lo) & (grid_phi <= hi))
             if hit.size:   # put the first grid point in the band on the path
                 nodes = base.nodes.copy()
@@ -410,9 +413,9 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
             return
         steps.append(_step(f"{tag}_band_path",
                            f"extremum within [{lo}, {hi}]",
-                           {tag: part.eps, "extremum": ext[key]}, "holds"))
+                           {tag: eps_k, "extremum": ext[key]}, "holds"))
         try:
-            beta = deform_path(_deformation_at(part), cand)
+            beta = deform_path(_deformation_at(inst, level, eps_k), cand)
         except PinMoved as exc:
             steps.append(_step(f"{tag}_deformed_bound",
                                "pins preserved during deformation",
@@ -425,11 +428,11 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
             return
         observed_v = path_extrema(inst, beta)[key]
         if low_side:
-            target = part.c_range[1]
+            target = c_range[1]
             claimed_txt = f"min phi(beta) >= {target}"
             ok = observed_v >= target
         else:
-            target = part.b_range[0]
+            target = b_range[0]
             claimed_txt = f"max phi(beta) <= {target}"
             ok = observed_v <= target
         steps.append(_step(f"{tag}_deformed_bound", claimed_txt,

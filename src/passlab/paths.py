@@ -111,6 +111,8 @@ def make_path(inst: MountainPassInstance, M: int, init: str = "axis",
     nodes[i0: i1 + 1] = (1.0 - frac) * inst.pin_zero + frac * inst.pin_e
     nodes[i1:] = inst.pin_e
     if init == "jitter":
+        if not (np.isfinite(scale) and scale >= 0):   # False on NaN
+            raise ValueError(f"scale must be finite and >= 0, got {scale!r}")
         rng = np.random.default_rng(seed)
         noise = rng.normal(0.0, scale, size=nodes.shape)
         noise[i0] = 0.0

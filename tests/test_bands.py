@@ -15,7 +15,7 @@ from passlab import (BandPartition, DeformationField, DomainBox,
                      classify_region, default_box, polynomial_field, psi,
                      vector_field)
 from passlab.bands import (MIN_GRAD_FLOOR, _UNDERFLOW, _grid_tags, _quotient,
-                           cutoff_stage)
+                           band_ranges, cutoff_stage)
 from passlab.cli import export_region_clouds
 from passlab.flow import eta_batch
 from passlab.errors import InvalidRegionSpec
@@ -736,3 +736,27 @@ def test_point_cloud_d_equals_a_kd_tree(dim, seed, n):
     assert np.array_equal(part.d_distance(u, phi, phi), want)
     assert np.array_equal(part.in_d(u, phi),
                           want <= 1e-12 * max(1.0, box.diagonal))
+
+
+def _inline_ranges(c, e):
+    """The band ranges as BandPartition wrote them inline before
+    band_ranges stated them, kept here as the reference."""
+    return ((c - 2.0 * e, c + 2.0 * e), (c - e, c - 0.6 * e),
+            (c + 0.6 * e, c + e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from([0.0, -0.0, 1e16, -1e16, 0.3]),
+                 st.floats(allow_nan=False, allow_infinity=False)),
+       st.one_of(st.sampled_from([5e-324, 2.5e-321, 2.2e-308, 0.1, 0.25]),
+                 st.floats(min_value=5e-324, max_value=1e300)))
+def test_band_ranges_equal_the_inline_expressions(c, eps):
+    got = np.array(band_ranges(c, eps))
+    want = np.array(_inline_ranges(c, eps))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_partition_binds_band_ranges(affine_field):
+    part = BandPartition(affine_field, default_box("affine"), 0.3, 0.1,
+                         RegionSpec.level_set(0.3))
+    assert (part.a_range, part.b_range, part.c_range) == band_ranges(0.3, 0.1)

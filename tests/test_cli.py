@@ -344,6 +344,14 @@ def _config_error(tmp_path, capsys, sub, cfg):
     return capsys.readouterr().err
 
 
+def test_catalog_and_poly_together_exit_2(tmp_path, capsys):
+    # the polynomial used to be dropped silently, with exit 0
+    cfg = {"functional": {"catalog": "saddle", "poly": {"dim": 2, "terms": []}},
+           "ps": {"level": 0.0, "samples": 4}}
+    err = _config_error(tmp_path, capsys, "pscheck", cfg)
+    assert "functional.catalog" in err and "functional.poly" in err
+
+
 @pytest.mark.parametrize("key", ["p", "q"])
 def test_oracle_missing_point_exits_2(tmp_path, capsys, key):
     oracle = {k: v for k, v in ORACLE["oracle"].items() if k != key}

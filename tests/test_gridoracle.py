@@ -127,6 +127,35 @@ def test_from_field_and_nearest_node(w2s_field, w2s_box):
     assert g.values.shape == (33, 33)
 
 
+@pytest.fixture(scope="module")
+def w2s_9(w2s_field, w2s_box):
+    return GridGraph.from_field(w2s_field, w2s_box, 9)
+
+
+@pytest.mark.parametrize("point", [[np.nan, np.nan], [0.0, np.inf],
+                                   [1.0, 0.0, 5.0], [1.0], [[1.0, 0.0]]])
+def test_nearest_node_rejects_a_bad_point(w2s_9, point):
+    # NaN snapped to node 0, a third coordinate was ignored, and a single
+    # coordinate raised a raw IndexError
+    with pytest.raises(ValueError, match=r"finite point of shape \(2,\)"):
+        w2s_9.nearest_node(point)
+
+
+def test_nearest_node_snaps_a_far_point_to_the_end_nodes(w2s_9):
+    # |axis - 1e300| rounds to 1e300 at every node, which made node 0 win
+    assert w2s_9.nearest_node([1e300, 1e300]) == 80
+    assert w2s_9.nearest_node([-1e300, 1e300]) == 8
+    assert w2s_9.nearest_node([1e300, -1e300]) == 72
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1.0, 3.0), st.floats(-2.0, 2.0))   # the box
+def test_nearest_node_keeps_an_in_box_point_where_it_was(w2s_9, x, y):
+    # the rule before clipping, kept here as the reference
+    idx = [int(np.argmin(np.abs(axis - p))) for axis, p in zip(w2s_9.coords, (x, y))]
+    assert w2s_9.nearest_node([x, y]) == w2s_9.flat(idx)
+
+
 def test_oracle_resolution_trend(w2s_field, w2s_box):
     errs = []
     for res in (65, 129, 257):

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import re
 import warnings
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from passlab import (DiscretePath, DomainBox, MinimaxResult,
+from passlab import (BandPartition, DiscretePath, DomainBox, MinimaxResult,
                      MountainPassInstance, ScalarField, catalog_field,
                      catalog_names, check_conclusions, check_mpt_geometry,
                      default_box, make_path, optimize_c1, optimize_c2,
@@ -474,6 +475,47 @@ def test_proof_trace_push_up_bound_pinned():
              {"observed": 1.0305387310477183}, "fails"))}
 
 
+def _partitions_built(monkeypatch, inst, *args):
+    """The number of BandPartitions one trace_proof_argument call builds."""
+    built = []
+    post_init = BandPartition.__post_init__
+
+    def counting(self):
+        built.append(self.eps)
+        post_init(self)
+
+    monkeypatch.setattr(BandPartition, "__post_init__", counting)
+    trace_proof_argument(inst, *args)
+    return len(built)
+
+
+def test_proof_trace_builds_partitions_only_where_it_deforms(monkeypatch,
+                                                             w2s_instance):
+    # criterion 8: the pins' deformation at c1 and the eps3 route's at c2;
+    # the vacuous eps2 route searches 12 widths and builds none
+    assert _partitions_built(monkeypatch, w2s_instance, 0.0, 1.0, 0.3) == 2
+    # saddle: the pins' deformation and both routes' deformations
+    inst = MountainPassInstance(catalog_field("saddle"), default_box("saddle"),
+                                np.array([-1.0, 0.0]), np.array([1.0, 0.0]))
+    assert _partitions_built(monkeypatch, inst, 0.0, 1.0, 0.3) == 3
+
+
+@pytest.mark.parametrize("c1, c2", [(np.nan, 1.0), (np.inf, 1.0),
+                                    (-np.inf, 1.0), (0.0, np.nan),
+                                    (0.0, np.inf), (0.0, -np.inf)])
+def test_proof_trace_rejects_non_finite_levels(w2s_instance, c1, c2):
+    with pytest.raises(ValueError, match=re.escape(
+            f"c1 and c2 must be finite, got {c1!r} and {c2!r}")):
+        trace_proof_argument(w2s_instance, c1, c2, 0.3)
+
+
+def test_proof_trace_rejects_a_band_width_that_underflows(w2s_instance):
+    # eps1 = 2.5e-321 halves to 0.0 before the eps2 route finds a band point
+    with pytest.raises(ValueError,
+                       match=re.escape("eps must be finite and > 0, got 0.0")):
+        trace_proof_argument(w2s_instance, 0.0, 1e-320, 0.3)
+
+
 def test_proof_trace_records_a_moved_pin():
     # the same instance at c1 = 0.5: the zero pin has phi = 1, inside the
     # band at c2 = 1.05 and off its D = {phi = 1.05}, so the eps3
@@ -568,6 +610,13 @@ def test_conclusions_paraboloid_eps_dependence():
     assert small["IV"]["grad_norm"] == pytest.approx(2.0, abs=0.05)
     large = check_conclusions(inst, r1, r2, eps=1.1)
     assert large["IV"]["holds"]
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -0.05])
+def test_conclusions_reject_a_bad_eps(w2s_instance, w2s_results, eps):
+    # NaN made every conclusion fail with NaN bounds, inf made I and III hold
+    with pytest.raises(ValueError, match="eps must be finite and > 0"):
+        check_conclusions(w2s_instance, *w2s_results, eps=eps)
 
 
 def test_proof_trace_arithmetic(w2s_instance):

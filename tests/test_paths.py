@@ -184,11 +184,22 @@ def test_to_csv_bytes_equal_the_csv_writer(tmp_path_factory, dim, rows, seed):
     assert got.read_bytes() == want.read_bytes()
 
 
+def test_make_path_jitter_scale_zero_is_the_axis_path(w2s_instance):
+    axis = make_path(w2s_instance, 8, init="axis")
+    assert np.array_equal(make_path(w2s_instance, 8, init="jitter",
+                                    scale=0.0).nodes, axis.nodes)
+
+
 def _library_errors(w2s_instance, affine_wide_df):
     path_3d = DiscretePath(np.zeros((9, 3)), (2, 4))
     grid = GridGraph(np.zeros((3, 3)))
     return {
         "make_path_init": lambda: make_path(w2s_instance, 8, init="spiral"),
+        # NaN gave NaN free nodes, inf clipped them onto the box corners
+        "make_path_scale_nan": lambda: make_path(w2s_instance, 8, init="jitter",
+                                                 scale=np.nan),
+        "make_path_scale_inf": lambda: make_path(w2s_instance, 8, init="jitter",
+                                                 scale=np.inf),
         "deform_path_dimension": lambda: deform_path(affine_wide_df, path_3d),
         "grid_4d": lambda: GridGraph(np.zeros((3, 3, 3, 3))),
         "enumerate_mode": lambda: enumerate_small(grid, 0, 8, "deepest"),
@@ -199,6 +210,8 @@ def _library_errors(w2s_instance, affine_wide_df):
 
 @pytest.mark.parametrize("case, message", [
     ("make_path_init", "unknown init 'spiral'"),
+    ("make_path_scale_nan", "scale must be finite and >= 0, got nan"),
+    ("make_path_scale_inf", "scale must be finite and >= 0, got inf"),
     ("deform_path_dimension", "path dimension does not match"),
     ("grid_4d", "grid dimension must be 1, 2 or 3"),
     ("enumerate_mode", "mode must be 'bottleneck' or 'widest'"),
