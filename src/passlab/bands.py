@@ -20,8 +20,10 @@ measures a point-cloud D by brute force, in bounded blocks (_nearest).
 
 Region membership is decided in one place, BandPartition.tags, as int8
 codes viewed through the IntEnum RegionTag; psi's plateaus come from them.
-A partition binds its band edges, and a level-set D's least and greatest
-float, once, and tags looks a value's code up by its rank among them, in
+A partition binds its band edges once, and splits the floats where a
+region begins or ends: at each closed range's lo and at the float after
+its hi, the ranges being A, B, C and a level-set D's float interval.  tags
+looks a value's code up by the count of split points at or below it, in
 a table built at construction from the mask cascade that states the rule
 and from in_d; only a point-cloud D is measured per call.  A backend holds
 the partition it was built for, and psi rejects another partition's.
@@ -120,14 +122,6 @@ _A_OTHER, _B, _C, _OUTSIDE, _D = (int(t) for t in RegionTag)
 _PLATEAU = np.array([0.0, 1.0, -1.0, 0.0, 0.0])
 
 
-def _rank_code(edges, values):
-    """The number of sorted edges below each value plus the number at or
-    below it, NaN sorting above every number."""
-    code = edges.searchsorted(values, "left")
-    code += edges.searchsorted(values, "right")   # in place: one intp temporary
-    return code
-
-
 def _last_inside(inside, x, end):
     """The last float from x, where inside holds, towards end, where it does
     not, for an inside that holds on an interval of floats: a bisection
@@ -222,22 +216,22 @@ class BandPartition:
         if self.d_spec.kind == "point_cloud":   # one contiguous row per axis
             object.__setattr__(self, "_d_nodes", self.d_spec.points.T.copy())
         object.__setattr__(self, "_diagonal", self.box.diagonal)
-        # the band edges, bound once as floats, and the region code of every
-        # rank of a value among them (see tags)
+        # the band edges, bound once as floats, and the split points of the
+        # closed ranges with the region code of each interval between them
         ranges = band_ranges(self.c, self.eps)
         for name, r in zip(("a_range", "b_range", "c_range"), ranges):
             object.__setattr__(self, name, r)
-        edges = np.ravel(ranges)
         if self.d_spec.kind == "level_set":
             # the least and the greatest float in D: phi - value rounds
             # monotonically in phi, so D's floats are an interval
             v, t = self.d_spec.value, float(self.d_thickness)
             inside = lambda phi: abs(phi - v) <= t   # in_d's rule, in floats
-            edges = np.append(edges, [_last_inside(inside, v, end)
-                                      for end in (-np.inf, np.inf)])
-        edges = np.append(np.sort(edges), np.nan)
-        object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_code_tags", self._rank_table(edges))
+            ranges += (tuple(_last_inside(inside, v, end)
+                             for end in (-np.inf, np.inf)),)
+        lo, hi = np.transpose(ranges)
+        splits = np.sort(np.concatenate([lo, np.nextafter(hi, np.inf)]))
+        object.__setattr__(self, "_splits", np.append(splits, np.nan))
+        object.__setattr__(self, "_code_tags", self._interval_table())
 
     @property
     def d_thickness(self) -> float:
@@ -288,39 +282,31 @@ class BandPartition:
         out[(phi < a_lo) | (phi > a_hi)] = _OUTSIDE
         return out
 
-    def _rank_table(self, edges) -> np.ndarray:
-        """_band_tags, or D where in_d holds, of each rank code of the edges.
+    def _interval_table(self) -> np.ndarray:
+        """_band_tags, or D where in_d holds, of each interval between the
+        split points, indexed by the count of split points at or below it.
 
-        The edges end in a NaN, which sorts above every number.  The code
-        of a value is the number of edges below it plus the number at or
-        below it: one code per distinct edge value and one per open gap
-        between them, +-inf sharing the outer gaps' codes and NaN getting
-        its own.  _band_tags compares values with the band edges only, and
-        a level-set D is the floats between two of the edges, so both are
-        constant on each code; they are taken at every edge, both float
-        neighbours of every edge and +-inf, which reach every code a value
-        can have.
+        A closed range [lo, hi] is the floats from lo up to the float after
+        hi, so every comparison of _band_tags, and a level-set D, is
+        constant from one split point up to the next: each interval is
+        taken at its own split point, the one below them all at -inf, and
+        NaN, the last split point, sorts above every number.
         """
-        reps = np.concatenate([edges, np.nextafter(edges, -np.inf),
-                               np.nextafter(edges, np.inf), [-np.inf, np.inf]])
+        reps = np.append(-np.inf, self._splits)
         codes = self._band_tags(reps)
         if self.d_spec.kind == "level_set":
             codes[self.in_d(None, reps)] = _D
-        table = np.zeros(2 * edges.size + 1, dtype=np.int8)
-        table[_rank_code(edges, reps)] = codes
-        return table
+        return codes
 
     def tags(self, u, phi) -> np.ndarray:
         """int8 region codes (RegionTag values) of points u with values phi.
 
         Precedence D, OUTSIDE, B, C, A_OTHER.  Region membership is decided
-        here only: the codes are looked up by the rank of phi among the
-        sorted band edges and the ends of a level-set D, in the table built
-        once from _band_tags and in_d, and only a point-cloud D is measured
-        per call, by in_d.
+        here only: the codes are looked up by the count of split points at
+        or below phi, in the table built once from _band_tags and in_d, and
+        only a point-cloud D is measured per call, by in_d.
         """
-        phi = np.asarray(phi)
-        out = self._code_tags.take(_rank_code(self._edges, phi))
+        out = self._code_tags.take(self._splits.searchsorted(phi, "right"))
         if self.d_spec.kind == "point_cloud":
             out = np.where(self.in_d(u, phi), np.int8(_D), out)
         return out

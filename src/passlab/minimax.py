@@ -97,7 +97,8 @@ def _resample(seg: np.ndarray) -> np.ndarray:
 
     Row by row this is ``np.interp`` at ``np.linspace(0, total, n)`` on the
     cumulative arclength, bit for bit; a collapsed row (length < 1e-12) is
-    left alone, and a row with a NaN step goes through ``np.interp`` itself.
+    left alone, and a row with a NaN step gets its NaN targets, as from
+    ``np.interp``.
     """
     rows, n, dim = seg.shape
     d = seg[:, 1:] - seg[:, :-1]
@@ -124,12 +125,10 @@ def _resample(seg: np.ndarray) -> np.ndarray:
     at_node = (x == xl) | (j == last)
     out[:, at_node] = np.take(f, j[at_node], axis=1)
     out = out.reshape(dim, rows, n).transpose(1, 2, 0)
-    # searchsorted sends a NaN target to the row's end, where np.interp
-    # gives NaN
-    for r in np.flatnonzero(np.isnan(total)):
-        for ax in range(dim):
-            out[r, :, ax] = np.interp(x[r * n:(r + 1) * n], cum[r * n:(r + 1) * n],
-                                      seg[r, :, ax])
+    # a NaN length makes every target NaN, and np.interp gives a NaN target
+    # back as it is
+    nan_rows = np.isnan(total)
+    out[nan_rows] = x.reshape(rows, n)[nan_rows, :, None]
     collapsed = total < 1e-12
     out[collapsed] = seg[collapsed]
     out[:, 0] = seg[:, 0]
@@ -347,6 +346,7 @@ def trace_proof_argument(inst: MountainPassInstance, c1: float, c2: float,
         raise InvalidInstance("the argument requires c1 != c2")
     if not (np.isfinite(c1) and np.isfinite(c2)):
         raise ValueError(f"c1 and c2 must be finite, got {c1!r} and {c2!r}")
+    check_positive("eps", eps)
     steps = []
 
     eps1 = min(abs(c2 - c1) / 4.0, eps)

@@ -341,7 +341,7 @@ def test_slab_pass_equals_the_per_set_distances(name, data):
 
 
 def test_level_set_d_tags_without_in_d(w2s_field, w2s_box):
-    # a level-set D is tagged from the rank table: in_d runs once, when the
+    # a level-set D is tagged from the interval table: in_d runs once, when the
     # partition builds the table, and never in a 1,000-step flow
     with mock.patch.object(BandPartition, "in_d", autospec=True,
                            side_effect=BandPartition.in_d) as in_d:
@@ -519,9 +519,13 @@ def _ulp_steps(values, k):
     (0.0, 0.5, RegionSpec.level_set(0.0)),
     (0.0, 0.5, RegionSpec.level_set(-0.0)),
     (1e16, 1.0, RegionSpec.level_set(1e16)),
+    # A's upper end overflows to +inf, its lower end to -inf; a subnormal eps
+    (1.7e308, 1e307, RegionSpec.empty()),
+    (-1.7e308, 1e307, RegionSpec.empty()),
+    (0.0, 5e-324, RegionSpec.empty()),
 ])
 def test_tags_equal_the_mask_cascade(affine_field, c, eps, d_spec):
-    # a level-set D is looked up in the rank table too, so its ends and
+    # a level-set D is looked up in the interval table too, so its ends and
     # their neighbours up to 4 ulp away are drawn, where in_d decides
     part = BandPartition(affine_field, DomainBox(np.array([-1.0, -1.0]),
                                                  np.array([1.0, 1.0])),

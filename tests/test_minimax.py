@@ -509,6 +509,20 @@ def test_proof_trace_rejects_non_finite_levels(w2s_instance, c1, c2):
         trace_proof_argument(w2s_instance, c1, c2, 0.3)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -0.3])
+def test_proof_trace_rejects_a_bad_eps(monkeypatch, w2s_instance, eps):
+    # min(0.25, nan) and min(0.25, inf) made eps1 0.25 and a full trace; the
+    # check comes before the first partition is built
+    built = []
+    post_init = BandPartition.__post_init__
+    monkeypatch.setattr(BandPartition, "__post_init__",
+                        lambda self: (built.append(self.eps), post_init(self)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"eps must be finite and > 0, got {eps!r}")):
+        trace_proof_argument(w2s_instance, 0.0, 1.0, eps)
+    assert built == []
+
+
 def test_proof_trace_rejects_a_band_width_that_underflows(w2s_instance):
     # eps1 = 2.5e-321 halves to 0.0 before the eps2 route finds a band point
     with pytest.raises(ValueError,
