@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import InvalidRegionSpec
 from .fields import (DomainBox, ScalarField, check_count, check_positive,
-                     vector_norm)
+                     sum_squares, vector_norm)
 
 # Minimum separation (in units of eps) between D's value range and the
 # B/C value ranges: it keeps D's values off B and C, so that psi's +1 and
@@ -546,9 +546,7 @@ class SampledBackend:
         pts (cells, K, dim) of the cells [lo, hi], less each one that the
         candidate nearest to some corner is closer than at every corner."""
         v = np.where(self._corners, hi[:, None], lo[:, None])     # (m, C, dim)
-        diff = v[:, :, None, :] - pts[:, None, :, :]
-        diff *= diff
-        d2 = np.add.reduce(diff, axis=-1)                          # (m, C, K)
+        d2 = sum_squares(v[:, :, None, :] - pts[:, None, :, :])   # (m, C, K)
         # d2 at every corner of the candidate nearest to each corner
         best = np.take_along_axis(d2, np.argmin(d2, axis=2)[:, None, :], axis=2)
         # p is dominated where one of them is closer by the slack at every

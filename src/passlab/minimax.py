@@ -7,14 +7,15 @@ free neighbors at half weight) down the gradient, redistributes free nodes
 toward uniform spacing, and accepts the candidate only if the path maximum
 fell, so the per-member history is monotone by construction.  The members
 advance in lockstep, as one (members, M+1, dim) array per block of at most
-BLOCK_NODES path nodes, so an iteration makes one gradient and one
-evaluation call for the whole block; a member that stalls leaves the block's
-live set, and each member's path is the one a member-by-member descent would
-give, bit for bit.  c1 is the same descent on -phi, its value and history
-negated back; each member carries its sign, so optimize_levels runs the
-members of both levels, from the same start paths, in one lockstep block.
-The estimates are meant to be validated against the grid oracles, not
-trusted.
+BLOCK_NODES path nodes, so an iteration makes one gradient call, one
+evaluation call and one resample pass (_Resampler, every member and anchor
+segment at once) for the whole block; a member that stalls leaves the
+block's live set, and each member's path is the one a member-by-member
+descent would give, bit for bit.  c1 is the same descent on -phi, its value
+and history negated back; each member carries its sign, so optimize_levels
+runs the members of both levels, from the same start paths, in one
+lockstep block.  The estimates are meant to be validated against the grid
+oracles, not trusted.
 
 The proof tracer deforms at each level with D = {phi = level} on the
 default backend of bands.build_backend, first-order distances, so its RK4
@@ -40,7 +41,8 @@ import numpy as np
 
 from .bands import BandPartition, RegionSpec, band_ranges, build_backend
 from .errors import InvalidInstance, PinMoved, VectorFieldSingular
-from .fields import DomainBox, ScalarField, check_count, check_positive
+from .fields import (DomainBox, ScalarField, check_count, check_positive,
+                     sum_squares)
 from .flow import DeformationField, eta
 from .paths import DiscretePath, MountainPassInstance, make_path, path_extrema, \
     deform_path
@@ -91,49 +93,111 @@ class MinimaxResult:
         }
 
 
-def _resample(seg: np.ndarray) -> np.ndarray:
-    """Arclength-uniform resampling of one anchor segment of a batch of
-    paths, shape (members, n, dim), keeping each row's end nodes.
+class _Resampler:
+    """Arclength-uniform resampling of every anchor segment of a block of
+    paths (rows, M+1, dim), all pinned at the same indices, in place and
+    keeping each segment's end nodes: one pass for all rows and segments.
 
-    Row by row this is ``np.interp`` at ``np.linspace(0, total, n)`` on the
-    cumulative arclength, bit for bit; a collapsed row (length < 1e-12) is
-    left alone, and a row with a NaN step gets its NaN targets, as from
-    ``np.interp``.
+    Row by row and segment by segment this is ``np.interp`` at
+    ``np.linspace(0, total, n)`` on the cumulative arclength, bit for bit,
+    whatever the memory layout of the block: a collapsed segment (length
+    < 1e-12) is left alone, one of NaN length gets its NaN targets, and one
+    of infinite length its end node, as from ``np.interp``.  The layout of
+    the segments depends only on the pins and M, so it is built once per
+    descent, for blocks of at most ``rows`` rows.
     """
-    rows, n, dim = seg.shape
-    d = seg[:, 1:] - seg[:, :-1]
-    steps = np.sqrt(np.add.reduce(d * d, axis=-1))      # np.linalg.norm(d, axis=-1)
-    total = np.add.reduce(steps, axis=1)
-    cum = np.zeros((rows, n))
-    np.cumsum(steps, axis=1, out=cum[:, 1:])
-    # np.linspace(0, total, n) up to its last target, whose node is kept
-    x = np.arange(n) * (total / (n - 1))[:, None] + 0.0
-    # j, the last index of its row with cum[j] <= x
-    j = np.empty((rows, n), dtype=np.intp)
-    for r in range(rows):
-        j[r] = cum[r].searchsorted(x[r], side="right")
-    j = (j + np.arange(-1, rows * n - 1, n)[:, None]).ravel()
-    last = np.arange(n - 1, rows * n, n).repeat(n)      # each row's last index
-    left = np.minimum(j, last - 1)
-    cum, x = cum.ravel(), x.ravel()
-    xl, xr = cum[left], cum[left + 1]
-    f = seg.transpose(2, 0, 1).reshape(dim, rows * n)   # coordinate-major
-    fl, fr = np.take(f, left, axis=1), np.take(f, left + 1, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where a node is read
-        slope = (fr - fl) / (xr - xl)
-        out = slope * (x - xl) + fl
-    at_node = (x == xl) | (j == last)
-    out[:, at_node] = np.take(f, j[at_node], axis=1)
-    out = out.reshape(dim, rows, n).transpose(1, 2, 0)
-    # a NaN length makes every target NaN, and np.interp gives a NaN target
-    # back as it is
-    nan_rows = np.isnan(total)
-    out[nan_rows] = x.reshape(rows, n)[nan_rows, :, None]
-    collapsed = total < 1e-12
-    out[collapsed] = seg[collapsed]
-    out[:, 0] = seg[:, 0]
-    out[:, -1] = seg[:, -1]
-    return out
+
+    def __init__(self, pinned: tuple, rows: int, M: int, dim: int):
+        anchors = sorted(set(pinned) | {0, M})
+        segments = [(a, b) for a, b in zip(anchors[:-1], anchors[1:]) if b - a >= 2]
+        n = np.array([b - a + 1 for a, b in segments])
+        off = np.cumsum(n) - n
+        # a row of L positions: the segments' nodes side by side, so that a
+        # shared anchor is at two positions
+        self.L = L = int(n.sum())
+        self.off = off
+        self.spans = list(zip(off.tolist(), (off + n).tolist()))
+        self.node = np.concatenate([np.arange(a, b + 1) for a, b in segments])
+        self.nm1 = n - 1.0
+        seg = np.repeat(np.arange(len(n)), n)
+        self.seg, self.seg_nm1 = seg, self.nm1[seg]
+        # the targets: the positions inside the segments, x = i h
+        inner = np.ones(L, dtype=bool)
+        inner[off] = inner[off + n - 1] = False
+        pos = np.flatnonzero(inner)
+        self.tseg = seg[pos]
+        self.i = (pos - off[self.tseg]).astype(float)
+        # flat positions in a block: each position's segment start, and
+        # each target's own position and its segment's last position
+        first = np.arange(rows)[:, None] * L
+        self.start = first + off[seg]
+        self.tpos = first + pos
+        self.end = first + (off + n - 1)[self.tseg]
+        # the targets' flat indices in a C-ordered block, coordinate-major
+        self.put = (np.arange(rows)[:, None] * (M + 1) + self.node[pos]) * dim \
+            + np.arange(dim)[:, None, None]
+
+    def __call__(self, nodes: np.ndarray):
+        """Resample the block nodes (rows, M+1, dim) in place."""
+        rows, _, dim = nodes.shape
+        N = rows * self.L
+        # the block's nodes by position, coordinate-major; take returns a new
+        # C-ordered array whatever the layout of nodes, which matters: over a
+        # node-major gather (nodes[:, idx]) np.add.reduce sums a row's steps
+        # sequentially, not pairwise, and moves its total by an ulp
+        g = nodes.transpose(2, 0, 1).take(self.node, axis=2)      # (dim, rows, L)
+        d = g[:, :, 1:] - g[:, :, :-1]
+        steps = np.empty((rows, self.L))
+        np.sqrt(sum_squares(np.moveaxis(d, 0, -1)), out=steps[:, 1:])
+        steps[:, self.off] = 0.0          # a segment's cumulative length starts at 0
+        cum = np.empty_like(steps)
+        for a, b in self.spans:
+            np.add.accumulate(steps[:, a:b], axis=1, out=cum[:, a:b])
+        # reduceat starts each sum at its first element, a segment's 0.0, and
+        # adds the pairwise sum of the rest: the bits of np.add.reduce, which
+        # starts at 0.0, on the segment's steps
+        total = np.add.reduceat(steps, self.off, axis=1)
+        h = total / self.nm1
+        cum_flat = cum.ravel()
+        # NaN, collapsed and infinite segments give garbage, and warnings,
+        # until the last lines overwrite their targets
+        with np.errstate(all="ignore"):
+            # for a target x = i h, j is the last position p of its segment
+            # with cum[p] <= x: the segment's start, less one, plus the count
+            # of its positions with k_p <= i, k_p the first i with
+            # i h >= cum[p].  ceil(cum / h) is k_p or one off it as i h
+            # rounds, and the two checks against i h make it exact
+            hp = h.take(self.seg, axis=1)
+            k = cum / hp
+            np.ceil(k, out=k)
+            k += k * hp < cum
+            k -= (k - 1.0) * hp >= cum
+            # each position counts in its own segment, also where k is NaN
+            np.fmax(np.fmin(k, self.seg_nm1, out=k), 0.0, out=k)
+            slot = k.astype(np.intp)
+            slot += self.start[:rows]
+            j = np.bincount(slot.ravel(), minlength=N).cumsum().take(self.tpos[:rows])
+            j -= 1
+            end = self.end[:rows]
+            left = np.minimum(j, end - 1)
+            x = self.i * h.take(self.tseg, axis=1)
+            xl = cum_flat.take(left)
+            f = g.reshape(dim, N)
+            fl = f.take(left, axis=1)
+            out = f.take(left + 1, axis=1)
+            out -= fl
+            out /= cum_flat.take(left + 1) - xl
+            out *= x - xl
+            out += fl
+            # a target on a node takes that node: j (left, on a finite
+            # segment), or its own node on a collapsed segment, or the end
+            # node on an infinite one
+            collapsed = (total < 1e-12).take(self.tseg, axis=1)
+            infinite = x == np.inf
+            node = np.where(collapsed, self.tpos[:rows], np.where(infinite, end, left))
+            out = np.where((x == xl) | collapsed | infinite, f.take(node, axis=1), out)
+            np.copyto(out, x, where=np.isnan(x))   # a NaN length: the NaN targets
+        np.put(nodes, self.put[:, :rows], out)
 
 
 def _descend(inst: MountainPassInstance, nodes: np.ndarray, pinned: tuple,
@@ -142,16 +206,16 @@ def _descend(inst: MountainPassInstance, nodes: np.ndarray, pinned: tuple,
     members, nodes (members, M+1, dim), all pinned at the same indices,
     from step length s0; sign holds each member's +-1.0.
 
-    Every live member takes one step per iteration; a member that stalls
-    leaves the live set.  Returns (nodes, their values of sign * phi, best,
+    Every live member takes one step per iteration: one gradient call, one
+    resample pass and one evaluation call for all of them.  A member that
+    stalls leaves the live set.  Returns (nodes, their values of sign * phi, best,
     histories, iterations, converged), one row or list per member.
     """
     field = inst.field
-    size, n_nodes, _ = nodes.shape
+    size, n_nodes, dim = nodes.shape
     M = n_nodes - 1
     pins = np.asarray(pinned)
-    anchors = sorted(set(pinned) | {0, M})
-    segments = [(a, b) for a, b in zip(anchors[:-1], anchors[1:]) if b - a >= 2]
+    resample = _Resampler(pinned, size, M, dim)
     free = np.ones(n_nodes, dtype=bool)
     free[pins] = False
 
@@ -179,8 +243,7 @@ def _descend(inst: MountainPassInstance, nodes: np.ndarray, pinned: tuple,
         row, col, k, g, gn = row[step], col[step], k[step], g[step], gn[step]
         cand[row, k] = cand[row, k] - (s[live[row]] * _WEIGHTS[col])[:, None] * g \
             / gn[:, None]
-        for a, b in segments:
-            cand[:, a:b + 1] = _resample(cand[:, a:b + 1])
+        resample(cand)
         cand = inst.box.clip(cand)
         cand[:, pins] = nodes[live[:, None], pins]
         cand_vals = sign[live, None] * np.asarray(field.evaluate(cand))

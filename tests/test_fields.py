@@ -9,6 +9,7 @@ from passlab import (BandPartition, DeformationField, DomainBox, GridGraph,
                      default_box, gradient_check, make_path,
                      polynomial_field, verify_deformation)
 from passlab.errors import InvalidPoint
+from passlab.fields import vector_norm
 
 
 def test_domain_box_validation():
@@ -215,3 +216,41 @@ def test_poly_rejects_a_derivative_coefficient_that_overflows():
     big = np.finfo(float).max / 2
     f = polynomial_field(2, [((2, 0), big), ((0, 2), 1.0)])
     assert np.array_equal(f.gradient([0.5, 0.0]), [big, 0.0])
+
+
+def _vector_norm_by_reduce(v):
+    # vector_norm with each sum of squares as one np.add.reduce
+    norm = np.asarray(np.sqrt(np.add.reduce(v * v, axis=-1)))
+    big = np.isinf(norm)
+    if np.count_nonzero(big):
+        w = np.abs(v[big])
+        m = np.max(w, axis=-1, keepdims=True)
+        scaled = m[:, 0] * np.sqrt(np.add.reduce((w / m) ** 2, axis=-1))
+        norm[big] = np.where(np.isinf(m[:, 0]), np.inf, scaled)
+    return norm[()]
+
+
+_SPECIALS = [0.0, -0.0, 5e-324, -2.2e-308, 1e154, -1.4e154, 1e308, -1e308, np.inf,
+             -np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.integers(-320, 308), st.booleans(), st.data())
+def test_vector_norm_equals_the_reduce_form(dim, rows, seed, exp10, fortran, data):
+    # the axis-by-axis sum of squares has the bits of np.add.reduce over the
+    # last axis, in the plain pass and in the rescaled one for rows whose
+    # square overflows, for C-ordered and Fortran-ordered batches and for
+    # a single point
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-3, 4, size=(rows, dim))
+    for _ in range(data.draw(st.integers(0, 4))):
+        v[rng.integers(rows), rng.integers(dim)] = data.draw(st.sampled_from(_SPECIALS))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = v * 10.0 ** exp10
+        if fortran:
+            v = np.asfortranarray(v)
+        got, want = vector_norm(v), _vector_norm_by_reduce(v)
+        one, one_want = vector_norm(v[0]), _vector_norm_by_reduce(v[0])
+    assert np.asarray(got).view(np.int64).tolist() == np.asarray(want).view(np.int64).tolist()
+    assert np.asarray(one).view(np.int64) == np.asarray(one_want).view(np.int64)

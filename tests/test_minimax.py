@@ -346,6 +346,89 @@ def test_lockstep_descent_keeps_nan_nodes(seed):
         _assert_lockstep_equals_member(inst, (-1.0, 1.0), (3, 16, 40, 1e-6, seed))
 
 
+def _pass_equals_interp(block, pinned):
+    # the one-pass resample of a block equals _redistribute (np.interp at
+    # np.linspace targets, row by row and segment by segment), bit for bit,
+    # on the block C-ordered, Fortran-ordered and node-major, as the
+    # descent's nodes[:, idx] gathers are
+    M = block.shape[1] - 1
+    with np.errstate(all="ignore"):
+        want = np.stack([_redistribute(row, pinned) for row in block]).view(np.int64)
+        for nodes in (block.copy(), np.array(block, order="F"),
+                      block[:, np.arange(M + 1)]):
+            minimax._Resampler(pinned, len(block) + 2, M, block.shape[2])(nodes)
+            assert np.array_equal(nodes.view(np.int64), want)
+
+
+_SPECIALS = [np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0]
+
+
+@st.composite
+def _blocks(draw):
+    """(rows, M+1, dim) random walks or equally spaced lines, whose
+    cumulative lengths fall on or next to the targets, at a drawn scale,
+    with drawn ties, repeated nodes, special entries and collapsed rows."""
+    rows, dim, M = draw(st.integers(1, 4)), draw(st.integers(1, 3)), 4 * draw(st.integers(2, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        block = np.cumsum(rng.normal(size=(rows, M + 1, dim)), axis=1)
+    else:
+        t = np.linspace(0.0, 1.0, M + 1)[:, None]
+        ends = np.round(rng.normal(size=(2, rows, 1, dim)), draw(st.integers(0, 3)))
+        block = (1.0 - t) * ends[0] + t * ends[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = block * 10.0 ** draw(st.integers(-310, 308))
+        if draw(st.booleans()):      # tied coordinates, so tied lengths
+            block = np.round(block, draw(st.integers(0, 2)))
+    if draw(st.booleans()):          # repeated nodes: zero steps
+        block = block[:, np.sort(rng.integers(0, M + 1, M + 1))]
+    for _ in range(draw(st.integers(0, 4))):
+        block[tuple(rng.integers(0, n) for n in block.shape)] = draw(st.sampled_from(_SPECIALS))
+    for r in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        block[r] = block[r, rng.integers(0, M + 1)] * draw(st.sampled_from([1.0, 1e-14]))
+    return block
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks(), st.booleans())
+def test_resample_pass_equals_np_interp(block, interior):
+    M = block.shape[1] - 1
+    _pass_equals_interp(block, (M // 4, M // 2) if interior else (0, M))
+
+
+@pytest.mark.parametrize("name", ["infinite_length", "nan_node", "tied_lengths"])
+@pytest.mark.parametrize("pinned", [(2, 4), (0, 8)])
+def test_resample_pass_special_rows(name, pinned):
+    block = np.stack([np.linspace([0.0, 0.0], [8.0, 1.0], 9)] * 3)
+    if name == "infinite_length":
+        # a step of 2e308 overflows: length inf, x = 0 * inf = NaN at the
+        # first target and inf at the rest, which np.interp maps to the end node
+        block[1, 1] = [1e308, 0.0]
+        block[1, 2] = [-1e308, 0.0]
+    elif name == "nan_node":
+        block[1, 1, 0] = np.nan     # a NaN length: the NaN targets
+    else:
+        # repeated nodes put equal cumulative lengths at the targets
+        block[1] = [[0, 0], [1, 0], [1, 0], [2, 0], [2, 0], [3, 0], [3, 0], [4, 0], [4, 0]]
+    _pass_equals_interp(block, pinned)
+
+
+@pytest.mark.parametrize("M, a, b", [
+    (16, [1.3, -0.5], [-0.0, 0.3]),
+    (16, [-0.1, 0.6], [0.1, -0.5]),
+    (8, [-0.5, -0.0], [-0.1, -0.0]),
+])
+@pytest.mark.parametrize("interior", [True, False])
+def test_resample_pass_on_equal_steps(M, a, b, interior):
+    # equally spaced nodes, as on an axis start path, put cumulative lengths
+    # on the targets i h or one float beside them: where ceil(cum / h) is one
+    # above or below the count of targets below a length, and where a
+    # target on a node at -0.0 keeps that node's sign
+    t = np.linspace(0.0, 1.0, M + 1)[:, None]
+    block = ((1.0 - t) * np.array(a) + t * np.array(b))[None]
+    _pass_equals_interp(block, (M // 4, M // 2) if interior else (0, M))
+
+
 @pytest.mark.parametrize("optimize", [optimize_c1, optimize_c2])
 @pytest.mark.parametrize("kw, name", [
     ({"tol": float("nan")}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": -1e-6}, "tol"),
